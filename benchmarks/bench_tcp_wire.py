@@ -1,17 +1,17 @@
-"""Wire cost of the TCP ring: framed bytes and hops, batched vs not.
+"""Wire cost of the TCP ring: framed bytes, hops and frames.
 
 The paper's speedup model charges each W step M x (e+1) ring traversals
 of communication; what that costs in practice depends on how the
-messages hit the wire. This bench trains the same BA over real sockets
-with per-hop batching on and off and reports, per MAC iteration, the
-measured frame count, wire bytes (headers included) and raw payload
+messages hit the wire. This bench trains a BA over real sockets and
+reports, per MAC iteration, the measured hop and frame counts, wire bytes (headers included) and raw payload
 bytes — the numbers `IterationStats` now surfaces so the perfmodel's
 first-principles predictions (MLSYSIM-style) can be validated against
 an actual socket transport.
 
-Batching must cut frames (syscalls, latency opportunities) by roughly
-the number of submodels resident per machine while leaving hops — a
-protocol invariant — and the trained bits unchanged.
+The transport coalesces the messages a worker owes one successor into
+one frame, so frames (syscalls, latency opportunities) must come out
+well below hops — roughly by the number of submodels resident per
+machine.
 
 The dtype sweep measures the other wire lever: casting submodel
 parameters to ``message_dtype`` before framing (paper section 9,
@@ -41,14 +41,14 @@ N, D, L, P = 3_000, 48, 16, 4
 MUS = [1e-3, 2e-3, 4e-3]
 
 
-def run(X, Z, *, batch_hops, message_dtype=None):
+def run(X, Z, *, message_dtype=None):
     ba = BinaryAutoencoder.linear(D, L)
     adapter = BAAdapter(ba)
     parts = partition_indices(len(X), P, rng=0)
     shards = make_shards(X, adapter.features(X), Z, parts)
     with get_backend("tcp")(
         epochs=2, batch_size=100, seed=0, shuffle_within=False,
-        batch_hops=batch_hops, message_dtype=message_dtype,
+        message_dtype=message_dtype,
     ) as backend:
         backend.setup(adapter, shards)
         results = [backend.run_iteration(mu) for mu in MUS]
@@ -60,41 +60,25 @@ def test_tcp_wire_cost(benchmark, report):
     X = make_gist_like(N, D, n_clusters=6, rng=5)
     Z, _ = init_codes_pca(X, L, subset=1000, rng=0)
 
-    def run_both():
-        return {bh: run(X, Z, batch_hops=bh) for bh in (True, False)}
-
-    runs = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    results, _ = benchmark.pedantic(lambda: run(X, Z), rounds=1, iterations=1)
 
     report()
     report("=" * 72)
     report(f"TCP ring wire cost per MAC iteration "
            f"(N={N}, D={D}, L={L} -> M={2*L}, P={P}, e=2)")
-    rows = []
-    for bh, (results, _) in runs.items():
-        hops = np.mean([r.hops for r in results])
-        frames = np.mean([r.extra["frames"] for r in results])
-        wire = np.mean([r.bytes_sent for r in results])
-        payload = np.mean([r.extra["payload_bytes"] for r in results])
-        rows.append([
-            "on" if bh else "off", int(hops), int(frames),
-            round(hops / frames, 1), int(wire), int(payload),
-            round(wire / payload, 3),
-        ])
+    hops = np.mean([r.hops for r in results])
+    frames = np.mean([r.extra["frames"] for r in results])
+    wire = np.mean([r.bytes_sent for r in results])
+    payload = np.mean([r.extra["payload_bytes"] for r in results])
     report(ascii_table(
-        ["batching", "hops", "frames", "msgs/frame", "wire B", "payload B",
-         "overhead x"], rows))
+        ["hops", "frames", "msgs/frame", "wire B", "payload B", "overhead x"],
+        [[int(hops), int(frames), round(hops / frames, 1), int(wire),
+          int(payload), round(wire / payload, 3)]]))
 
-    batched, unbatched = runs[True][0], runs[False][0]
-    # Hops are fixed by the counter protocol, batching or not.
-    assert all(b.hops == u.hops for b, u in zip(batched, unbatched))
-    # Unbatched = one frame per hop; batched strictly coalesces.
-    assert all(u.extra["frames"] == u.hops for u in unbatched)
-    assert all(b.extra["frames"] < b.hops for b in batched)
+    # Hops are fixed by the counter protocol; frames strictly coalesce.
+    assert all(r.extra["frames"] < r.hops for r in results)
     # Framing overhead stays small next to the payload.
-    assert all(r.bytes_sent < 1.25 * r.extra["payload_bytes"] for r in batched)
-    # And the wire format does not change the learned bits.
-    for sid, theta in runs[True][1].items():
-        assert np.array_equal(theta, runs[False][1][sid])
+    assert all(r.bytes_sent < 1.25 * r.extra["payload_bytes"] for r in results)
 
 
 def test_tcp_wire_dtype_sweep(benchmark, report):
@@ -105,7 +89,7 @@ def test_tcp_wire_dtype_sweep(benchmark, report):
     dtypes = [None, "float32", "float16"]
 
     def run_sweep():
-        return {dt: run(X, Z, batch_hops=True, message_dtype=dt) for dt in dtypes}
+        return {dt: run(X, Z, message_dtype=dt) for dt in dtypes}
 
     runs = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
 

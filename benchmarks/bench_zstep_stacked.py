@@ -9,10 +9,9 @@ The PR-6 "hot paths" items, measured:
   bit-identical from a shared initialisation. Acceptance floor for this
   repo: >= 3x on the wide-code 256-dimensional layer.
 
-* **Enumeration shared-work caches.** The code table, Gram matrix and
-  per-code quadratic depend only on ``(L, B, dtype)``, constant across
-  the chunks and shards of one iteration; the stacked path computes them
-  once and reuses them bitwise.
+* **Stacked vs legacy enumeration.** The stacked path reuses the cached
+  code table and contracts the per-code quadratic with one GEMM where
+  the legacy path uses einsum; bit-identical.
 
 * **Activation-cached net Z step.** ``z_step_reference`` runs roughly
   three full forward passes per descent step; ``z_step`` computes one
@@ -112,7 +111,7 @@ def measure_alternate(cfg) -> dict:
 
 
 def measure_enumerate(cfg) -> dict:
-    """Per-call enumeration cost once the shared-work caches are warm."""
+    """Per-call enumeration cost once the code-table cache is warm."""
     X, B, c, H, mu = ba_problem(cfg)
     t_leg, Z_leg = _best_of(
         lambda: zstep_enumerate(X, B, c, H, mu, impl="legacy"), cfg["reps"]
@@ -121,7 +120,7 @@ def measure_enumerate(cfg) -> dict:
     t_stk, Z_stk = _best_of(
         lambda: zstep_enumerate(X, B, c, H, mu, impl="stacked"), cfg["reps"]
     )
-    assert np.array_equal(Z_leg, Z_stk), "cached enumerate changed the bits"
+    assert np.array_equal(Z_leg, Z_stk), "stacked enumerate changed the bits"
     return {
         "config": dict(cfg),
         "legacy_s": t_leg,

@@ -48,7 +48,6 @@ from repro.core import (
 from repro.core.evaluation import PrecisionEvaluator, RecallEvaluator
 from repro.distributed import (
     CostModel,
-    MultiprocessRing,
     SimulatedCluster,
     available_backends,
     get_backend,
@@ -73,7 +72,6 @@ __all__ = [
     "PrecisionEvaluator",
     "RecallEvaluator",
     "SimulatedCluster",
-    "MultiprocessRing",
     "CostModel",
     "DeepNet",
     "MACTrainerNet",

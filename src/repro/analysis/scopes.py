@@ -48,6 +48,7 @@ _CONCURRENCY = (
     "repro/serve/index.py",
     "repro/distributed/backends/mp.py",
     "repro/distributed/backends/tcp.py",
+    "repro/distributed/backends/worker.py",
     "repro/distributed/health.py",
 )
 

@@ -60,15 +60,11 @@ __all__ = [
 # dispatcher switches to the alternating solver (the paper does the same).
 MAX_ENUM_BITS = 16
 
-# Shared-work caches. The code table depends only on (L, dtype); the Gram
-# matrix and the per-code quadratic depend on the decoder content, which is
-# frozen while a shard's Z solves sweep its minibatch chunks — so one
-# iteration computes each entry once and every subsequent call reuses it
-# bitwise-identically. Keyed by value (``tobytes``), never by object id, so
-# a retrained decoder can never hit a stale entry.
+# Structure caches: the code table and its row sums depend only on
+# (L, dtype) — never on the model — so reuse is trivially bit-identical.
+# (Decoder-dependent work is recomputed per call: the decoder changes
+# every iteration, so nothing keyed on it is ever seen twice in a fit.)
 _CODES_CACHE: dict[tuple[int, str], np.ndarray] = {}
-_GRAM_CACHE: dict[tuple, np.ndarray] = {}
-_QUAD_CACHE: dict[tuple, np.ndarray] = {}
 _CSUM_CACHE: dict[tuple[int, str], np.ndarray] = {}
 _CACHE_MAX = 8
 
@@ -79,28 +75,6 @@ def _cache_put(cache: dict, key, value: np.ndarray) -> np.ndarray:
         cache.pop(next(iter(cache)))
     cache[key] = value
     return value
-
-
-def _gram(B: np.ndarray) -> np.ndarray:
-    """Cached ``B^T B`` (read-only), keyed by the decoder's content."""
-    B = np.asarray(B)
-    key = (B.shape, B.dtype.str, B.tobytes())
-    hit = _GRAM_CACHE.get(key)
-    if hit is None:
-        hit = _cache_put(_GRAM_CACHE, key, B.T @ B)
-    return hit
-
-
-def _code_quad(B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Cached per-code quadratic ``z^T (B^T B) z`` for all codes in ``C``."""
-    B = np.asarray(B)
-    key = (B.shape, B.dtype.str, C.dtype.str, B.tobytes())
-    hit = _QUAD_CACHE.get(key)
-    if hit is None:
-        # One GEMM + an elementwise reduce beats the einsum contraction the
-        # legacy path uses, and the result is reused across chunks/calls.
-        hit = _cache_put(_QUAD_CACHE, key, ((C @ _gram(B)) * C).sum(axis=1))
-    return hit
 
 
 def _code_sums(L: int, dtype) -> np.ndarray:
@@ -155,8 +129,9 @@ def zstep_enumerate(
     """Exact Z step by enumerating all 2^L codes.
 
     Memory is bounded by ``chunk * 2^L`` scores at a time. Raises for
-    ``L > MAX_ENUM_BITS``. ``impl="stacked"`` reuses the cached code table
-    and per-code quadratic; ``impl="legacy"`` recomputes them per call.
+    ``L > MAX_ENUM_BITS``. ``impl="stacked"`` computes the per-code quadratic
+    with one GEMM and reuses the cached code row sums; ``impl="legacy"``
+    contracts it with einsum.
     """
     L = B.shape[1]
     if L > MAX_ENUM_BITS:
@@ -175,7 +150,9 @@ def zstep_enumerate(
         BtB = B.T @ B
         quad = np.einsum("kl,lm,km->k", C, BtB, C) + mu * C.sum(axis=1)
     elif impl == "stacked":
-        quad = _code_quad(B, C) + mu * _code_sums(L, cd)
+        # One GEMM + an elementwise reduce beats the einsum contraction
+        # the legacy path uses.
+        quad = ((C @ (B.T @ B)) * C).sum(axis=1) + mu * _code_sums(L, cd)
     else:
         raise ValueError(f"unknown impl {impl!r}")
     # Per-point linear term coefficient.
@@ -203,8 +180,8 @@ def zstep_relaxed(
     The relaxed problem is unconstrained quadratic with solution
     ``(B^T B + mu I) z = B^T (x - c) + mu h``; we clip to [0,1] and
     threshold at 1/2 (ties -> 1, matching the step convention).
-    ``impl="stacked"`` reuses the cached Gram matrix (the cached product is
-    the same array ``B.T @ B`` produces, so both impls are bit-identical).
+    The solve is one GEMM pair either way, so both ``impl`` values run
+    the same code (the parameter is kept for a uniform solver signature).
     """
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
@@ -212,12 +189,9 @@ def zstep_relaxed(
     X = np.asarray(X, dtype=cd)
     Hf = np.asarray(H, dtype=cd)
     L = B.shape[1]
-    if impl == "legacy":
-        G = B.T @ B + mu * np.eye(L, dtype=cd)
-    elif impl == "stacked":
-        G = _gram(B) + mu * np.eye(L, dtype=cd)
-    else:
+    if impl not in ("legacy", "stacked"):
         raise ValueError(f"unknown impl {impl!r}")
+    G = B.T @ B + mu * np.eye(L, dtype=cd)
     Lin = (X - c) @ B + mu * Hf  # (n, L)
     # Guard the mu = 0, rank-deficient-decoder corner with a pseudo-inverse.
     try:
@@ -289,7 +263,7 @@ def zstep_alternate(
             if not changed:
                 break
         return Z.astype(np.uint8)
-    BtB = _gram(B)
+    BtB = B.T @ B
     # G = R @ B, the per-bit linear terms, built by one GEMM pair; flipping
     # bit l of some rows moves G by a rank-1 update with row l of B^T B.
     G = (X - c) @ B - Z @ BtB

@@ -68,7 +68,7 @@ class ParMACTrainerBA:
     seed : int or None
     backend_options : dict, optional
         Extra keyword arguments for the backend class (e.g. ``ports`` /
-        ``batch_hops`` for the TCP ring, ``ctx_method`` for the
+        ``connect_timeout`` for the TCP ring, ``ctx_method`` for the
         multiprocessing pool).
 
     Attributes

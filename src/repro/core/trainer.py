@@ -77,8 +77,8 @@ class ParMACTrainer:
         Extra keyword arguments for the backend class (e.g.
         ``message_dtype`` / ``batch_units`` on any engine,
         ``execute_updates`` for simulated engines, ``ctx_method`` for
-        the multiprocessing pool, ``ports`` / ``batch_hops`` for the
-        TCP ring).
+        the multiprocessing pool, ``ports`` / ``connect_timeout`` for
+        the TCP ring).
 
     Attributes
     ----------

@@ -39,7 +39,6 @@ from repro.distributed.backends import (
     register_backend,
 )
 from repro.distributed.framing import ProtocolError
-from repro.distributed.mp_backend import MultiprocessRing
 from repro.distributed.allreduce import allreduce_sum, exact_decoder_fit, exact_svm_steps
 
 __all__ = [
@@ -70,7 +69,6 @@ __all__ = [
     "MultiprocessBackend",
     "TCPBackend",
     "ProtocolError",
-    "MultiprocessRing",
     "allreduce_sum",
     "exact_decoder_fit",
     "exact_svm_steps",

@@ -21,7 +21,7 @@ Beyond the original one-shot ring this backend adds:
   mesh, where the old backend silently ignored the option;
 * **overlapped ring sends** — under ``overlap_send=True`` each worker
   hands forwarded submodels to a double-buffered background sender
-  (:class:`_AsyncSender`) and returns to training the next convoy while
+  (:class:`~repro.distributed.backends.worker._AsyncSender`) and returns to training the next convoy while
   the previous one is still on the wire; the wire cast and byte
   accounting stay on the training thread, so overlap changes timing,
   never bits;
@@ -40,12 +40,16 @@ Beyond the original one-shot ring this backend adds:
   set, and the iteration re-runs — the fit continues having lost only
   the dead machine's data.
 
+The worker half — the command loop, the setup message, the iteration
+and the queue ring transport — lives in
+:mod:`repro.distributed.backends.worker` and is shared by every
+wall-clock engine; this module is the coordinator: pool lifecycle,
+shared-memory shard shipping, the gather, and the recovery choreography.
 The ring *transport* — how a forwarded submodel physically reaches the
-successor machine — is pluggable: this module's workers pass messages
+successor machine — is pluggable: this backend's workers pass messages
 over ``multiprocessing`` queues, while the TCP backend
 (:mod:`repro.distributed.backends.tcp`) subclasses the coordinator and
-swaps in framed socket connections; everything else (counter protocol,
-shared-memory shards, pool lifecycle, recovery choreography) is shared.
+swaps in framed socket connections.
 
 Workers report per-shard metrics after the Z step; the lowest-ranked
 live worker additionally reports the assembled final parameters, which
@@ -56,20 +60,12 @@ invariant: after the W step every machine holds the full final model).
 from __future__ import annotations
 
 import copy
-import dataclasses
 import multiprocessing as mp
 import os
 import pickle
-import queue as queue_mod
-import signal
 import struct
-import threading
 import time
-import traceback
 from multiprocessing import connection as mp_connection
-from multiprocessing import shared_memory
-
-import numpy as np
 
 from repro.distributed.backends.base import (
     BaseBackend,
@@ -77,37 +73,28 @@ from repro.distributed.backends.base import (
     IterationStats,
     register_backend,
 )
-from repro.distributed.batching import (
-    BatchAccumulator,
-    GroupTable,
-    supports_unit_batching,
-    train_message_batch,
+from repro.distributed.backends.worker import (
+    _LIVENESS_POLL_S,
+    IterationAborted,
+    WorkerSetup,
+    _QueueLink,
+    _worker_main,
 )
-from repro.distributed.chaos import ChaosShim
 from repro.distributed.dataplane import ClusterState, DataPlane
-from repro.distributed.health import HealthMonitor, HeartbeatSender, WorkerPulse
-from repro.distributed.interfaces import get_params_many, set_params_many
-from repro.distributed.messages import ShardRetired, SubmodelMessage
+from repro.distributed.health import HealthMonitor
+from repro.distributed.interfaces import set_params_many
+from repro.distributed.messages import ShardRetired
 from repro.distributed.protocol import (
     RoutePlan,
-    WStepProtocol,
     expected_receives,
     home_assignment,
     replan,
 )
+from repro.distributed.shm import pack_array_block, pack_shards, unlink_segments
 from repro.distributed.topology import RingTopology
-from repro.optim.sgd import SGDState
 from repro.utils.rng import check_random_state
 
 __all__ = ["MultiprocessBackend", "IterationAborted", "home_assignment"]
-
-#: How often the coordinator checks worker liveness while blocked on
-#: results; bounds how long a dead worker can go unnoticed.
-_LIVENESS_POLL_S = 0.5
-
-
-class IterationAborted(Exception):
-    """The in-flight iteration was cancelled for a survivor re-plan."""
 
 
 class _WorkersLost(Exception):
@@ -126,37 +113,6 @@ class _WorkersLost(Exception):
         super().__init__(f"worker(s) {dead} died mid-iteration")
         self.dead = dead
         self.payloads = payloads
-
-
-def _unlink_segments(segments) -> None:
-    """Close and unlink shared-memory segments, tolerating absent ones."""
-    for seg in segments:
-        if seg is None:
-            continue
-        try:
-            seg.close()
-            seg.unlink()
-        except FileNotFoundError:
-            pass
-
-
-def _maybe_untrack(seg, desc) -> None:
-    """Unregister an attached segment from a spawned worker's tracker.
-
-    Attaching registers the segment with the resource tracker (it cannot
-    tell an attach from a create). Under fork the tracker process is
-    shared with the coordinator, whose unlink() already unregisters the
-    (deduplicated) entry — nothing to do. A spawned worker has its *own*
-    tracker, which would warn about a "leaked" segment it does not own
-    at exit, so untrack there.
-    """
-    if desc.get("untrack"):
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(seg._name, "shared_memory")
-        except Exception:
-            pass
 
 
 # -------------------------------------------------------------- responses
@@ -230,655 +186,6 @@ class _ResponseChannel:
             pass
 
 
-# ------------------------------------------------------------------ shards
-def _pack_shards(shards) -> tuple[list, list]:
-    """Copy each shard's arrays into one shared-memory segment.
-
-    Returns ``(segments, descriptors)``; descriptor i tells worker i how
-    to rebuild its shard as zero-copy views over the segment. Non-array
-    dataclass fields travel by value; non-dataclass shards fall back to
-    pickling whole. If packing fails partway, every segment already
-    created is unlinked before the error propagates — a half-packed fit
-    must not leave residue in /dev/shm.
-    """
-    segments, descs = [], []
-    try:
-        for shard in shards:
-            if not dataclasses.is_dataclass(shard):
-                segments.append(None)
-                descs.append({"pickle": shard})
-                continue
-            arrays: list[tuple[str, int | None, np.ndarray]] = []
-            values: dict = {}
-            for f in dataclasses.fields(shard):
-                v = getattr(shard, f.name)
-                if isinstance(v, np.ndarray):
-                    arrays.append((f.name, None, np.ascontiguousarray(v)))
-                elif (
-                    isinstance(v, (list, tuple))
-                    and len(v)
-                    and all(isinstance(a, np.ndarray) for a in v)
-                ):
-                    for i, a in enumerate(v):
-                        arrays.append((f.name, i, np.ascontiguousarray(a)))
-                else:
-                    values[f.name] = v
-            total = sum(a.nbytes for _, _, a in arrays)
-            seg = shared_memory.SharedMemory(create=True, size=max(total, 1))
-            segments.append(seg)
-            fields = []
-            offset = 0
-            for name, idx, a in arrays:
-                view = np.ndarray(a.shape, dtype=a.dtype, buffer=seg.buf, offset=offset)
-                view[...] = a
-                fields.append((name, idx, a.dtype.str, a.shape, offset))
-                offset += a.nbytes
-            descs.append(
-                {"name": seg.name, "cls": type(shard), "fields": fields, "values": values}
-            )
-    except Exception:
-        _unlink_segments(segments)
-        raise
-    return segments, descs
-
-
-def _attach_shard(desc):
-    """Rebuild a shard in a worker from its shared-memory descriptor."""
-    if "pickle" in desc:
-        return None, desc["pickle"]
-    seg = shared_memory.SharedMemory(name=desc["name"])
-    _maybe_untrack(seg, desc)
-    kwargs = dict(desc["values"])
-    lists: dict[str, list] = {}
-    for name, idx, dtype, shape, offset in desc["fields"]:
-        arr = np.ndarray(shape, dtype=dtype, buffer=seg.buf, offset=offset)
-        if idx is None:
-            kwargs[name] = arr
-        else:
-            lists.setdefault(name, []).append((idx, arr))
-    for name, items in lists.items():
-        kwargs[name] = [a for _, a in sorted(items, key=lambda t: t[0])]
-    return seg, desc["cls"](**kwargs)
-
-
-def _pack_array_block(arrays) -> tuple:
-    """Pack a flat list of arrays into one shared-memory segment.
-
-    The incremental-ingest sibling of :func:`_pack_shards`: returns
-    ``(segment, descriptor)`` where the descriptor rebuilds the arrays
-    as zero-copy views in the receiving worker.
-    """
-    arrays = [np.ascontiguousarray(a) for a in arrays]
-    total = sum(a.nbytes for a in arrays)
-    seg = shared_memory.SharedMemory(create=True, size=max(total, 1))
-    try:
-        fields = []
-        offset = 0
-        for a in arrays:
-            view = np.ndarray(a.shape, dtype=a.dtype, buffer=seg.buf, offset=offset)
-            view[...] = a
-            fields.append((a.dtype.str, a.shape, offset))
-            offset += a.nbytes
-    except Exception:
-        # The segment exists in /dev/shm the moment create=True returns;
-        # a failed copy-in must unlink it or it outlives the process.
-        seg.close()
-        seg.unlink()
-        raise
-    return seg, {"name": seg.name, "fields": fields}
-
-
-def _attach_array_block(desc):
-    """Rebuild the arrays of one :func:`_pack_array_block` descriptor."""
-    seg = shared_memory.SharedMemory(name=desc["name"])
-    _maybe_untrack(seg, desc)
-    arrays = [
-        np.ndarray(shape, dtype=dtype, buffer=seg.buf, offset=offset)
-        for dtype, shape, offset in desc["fields"]
-    ]
-    return seg, arrays
-
-
-# --------------------------------------------------------------- transport
-class _AsyncSender:
-    """Double-buffered background sender for overlapped ring hops.
-
-    One daemon thread drains a bounded queue of transmit items, so the
-    worker's main thread hands a just-trained submodel batch off and
-    returns to training the next convoy while the previous one is still
-    on the wire. A *single* sender thread per transport preserves the
-    per-destination FIFO order the counter protocol relies on; the queue
-    depth of two is the double buffer — one send in flight, one staged —
-    which bounds how far the pipeline can run ahead of the NIC.
-
-    Failure handling: a transmit error is recorded, not raised in the
-    thread — the loop keeps consuming (and skipping) items so that
-    ``Queue.join`` always terminates and a producer blocked on a full
-    queue cannot deadlock; the original exception re-raises on the main
-    thread at the next ``submit``/``drain``/``check``, keeping its type
-    (the TCP worker's fault handling keys on ``ProtocolError``).
-    """
-
-    _STOP = object()
-
-    def __init__(self, transmit, *, depth: int = 2):
-        self._transmit = transmit
-        self._q: queue_mod.Queue = queue_mod.Queue(maxsize=depth)
-        self._exc: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="ring-sender", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            item = self._q.get()
-            try:
-                if item is self._STOP:
-                    return
-                if self._exc is None:
-                    self._transmit(*item)
-            except BaseException as exc:  # noqa: BLE001 - surfaced via check()
-                self._exc = exc
-            finally:
-                self._q.task_done()
-
-    def check(self) -> None:
-        """Re-raise a background transmit failure on the caller's thread."""
-        if self._exc is not None:
-            raise self._exc
-
-    def submit(self, *item) -> None:
-        """Queue one transmit, blocking while both buffers are full.
-
-        The wait is chopped into short timed puts so a send failure
-        surfaces here instead of deadlocking the producer against a
-        queue that will never drain normally.
-        """
-        while True:
-            self.check()
-            try:
-                self._q.put(item, timeout=0.1)
-                return
-            except queue_mod.Full:
-                continue
-
-    def drain(self) -> None:
-        """Block until every queued transmit has left, then re-check."""
-        self.check()
-        self._q.join()
-        self.check()
-
-    def close(self) -> None:
-        """Stop the thread after in-flight items (no new work accepted)."""
-        try:
-            self._q.put(self._STOP, timeout=1.0)
-        except queue_mod.Full:
-            pass  # wedged transmit; the daemon thread is abandoned
-        self._thread.join(timeout=5.0)
-
-
-class _QueueRingTransport:
-    """Ring transport over the coordinator-built full queue mesh.
-
-    The transport interface the worker iteration runs against:
-    ``send(dest, msg)`` may buffer, ``flush()`` forces buffered messages
-    out, ``recv()`` returns the next incoming message (flushing first,
-    so a worker never blocks while holding undelivered sends), and
-    ``wire_stats()`` reports what the iteration cost on the wire. Queues
-    deliver messages one at a time with no syscall to amortise, so this
-    implementation sends eagerly and ``flush`` is a no-op.
-
-    Every queue item is tagged with the iteration *generation*: after a
-    ``drop_shard`` recovery the retried iteration runs under a new
-    generation, so stale traffic from the aborted attempt — including
-    unconsumed abort sentinels — is silently discarded instead of
-    corrupting the ring. A ``(gen, None)`` item is the coordinator's
-    abort sentinel: it wakes a worker blocked on a receive whose sender
-    died and raises :class:`IterationAborted`.
-
-    The sentinel alone is not a reliable wake-up: ``mp.Queue`` writes
-    funnel through a per-queue feeder lock, and a worker SIGKILLed
-    mid-write leaves that lock held forever — the coordinator's sentinel
-    for that queue would never be delivered. ``abort_ev`` is the
-    lock-free fallback: a per-worker ``Event`` the receive loop polls
-    between short blocking gets, set by the coordinator alongside the
-    sentinel.
-    """
-
-    def __init__(self, rank: int, ring_qs, gen: int = 0, abort_ev=None, *,
-                 wire_dtype=None, compute_dtype=None, overlap=False,
-                 chaos_shim=None):
-        self.rank = rank
-        self._ring_qs = ring_qs
-        self.gen = gen
-        self._abort_ev = abort_ev
-        # Chaos shim: the per-link verdict is drawn at send() time (one
-        # draw per message, matching the simulated engines' per-hop
-        # draws) and served as a sleep at transmit time — on the sender
-        # thread under overlap_send, so overlap hides injected latency
-        # exactly as it hides real latency.
-        self._chaos = chaos_shim
-        # Reduced-precision wire (paper section 9): parameters are cast
-        # down at pack time — the pickled payload genuinely shrinks — and
-        # cast back to the compute dtype on receive. The worker already
-        # round-tripped theta through the wire dtype after training, so
-        # both casts are value-exact.
-        self._wire_dtype = wire_dtype
-        self._compute_dtype = compute_dtype
-        # Overlapped sends: the queue put (which pickles the payload)
-        # moves to a background thread. The wire cast and byte counting
-        # stay on the main thread, so overlap changes *when* a message
-        # leaves, never its bits.
-        self._sender = _AsyncSender(self._transmit) if overlap else None
-        self.msgs_sent = 0
-        self.bytes_sent = 0
-
-    def _transmit(self, dest: int, item, delay: float = 0.0) -> None:
-        if delay > 0.0:
-            time.sleep(delay)
-        self._ring_qs[dest].put(item)
-
-    def send(self, dest: int, msg: SubmodelMessage) -> None:
-        if self._wire_dtype is not None and dest != self.rank:
-            msg.theta = np.asarray(msg.theta, dtype=self._wire_dtype)
-        self.msgs_sent += 1
-        self.bytes_sent += msg.nbytes
-        item = (self.gen, msg)
-        delay = (
-            self._chaos.send_delay(dest, msg.nbytes)
-            if self._chaos is not None and dest != self.rank
-            else 0.0
-        )
-        if self._sender is not None and dest != self.rank:
-            self._sender.submit(dest, item, delay)
-        else:
-            self._transmit(dest, item, delay)
-
-    def flush(self) -> None:
-        pass
-
-    def drain(self) -> None:
-        """Wait for background sends to finish (no-op without overlap)."""
-        if self._sender is not None:
-            self._sender.drain()
-
-    def close(self) -> None:
-        """Stop the background sender, if any, without a full drain."""
-        if self._sender is not None:
-            self._sender.close()
-
-    def recv(self) -> SubmodelMessage:
-        while True:
-            try:
-                gen, msg = self._ring_qs[self.rank].get(timeout=_LIVENESS_POLL_S)
-            except queue_mod.Empty:
-                if self._sender is not None:
-                    self._sender.check()
-                if self._abort_ev is not None and self._abort_ev.is_set():
-                    raise IterationAborted() from None
-                continue
-            if gen != self.gen:
-                continue  # stale traffic from an aborted iteration
-            if msg is None:
-                raise IterationAborted()
-            if self._wire_dtype is not None:
-                msg.theta = np.asarray(msg.theta, dtype=self._compute_dtype)
-            return msg
-
-    def wire_stats(self) -> dict:
-        stats = {"hops": self.msgs_sent, "bytes_sent": self.bytes_sent}
-        if self._chaos is not None:
-            stats.update(self._chaos.counters)
-        return stats
-
-
-# ------------------------------------------------------------------ worker
-def _build_worker_state(rank, adapter, desc, protocol, homes, batch_size,
-                        shuffle_within, seed, rng_state=None,
-                        message_dtype=None, batch_units=True,
-                        overlap_send=False, cpuset=None, chaos=None) -> dict:
-    """Per-fit worker state, shared by every wall-clock worker loop.
-
-    One construction site keeps the queue and TCP workers bit-identical:
-    a field added here (RNG stream, batching knob, ...) reaches both.
-    ``rng_state`` restores a checkpointed SGD stream in place of the
-    fresh seed-derived one. ``cpuset`` (from the coordinator's
-    ``pin_workers`` partition) pins this process; the state records the
-    affinity actually in effect afterwards, which the setup ack reports.
-    """
-    seg, shard = _attach_shard(desc)
-    specs = adapter.submodel_specs()
-    rng = np.random.default_rng(seed)
-    if rng_state is not None:
-        rng.bit_generator.state = rng_state
-    applied_cpuset = None
-    if cpuset is not None and hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, cpuset)
-        applied_cpuset = sorted(os.sched_getaffinity(0))
-    return {
-        "adapter": adapter,
-        "shard": shard,
-        "seg": seg,
-        "protocol": protocol,
-        "specs": specs,
-        "spec_by_sid": {s.sid: s for s in specs},
-        "homes": dict(homes),
-        "my_sids": [sid for sid, h in homes.items() if h == rank],
-        "batch_size": batch_size,
-        "shuffle_within": shuffle_within,
-        "message_dtype": message_dtype,
-        "batch_units": batch_units,
-        "overlap_send": bool(overlap_send),
-        "chaos": chaos,
-        "cpuset": applied_cpuset,
-        "compute_dtype": np.dtype(getattr(adapter, "compute_dtype", np.float64)),
-        "rng": rng,
-    }
-
-
-def _checkpoint_worker_state(state) -> dict:
-    """This worker's resumable state: its (private) shard and SGD stream.
-
-    The shard arrays pickle by value through the result queue, so the
-    coordinator's snapshot is decoupled from further training even when
-    the arrays are still zero-copy views over a shared-memory segment.
-    """
-    return {
-        "shard": state["shard"],
-        "rng_state": state["rng"].bit_generator.state,
-    }
-
-
-def _apply_replan(rank, state, protocol, homes) -> None:
-    """Adopt a survivor re-plan: new counter protocol, new home set."""
-    state["protocol"] = protocol
-    state["homes"] = dict(homes)
-    state["my_sids"] = [sid for sid, h in homes.items() if h == rank]
-
-
-def _report_model(state) -> list:
-    """This worker's full model as ``(sid, theta)`` pairs.
-
-    After a completed iteration every worker's adapter holds the
-    identical final submodels, so any survivor can stand in for a model
-    holder that died after its last ring send.
-    """
-    specs = state["specs"]
-    thetas = get_params_many(state["adapter"], specs)
-    return [(s.sid, np.array(t, copy=True)) for s, t in zip(specs, thetas)]
-
-
-def _apply_worker_ingest(state, X, F, Z, indices) -> int:
-    """Append one shipped ingest batch to this worker's shard.
-
-    ``append`` concatenates into fresh private arrays, so the batch may
-    be handed in as views over a shared-memory segment the coordinator
-    unlinks right after the ack.
-    """
-    state["shard"].append(X, F, Z, indices)
-    return len(X)
-
-
-def _worker_units_batched(state) -> bool:
-    """Whether this worker runs the batched co-resident-unit W step."""
-    return (
-        state.get("batch_units", True)
-        and not state["shuffle_within"]
-        and supports_unit_batching(state["adapter"])
-    )
-
-
-def _run_worker_iteration(rank, state, mu, plan, n_expected, transport,
-                          model_rank=0, chaos_shim=None, crash=None):
-    """One W step + Z step on this worker's shard; returns the payload.
-
-    ``crash`` is a scheduled chaos kill point ("w"/"z"/None), resolved by
-    the coordinator for this iteration's *first* attempt only: the worker
-    SIGKILLs itself at the start of that phase, exactly like a real OOM
-    kill, and the replacement spawned under ``respawn`` runs crash-free.
-    """
-    if crash == "w":
-        os.kill(os.getpid(), signal.SIGKILL)
-    pulse: WorkerPulse | None = state.get("pulse")
-    if pulse is not None:
-        pulse.enter("w")
-    adapter = state["adapter"]
-    shard = state["shard"]
-    protocol: WStepProtocol = state["protocol"]
-    specs = state["specs"]
-    final: dict[int, np.ndarray] = {}
-    # Batched co-resident-unit W step: arriving messages accumulate per
-    # (home block, batch_key, counter) convoy group and train as one
-    # stacked pass when the group completes — composition is
-    # protocol-determined, so it is identical on every engine.
-    acc = (
-        BatchAccumulator(GroupTable(adapter, state["homes"]))
-        if _worker_units_batched(state)
-        else None
-    )
-    # Reduced-precision wire: like the simulated engines, every visit
-    # round-trips the updated parameters through the wire dtype when
-    # anything travels at all (P > 1), so stored finals and travelling
-    # copies stay bit-identical across backends.
-    wire_dtype = state.get("message_dtype")
-    if protocol.n_machines <= 1:
-        wire_dtype = None
-    compute_dtype = state.get("compute_dtype", np.float64)
-
-    # Straggler injection: dilate each numeric call by (factor-1)x its
-    # measured duration. Only compute is slowed — receive waits and wire
-    # time are untouched — matching ChaosTimeline, which scales
-    # w_work/z_work and nothing else.
-    straggle = None
-    if chaos_shim is not None and chaos_shim.cfg.straggler_factor(rank) != 1.0:
-        def straggle(t0: float) -> None:
-            extra = chaos_shim.charge_straggler(time.perf_counter() - t0)
-            if extra > 0.0:
-                time.sleep(extra)
-
-    def finish_visit(msg: SubmodelMessage) -> None:
-        """Post-numerics tail of one visit: wire cast, final capture,
-        forwarding."""
-        if wire_dtype is not None:
-            msg.theta = msg.theta.astype(wire_dtype).astype(compute_dtype)
-        if protocol.is_final(msg.counter):
-            final[msg.spec.sid] = np.array(msg.theta, copy=True)
-        if protocol.should_forward(msg.counter):
-            transport.send(plan.successor(rank, msg.counter), msg)
-
-    def train_inline(msg: SubmodelMessage, passes: int) -> None:
-        t0 = time.perf_counter() if straggle is not None else 0.0
-        for _ in range(passes):
-            msg.theta = adapter.w_update(
-                msg.spec,
-                msg.theta,
-                msg.sgd_state,
-                shard,
-                mu,
-                batch_size=state["batch_size"],
-                shuffle=state["shuffle_within"],
-                rng=state["rng"],
-            )
-        if straggle is not None:
-            straggle(t0)
-
-    def handle(msg: SubmodelMessage) -> None:
-        if pulse is not None:
-            pulse.tick()  # one heartbeat-visible unit of progress per visit
-        msg.counter += 1
-        passes = protocol.train_passes(msg.counter)
-        if passes and acc is not None and acc.table.batchable(msg.spec.sid):
-            group = acc.add(msg)
-            if group is None:
-                return  # convoy incomplete; numerics wait for the rest
-            t0 = time.perf_counter() if straggle is not None else 0.0
-            train_message_batch(
-                adapter, group, shard, mu, passes=passes,
-                batch_size=state["batch_size"], rng=state["rng"],
-            )
-            if straggle is not None:
-                straggle(t0)
-            for member in group:
-                finish_visit(member)
-            return
-        train_inline(msg, passes)
-        finish_visit(msg)
-
-    t_w0 = time.perf_counter()
-    my_specs = [state["spec_by_sid"][sid] for sid in state["my_sids"]]
-    for spec, theta in zip(my_specs, get_params_many(adapter, my_specs)):
-        handle(
-            SubmodelMessage(
-                spec=spec,
-                theta=np.array(theta, copy=True),
-                sgd_state=SGDState(),
-            )
-        )
-    transport.flush()
-    for _ in range(n_expected):
-        handle(transport.recv())
-    transport.flush()
-    if acc is not None and acc.n_pending:
-        raise RuntimeError(
-            f"{acc.n_pending} submodel visit(s) never completed their batch "
-            "group — convoy tracking bug"
-        )
-    # W-step invariant: this worker now holds every final submodel.
-    set_params_many(adapter, [(spec, final[spec.sid]) for spec in specs])
-    t_w = time.perf_counter() - t_w0
-
-    if crash == "z":
-        os.kill(os.getpid(), signal.SIGKILL)
-    if pulse is not None:
-        pulse.enter("z")
-    t_z0 = time.perf_counter()
-    z_changes = adapter.z_update(shard, mu)
-    if straggle is not None:
-        straggle(t_z0)
-    t_z = time.perf_counter() - t_z0
-    # Under overlap_send the final-lap forwards may still be in flight —
-    # deliberately: peers sit in their receive loops while this worker's
-    # Z step runs, so those sends overlap the Z compute too. They must be
-    # delivered before the iteration is reported complete, though: the
-    # next iteration opens a fresh transport whose frames must not
-    # interleave with a still-draining sender.
-    transport.drain()
-
-    return {
-        "e_q": adapter.e_q_shard(shard, mu),
-        "e_ba": adapter.e_ba_shard(shard),
-        "violations": adapter.violations_shard(shard),
-        "z_changes": z_changes,
-        "w_time": t_w,
-        "z_time": t_z,
-        "wire": transport.wire_stats(),
-        "model": [(s.sid, final[s.sid]) for s in specs] if rank == model_rank else None,
-    }
-
-
-def _worker_main(rank, ring_qs, cmd_q, res, abort_ev):
-    """Pool worker loop: serve setup/iter commands until told to stop."""
-    state = None
-    pulse = WorkerPulse()
-    beat: HeartbeatSender | None = None
-    send_lock = threading.Lock()
-
-    def reply(obj) -> None:
-        # The heartbeat thread shares this connection with the command
-        # loop; Connection.send is not safe under concurrent writers.
-        with send_lock:
-            res.send(obj)
-
-    while True:
-        cmd = cmd_q.get()
-        op = cmd[0]
-        if op == "stop":
-            if beat is not None:
-                beat.stop()
-            if state is not None and state["seg"] is not None:
-                state["seg"].close()
-            break
-        try:
-            if op == "setup":
-                (_, adapter, desc, protocol, homes, batch_size, shuffle_within,
-                 seed, rng_state, message_dtype, batch_units, overlap_send,
-                 chaos, cpuset, health) = cmd
-                if state is not None and state["seg"] is not None:
-                    state["seg"].close()
-                state = _build_worker_state(
-                    rank, adapter, desc, protocol, homes, batch_size,
-                    shuffle_within, seed, rng_state, message_dtype, batch_units,
-                    overlap_send, cpuset, chaos,
-                )
-                state["pulse"] = pulse
-                if health is not None and beat is None:
-                    beat = HeartbeatSender(
-                        lambda seq, phase, progress: reply(
-                            (rank, "beat", (seq, phase, progress))
-                        ),
-                        health.interval_s,
-                        pulse,
-                    )
-                # The ack reports the cpuset actually applied (None when
-                # pinning is off or unsupported on this platform).
-                reply((rank, "ready", state["cpuset"]))
-            elif op == "checkpoint":
-                reply((rank, "checkpoint", _checkpoint_worker_state(state)))
-            elif op == "ingest":
-                _, desc = cmd
-                seg, arrays = _attach_array_block(desc)
-                try:
-                    n = _apply_worker_ingest(state, *arrays)
-                finally:
-                    seg.close()
-                reply((rank, "ingested", n))
-            elif op == "replan":
-                _, protocol, homes, _retired = cmd
-                _apply_replan(rank, state, protocol, homes)
-                reply((rank, "replanned", None))
-            elif op == "model":
-                reply((rank, "model", _report_model(state)))
-            elif op == "iter":
-                _, mu, plan, n_expected, gen, model_rank, crash = cmd
-                chaos = state.get("chaos")
-                # A fresh shim per iteration realigns the per-link RNG
-                # streams with the simulated engines' per-W-step timeline.
-                shim = (
-                    ChaosShim(chaos, rank, clock=time.monotonic)
-                    if chaos is not None and chaos.active()
-                    else None
-                )
-                transport = _QueueRingTransport(
-                    rank, ring_qs, gen, abort_ev,
-                    wire_dtype=(
-                        state["message_dtype"]
-                        if state["protocol"].n_machines > 1
-                        else None
-                    ),
-                    compute_dtype=state["compute_dtype"],
-                    overlap=(
-                        state.get("overlap_send", False)
-                        and state["protocol"].n_machines > 1
-                    ),
-                    chaos_shim=shim,
-                )
-                try:
-                    payload = _run_worker_iteration(
-                        rank, state, mu, plan, n_expected, transport, model_rank,
-                        chaos_shim=shim, crash=crash,
-                    )
-                except IterationAborted:
-                    reply((rank, "aborted", None))
-                else:
-                    reply((rank, "result", payload))
-                finally:
-                    pulse.enter("idle")
-                    transport.close()
-        except Exception:
-            reply((rank, "error", traceback.format_exc()))
-
-
 # ------------------------------------------------------------- coordinator
 @register_backend("multiprocess")
 class MultiprocessBackend(BaseBackend):
@@ -926,8 +233,6 @@ class MultiprocessBackend(BaseBackend):
     backend reports wall-clock time.
     """
 
-    #: Worker entry point; subclasses substitute their own loop.
-    _worker_fn = staticmethod(_worker_main)
     #: Whether the ring runs over coordinator-built queues (the TCP
     #: backend moves the ring to sockets and skips the mesh).
     _needs_ring_queues = True
@@ -949,7 +254,6 @@ class MultiprocessBackend(BaseBackend):
         self._cmd_qs: dict = {}
         self._res_chans: dict[int, _ResponseChannel] = {}
         self._segments: list = []
-        self._capacity = 0
         self._ranks: list[int] = []
         self._gen = 0
         self._monitor: HealthMonitor | None = None
@@ -957,50 +261,82 @@ class MultiprocessBackend(BaseBackend):
         self._boundary: dict | None = None
 
     # ---------------------------------------------------------- lifecycle
-    def _mark_untrack(self, descs) -> None:
-        for desc in descs:
-            if "pickle" not in desc:
-                desc["untrack"] = self.ctx_method != "fork"
-
     def setup(self, adapter, shards) -> None:
         shards = list(shards)
         P = len(shards)
         if P < 1:
             raise ValueError("need at least one shard")
-        self.adapter = adapter
-        self._bind_dataplane(DataPlane(adapter, shards, own_data=False))
-        specs = adapter.submodel_specs()
-        self._specs = specs
-        self._spec_by_sid = {s.sid: s for s in specs}
-        self._topology = RingTopology.identity(P)
-        self._protocol, self._homes = replan(
-            self._topology.machines, len(specs), self.epochs, self.scheme
+        self._bind_fit(
+            adapter, DataPlane(adapter, shards, own_data=False),
+            RingTopology.identity(P),
         )
+        # A standing pool serves the new fit as-is; one degraded by shard
+        # retirements — or grown by joins — is rebuilt, like a
+        # machine-count change. (A tracked member that silently *died*
+        # between fits is deliberately kept: shipping setup to it makes
+        # the death surface as an error, not a quiet respawn.)
+        self._rebuild_pool(
+            {r: (shard, None) for r, shard in enumerate(shards)}, keep_pool=True
+        )
+
+    def _bind_fit(self, adapter, dataplane: DataPlane, topology: RingTopology) -> None:
+        """Fit-level coordinator state, common to ``setup`` and ``restore``."""
+        self.adapter = adapter
+        self._bind_dataplane(dataplane)
+        self._specs = adapter.submodel_specs()
+        self._spec_by_sid = {s.sid: s for s in self._specs}
+        self._topology = topology
+        self._replan()
         self._route_rng = check_random_state(self.seed)
-        # A pool degraded by shard retirements — or grown by joins —
-        # cannot serve a fresh fit as-is; rebuild it, like a machine-count
-        # change. (A tracked member that silently *died* between fits is
-        # deliberately kept: shipping setup to it makes the death surface
-        # as an error, not a quiet respawn.)
-        if self._procs and sorted(self._procs) != list(range(P)):
-            self.close()
-        if not self._procs:
-            self._spawn(range(P))
-        self._ranks = list(range(P))
         self._respawns_done = 0
         self._boundary = None
+
+    def _replan(self) -> None:
+        """Re-derive the counter protocol and home assignment from the
+        current ring."""
+        self._protocol, self._homes = replan(
+            self._topology.machines, len(self._specs), self.epochs, self.scheme
+        )
+
+    def _rebuild_pool(self, members: dict, *, keep_pool: bool = False,
+                      capacity: int | None = None, force: bool = False) -> None:
+        """Make the pool hold exactly ``members``: {rank: (shard, rng_state)}.
+
+        The one path by which shards reach workers wholesale — a fresh
+        fit, a restore, a slot-table growth, a respawn. A standing pool
+        is reused only under ``keep_pool`` and only when its ranks
+        already match; otherwise it is stopped (``force`` skips the
+        cooperative stop, for a pool with dead or wedged members) and
+        respawned with ``capacity`` addressable slots. Every shard is
+        then re-shipped through fresh shared-memory segments, with the
+        given SGD stream (``None``: the fresh seed-derived one).
+        """
+        live = sorted(members)
+        if not (keep_pool and sorted(self._procs) == live):
+            self._close_pool(force=force)
+            self._spawn(live, capacity=capacity)
+        self._ranks = live
         self._release_segments()
         # Anything that fails between shard shipping and a successful
         # ready-collection must not leak the just-created /dev/shm
         # segments: tear the fit down (close releases the segments) and
         # re-raise.
         try:
-            self._segments, descs = _pack_shards(shards)
-            self._mark_untrack(descs)
-            self._ship_setup(adapter, dict(enumerate(descs)))
+            self._segments, descs = pack_shards(
+                [members[r][0] for r in live], untrack=self._untrack
+            )
+            self._ship_setup(
+                dict(zip(live, descs)), {r: members[r][1] for r in live}
+            )
         except Exception:
             self.close(force=True)
             raise
+
+    @property
+    def _untrack(self) -> bool:
+        """Whether workers attach segments under their own resource
+        tracker (any start method but fork) and must untrack them."""
+        return self.ctx_method != "fork"
 
     def _cpusets(self, ranks) -> dict:
         """Contiguous partition of the coordinator's CPU set over ``ranks``.
@@ -1020,40 +356,66 @@ class MultiprocessBackend(BaseBackend):
             out[rank] = chunk if chunk else cpus
         return out
 
-    def _ship_setup(self, adapter, descs: dict, rng_states: dict | None = None) -> None:
+    def _send(self, rank: int, op: str, *args) -> None:
+        """Queue one command for ``rank``'s worker loop."""
+        self._cmd_qs[rank].put((op, *args))
+
+    def _setup_message(self, rank: int, desc, rng_state) -> WorkerSetup:
+        """The setup message for ``rank`` — the only construction site.
+
+        The cpuset is this rank's slice of a partition over the current
+        rank set, so a mid-fit joiner gets its slice from a recomputed
+        partition while standing workers keep theirs.
+        """
+        return WorkerSetup(
+            adapter=self.adapter,
+            desc=desc,
+            protocol=self._protocol,
+            homes=self._homes,
+            batch_size=self.batch_size,
+            shuffle_within=self.shuffle_within,
+            seed=(0 if self.seed is None else int(self.seed)) + rank,
+            rng_state=rng_state,
+            message_dtype=self.message_dtype,
+            batch_units=self.batch_units,
+            overlap_send=self.overlap_send,
+            chaos=self.chaos,
+            cpuset=self._cpusets(self._ranks).get(rank),
+            health=self.health,
+            **self._link_params(rank),
+        )
+
+    def _link_params(self, rank: int) -> dict:
+        """Ring-link fields of the setup message (the queue link needs
+        none; the TCP backend supplies host, port and abort behaviour)."""
+        return {}
+
+    def _ship_setup(self, descs: dict, rng_states: dict) -> None:
         """Send per-worker setup commands and wait for every ack.
 
         ``descs`` maps rank -> shard descriptor (ranks need not be
-        contiguous after a restore). Override point for subclasses whose
-        workers need extra setup phases (the TCP backend negotiates
-        ports and builds the socket mesh here).
+        contiguous after a restore); ``rng_states`` maps rank -> SGD
+        stream to restore, or None.
         """
-        base_seed = 0 if self.seed is None else int(self.seed)
-        cpusets = self._cpusets(sorted(descs))
-        for rank in sorted(descs):
-            self._cmd_qs[rank].put(
-                (
-                    "setup",
-                    adapter,
-                    descs[rank],
-                    self._protocol,
-                    self._homes,
-                    self.batch_size,
-                    self.shuffle_within,
-                    base_seed + rank,
-                    None if rng_states is None else rng_states.get(rank),
-                    self.message_dtype,
-                    self.batch_units,
-                    self.overlap_send,
-                    self.chaos,
-                    cpusets.get(rank),
-                    self.health,
-                )
+        ranks = sorted(descs)
+        for rank in ranks:
+            self._send(
+                rank, "setup",
+                self._setup_message(rank, descs[rank], rng_states.get(rank)),
             )
-        ready = self._collect("ready", ranks=sorted(descs))
+        self._connect_mesh(ranks)
+        ready = self._collect("ready", ranks)
         self._worker_cpusets = {
             r: cs for r, cs in ready.items() if cs is not None
         }
+
+    def _connect_mesh(self, ranks) -> None:
+        """Link freshly set-up workers into a ring (override point).
+
+        Nothing to do for queues — every worker inherited the full
+        ring-queue table when it started. The TCP backend exchanges the
+        bound ports and has the workers dial each other here.
+        """
 
     def _spawn(self, ranks, *, capacity: int | None = None) -> None:
         """Start worker processes for ``ranks``, with slot headroom.
@@ -1079,30 +441,36 @@ class MultiprocessBackend(BaseBackend):
         self._ctx = mp.get_context(self.ctx_method)
         n_slots = capacity + self.join_slots if self._needs_ring_queues else 0
         self._ring_qs = [self._ctx.Queue() for _ in range(n_slots)]
-        self._abort_events = (
-            {r: self._ctx.Event() for r in ranks} if self._needs_ring_queues else {}
-        )
-        self._cmd_qs = {r: self._ctx.Queue() for r in ranks}
+        self._abort_events = {}
+        self._cmd_qs = {}
         self._res_chans = {}
         self._procs = {}
         for rank in ranks:
-            self._launch_worker(rank)
-        self._capacity = capacity
+            self._start_worker(rank)
         # A fresh pool gets a fresh monitor: stale DEAD classifications
-        # from a torn-down pool must not outlive it.
+        # from a torn-down pool must not outlive it. Only the
+        # per-iteration counters carry over, because the respawn path
+        # replaces the whole pool without closing the iteration.
+        counters = self._monitor.counters() if self._monitor is not None else None
         self._monitor = (
             HealthMonitor(self.health) if self.health is not None else None
         )
+        if counters is not None and self._monitor is not None:
+            self._monitor.adopt_counters(counters)
 
-    def _launch_worker(self, rank: int) -> None:
-        """Fork one worker with its private response pipe; the parent's
-        copy of the write end is closed right after the fork."""
+    def _start_worker(self, rank: int) -> None:
+        """Fork one pool worker at ``rank`` with its own command queue,
+        private response pipe and (queue ring) abort event; the parent's
+        copy of the pipe's write end is closed right after the fork."""
+        self._cmd_qs[rank] = self._ctx.Queue()
+        if self._needs_ring_queues:
+            self._abort_events[rank] = self._ctx.Event()
         reader, writer = self._ctx.Pipe(duplex=False)
         self._res_chans[rank] = _ResponseChannel(reader)
         try:
             proc = self._ctx.Process(
-                target=self._worker_fn,
-                args=self._worker_args(rank, writer),
+                target=_worker_main,
+                args=(rank, self._cmd_qs[rank], writer, self._make_link(rank)),
                 daemon=True,
             )
             proc.start()
@@ -1110,38 +478,24 @@ class MultiprocessBackend(BaseBackend):
             writer.close()
         self._procs[rank] = proc
 
-    def _worker_args(self, rank: int, res_conn) -> tuple:
-        """Arguments for this rank's worker process."""
-        return (
-            rank, self._ring_qs, self._cmd_qs[rank], res_conn,
-            self._abort_events[rank],
-        )
+    def _make_link(self, rank: int):
+        """The worker end of the ring for ``rank`` (override point)."""
+        return _QueueLink(self._ring_qs, self._abort_events[rank])
 
     # ----------------------------------------------------------- streaming
     def _apply_ingest(self, batch) -> int:
         """Ship one drained batch to its worker as an incremental segment."""
-        seg, desc = _pack_array_block([batch.X, batch.F, batch.Z, batch.indices])
-        desc["untrack"] = self.ctx_method != "fork"
+        seg, desc = pack_array_block(
+            [batch.X, batch.F, batch.Z, batch.indices], untrack=self._untrack
+        )
         try:
-            self._cmd_qs[batch.machine].put(("ingest", desc))
-            self._collect("ingested", ranks=[batch.machine])
+            self._send(batch.machine, "ingest", desc)
+            self._collect("ingested", [batch.machine])
         finally:
-            _unlink_segments([seg])
+            unlink_segments([seg])
         return self.dataplane.apply(batch)
 
     # ----------------------------------------------------------- elasticity
-    def _start_worker(self, rank: int) -> None:
-        """Spawn one additional pool worker at ``rank`` (its own command
-        queue, response pipe and abort event; under fork, the
-        coordinator's current ring-queue table comes along)."""
-        if self._ctx is None:
-            raise RuntimeError("no active pool to add a worker to")
-        self._cmd_qs[rank] = self._ctx.Queue()
-        if self._needs_ring_queues:
-            self._abort_events[rank] = self._ctx.Event()
-        self._launch_worker(rank)
-        self._capacity = max(self._capacity, rank + 1)
-
     def _apply_join(self, p: int, after: int | None) -> None:
         """Admit one registered machine: spawn its worker, ship its shard
         via shared memory, re-plan ring/homes/protocol, announce.
@@ -1154,24 +508,24 @@ class MultiprocessBackend(BaseBackend):
             raise RuntimeError("add_machine() requires an active fit")
         if self._needs_ring_queues and p >= len(self._ring_qs):
             # The fork-time ring-queue tables in existing workers cannot
-            # address slot p; rebuild the pool with fresh headroom (the
-            # workers' shards and RNG streams are preserved).
-            self._grow_pool(p)
+            # address slot p; rebuild the pool with fresh headroom. Every
+            # live worker's shard and SGD stream is collected and
+            # re-shipped — bit-identical, just a slower join.
+            collected = self._collect_worker_pool_state()
+            self._rebuild_pool(
+                {r: (c["shard"], c["rng_state"]) for r, c in collected.items()},
+                capacity=p + 1,
+            )
         old_ranks = list(self._ranks)
         try:
             self._start_worker(p)
-            segments, descs = _pack_shards([self.dataplane.shards[p]])
-            self._segments.extend(segments)
-            self._mark_untrack(descs)
-            self._topology = self._topology.with_machine(p, after=after)
-            self._protocol, self._homes = replan(
-                self._topology.machines, len(self._specs), self.epochs,
-                self.scheme,
+            segments, descs = pack_shards(
+                [self.dataplane.shards[p]], untrack=self._untrack
             )
+            self._segments.extend(segments)
+            self._topology = self._topology.with_machine(p, after=after)
+            self._replan()
             self._ranks = sorted(old_ranks + [p])
-            # The joiner's setup carries the coordinator's adapter, whose
-            # parameters are the assembled post-iteration model — the
-            # joining machine "receives the current submodels" (§4.3).
             self._ship_join(p, descs[0], old_ranks)
             # The joiner already holds the new plan from its setup; only
             # the standing workers need the announcement.
@@ -1181,60 +535,28 @@ class MultiprocessBackend(BaseBackend):
             raise
 
     def _ship_join(self, p: int, desc, old_ranks) -> None:
-        """Deliver shard + plan to the joining worker (override point:
-        the TCP backend adds the mesh handshake and WELCOME transfer)."""
-        base_seed = 0 if self.seed is None else int(self.seed)
-        self._cmd_qs[p].put(
-            (
-                "setup",
-                self.adapter,
-                desc,
-                self._protocol,
-                self._homes,
-                self.batch_size,
-                self.shuffle_within,
-                base_seed + p,
-                None,
-                self.message_dtype,
-                self.batch_units,
-                self.overlap_send,
-                self.chaos,
-                self._cpusets(old_ranks + [p]).get(p),
-                self.health,
-            )
-        )
-        ready = self._collect("ready", ranks=[p])
-        if ready.get(p) is not None:
+        """Deliver shard + plan to the joining worker and link it in.
+
+        The joiner's setup carries the coordinator's adapter, whose
+        parameters are the assembled post-iteration model — the joining
+        machine "receives the current submodels" (§4.3).
+        """
+        self._send(p, "setup", self._setup_message(p, desc, None))
+        self._link_joiner(p, old_ranks)
+        ready = self._collect("ready", [p])
+        if ready[p] is not None:
             self._worker_cpusets[p] = ready[p]
 
-    def _grow_pool(self, p: int) -> None:
-        """Rebuild the pool with ring-queue headroom covering slot ``p``.
-
-        Collects every live worker's shard and SGD stream, tears the
-        processes down, respawns with a larger slot table and re-ships
-        the collected state — bit-identical, just a slower join.
-        """
-        live = list(self._ranks)
-        collected = self._collect_worker_pool_state()
-        self._close_pool()
-        self._spawn(live, capacity=p + 1)
-        try:
-            segments, descs = _pack_shards([collected[r]["shard"] for r in live])
-            self._segments.extend(segments)
-            self._mark_untrack(descs)
-            self._ship_setup(
-                self.adapter,
-                dict(zip(live, descs)),
-                rng_states={r: collected[r]["rng_state"] for r in live},
-            )
-        except Exception:
-            self.close(force=True)
-            raise
+    def _link_joiner(self, p: int, old_ranks) -> None:
+        """Link a just-set-up joiner into the standing ring (override
+        point). Queues need nothing: slot ``p`` pre-exists in every
+        worker's table. The TCP backend runs the mesh handshake and the
+        WELCOME model hand-off here."""
 
     def _collect_worker_pool_state(self) -> dict:
         """{rank: {"shard": ..., "rng_state": ...}} from every live worker."""
         for rank in self._ranks:
-            self._cmd_qs[rank].put(("checkpoint",))
+            self._send(rank, "checkpoint")
         return self._collect("checkpoint")
 
     # ----------------------------------------------------------- iteration
@@ -1291,7 +613,7 @@ class MultiprocessBackend(BaseBackend):
             self._dispatch_iteration(mu, plan, expected, model_rank, crashes)
             crashes = {}
             try:
-                payloads = self._collect_results()
+                payloads = self._collect("result", survivable=True)
                 if respawn:
                     # Refresh the boundary for the *next* iteration while
                     # the pool just answered. A kill landing in this tiny
@@ -1349,8 +671,8 @@ class MultiprocessBackend(BaseBackend):
                     payloads = loss.payloads
                     if model_rank not in payloads:
                         model_rank = self._ranks[0]
-                        self._cmd_qs[model_rank].put(("model",))
-                        fetched = self._collect("model", ranks=[model_rank])
+                        self._send(model_rank, "model")
+                        fetched = self._collect("model", [model_rank])
                         payloads[model_rank]["model"] = fetched[model_rank]
                     break
         wall = time.perf_counter() - t0
@@ -1401,21 +723,23 @@ class MultiprocessBackend(BaseBackend):
         )
 
     def _dispatch_iteration(self, mu: float, plan: RoutePlan, expected: dict,
-                            model_rank: int, crashes: dict | None = None) -> None:
-        """Send one iteration command to every live worker (override point).
+                            model_rank: int, crashes: dict) -> None:
+        """Send one iteration command to every live worker.
 
+        The plan travels as its ring orders (plain lists of ints); each
+        worker rebuilds it against the protocol it already holds.
         ``crashes`` maps rank -> scheduled chaos kill point ("w"/"z") for
         this attempt; absent ranks run normally.
         """
-        crashes = crashes or {}
+        orders = plan.to_orders()
         for ev in self._abort_events.values():
             ev.clear()  # workers are idle between iterations; safe to reset
         if self._monitor is not None:
             self._monitor.begin_phase(self._ranks)
         for rank in self._ranks:
-            self._cmd_qs[rank].put(
-                ("iter", mu, plan, expected[rank], self._gen, model_rank,
-                 crashes.get(rank))
+            self._send(
+                rank, "iter", mu, orders, expected[rank], self._gen, model_rank,
+                crashes.get(rank),
             )
 
     # ------------------------------------------------------------ recovery
@@ -1444,27 +768,10 @@ class MultiprocessBackend(BaseBackend):
         self._respawns_done += 1
         if wait > 0:
             time.sleep(wait)
-        live = sorted(boundary["pool"])
-        counters = self._monitor.counters() if self._monitor is not None else None
-        self._close_pool(force=True)
-        self._release_segments()
-        self._spawn(live, capacity=max(live) + 1)
-        self._ranks = list(live)
-        if counters is not None and self._monitor is not None:
-            self._monitor.adopt_counters(counters)
-        try:
-            self._segments, descs = _pack_shards(
-                [boundary["pool"][r]["shard"] for r in live]
-            )
-            self._mark_untrack(descs)
-            self._ship_setup(
-                self.adapter,
-                dict(zip(live, descs)),
-                rng_states={r: boundary["pool"][r]["rng_state"] for r in live},
-            )
-        except Exception:
-            self.close(force=True)
-            raise
+        self._rebuild_pool(
+            {r: (c["shard"], c["rng_state"]) for r, c in boundary["pool"].items()},
+            force=True,
+        )
         self._route_rng.bit_generator.state = copy.deepcopy(boundary["route_rng"])
 
     def _request_abort(self, ranks) -> None:
@@ -1527,92 +834,6 @@ class MultiprocessBackend(BaseBackend):
                 f"(phases {phases}); pool torn down"
             ) from None
 
-    def _collect_results(self) -> dict:
-        """Gather one iteration response per live worker.
-
-        Under ``fail_fast`` any death tears the pool down with a raised
-        error (historical behaviour). Under ``drop_shard`` a death turns
-        the gather into an abort round: survivors are woken, their
-        responses (results or abort acks) drained, and
-        :class:`_WorkersLost` reports the dead set to ``run_iteration``
-        for excision and retry.
-        """
-        deadline = (
-            None
-            if self.worker_timeout is None
-            else time.monotonic() + self.worker_timeout
-        )
-        pending = set(self._ranks)
-        payloads: dict[int, dict] = {}
-        aborted: set[int] = set()
-        dead: set[int] = set()
-        abort_requested = False
-        while pending:
-            msgs = self._recv_available(pending, _LIVENESS_POLL_S)
-            if not msgs:
-                newly_dead = {r for r in pending if not self._procs[r].is_alive()}
-                if newly_dead:
-                    # A worker may have completed the attempt — response
-                    # already in its pipe — before dying; pick that up
-                    # before writing the rank off.
-                    msgs = self._recv_available(newly_dead, 0)
-                    newly_dead -= {m[0] for m in msgs}
-                if newly_dead:
-                    if self._monitor is not None:
-                        for r in newly_dead:
-                            self._monitor.note_dead(r)
-                    if self.fault_policy is FaultPolicy.FAIL_FAST:
-                        self.close(force=True)
-                        raise RuntimeError(
-                            f"worker(s) {sorted(newly_dead)} died mid-result; "
-                            "pool torn down"
-                        ) from None
-                    dead |= newly_dead
-                    pending -= newly_dead
-                    if pending and not abort_requested:
-                        self._request_abort(pending)
-                        abort_requested = True
-                if not msgs:
-                    self._check_stalled(pending)
-                    if deadline is not None and time.monotonic() > deadline:
-                        self.close(force=True)
-                        raise RuntimeError(
-                            f"timed out after {self.worker_timeout}s waiting "
-                            f"for 'result' from worker(s) {sorted(pending)}, "
-                            "which are alive but unresponsive (stalled, not "
-                            "dead — a dead worker is detected within "
-                            f"{_LIVENESS_POLL_S}s and handled by the fault "
-                            "policy); pool torn down"
-                        ) from None
-                    continue
-            for rank, kind, payload in msgs:
-                if kind == "error":
-                    self.close(force=True)
-                    raise RuntimeError(f"worker {rank} failed:\n{payload}")
-                if kind == "result":
-                    payloads[rank] = payload
-                    pending.discard(rank)
-                elif kind == "aborted":
-                    aborted.add(rank)
-                    pending.discard(rank)
-        if dead or aborted:
-            # An abort is always downstream of a death; find any not yet
-            # caught by the liveness poll (e.g. sockets reset before the
-            # first poll fired).
-            dead |= {
-                r
-                for r in self._ranks
-                if r not in dead and not self._procs[r].is_alive()
-            }
-            if not dead:
-                self.close(force=True)
-                raise RuntimeError(
-                    f"worker(s) {sorted(aborted)} aborted with every peer "
-                    "alive; pool torn down"
-                )
-            raise _WorkersLost(sorted(dead), None if aborted else payloads)
-        return payloads
-
     def _excise(self, dead) -> None:
         """Retire dead workers' shards and re-plan around the survivors."""
         dead = set(dead)
@@ -1639,9 +860,7 @@ class MultiprocessBackend(BaseBackend):
             # the simulated cluster's recovery.
             self._topology = self._topology.without_machine(rank)
         self._ranks = survivors
-        self._protocol, self._homes = replan(
-            self._topology.machines, len(self._specs), self.epochs, self.scheme
-        )
+        self._replan()
         self._rebuild_transport(retired)
         self._announce_replan(retired)
 
@@ -1655,24 +874,40 @@ class MultiprocessBackend(BaseBackend):
 
     def _announce_replan(self, retired, ranks=None) -> None:
         """Ship the new protocol/home assignment to ``ranks`` (default:
-        every live worker)."""
+        every live worker), with the retirements that caused it in the
+        link's encoding."""
         ranks = list(self._ranks) if ranks is None else list(ranks)
+        announcement = self._encode_retired(retired)
         for rank in ranks:
-            self._cmd_qs[rank].put(("replan", self._protocol, self._homes, None))
-        self._collect("replanned", ranks=ranks)
+            self._send(rank, "replan", self._protocol, self._homes, announcement)
+        self._collect("replanned", ranks)
+
+    def _encode_retired(self, retired):
+        """Retirement announcement as the workers' link expects it (the
+        queue link needs none; the TCP backend frames it)."""
+        return None
 
     # ----------------------------------------------------------- gathering
-    def _collect(self, expect: str, ranks=None) -> dict:
-        """Gather one ``expect`` response per rank, fail-fast on trouble.
+    def _collect(self, expect: str, ranks=None, *, survivable: bool = False) -> dict:
+        """Gather one ``expect`` response per rank (default: every live
+        worker) — the one poll → liveness → stall → deadline loop.
 
-        Used for every command round outside the iteration gather
-        (setup, port exchange, replan, ingest acks): any worker error,
-        death or timeout there makes the fit unrecoverable regardless of
-        fault policy — tear everything down so a later ``setup`` starts
-        clean.
+        Any worker ``error``, a stall (heartbeats but no progress) or
+        the ``worker_timeout`` deadline tears the pool down with a
+        raised error, so a later ``setup`` starts clean. What a worker
+        *death* means depends on the round:
+
+        * strict rounds (setup, port exchange, replan, ingest acks,
+          checkpoints — the default) and every round under
+          ``fail_fast``: the fit is unrecoverable; tear down and raise.
+        * the ``survivable`` iteration gather under ``drop_shard`` /
+          ``respawn``: the gather turns into an abort round — survivors
+          are woken, their responses (results or ``aborted`` acks)
+          drained, and :class:`_WorkersLost` reports the dead set to
+          ``run_iteration`` for recovery.
         """
         ranks = list(self._ranks) if ranks is None else list(ranks)
-        wanted = set(ranks)
+        survivable = survivable and self.fault_policy is not FaultPolicy.FAIL_FAST
         if self._monitor is not None:
             self._monitor.begin_phase(ranks)
         deadline = (
@@ -1680,36 +915,69 @@ class MultiprocessBackend(BaseBackend):
             if self.worker_timeout is None
             else time.monotonic() + self.worker_timeout
         )
-        payloads = {}
-        while len(payloads) < len(ranks):
-            msgs = self._recv_available(wanted - set(payloads), _LIVENESS_POLL_S)
+        pending = set(ranks)
+        payloads: dict[int, object] = {}
+        aborted: set[int] = set()
+        dead: set[int] = set()
+        while pending:
+            msgs = self._recv_available(pending, _LIVENESS_POLL_S)
             if not msgs:
-                dead = [r for r in ranks if not self._procs[r].is_alive()]
-                if dead:
+                newly_dead = {r for r in pending if not self._procs[r].is_alive()}
+                if newly_dead:
+                    # A worker may have completed its part — response
+                    # already in its pipe — before dying; pick that up
+                    # before writing the rank off.
+                    msgs = self._recv_available(newly_dead, 0)
+                    newly_dead -= {m[0] for m in msgs}
+                if newly_dead:
                     if self._monitor is not None:
-                        for r in dead:
+                        for r in newly_dead:
                             self._monitor.note_dead(r)
-                    self.close(force=True)
-                    raise RuntimeError(
-                        f"worker(s) {dead} died mid-{expect}; pool torn down"
-                    ) from None
-                self._check_stalled(wanted - set(payloads))
-                if deadline is not None and time.monotonic() > deadline:
-                    stalled = sorted(wanted - set(payloads))
-                    self.close(force=True)
-                    raise RuntimeError(
-                        f"timed out after {self.worker_timeout}s waiting for "
-                        f"{expect!r} from worker(s) {stalled}, which are "
-                        "alive but unresponsive (stalled, not dead); pool "
-                        "torn down"
-                    ) from None
-                continue
+                    if not survivable:
+                        self.close(force=True)
+                        raise RuntimeError(
+                            f"worker(s) {sorted(newly_dead)} died mid-{expect}; "
+                            "pool torn down"
+                        ) from None
+                    pending -= newly_dead
+                    if pending and not dead:
+                        self._request_abort(pending)
+                    dead |= newly_dead
+                if not msgs:
+                    self._check_stalled(pending)
+                    if deadline is not None and time.monotonic() > deadline:
+                        self.close(force=True)
+                        raise RuntimeError(
+                            f"timed out after {self.worker_timeout}s waiting "
+                            f"for {expect!r} from worker(s) {sorted(pending)}, "
+                            "which are alive but unresponsive (stalled, not "
+                            "dead — a dead worker is detected within "
+                            f"{_LIVENESS_POLL_S}s and handled by the fault "
+                            "policy); pool torn down"
+                        ) from None
+                    continue
             for rank, kind, payload in msgs:
                 if kind == "error":
                     self.close(force=True)
                     raise RuntimeError(f"worker {rank} failed:\n{payload}")
-                if kind == expect and rank in wanted:
+                if kind == expect:
                     payloads[rank] = payload
+                    pending.discard(rank)
+                elif kind == "aborted" and survivable:
+                    aborted.add(rank)
+                    pending.discard(rank)
+        if dead or aborted:
+            # An abort is always downstream of a death; find any not yet
+            # caught by the liveness poll (e.g. sockets reset before the
+            # first poll fired).
+            dead |= {r for r in ranks if not self._procs[r].is_alive()}
+            if not dead:
+                self.close(force=True)
+                raise RuntimeError(
+                    f"worker(s) {sorted(aborted)} aborted with every peer "
+                    "alive; pool torn down"
+                )
+            raise _WorkersLost(sorted(dead), None if aborted else payloads)
         return payloads
 
     # ------------------------------------------------------- checkpointing
@@ -1726,8 +994,6 @@ class MultiprocessBackend(BaseBackend):
         return self._topology.machines
 
     def _route_rng_state(self):
-        import copy
-
         return copy.deepcopy(self._route_rng.bit_generator.state)
 
     def restore(self, state: ClusterState, adapter=None) -> None:
@@ -1735,7 +1001,6 @@ class MultiprocessBackend(BaseBackend):
         via shared memory, worker SGD streams and the route stream
         restored — training continues bit-identically."""
         adapter = self._restore_common(state, adapter)
-        self.adapter = adapter
         shards = {int(p): s for p, s in state.shards.items()}
         ring_order = [int(p) for p in state.ring_order]
         if sorted(shards) != sorted(ring_order):
@@ -1745,38 +1010,13 @@ class MultiprocessBackend(BaseBackend):
             )
         dataplane = DataPlane(adapter, shards, own_data=False)
         dataplane.restore_bookkeeping(state.bookkeeping)
-        self._bind_dataplane(dataplane)
-        specs = adapter.submodel_specs()
-        self._specs = specs
-        self._spec_by_sid = {s.sid: s for s in specs}
-        self._topology = RingTopology(ring_order)
-        self._protocol, self._homes = replan(
-            self._topology.machines, len(specs), self.epochs, self.scheme
-        )
-        self._route_rng = check_random_state(self.seed)
+        self._bind_fit(adapter, dataplane, RingTopology(ring_order))
         if state.route_rng_state is not None:
             self._route_rng.bit_generator.state = state.route_rng_state
         # The restored membership rarely matches a standing pool's ranks
         # (gaps from retirements, extras from joins); start clean.
-        if self._procs:
-            self._close_pool()
-        live = sorted(shards)
-        self._spawn(live)
-        self._ranks = live
-        self._respawns_done = 0
-        self._boundary = None
-        self._release_segments()
-        try:
-            self._segments, descs = _pack_shards([shards[r] for r in live])
-            self._mark_untrack(descs)
-            self._ship_setup(
-                adapter,
-                dict(zip(live, descs)),
-                rng_states={int(p): st for p, st in state.machine_rng_states.items()},
-            )
-        except Exception:
-            self.close(force=True)
-            raise
+        rng_states = {int(p): st for p, st in state.machine_rng_states.items()}
+        self._rebuild_pool({r: (shards[r], rng_states.get(r)) for r in shards})
         self._restore_pending_ingests(state)
 
     def teardown(self) -> None:
@@ -1785,7 +1025,7 @@ class MultiprocessBackend(BaseBackend):
         self._release_segments()
 
     def _release_segments(self) -> None:
-        _unlink_segments(self._segments)
+        unlink_segments(self._segments)
         self._segments = []
 
     def _close_pool(self, *, force: bool = False) -> None:
@@ -1794,9 +1034,9 @@ class MultiprocessBackend(BaseBackend):
         process half of :meth:`close`, reused by pool rebuilds."""
         if self._procs:
             if not force:
-                for q in self._cmd_qs.values():
+                for rank in self._cmd_qs:
                     try:
-                        q.put(("stop",))
+                        self._send(rank, "stop")
                     except Exception:
                         pass
             for proc in self._procs.values():
@@ -1812,7 +1052,6 @@ class MultiprocessBackend(BaseBackend):
         for chan in self._res_chans.values():
             chan.close()
         self._res_chans = {}
-        self._capacity = 0
 
     def close(self, *, force: bool = False) -> None:
         """Stop the worker pool and release every resource.

@@ -6,9 +6,10 @@ socket**, ring neighbours connect point-to-point over TCP, and
 :class:`~repro.distributed.messages.SubmodelMessage`s travel as
 length-prefixed frames (:mod:`repro.distributed.framing`) — a packed
 binary header plus raw ndarray bytes, no pickle on the hot path. Worker
-processes are managed exactly like the multiprocessing pool's (same
-commands, same shared-memory shard shipping, same persistent-pool
-lifecycle); only the *ring transport* differs, which is the point: the
+processes are managed exactly like the multiprocessing pool's (the same
+worker command loop from :mod:`repro.distributed.backends.worker`, same
+shared-memory shard shipping, same persistent-pool lifecycle); only the
+*ring transport* and the worker-side *ring link* differ, which is the point: the
 counter protocol is transport-agnostic, so the conformance suite can
 assert bit-parity between queues, sockets and the simulators.
 
@@ -21,9 +22,8 @@ Two properties matter for scale-out:
   re-randomises the ring per epoch (section 4.3) and may route a hop to
   any machine — the mesh makes rerouting a lookup, not a reconnect.
 
-* **Message batching** (``batch_hops``, default on). A machine housing
-  several submodels owes its successor one message per resident
-  submodel per hop. Sending them individually costs one syscall + one
+* **Message batching.** A machine housing several submodels owes its
+  successor one message per resident submodel per hop. Sending them individually costs one syscall + one
   wire latency each; instead the transport buffers outgoing messages
   and flushes *one framed batch per destination* whenever the worker is
   about to block on a receive — by which time every message the current
@@ -31,8 +31,8 @@ Two properties matter for scale-out:
   per machine this divides per-hop syscalls and latency by M/P, which
   is exactly the amortisation the paper's near-ideal speedups rely on
   (large M keeps the pipeline full; batching keeps the per-hop overhead
-  constant). ``batch_hops=False`` sends each message as its own frame,
-  which is what `benchmarks/bench_tcp_wire.py` compares against.
+  constant). ``hops`` vs ``frames`` in the wire stats shows what the
+  coalescing saved.
 
 Per-iteration wire cost — payload bytes, frame bytes, hops (messages)
 and frames (batches) actually sent — is surfaced through
@@ -63,28 +63,20 @@ bytes a multi-host deployment would send down a coordinator socket.
 
 from __future__ import annotations
 
+import contextlib
 import selectors
 import socket
-import threading
 import time
-import traceback
 
 import numpy as np
 
 from repro.distributed.backends.base import FaultPolicy, register_backend
-from repro.distributed.backends.mp import (
+from repro.distributed.backends.mp import MultiprocessBackend
+from repro.distributed.backends.worker import (
     _LIVENESS_POLL_S,
     IterationAborted,
-    MultiprocessBackend,
-    _apply_replan,
-    _apply_worker_ingest,
     _AsyncSender,
-    _build_worker_state,
-    _checkpoint_worker_state,
-    _report_model,
-    _run_worker_iteration,
 )
-from repro.distributed.chaos import ChaosShim
 from repro.distributed.framing import (
     KIND_BATCH,
     KIND_HEARTBEAT,
@@ -110,10 +102,8 @@ from repro.distributed.framing import (
     encode_shard_retired,
     encode_welcome,
 )
-from repro.distributed.health import HeartbeatSender, WorkerPulse
 from repro.distributed.interfaces import get_params_many, set_params_many
 from repro.distributed.messages import SubmodelMessage
-from repro.distributed.protocol import RoutePlan
 
 __all__ = ["TCPBackend"]
 
@@ -122,8 +112,8 @@ __all__ = ["TCPBackend"]
 class _SocketRingTransport:
     """Ring transport over the established TCP mesh, with coalescing.
 
-    ``send`` buffers per destination when ``batch_hops`` is on; ``recv``
-    flushes all buffers before blocking (so no worker ever sleeps on a
+    ``send`` buffers per destination; ``recv`` flushes all buffers before
+    blocking (so no worker ever sleeps on a
     receive while holding messages a peer is waiting for — the
     protocol-level no-deadlock invariant) and then multiplexes the
     incoming connections, feeding each socket's bytes through its own
@@ -149,7 +139,7 @@ class _SocketRingTransport:
     draining inbound frames.
     """
 
-    def __init__(self, rank, out_conns, in_conns, spec_by_sid, *, batch_hops=True,
+    def __init__(self, rank, out_conns, in_conns, spec_by_sid, *,
                  wire_dtype=None, compute_dtype=None, overlap=False,
                  chaos_shim=None):
         self.rank = rank
@@ -157,7 +147,6 @@ class _SocketRingTransport:
         self._in = in_conns
         self._peer_of = {conn: peer for peer, conn in in_conns.items()}
         self._spec_by_sid = spec_by_sid
-        self.batch_hops = bool(batch_hops)
         # Reduced-precision wire (paper section 9): parameters are cast
         # down before framing — the frame's ndarray bytes genuinely shrink
         # (the dtype travels in the per-message header) — and cast back to
@@ -167,8 +156,8 @@ class _SocketRingTransport:
         self._compute_dtype = compute_dtype
         # Chaos shim: verdicts are drawn per *message* at send() time (so
         # the per-link RNG consumption matches the simulated engines and
-        # the queue transport, hop for hop, regardless of how batch_hops
-        # coalesces messages into frames) and accumulated per destination;
+        # the queue transport, hop for hop, regardless of how messages
+        # coalesce into frames) and accumulated per destination;
         # the summed delay is served as one sleep when the frame actually
         # transmits — on the sender thread under overlap_send, so overlap
         # hides injected latency exactly as it hides real latency.
@@ -192,18 +181,20 @@ class _SocketRingTransport:
 
     # ------------------------------------------------------------- sending
     def send(self, dest: int, msg) -> None:
-        if self._wire_dtype is not None and dest != self.rank:
+        if dest == self.rank:
+            # Only a P = 1 ring hops to itself: nothing to dial, frame
+            # or count — like the simulated engines, it costs no wire.
+            self._inbox.append(msg)
+            return
+        if self._wire_dtype is not None:
             msg.theta = np.asarray(msg.theta, dtype=self._wire_dtype)
         self.msgs_sent += 1
         self.payload_bytes += msg.nbytes
-        if self._chaos is not None and dest != self.rank:
+        if self._chaos is not None:
             self._chaos_delay[dest] = self._chaos_delay.get(
                 dest, 0.0
             ) + self._chaos.send_delay(dest, msg.nbytes)
-        if self.batch_hops:
-            self._outbox.setdefault(dest, []).append(msg)
-        else:
-            self._transmit(dest, [msg])
+        self._outbox.setdefault(dest, []).append(msg)
 
     def flush(self) -> None:
         for dest, msgs in self._outbox.items():
@@ -397,21 +388,8 @@ def _read_one_frame(conn, timeout: float) -> tuple[int, bytes]:
     return _read_frames(conn, 1, timeout)[0]
 
 
-def _close_net(net: dict | None) -> None:
-    if not net:
-        return
-    for sock in [net.get("listen"), *net.get("out", {}).values(),
-                 *net.get("in", {}).values()]:
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-
-# ------------------------------------------------------------------ worker
-def _bind_listen_socket(host: str, port: int, batch_hops: bool) -> dict:
-    """A fresh net dict around a newly bound listening socket."""
+def _bind_listen_socket(host: str, port: int):
+    """A newly bound listening socket."""
     listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -423,7 +401,7 @@ def _bind_listen_socket(host: str, port: int, batch_hops: bool) -> dict:
         # socket holds a port until GC.
         listen.close()
         raise
-    return {"listen": listen, "out": {}, "in": {}, "batch_hops": batch_hops}
+    return listen
 
 
 def _decode_control_blob(blob: bytes, expected_kind: int) -> list:
@@ -444,270 +422,204 @@ def _decode_control_blob(blob: bytes, expected_kind: int) -> list:
     return out
 
 
-def _tcp_worker_main(rank, cmd_q, res, connect_timeout):
-    """TCP pool worker: the mp command loop plus socket lifecycle.
+# -------------------------------------------------------------- worker link
+class _SocketLink:
+    """Worker end of the TCP ring: the listening socket and the mesh.
 
-    Commands: ``setup`` binds the listening socket and replies with the
-    actual port; ``connect`` receives the full port map, dials every
-    peer, accepts every peer, and acks; ``iter`` runs one MAC iteration
-    with the socket transport; ``ingest`` appends a framed batch of
-    streamed rows to the local shard; ``rebind``/``replan`` rebuild the
-    mesh and adopt the survivor plan after a ``drop_shard`` recovery;
-    ``stop`` closes everything.
+    Plugs into the shared worker command loop
+    (:mod:`repro.distributed.backends.worker`) where the queue link has
+    nothing to do: ``setup`` binds the listening socket and replies with
+    the actual port; the ``connect`` op receives the full address map,
+    dials every peer, accepts every peer, and acks ``ready``;
+    ``rebind`` + ``connect`` rebuild the mesh after a ``drop_shard``
+    recovery; ``join_mesh`` / ``join_handshake`` link a machine joining
+    mid-fit. Streamed rows and retirement announcements arrive as
+    encoded control frames and are validated here.
     """
-    state = None
-    net: dict | None = None
-    pulse = WorkerPulse()
-    beat: HeartbeatSender | None = None
-    send_lock = threading.Lock()
 
-    def reply(obj) -> None:
-        # The heartbeat thread shares this connection with the command
-        # loop; Connection.send is not safe under concurrent writers.
-        with send_lock:
-            res.send(obj)
+    abort_errors = (ProtocolError, IterationAborted)
 
-    while True:
-        cmd = cmd_q.get()
-        op = cmd[0]
-        if op == "stop":
-            if beat is not None:
-                beat.stop()
-            _close_net(net)
-            if state is not None and state["seg"] is not None:
-                state["seg"].close()
-            break
+    def __init__(self, rank: int, connect_timeout: float):
+        self.rank = rank
+        self._timeout = connect_timeout
+        self._state = None
+        self._listen = None
+        self._out: dict = {}  # peer -> send-only connection we dialled
+        self._in: dict = {}  # peer -> receive-only connection we accepted
+
+    def ops(self) -> dict:
+        return {
+            "rebind": self.rebind,
+            "connect": self.connect,
+            "join_mesh": self.join_mesh,
+            "join_handshake": self.join_handshake,
+        }
+
+    # ------------------------------------------------------ mesh lifecycle
+    def open(self, state) -> tuple:
+        """Reply to ``setup``: a new fit rebuilds the mesh from a fresh
+        listening socket."""
+        self._state = state
+        return self.rebind(state.setup.host, state.setup.port)
+
+    def rebind(self, host: str, port: int) -> tuple:
+        """Fresh listen socket — also ``drop_shard`` recovery, phase 1:
+        the old mesh is dirty (dead-peer links, possibly stale frames
+        from the aborted iteration)."""
+        self.close()
+        self._listen = _bind_listen_socket(host, port)
+        return "port", self._listen.getsockname()[1]
+
+    def close(self) -> None:
+        for sock in [self._listen, *self._out.values(), *self._in.values()]:
+            if sock is not None:
+                try:
+                    sock.close()
+                except OSError:
+                    pass
+        self._listen, self._out, self._in = None, {}, {}
+
+    def _dial(self, addr_map: dict, greeting: bytes) -> list:
+        """Dial every peer in ``addr_map``, introducing ourselves with
+        ``greeting``; returns the peers dialled.
+
+        Dialling succeeds as soon as the peer's listen backlog completes
+        the handshake, so every worker can dial all peers before any of
+        them reaches accept() — no deadlock, no ordering protocol
+        needed. Retried with backoff: a peer may not have bound its
+        listener yet.
+        """
+        peers = sorted(p for p in addr_map if p != self.rank)
+        for peer in peers:
+            conn = _connect_with_retry(addr_map[peer], self._timeout)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.sendall(greeting)
+            self._out[peer] = conn
+        return peers
+
+    def _accept(self, expected_kind: int, what: str) -> tuple:
+        """Accept one connection and read its identifying frame; returns
+        ``(payload, conn)``."""
+        self._listen.settimeout(self._timeout)
         try:
-            if op == "setup":
-                (_, adapter, desc, protocol, homes, batch_size, shuffle_within,
-                 seed, rng_state, message_dtype, batch_units, overlap_send,
-                 chaos, cpuset, health, host, port, batch_hops,
-                 drop_on_fault) = cmd
-                _close_net(net)  # a new fit rebuilds the mesh
-                net = None
-                if state is not None and state["seg"] is not None:
-                    state["seg"].close()
-                state = _build_worker_state(
-                    rank, adapter, desc, protocol, homes, batch_size,
-                    shuffle_within, seed, rng_state, message_dtype, batch_units,
-                    overlap_send, cpuset, chaos,
+            conn, _ = self._listen.accept()
+        finally:
+            self._listen.settimeout(None)
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        kind, payload = _read_one_frame(conn, self._timeout)
+        if kind != expected_kind:
+            raise ProtocolError(f"expected {what}, got kind {kind}")
+        return payload, conn
+
+    def _accept_hellos(self, n_peers: int) -> None:
+        """Accept connections until ``n_peers`` HELLO-identified
+        incoming links exist."""
+        while len(self._in) < n_peers:
+            payload, conn = self._accept(KIND_HELLO, "HELLO on fresh connection")
+            self._in[decode_hello(payload)] = conn
+
+    def connect(self, addr_map: dict) -> tuple:
+        peers = self._dial(addr_map, encode_hello(self.rank))
+        self._accept_hellos(len(peers))
+        # Like the queue link's setup ack, report the cpuset actually
+        # applied (None when pinning is off).
+        return "ready", self._state.cpuset
+
+    def join_mesh(self, new_rank: int, addr, is_donor: bool) -> tuple:
+        """An established worker links a machine joining mid-fit into
+        its mesh: accept the joiner's JOIN-identified connection
+        (incoming link), optionally hand it the current model (WELCOME +
+        BATCH back over that same socket — the only time a "receive"
+        link carries writes), and dial the joiner's listener (outgoing
+        link)."""
+        payload, conn = self._accept(KIND_JOIN, "JOIN from a joining machine")
+        if decode_join(payload) != new_rank:
+            raise ProtocolError(
+                f"JOIN announced machine {decode_join(payload)}, "
+                f"expected {new_rank}"
+            )
+        if is_donor:
+            specs = self._state.specs
+            finals = [
+                SubmodelMessage.final(s, theta)
+                for s, theta in zip(
+                    specs, get_params_many(self._state.adapter, specs)
                 )
-                state["pulse"] = pulse
-                state["batch_hops"] = batch_hops
-                state["drop_on_fault"] = drop_on_fault
-                if health is not None and beat is None:
-                    # Beats travel as encoded HEARTBEAT control frames —
-                    # the same bytes a multi-host deployment would send
-                    # down a coordinator socket — carried here over the
-                    # single-host response channel.
-                    beat = HeartbeatSender(
-                        lambda seq, phase, progress: reply(
-                            (rank, "beat",
-                             encode_heartbeat(rank, seq, progress, phase))
-                        ),
-                        health.interval_s,
-                        pulse,
-                    )
-                net = _bind_listen_socket(host, port, batch_hops)
-                reply((rank, "port", net["listen"].getsockname()[1]))
-            elif op == "checkpoint":
-                reply((rank, "checkpoint", _checkpoint_worker_state(state)))
-            elif op == "rebind":
-                # Drop_shard recovery, phase 1: fresh listen socket (the
-                # old mesh is dirty — dead-peer links, possibly stale
-                # frames from the aborted iteration).
-                _, host, port = cmd
-                _close_net(net)
-                net = _bind_listen_socket(host, port, state["batch_hops"])
-                reply((rank, "port", net["listen"].getsockname()[1]))
-            elif op == "connect":
-                _, addr_map = cmd
-                peers = sorted(p for p in addr_map if p != rank)
-                # Dialling succeeds as soon as the peer's listen backlog
-                # completes the handshake, so every worker can dial all
-                # peers before any of them reaches accept() — no
-                # deadlock, no ordering protocol needed. Retried with
-                # backoff: a peer may not have bound its listener yet.
-                for peer in peers:
-                    conn = _connect_with_retry(addr_map[peer], connect_timeout)
-                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    conn.sendall(encode_hello(rank))
-                    net["out"][peer] = conn
-                net["listen"].settimeout(connect_timeout)
-                try:
-                    while len(net["in"]) < len(peers):
-                        conn, _ = net["listen"].accept()
-                        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                        kind, payload = _read_one_frame(conn, connect_timeout)
-                        if kind != KIND_HELLO:
-                            raise ProtocolError(
-                                f"expected HELLO on fresh connection, got kind {kind}"
-                            )
-                        net["in"][decode_hello(payload)] = conn
-                finally:
-                    net["listen"].settimeout(None)
-                # Like the queue worker's setup ack, report the cpuset
-                # actually applied (None when pinning is off).
-                reply((rank, "ready", state["cpuset"]))
-            elif op == "join_mesh":
-                # An established worker links a machine joining mid-fit
-                # into its mesh: accept the joiner's JOIN-identified
-                # connection (incoming link), optionally hand it the
-                # current model (WELCOME + BATCH back over that same
-                # socket — the only time a "receive" link carries writes),
-                # and dial the joiner's listener (outgoing link).
-                _, new_rank, addr, is_donor = cmd
-                net["listen"].settimeout(connect_timeout)
-                try:
-                    conn, _ = net["listen"].accept()
-                finally:
-                    net["listen"].settimeout(None)
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                kind, payload = _read_one_frame(conn, connect_timeout)
-                if kind != KIND_JOIN:
-                    raise ProtocolError(
-                        f"expected JOIN from a joining machine, got kind {kind}"
-                    )
-                if decode_join(payload) != new_rank:
-                    raise ProtocolError(
-                        f"JOIN announced machine {decode_join(payload)}, "
-                        f"expected {new_rank}"
-                    )
-                if is_donor:
-                    specs = state["specs"]
-                    finals = [
-                        SubmodelMessage.final(s, theta)
-                        for s, theta in zip(
-                            specs, get_params_many(state["adapter"], specs)
-                        )
-                    ]
-                    conn.sendall(
-                        encode_welcome(rank, len(finals)) + encode_batch(finals)
-                    )
-                net["in"][new_rank] = conn
-                out = _connect_with_retry(addr, connect_timeout)
-                out.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                out.sendall(encode_hello(rank))
-                net["out"][new_rank] = out
-                reply((rank, "joined", None))
-            elif op == "join_handshake":
-                # The joining worker handshakes into the standing mesh:
-                # dial every peer with a JOIN frame, read the donor's
-                # WELCOME + submodel BATCH off the donor link, then accept
-                # every peer's HELLO-identified connection.
-                _, addr_map, donor, n_submodels = cmd
-                peers = sorted(p for p in addr_map if p != rank)
-                for peer in peers:
-                    conn = _connect_with_retry(addr_map[peer], connect_timeout)
-                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    conn.sendall(encode_join(rank))
-                    net["out"][peer] = conn
-                frames = _read_frames(net["out"][donor], 2, connect_timeout)
-                (kind_w, payload_w), (kind_b, payload_b) = frames
-                if kind_w != KIND_WELCOME or kind_b != KIND_BATCH:
-                    raise ProtocolError(
-                        f"expected WELCOME then BATCH from the donor, got "
-                        f"kinds {kind_w}, {kind_b}"
-                    )
-                donor_rank, n_expected_models = decode_welcome(payload_w)
-                if donor_rank != donor:
-                    raise ProtocolError(
-                        f"WELCOME names donor {donor_rank}, expected {donor}"
-                    )
-                finals = decode_batch(payload_b, state["spec_by_sid"])
-                if len(finals) != n_expected_models or n_expected_models != n_submodels:
-                    raise ProtocolError(
-                        f"WELCOME hand-off carried {len(finals)} submodels, "
-                        f"expected {n_submodels}"
-                    )
-                set_params_many(
-                    state["adapter"], [(m.spec, m.theta) for m in finals]
-                )
-                net["listen"].settimeout(connect_timeout)
-                try:
-                    while len(net["in"]) < len(peers):
-                        conn, _ = net["listen"].accept()
-                        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                        kind, payload = _read_one_frame(conn, connect_timeout)
-                        if kind != KIND_HELLO:
-                            raise ProtocolError(
-                                f"expected HELLO on fresh connection, got kind {kind}"
-                            )
-                        net["in"][decode_hello(payload)] = conn
-                finally:
-                    net["listen"].settimeout(None)
-                reply((rank, "joined", state["cpuset"]))
-            elif op == "ingest":
-                _, frame = cmd
-                (msg,) = _decode_control_blob(frame, KIND_INGEST)
-                if msg.machine != rank:
-                    raise ProtocolError(
-                        f"ingest frame for machine {msg.machine} delivered "
-                        f"to rank {rank}"
-                    )
-                n = _apply_worker_ingest(state, msg.X, msg.F, msg.Z, msg.indices)
-                reply((rank, "ingested", n))
-            elif op == "replan":
-                _, protocol, homes, retired_blob = cmd
-                # The retirement announcement arrives as SHARD_RETIRED
-                # control frames — validated here even on a single host,
-                # so the multi-host control channel ships proven bytes.
-                if retired_blob:
-                    _decode_control_blob(retired_blob, KIND_SHARD_RETIRED)
-                _apply_replan(rank, state, protocol, homes)
-                reply((rank, "replanned", None))
-            elif op == "model":
-                reply((rank, "model", _report_model(state)))
-            elif op == "iter":
-                _, mu, orders, n_expected, _gen, model_rank, crash = cmd
-                plan = RoutePlan.from_orders(orders, state["protocol"])
-                chaos_cfg = state.get("chaos")
-                # A fresh shim per iteration realigns the per-link RNG
-                # streams with the simulated engines' per-W-step timeline.
-                shim = (
-                    ChaosShim(chaos_cfg, rank, clock=time.monotonic)
-                    if chaos_cfg is not None and chaos_cfg.active()
-                    else None
-                )
-                transport = _SocketRingTransport(
-                    rank,
-                    net["out"],
-                    net["in"],
-                    state["spec_by_sid"],
-                    batch_hops=net["batch_hops"],
-                    wire_dtype=(
-                        state["message_dtype"]
-                        if state["protocol"].n_machines > 1
-                        else None
-                    ),
-                    compute_dtype=state["compute_dtype"],
-                    overlap=(
-                        state.get("overlap_send", False)
-                        and state["protocol"].n_machines > 1
-                    ),
-                    chaos_shim=shim,
-                )
-                try:
-                    try:
-                        payload = _run_worker_iteration(
-                            rank, state, mu, plan, n_expected, transport,
-                            model_rank, chaos_shim=shim, crash=crash,
-                        )
-                    finally:
-                        transport.close()
-                except (ProtocolError, IterationAborted):
-                    if not state.get("drop_on_fault"):
-                        raise
-                    # A peer vanished mid-iteration and the policy says
-                    # survive: drop the dirty mesh (cascading the EOF to
-                    # any peer still blocked) and await the re-plan.
-                    _close_net(net)
-                    net = None
-                    reply((rank, "aborted", traceback.format_exc()))
-                else:
-                    reply((rank, "result", payload))
-        except Exception:
-            reply((rank, "error", traceback.format_exc()))
+            ]
+            conn.sendall(encode_welcome(self.rank, len(finals)) + encode_batch(finals))
+        self._in[new_rank] = conn
+        self._dial({new_rank: addr}, encode_hello(self.rank))
+        return "joined", None
+
+    def join_handshake(self, addr_map: dict, donor: int, n_submodels: int) -> tuple:
+        """The joining worker handshakes into the standing mesh: dial
+        every peer with a JOIN frame, read the donor's WELCOME +
+        submodel BATCH off the donor link, then accept every peer's
+        HELLO-identified connection."""
+        peers = self._dial(addr_map, encode_join(self.rank))
+        frames = _read_frames(self._out[donor], 2, self._timeout)
+        (kind_w, payload_w), (kind_b, payload_b) = frames
+        if kind_w != KIND_WELCOME or kind_b != KIND_BATCH:
+            raise ProtocolError(
+                f"expected WELCOME then BATCH from the donor, got "
+                f"kinds {kind_w}, {kind_b}"
+            )
+        donor_rank, n_expected_models = decode_welcome(payload_w)
+        if donor_rank != donor:
+            raise ProtocolError(
+                f"WELCOME names donor {donor_rank}, expected {donor}"
+            )
+        finals = decode_batch(payload_b, self._state.spec_by_sid)
+        if len(finals) != n_expected_models or n_expected_models != n_submodels:
+            raise ProtocolError(
+                f"WELCOME hand-off carried {len(finals)} submodels, "
+                f"expected {n_submodels}"
+            )
+        set_params_many(self._state.adapter, [(m.spec, m.theta) for m in finals])
+        self._accept_hellos(len(peers))
+        return "ready", self._state.cpuset
+
+    # ------------------------------------------------------- loop callbacks
+    def encode_beat(self, seq: int, phase: str, progress: int) -> bytes:
+        """Beats travel as encoded HEARTBEAT control frames — the same
+        bytes a multi-host deployment would send down a coordinator
+        socket — carried here over the single-host response channel."""
+        return encode_heartbeat(self.rank, seq, progress, phase)
+
+    @contextlib.contextmanager
+    def ingest_rows(self, frame: bytes):
+        (msg,) = _decode_control_blob(frame, KIND_INGEST)
+        if msg.machine != self.rank:
+            raise ProtocolError(
+                f"ingest frame for machine {msg.machine} delivered "
+                f"to rank {self.rank}"
+            )
+        yield msg.X, msg.F, msg.Z, msg.indices
+
+    def check_retired(self, blob: bytes) -> None:
+        """The retirement announcement arrives as SHARD_RETIRED control
+        frames — validated here even on a single host, so the
+        multi-host control channel ships proven bytes."""
+        if blob:
+            _decode_control_blob(blob, KIND_SHARD_RETIRED)
+
+    def transport(self, state, gen: int, shim) -> _SocketRingTransport:
+        # ``gen`` is the queue ring's stale-traffic filter; a rebuilt
+        # mesh has fresh sockets, so no stale frame can reach it.
+        return _SocketRingTransport(
+            self.rank, self._out, self._in, state.spec_by_sid,
+            wire_dtype=state.wire_dtype, compute_dtype=state.compute_dtype,
+            overlap=state.overlap, chaos_shim=shim,
+        )
+
+    def on_abort(self) -> bool:
+        """A peer vanished mid-iteration. If the policy says survive,
+        drop the dirty mesh (cascading the EOF to any peer still
+        blocked) and await the re-plan; otherwise it is an error."""
+        if not self._state.setup.drop_on_fault:
+            return False
+        self.close()
+        return True
 
 
 # ------------------------------------------------------------- coordinator
@@ -725,15 +637,10 @@ class TCPBackend(MultiprocessBackend):
         ``None`` (default): every worker binds an OS-assigned free port
         — race-free, recommended. A sequence pins worker ``r`` to
         ``ports[r]``; a single int pins worker ``r`` to ``ports + r``.
-    batch_hops : bool
-        Coalesce all messages a worker owes one successor into a single
-        framed batch per hop (default True). Off = one frame per
-        message, for measuring what batching buys.
     connect_timeout : float
         Seconds allowed for dialling/accepting each mesh connection.
     """
 
-    _worker_fn = staticmethod(_tcp_worker_main)
     _needs_ring_queues = False
 
     def __init__(
@@ -741,19 +648,17 @@ class TCPBackend(MultiprocessBackend):
         *,
         host: str = "127.0.0.1",
         ports=None,
-        batch_hops: bool = True,
         connect_timeout: float = 10.0,
         **kwargs,
     ):
         super().__init__(**kwargs)
         self.host = host
         self.ports = ports
-        self.batch_hops = bool(batch_hops)
         self.connect_timeout = float(connect_timeout)
         self._addr_map: dict[int, tuple] = {}
 
-    def _worker_args(self, rank: int, res_conn) -> tuple:
-        return (rank, self._cmd_qs[rank], res_conn, self.connect_timeout)
+    def _make_link(self, rank: int) -> _SocketLink:
+        return _SocketLink(rank, self.connect_timeout)
 
     def _port_for(self, rank: int) -> int:
         if self.ports is None:
@@ -767,67 +672,28 @@ class TCPBackend(MultiprocessBackend):
             )
         return int(ports[rank])
 
-    def _ship_setup(self, adapter, descs: dict, rng_states: dict | None = None) -> None:
-        """Three-phase socket setup: bind, exchange ports, build the mesh."""
-        base_seed = 0 if self.seed is None else int(self.seed)
-        cpusets = self._cpusets(sorted(descs))
-        for rank in sorted(descs):
-            self._cmd_qs[rank].put(
-                (
-                    "setup",
-                    adapter,
-                    descs[rank],
-                    self._protocol,
-                    self._homes,
-                    self.batch_size,
-                    self.shuffle_within,
-                    base_seed + rank,
-                    None if rng_states is None else rng_states.get(rank),
-                    self.message_dtype,
-                    self.batch_units,
-                    self.overlap_send,
-                    self.chaos,
-                    cpusets.get(rank),
-                    self.health,
-                    self.host,
-                    self._port_for(rank),
-                    self.batch_hops,
-                    self._drop_on_fault(),
-                )
-            )
-        self._connect_mesh()
-
-    def _drop_on_fault(self) -> bool:
-        """Whether workers should *abort and await recovery* on a peer
-        death instead of failing: true for both survivor policies —
-        ``drop_shard`` re-plans around the loss, ``respawn`` rewinds and
-        retries — since either way the coordinator needs clean abort
-        acks, not errors, out of the survivors."""
-        return self.fault_policy in (FaultPolicy.DROP_SHARD, FaultPolicy.RESPAWN)
-
-    def _connect_mesh(self) -> None:
-        """Exchange bound ports and build the all-pairs socket mesh."""
-        bound = self._collect("port")
-        addr_map = {rank: (self.host, port) for rank, port in bound.items()}
-        self._addr_map = dict(addr_map)
-        for rank in self._ranks:
-            self._cmd_qs[rank].put(("connect", addr_map))
-        ready = self._collect("ready")
-        self._worker_cpusets = {
-            r: cs for r, cs in ready.items() if cs is not None
+    def _link_params(self, rank: int) -> dict:
+        """Where the worker binds, and whether it should *abort and await
+        recovery* on a peer death instead of failing: true for both
+        survivor policies — ``drop_shard`` re-plans around the loss,
+        ``respawn`` rewinds and retries — since either way the
+        coordinator needs clean abort acks, not errors, out of the
+        survivors."""
+        return {
+            "host": self.host,
+            "port": self._port_for(rank),
+            "drop_on_fault": self.fault_policy
+            in (FaultPolicy.DROP_SHARD, FaultPolicy.RESPAWN),
         }
 
-    def _dispatch_iteration(self, mu: float, plan, expected: dict,
-                            model_rank: int, crashes: dict | None = None) -> None:
-        crashes = crashes or {}
-        orders = plan.to_orders()
-        if self._monitor is not None:
-            self._monitor.begin_phase(self._ranks)
-        for rank in self._ranks:
-            self._cmd_qs[rank].put(
-                ("iter", mu, orders, expected[rank], self._gen, model_rank,
-                 crashes.get(rank))
-            )
+    def _connect_mesh(self, ranks) -> None:
+        """Exchange bound ports and build the all-pairs socket mesh: the
+        workers just (re)bound their listeners and reply ``port``; each
+        then dials every peer and acks ``ready`` to the caller's gather."""
+        bound = self._collect("port", ranks)
+        self._addr_map = {rank: (self.host, port) for rank, port in bound.items()}
+        for rank in ranks:
+            self._send(rank, "connect", self._addr_map)
 
     def _observe_beat(self, rank: int, payload) -> None:
         """Decode a framed HEARTBEAT (the tcp workers beat with the same
@@ -849,53 +715,24 @@ class TCPBackend(MultiprocessBackend):
         rejects the join cleanly instead of corrupting the fit."""
         self._port_for(p)
 
-    def _ship_join(self, p: int, desc, old_ranks) -> None:
-        """Socket flavour of the join: the new worker binds and announces
-        its port, every standing worker links it in (JOIN accepted, HELLO
-        dialed), and the donor — the lowest live rank — hands the current
-        submodels over as a WELCOME + framed BATCH. No pickle: the model
-        reaches the joiner exactly as it travels the ring.
+    def _link_joiner(self, p: int, old_ranks) -> None:
+        """Socket flavour of the join: the new worker has bound and
+        announces its port, every standing worker links it in (JOIN
+        accepted, HELLO dialed), and the donor — the lowest live rank —
+        hands the current submodels over as a WELCOME + framed BATCH. No
+        pickle: the model reaches the joiner exactly as it travels the
+        ring. The joiner's own ``ready`` is left for the caller.
         """
-        base_seed = 0 if self.seed is None else int(self.seed)
-        self._cmd_qs[p].put(
-            (
-                "setup",
-                self.adapter,
-                desc,
-                self._protocol,
-                self._homes,
-                self.batch_size,
-                self.shuffle_within,
-                base_seed + p,
-                None,
-                self.message_dtype,
-                self.batch_units,
-                self.overlap_send,
-                self.chaos,
-                self._cpusets(old_ranks + [p]).get(p),
-                self.health,
-                self.host,
-                self._port_for(p),
-                self.batch_hops,
-                self._drop_on_fault(),
-            )
-        )
-        bound = self._collect("port", ranks=[p])
+        bound = self._collect("port", [p])
         addr = (self.host, bound[p])
         donor = old_ranks[0]
         for rank in old_ranks:
-            self._cmd_qs[rank].put(("join_mesh", p, addr, rank == donor))
-        self._cmd_qs[p].put(
-            (
-                "join_handshake",
-                {r: self._addr_map[r] for r in old_ranks},
-                donor,
-                len(self._specs),
-            )
+            self._send(rank, "join_mesh", p, addr, rank == donor)
+        self._send(
+            p, "join_handshake", {r: self._addr_map[r] for r in old_ranks},
+            donor, len(self._specs),
         )
-        joined = self._collect("joined", ranks=[*old_ranks, p])
-        if joined.get(p) is not None:
-            self._worker_cpusets[p] = joined[p]
+        self._collect("joined", old_ranks)
         self._addr_map[p] = addr
 
     # ------------------------------------------------------------ recovery
@@ -905,20 +742,17 @@ class TCPBackend(MultiprocessBackend):
 
     def _apply_ingest(self, batch) -> int:
         """Ship one drained batch to its worker as an INGEST frame."""
-        self._cmd_qs[batch.machine].put(("ingest", encode_ingest(batch)))
-        self._collect("ingested", ranks=[batch.machine])
+        self._send(batch.machine, "ingest", encode_ingest(batch))
+        self._collect("ingested", [batch.machine])
         return self.dataplane.apply(batch)
 
     def _rebuild_transport(self, retired) -> None:
         """Rebuild the socket mesh over the survivor set (fresh listen
         sockets and HELLO handshakes — no stale frames survive)."""
         for rank in self._ranks:
-            self._cmd_qs[rank].put(("rebind", self.host, self._port_for(rank)))
-        self._connect_mesh()
+            self._send(rank, "rebind", self.host, self._port_for(rank))
+        self._connect_mesh(self._ranks)
+        self._collect("ready")
 
-    def _announce_replan(self, retired, ranks=None) -> None:
-        ranks = list(self._ranks) if ranks is None else list(ranks)
-        blob = b"".join(encode_shard_retired(m) for m in retired)
-        for rank in ranks:
-            self._cmd_qs[rank].put(("replan", self._protocol, self._homes, blob))
-        self._collect("replanned", ranks=ranks)
+    def _encode_retired(self, retired) -> bytes:
+        return b"".join(encode_shard_retired(m) for m in retired)

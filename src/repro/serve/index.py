@@ -50,6 +50,7 @@ from concurrent.futures import TimeoutError as _FutureTimeout
 import numpy as np
 
 from repro.distributed.partition import partition_indices
+from repro.distributed.shm import attach_array_block, pack_array_block, unlink_segments
 from repro.retrieval.hamming import HAS_BITWISE_COUNT, pack_bits, popcount
 
 __all__ = [
@@ -440,9 +441,7 @@ class ScanResult(tuple):
 
 def _shard_worker(desc, offset, block, task_q, res_conn):
     """Process-shard loop: attach the shm codes, serve scans until None."""
-    from repro.distributed.backends.mp import _attach_array_block
-
-    seg, (codes,) = _attach_array_block(desc)
+    seg, (codes,) = attach_array_block(desc)
     scanner = _ShardScanner(codes, offset, block=block)
     try:
         while True:
@@ -472,7 +471,7 @@ class ShardedHammingIndex:
     off: shard s owns global ids ``[lo_s, hi_s)``). A search scans every
     shard in parallel — worker threads (``mode="thread"``) or persistent
     worker processes that received their slice through a shared-memory
-    segment (``mode="process"``, the mp backend's block-shipping idiom) —
+    segment (``mode="process"``, via :mod:`repro.distributed.shm`) —
     then :func:`merge_topk` folds the per-shard heaps. Results are
     **exactly** those of the equivalent single :class:`HammingIndex`,
     ids, distances and tie order included.
@@ -541,8 +540,6 @@ class ShardedHammingIndex:
     def _start_workers(self, packed, parts, ctx_method) -> None:
         import multiprocessing as mp
 
-        from repro.distributed.backends.mp import _pack_array_block
-
         self._ctx = mp.get_context(ctx_method)
         self._segments, self._task_qs, self._pipes, self._procs = [], [], [], []
         # Retained for degraded-mode recovery: the shard descriptors
@@ -553,8 +550,9 @@ class ShardedHammingIndex:
         self._tail_blocks: list = []
         try:
             for idx in parts:
-                seg, desc = _pack_array_block([packed[idx[0] : idx[-1] + 1]])
-                desc["untrack"] = ctx_method != "fork"
+                seg, desc = pack_array_block(
+                    [packed[idx[0] : idx[-1] + 1]], untrack=ctx_method != "fork"
+                )
                 self._segments.append(seg)
                 self._descs.append(desc)
                 task_q, reader, proc = self._launch_shard(desc, int(idx[0]))
@@ -582,13 +580,16 @@ class ShardedHammingIndex:
 
         Called after the worker missed a scan deadline (it may be slow,
         wedged, or dead — all get the same cure) or its pipe reported
-        EOF. The old process is terminated so a late result can never
-        leak into a later search, and the tail shard's streamed add
-        blocks are replayed so the replacement serves the full id range.
+        EOF. The old process is killed so a late result can never leak
+        into a later search, and the tail shard's streamed add blocks
+        are replayed so the replacement serves the full id range.
         """
         proc = self._procs[rank]
         if proc.is_alive():
-            proc.terminate()
+            # SIGKILL, not SIGTERM: a *stopped* (SIGSTOPped, ptraced)
+            # worker leaves SIGTERM pending forever, and the join below
+            # would then burn its whole timeout on every search.
+            proc.kill()
         proc.join(timeout=5.0)
         try:
             self._task_qs[rank].close()
@@ -744,18 +745,13 @@ class ShardedHammingIndex:
         for proc in getattr(self, "_procs", []):
             proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - hygiene only
-                proc.terminate()
+                proc.kill()  # a stopped worker would sit on a SIGTERM
                 proc.join(timeout=1.0)
         for task_q in getattr(self, "_task_qs", []):
             task_q.close()
         for pipe in getattr(self, "_pipes", []):
             pipe.close()
-        for seg in getattr(self, "_segments", []):
-            try:
-                seg.close()
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
+        unlink_segments(getattr(self, "_segments", []))
 
     def __enter__(self) -> "ShardedHammingIndex":
         return self

@@ -258,7 +258,7 @@ class TestTransportBackpressure:
 
 
 class TestTCPWire:
-    """Socket-specific behaviour: framing stats and the batching knob."""
+    """Socket-specific behaviour: framing stats and hop coalescing."""
 
     def test_wire_stats_surfaced(self, X):
         adapter, shards = ba_setup(X)
@@ -274,36 +274,32 @@ class TestTCPWire:
         assert rec.extra["bytes_sent"] > rec.extra["payload_bytes"]
 
     def test_batching_coalesces_frames(self, X):
-        frames = {}
-        for batch_hops in (True, False):
-            adapter, shards = ba_setup(X)
-            with ParMACTrainer(
-                adapter, GeometricSchedule(1e-3, 2.0, 2), backend="tcp",
-                epochs=2, shuffle_within=False, seed=0,
-                backend_options={"batch_hops": batch_hops},
-            ) as trainer:
-                history = trainer.fit(shards)
-            rec = history.records[-1]
-            frames[batch_hops] = rec.extra["frames"]
-            # Hops (message count) are protocol-determined, identical
-            # either way; unbatched sends one frame per hop.
-            if not batch_hops:
-                assert rec.extra["frames"] == rec.extra["hops"]
-        assert frames[True] < frames[False]
+        adapter, shards = ba_setup(X)
+        with ParMACTrainer(
+            adapter, GeometricSchedule(1e-3, 2.0, 2), backend="tcp",
+            epochs=2, shuffle_within=False, seed=0,
+        ) as trainer:
+            history = trainer.fit(shards)
+        rec = history.records[-1]
+        # Hops (message count) are protocol-determined; the transport
+        # coalesces the messages a worker owes one successor into one
+        # frame, so strictly fewer frames than hops travel.
+        assert 0 < rec.extra["frames"] < rec.extra["hops"]
 
     def test_batching_does_not_change_bits(self, X):
+        # The queue ring delivers one message at a time, the socket ring
+        # one coalesced frame per destination: same bits either way.
         finals = {}
-        for batch_hops in (True, False):
+        for name in ("tcp", "multiprocess"):
             adapter, shards = ba_setup(X)
             with ParMACTrainer(
-                adapter, GeometricSchedule(1e-3, 2.0, 2), backend="tcp",
+                adapter, GeometricSchedule(1e-3, 2.0, 2), backend=name,
                 epochs=2, shuffle_within=False, seed=0,
-                backend_options={"batch_hops": batch_hops},
             ) as trainer:
                 trainer.fit(shards)
-            finals[batch_hops] = final_params(adapter)
-        for sid in finals[True]:
-            assert np.array_equal(finals[True][sid], finals[False][sid])
+            finals[name] = final_params(adapter)
+        for sid in finals["tcp"]:
+            assert np.array_equal(finals["tcp"][sid], finals["multiprocess"][sid])
 
     def test_explicit_ports(self, X):
         import socket
@@ -455,11 +451,72 @@ class TestWorkerPools:
         backend = get_backend(name)(seed=0)
         backend.setup(adapter, shards)
         try:
-            backend._cmd_qs[0].put(("iter", "not-a-mu", None, 0))
+            # (op, mu, ring orders, n_expected, gen, model_rank, crash)
+            backend._cmd_qs[0].put(("iter", "not-a-mu", [[0, 1, 2]], 0, 1, 0, None))
             with pytest.raises(RuntimeError, match="worker 0 failed"):
                 backend._collect("result")
         finally:
             backend.close()
+
+    def test_unknown_op_surfaces_promptly(self, X, name):
+        """A mistyped command must come back as a worker error on the
+        liveness-poll timescale, not strand the gather until
+        ``worker_timeout`` (300 s by default)."""
+        import time
+
+        adapter, shards = ba_setup(X)
+        backend = get_backend(name)(seed=0)
+        backend.setup(adapter, shards)
+        try:
+            t0 = time.monotonic()
+            backend._cmd_qs[1].put(("itr", 1e-3))
+            with pytest.raises(RuntimeError, match="worker 1 failed(.|\n)*unknown worker op 'itr'"):
+                backend._collect("result")
+            assert time.monotonic() - t0 < 5.0
+            assert backend.worker_pids == []  # error teardown ran
+        finally:
+            backend.close()
+
+
+@pytest.mark.parametrize("name", WALLCLOCK_BACKENDS)
+class TestRingBasics:
+    """Direct engine-level behaviours, for both ring transports."""
+
+    def run(self, X, name, mus, **kwargs):
+        P = kwargs.pop("P", 3)
+        adapter, shards = ba_setup(X, P=P)
+        with get_backend(name)(seed=0, **kwargs) as backend:
+            backend.setup(adapter, shards)
+            return adapter, [backend.run_iteration(mu) for mu in mus]
+
+    def test_coordinator_model_synced(self, X, name):
+        # Sum of per-worker E_BA must equal E_BA recomputed from the
+        # coordinator's assembled model over the full dataset.
+        adapter, stats = self.run(X, name, [1e-3, 2e-3])
+        assert stats[-1].e_ba == pytest.approx(adapter.model.e_ba(X), rel=1e-9)
+
+    def test_single_machine_ring(self, X, name):
+        # The degenerate ring — every hop is a self-hop — still runs the
+        # full counter protocol, bit-identically to the reference.
+        kwargs = dict(P=1, epochs=2, shuffle_within=False)
+        _, stats = self.run(X, name, [1e-3, 2e-3], **kwargs)
+        _, ref = self.run(X, REFERENCE, [1e-3, 2e-3], **kwargs)
+        assert [s.e_q for s in stats] == [s.e_q for s in ref]
+
+    def test_tworound_scheme(self, X, name):
+        _, (stats,) = self.run(X, name, [1e-3], epochs=2, scheme="tworound")
+        assert np.isfinite(stats.e_q)
+
+    def test_timing_fields_populated(self, X, name):
+        _, (stats,) = self.run(X, name, [1e-3], P=2)
+        assert stats.extra["w_time"] > 0 and stats.extra["z_time"] > 0
+        assert stats.wall_time > 0
+
+    def test_rejects_empty_shards(self, X, name):
+        adapter, _ = ba_setup(X)
+        with get_backend(name)(seed=0) as backend:
+            with pytest.raises(ValueError, match="at least one shard"):
+                backend.setup(adapter, [])
 
 
 class TestMultiprocessShuffling:

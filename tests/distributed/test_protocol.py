@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.protocol import RoutePlan, WStepProtocol, expected_receives
+from repro.distributed.protocol import (
+    RoutePlan,
+    WStepProtocol,
+    expected_receives,
+    home_assignment,
+)
 from repro.distributed.topology import RingTopology
 
 
@@ -104,6 +109,16 @@ class TestRoutePlan:
             RoutePlan([RingTopology.identity(3), RingTopology([0, 1, 4])], proto)
 
 
+class TestHomeAssignment:
+    def test_contiguous_blocks(self):
+        homes = home_assignment(8, 4)
+        assert [homes[i] for i in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
+
+    def test_uneven_split_covers_all_machines(self):
+        homes = home_assignment(7, 3)
+        assert set(homes.values()) == {0, 1, 2}
+
+
 class TestExpectedReceives:
     @given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 12))
     @settings(max_examples=40)
@@ -117,7 +132,7 @@ class TestExpectedReceives:
 
     def test_offset_formula_identity_ring(self):
         # For the identity ring: home gets e receives, offsets 1..P-2 get
-        # e+1, offset P-1 gets e (derived in the mp_backend design).
+        # e+1, offset P-1 gets e.
         P, e = 5, 2
         proto = WStepProtocol(P, e)
         plan = RoutePlan.fixed(RingTopology.identity(P), proto)

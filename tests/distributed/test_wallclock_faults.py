@@ -22,7 +22,7 @@ from repro.autoencoder.init import init_codes_pca
 from repro.core.penalty import GeometricSchedule
 from repro.core.trainer import ParMACTrainer
 from repro.distributed.backends import get_backend
-from repro.distributed.backends.mp import _pack_shards
+from repro.distributed.shm import pack_shards as _pack_shards
 from repro.distributed.partition import make_shards, partition_indices
 
 WALLCLOCK_BACKENDS = ["multiprocess", "tcp"]

@@ -147,35 +147,107 @@ class TestShardDeath:
             idx.close()
 
 
+def assert_flags_match_coverage(idx, res):
+    """What must hold of any result, whichever side of a deadline race
+    won: partial iff some shard missed, coverage == the row share of the
+    shards that answered."""
+    assert res.partial is bool(res.shards_missed)
+    covered = idx.n - sum(idx._shard_rows[r] for r in res.shards_missed)
+    assert res.coverage == covered / idx.n
+
+
 class TestScanDeadline:
-    def test_zero_deadline_flags_partial_process(self, problem):
-        """``scan_timeout_s=0`` races the workers and must *flag* what it
-        drops — a fast shard may still land (put -> scan -> send can beat
-        the poll), so the contract is partiality, not exact coverage."""
+    def check_zero_deadline(self, problem, mode):
         packed, Q, *_ = problem
-        big = np.concatenate([packed] * 40)  # scans cost more than poll(0)
-        idx = ShardedHammingIndex(big, N_BITS, 3, mode="process", scan_timeout_s=0.0)
+        idx = ShardedHammingIndex(packed, N_BITS, 3, mode=mode, scan_timeout_s=0.0)
         try:
             res = idx.search(Q, K)
-            assert res.partial is True
-            assert res.coverage < 1.0
-            assert len(res.shards_missed) >= 1
+            assert_flags_match_coverage(idx, res)
             assert res.ids.shape[0] == len(Q)
+            return idx, res
         finally:
             idx.close()
+
+    def test_zero_deadline_flags_partial_process(self, problem):
+        """``scan_timeout_s=0`` races the workers: a fast shard may still
+        land (put -> scan -> send can beat the poll), a slow one is
+        dropped. Either way the result's flags must describe exactly
+        what was merged — nothing here depends on who wins."""
+        idx, res = self.check_zero_deadline(problem, "process")
+        assert idx.shard_respawns == len(res.shards_missed)
 
     def test_zero_deadline_flags_partial_thread(self, problem):
         """Thread mode has no process to respawn, but the deadline and
         the partial flag behave identically."""
-        packed, Q, *_ = problem
-        big = np.concatenate([packed] * 40)
-        idx = ShardedHammingIndex(big, N_BITS, 3, mode="thread", scan_timeout_s=0.0)
+        idx, _ = self.check_zero_deadline(problem, "thread")
+        assert idx.shard_respawns == 0
+
+    def test_stopped_worker_misses_deadline_process(self, problem):
+        """A forced miss: SIGSTOP one shard worker, so it cannot answer
+        however long the (generous) deadline. The search must flag that
+        rank, and respawn it without waiting on the wedged process —
+        SIGTERM stays pending on a stopped process, so the respawn has
+        to SIGKILL or it burns the full 5 s join."""
+        packed, Q, Zb, Zq = problem
+        idx = ShardedHammingIndex(
+            packed, N_BITS, 3, mode="process", scan_timeout_s=1.5
+        )
+        wedged = idx._procs[1]
+        try:
+            os.kill(wedged.pid, signal.SIGSTOP)
+            t0 = time.monotonic()
+            res = idx.search(Q, K)
+            elapsed = time.monotonic() - t0
+            assert res.partial is True
+            assert res.shards_missed == (1,)
+            assert_flags_match_coverage(idx, res)
+            assert idx.shard_respawns == 1
+            assert elapsed < 4.0, f"respawn waited on the stopped worker ({elapsed:.1f}s)"
+            assert not wedged.is_alive()
+            lo, n = idx._offsets[1], idx._shard_rows[1]
+            rid, rd = ref_topk_masked(Zq, Zb, K, dead_rows=range(lo, lo + n))
+            assert np.array_equal(res.ids, rid) and np.array_equal(res.dists, rd)
+            # Healed by the respawn: the next search is full coverage.
+            again = idx.search(Q, K)
+            assert again.partial is False and again.coverage == 1.0
+        finally:
+            if wedged.is_alive():
+                os.kill(wedged.pid, signal.SIGCONT)
+            idx.close()
+            wedged.join(timeout=5.0)
+        assert not wedged.is_alive()
+        assert not any(p.is_alive() for p in idx._procs)
+
+    def test_blocked_scanner_misses_deadline_thread(self, problem):
+        """Thread mode's forced miss: one scanner blocks on an event the
+        test holds. Its shard is dropped and flagged; there is no
+        process to respawn; once released, the next search is whole."""
+        import threading
+
+        packed, Q, Zb, Zq = problem
+        idx = ShardedHammingIndex(
+            packed, N_BITS, 3, mode="thread", scan_timeout_s=1.0
+        )
+        release = threading.Event()
+        real_scan = idx._scanners[2].scan
+
+        def blocked_scan(queries, k):
+            release.wait(timeout=30.0)
+            return real_scan(queries, k)
+
+        idx._scanners[2].scan = blocked_scan
         try:
             res = idx.search(Q, K)
             assert res.partial is True
-            assert res.coverage < 1.0
+            assert res.shards_missed == (2,)
+            assert_flags_match_coverage(idx, res)
             assert idx.shard_respawns == 0
+            lo, n = idx._offsets[2], idx._shard_rows[2]
+            rid, rd = ref_topk_masked(Zq, Zb, K, dead_rows=range(lo, lo + n))
+            assert np.array_equal(res.ids, rid) and np.array_equal(res.dists, rd)
         finally:
+            release.set()
+            idx._scanners[2].scan = real_scan
             idx.close()
 
     def test_no_deadline_is_exhaustive(self, problem):
