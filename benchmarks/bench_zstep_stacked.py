@@ -9,10 +9,6 @@ The PR-6 "hot paths" items, measured:
   bit-identical from a shared initialisation. Acceptance floor for this
   repo: >= 3x on the wide-code 256-dimensional layer.
 
-* **Stacked vs legacy enumeration.** The stacked path reuses the cached
-  code table and contracts the per-code quadratic with one GEMM where
-  the legacy path uses einsum; bit-identical.
-
 * **Activation-cached net Z step.** ``z_step_reference`` runs roughly
   three full forward passes per descent step; ``z_step`` computes one
   set of layer activations per candidate and shares it between objective
@@ -49,7 +45,6 @@ from repro.autoencoder.adapter import BAAdapter  # noqa: E402
 from repro.autoencoder.init import init_codes_pca  # noqa: E402
 from repro.autoencoder.zstep import (  # noqa: E402
     zstep_alternate,
-    zstep_enumerate,
     zstep_relaxed,
 )
 from repro.distributed.backends import get_backend  # noqa: E402
@@ -59,13 +54,11 @@ from repro.nets.mac_net import MACTrainerNet  # noqa: E402
 
 FULL = {
     "alt": {"n": 4000, "D": 256, "L": 32, "reps": 3},
-    "enum": {"n": 4000, "D": 64, "L": 14, "reps": 5},
     "net": {"n": 1500, "dims": [32, 256, 16], "reps": 3},
     "overlap": {"n": 2400, "D": 48, "L": 16, "P": 3, "mus": [1e-3, 2e-3, 4e-3]},
 }
 SMOKE = {
     "alt": {"n": 600, "D": 256, "L": 32, "reps": 2},
-    "enum": {"n": 1000, "D": 48, "L": 12, "reps": 3},
     "net": {"n": 400, "dims": [16, 256, 8], "reps": 2},
     "overlap": {"n": 900, "D": 32, "L": 12, "P": 3, "mus": [1e-3, 2e-3]},
 }
@@ -101,26 +94,6 @@ def measure_alternate(cfg) -> dict:
         lambda: zstep_alternate(X, B, c, H, mu, Z0, impl="stacked"), cfg["reps"]
     )
     assert np.array_equal(Z_leg, Z_stk), "stacked alternate changed the bits"
-    return {
-        "config": dict(cfg),
-        "legacy_s": t_leg,
-        "stacked_s": t_stk,
-        "speedup": t_leg / t_stk,
-        "bit_identical": True,
-    }
-
-
-def measure_enumerate(cfg) -> dict:
-    """Per-call enumeration cost once the code-table cache is warm."""
-    X, B, c, H, mu = ba_problem(cfg)
-    t_leg, Z_leg = _best_of(
-        lambda: zstep_enumerate(X, B, c, H, mu, impl="legacy"), cfg["reps"]
-    )
-    zstep_enumerate(X, B, c, H, mu, impl="stacked")  # warm the caches
-    t_stk, Z_stk = _best_of(
-        lambda: zstep_enumerate(X, B, c, H, mu, impl="stacked"), cfg["reps"]
-    )
-    assert np.array_equal(Z_leg, Z_stk), "stacked enumerate changed the bits"
     return {
         "config": dict(cfg),
         "legacy_s": t_leg,
@@ -196,14 +169,13 @@ def measure_overlap(cfg) -> dict:
 def measure(cfgs) -> dict:
     return {
         "alternate": measure_alternate(cfgs["alt"]),
-        "enumerate": measure_enumerate(cfgs["enum"]),
         "net": measure_net(cfgs["net"]),
         "overlap": measure_overlap(cfgs["overlap"]),
     }
 
 
 def report_lines(results) -> list:
-    alt, enum_, net = results["alternate"], results["enumerate"], results["net"]
+    alt, net = results["alternate"], results["net"]
     ov = results["overlap"]
     a_cfg, o_cfg = alt["config"], ov["config"]
     return [
@@ -213,8 +185,6 @@ def report_lines(results) -> list:
         f"  legacy  alternate : {alt['legacy_s'] * 1e3:8.1f} ms",
         f"  stacked alternate : {alt['stacked_s'] * 1e3:8.1f} ms",
         f"  speedup           : {alt['speedup']:8.2f}x   (bit-identical)",
-        f"  enumerate (cached): {enum_['speedup']:8.2f}x   "
-        f"(L={enum_['config']['L']}, warm caches, bit-identical)",
         f"  net z_step        : {net['speedup']:8.2f}x   "
         f"(dims={net['config']['dims']}, vs reference, bit-identical)",
         f"Overlapped ring sends (tcp engine: N={o_cfg['n']}, L={o_cfg['L']} "

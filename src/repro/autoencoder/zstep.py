@@ -21,17 +21,11 @@ Three solvers, as in the paper:
 All solvers are vectorised across points: the per-point problems share
 ``B^T B`` so the quadratic term is computed once.
 
-Every solver ships two implementations selected by ``impl``:
-
-* ``"stacked"`` (default) — loop-free linear algebra: the alternating
-  solver maintains ``G = R B`` (an n x L stack of per-bit linear terms)
-  with one rank-1 update per flipped bit instead of materialising per-bit
-  n x D residual copies, and enumeration reuses the code table and the
-  per-code quadratic across calls (they depend only on ``(L, B, dtype)``,
-  which is constant across the minibatch chunks and shards of one
-  iteration).
-* ``"legacy"`` — the original residual-sweeping formulation, kept as the
-  reference the parity tests compare against.
+Enumeration and the relaxed solve each have one kernel. The alternating
+solver takes ``impl``: ``"stacked"`` (default) maintains ``G = R B`` (an
+n x L stack of per-bit linear terms) with one rank-1 update per flipped
+bit instead of materialising per-bit n x D residual copies; ``"legacy"``
+is the original residual sweep the parity tests compare against.
 """
 
 from __future__ import annotations
@@ -60,30 +54,27 @@ __all__ = [
 # dispatcher switches to the alternating solver (the paper does the same).
 MAX_ENUM_BITS = 16
 
-# Structure caches: the code table and its row sums depend only on
-# (L, dtype) — never on the model — so reuse is trivially bit-identical.
-# (Decoder-dependent work is recomputed per call: the decoder changes
-# every iteration, so nothing keyed on it is ever seen twice in a fit.)
-_CODES_CACHE: dict[tuple[int, str], np.ndarray] = {}
-_CSUM_CACHE: dict[tuple[int, str], np.ndarray] = {}
-_CACHE_MAX = 8
+# Scratch bytes of one enumeration row tile (two blocks of rows x 2^(L - L//2)
+# scores), chosen on the bench's ``zstep.enum_ns_per_code`` rung: big enough
+# to amortise the per-call cost of the 2^(L//2) ufunc pairs a tile takes,
+# small enough to stay in L2 beside the 512 KiB pair table at L = 16.
+_ENUM_SCRATCH_BYTES = 1 << 19
 
 
-def _cache_put(cache: dict, key, value: np.ndarray) -> np.ndarray:
-    value.setflags(write=False)
-    if len(cache) >= _CACHE_MAX:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
-    return value
-
-
-def _code_sums(L: int, dtype) -> np.ndarray:
-    """Cached ``sum(z)`` per code (the mu-linear term's code part)."""
-    key = (int(L), np.dtype(dtype).str)
-    hit = _CSUM_CACHE.get(key)
-    if hit is None:
-        hit = _cache_put(_CSUM_CACHE, key, _all_codes(L, dtype).sum(axis=1))
-    return hit
+def _linear_term(X, B: np.ndarray, c, cd: np.dtype) -> np.ndarray:
+    """``(X - c) @ B`` in the compute precision, shape (n, L): the
+    data-dependent linear term every solver starts from. Refuses
+    non-finite values: ``argmin`` and ``delta <= 0`` would turn them into
+    a silent all-zero code."""
+    with np.errstate(invalid="ignore", over="ignore"):  # checked just below
+        XcB = (np.asarray(X, dtype=cd) - np.asarray(c, dtype=cd)) @ B
+    if not np.isfinite(XcB).all():
+        row = np.flatnonzero(~np.isfinite(XcB).all(axis=1))[0]
+        raise ValueError(
+            f"non-finite Z-step linear term at row {row}: X, B or c holds "
+            "NaN/inf, or the product overflowed the compute precision"
+        )
+    return XcB
 
 
 def zstep_objective(
@@ -93,45 +84,37 @@ def zstep_objective(
     cd = _solver_dtype(B)
     Zf = np.asarray(Z, dtype=cd)
     Hf = np.asarray(H, dtype=cd)
-    R = np.asarray(X, dtype=cd) - Zf @ B.T - c
+    R = np.asarray(X, dtype=cd) - Zf @ B.T - np.asarray(c, dtype=cd)
     dzh = Zf - Hf
     return (R * R).sum(axis=1) + mu * (dzh * dzh).sum(axis=1)
 
 
-def _all_codes(L: int, dtype=np.float64) -> np.ndarray:
-    """All 2^L binary codes as a (2^L, L) float array (bit l = column l).
-
-    Cached (read-only) per ``(L, dtype)``: the table is pure structure, so
-    reuse is trivially bit-identical and saves the dominant allocation of
-    repeated enumeration calls.
-    """
-    key = (int(L), np.dtype(dtype).str)
-    C = _CODES_CACHE.get(key)
-    if C is None:
-        ints = np.arange(2**L, dtype=np.uint32)
-        C = ((ints[:, None] >> np.arange(L, dtype=np.uint32)[None, :]) & 1).astype(
-            dtype
-        )
-        C = _cache_put(_CODES_CACHE, key, C)
-    return C
+def _all_codes(L: int, dtype) -> np.ndarray:
+    """All 2^L binary codes as a (2^L, L) float array: row k is the integer
+    k, bit l in column l."""
+    ints = np.arange(2**L, dtype=np.uint32)
+    return ((ints[:, None] >> np.arange(L, dtype=np.uint32)) & 1).astype(dtype)
 
 
 def zstep_enumerate(
-    X: np.ndarray,
-    B: np.ndarray,
-    c: np.ndarray,
-    H: np.ndarray,
-    mu: float,
-    *,
-    chunk: int = 2048,
-    impl: str = "stacked",
+    X: np.ndarray, B: np.ndarray, c: np.ndarray, H: np.ndarray, mu: float
 ) -> np.ndarray:
-    """Exact Z step by enumerating all 2^L codes.
+    """Exact Z step by enumerating all 2^L codes, in constant memory.
 
-    Memory is bounded by ``chunk * 2^L`` scores at a time. Raises for
-    ``L > MAX_ENUM_BITS``. ``impl="stacked"`` computes the per-code quadratic
-    with one GEMM and reuses the cached code row sums; ``impl="legacy"``
-    contracts it with einsum.
+    Split a code into its low ``Llo = L // 2`` bits ``a`` and its high bits
+    ``b``. With ``G = B^T B`` and ``lin = (x - c) B + mu h`` the score is
+
+        E(b, a) = Q[a, b] + U[i, a] + V[i, b]
+
+    where ``Q`` (2^Llo x 2^(L-Llo)) holds the quadratic and ``mu sum(z)``
+    terms and depends on the model only, and ``U = -2 lin_lo . a``,
+    ``V = -2 lin_hi . b`` are two small GEMMs. No rows x 2^L matrix is ever
+    formed: per row tile, a running ``min`` over ``a`` of ``Q[a] + U[:, a]``
+    leaves one score per high half; adding ``V`` and taking ``argmin`` picks
+    ``b``, and one more ``argmin`` over that ``b``'s 2^Llo scores picks ``a``.
+    Rounding is monotone, so this is exactly the first minimum of
+    ``(Q + U) + V`` in code order ``b * 2^Llo + a`` (bit l = column l):
+    exact ties go to the lowest code. Raises for ``L > MAX_ENUM_BITS``.
     """
     L = B.shape[1]
     if L > MAX_ENUM_BITS:
@@ -142,27 +125,40 @@ def zstep_enumerate(
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
     cd = _solver_dtype(B)
-    X = np.asarray(X, dtype=cd)
-    Hf = np.asarray(H, dtype=cd)
-    C = _all_codes(L, cd)  # (2^L, L)
-    # Per-code quadratic term: z^T BtB z + mu * sum(z); shared by all points.
-    if impl == "legacy":
-        BtB = B.T @ B
-        quad = np.einsum("kl,lm,km->k", C, BtB, C) + mu * C.sum(axis=1)
-    elif impl == "stacked":
-        # One GEMM + an elementwise reduce beats the einsum contraction
-        # the legacy path uses.
-        quad = ((C @ (B.T @ B)) * C).sum(axis=1) + mu * _code_sums(L, cd)
-    else:
-        raise ValueError(f"unknown impl {impl!r}")
-    # Per-point linear term coefficient.
-    Lin = (X - c) @ B + mu * Hf  # (n, L)
-    n = len(X)
+    lin = _linear_term(X, B, c, cd) + mu * np.asarray(H, dtype=cd)  # (n, L)
+    Llo = L // 2
+    Clo, Chi = _all_codes(Llo, cd), _all_codes(L - Llo, cd)
+    G = B.T @ B
+
+    def quad(C, g):  # z^T g z + mu sum(z) for each half-code
+        return ((C @ g) * C).sum(axis=1) + mu * C.sum(axis=1)
+
+    Q = Clo @ (2.0 * G[:Llo, Llo:]) @ Chi.T
+    Q += quad(Clo, G[:Llo, :Llo])[:, None]
+    Q += quad(Chi, G[Llo:, Llo:])
+    Clo *= -2.0  # from here on only the linear terms use the code tables
+    Chi *= -2.0
+    n, (nlo, nhi) = len(lin), Q.shape
+    tile = max(1, _ENUM_SCRATCH_BYTES // (2 * nhi * cd.itemsize))
+    M, T = np.empty((2, min(tile, n), nhi), dtype=cd)
+    shifts = np.arange(L, dtype=np.intp)
     Z = np.empty((n, L), dtype=np.uint8)
-    for start in range(0, n, chunk):
-        scores = quad[None, :] - 2.0 * Lin[start : start + chunk] @ C.T
-        best = np.argmin(scores, axis=1)
-        Z[start : start + chunk] = C[best].astype(np.uint8)
+    for start in range(0, n, tile):
+        rows = slice(start, start + tile)
+        U = Clo @ lin[rows, :Llo].T  # (2^Llo, m)
+        V = lin[rows, Llo:] @ Chi.T  # (m, 2^(L-Llo))
+        m = len(V)
+        Mm, Tm = M[:m], T[:m]
+        # Mm[i, b] = min_a Q[a, b] + U[a, i], one low half-code per pass.
+        np.add(Q[0], U[0, :, None], out=Mm)
+        for a in range(1, nlo):
+            np.add(Q[a], U[a, :, None], out=Tm)
+            np.minimum(Mm, Tm, out=Mm)
+        Mm += V
+        hi = Mm.argmin(axis=1)
+        v_hi = np.take_along_axis(V, hi[:, None], axis=1)[:, 0]
+        lo = ((Q[:, hi] + U) + v_hi).argmin(axis=0)
+        Z[rows] = (((hi << Llo) | lo)[:, None] >> shifts) & 1
     return Z
 
 
@@ -172,27 +168,18 @@ def zstep_relaxed(
     c: np.ndarray,
     H: np.ndarray,
     mu: float,
-    *,
-    impl: str = "stacked",
 ) -> np.ndarray:
     """Truncated solution of the [0,1]-relaxed Z step.
 
     The relaxed problem is unconstrained quadratic with solution
     ``(B^T B + mu I) z = B^T (x - c) + mu h``; we clip to [0,1] and
     threshold at 1/2 (ties -> 1, matching the step convention).
-    The solve is one GEMM pair either way, so both ``impl`` values run
-    the same code (the parameter is kept for a uniform solver signature).
     """
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
     cd = _solver_dtype(B)
-    X = np.asarray(X, dtype=cd)
-    Hf = np.asarray(H, dtype=cd)
-    L = B.shape[1]
-    if impl not in ("legacy", "stacked"):
-        raise ValueError(f"unknown impl {impl!r}")
-    G = B.T @ B + mu * np.eye(L, dtype=cd)
-    Lin = (X - c) @ B + mu * Hf  # (n, L)
+    G = B.T @ B + mu * np.eye(B.shape[1], dtype=cd)
+    Lin = _linear_term(X, B, c, cd) + mu * np.asarray(H, dtype=cd)  # (n, L)
     # Guard the mu = 0, rank-deficient-decoder corner with a pseudo-inverse.
     try:
         Zrel = np.linalg.solve(G, Lin.T).T
@@ -238,15 +225,16 @@ def zstep_alternate(
     if impl not in ("stacked", "legacy"):
         raise ValueError(f"unknown impl {impl!r}")
     cd = _solver_dtype(B)
-    X = np.asarray(X, dtype=cd)
+    XcB = _linear_term(X, B, c, cd)
     Hf = np.asarray(H, dtype=cd)
     if Z0 is None:
-        Z0 = zstep_relaxed(X, B, c, H, mu, impl=impl)
+        Z0 = zstep_relaxed(X, B, c, H, mu)
     Z = check_binary_codes(Z0).astype(cd)
     L = B.shape[1]
     b_norms = (B * B).sum(axis=0)  # ||b_l||^2 for each column l
     if impl == "legacy":
-        R = X - Z @ B.T - c  # current residual x - f(z)
+        # Current residual x - f(z).
+        R = np.asarray(X, dtype=cd) - Z @ B.T - np.asarray(c, dtype=cd)
         for _ in range(max_sweeps):
             changed = False
             for l in range(L):
@@ -266,7 +254,7 @@ def zstep_alternate(
     BtB = B.T @ B
     # G = R @ B, the per-bit linear terms, built by one GEMM pair; flipping
     # bit l of some rows moves G by a rank-1 update with row l of B^T B.
-    G = (X - c) @ B - Z @ BtB
+    G = XcB - Z @ BtB
     mu_term = mu * (1.0 - 2.0 * Hf)
     for _ in range(max_sweeps):
         changed = False
