@@ -5,7 +5,7 @@ Trains the same binary autoencoder five ways —
 * serially (P = 1 reference),
 * on the in-process simulated cluster (virtual clock; what the speedup
   analysis measures), with both the sync and async engines,
-* on real OS processes connected in a queue ring,
+* on real OS processes connected by unix sockets (the same framed ring),
 * on real OS processes connected by TCP sockets, submodels travelling
   as length-prefixed framed batches (the closest single-host stand-in
   for the paper's MPI deployment) —

@@ -49,6 +49,7 @@ _CONCURRENCY = (
     "repro/distributed/backends/mp.py",
     "repro/distributed/backends/tcp.py",
     "repro/distributed/backends/worker.py",
+    "repro/distributed/backends/ring.py",
     "repro/distributed/health.py",
 )
 

@@ -9,7 +9,7 @@ the generic trainer on whichever execution backend was requested:
   (deterministic / discrete-event), with virtual-clock timing from a
   :class:`~repro.distributed.costmodel.CostModel`;
 * ``backend="multiprocess"`` — a persistent pool of real OS processes
-  connected in a queue ring (the MPI stand-in), with wall-clock timing
+  ringed by unix sockets (the MPI stand-in), with wall-clock timing
   and shards shipped once over shared memory.
 
 The iteration-time axis in the history is virtual time for simulated

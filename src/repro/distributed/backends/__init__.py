@@ -7,8 +7,8 @@ name             implementation                                 time axis
 ===============  =============================================  ==========
 ``sync``         deterministic tick simulation (fig. 3)         virtual
 ``async``        discrete-event simulation (section 4.1)        virtual
-``multiprocess`` persistent OS-process pool over shared memory  wall clock
-``tcp``          OS processes ringed by framed TCP sockets      wall clock
+``multiprocess`` OS-process pool, framed ring on unix sockets   wall clock
+``tcp``          the same pool and ring, on TCP sockets         wall clock
 ===============  =============================================  ==========
 
 Resolve engines through the registry — ``get_backend("tcp")`` — rather

@@ -6,7 +6,18 @@ fig. 6 exactly; termination inside a W step is deterministic because
 every worker knows in advance how many ring messages it will receive
 (:func:`~repro.distributed.protocol.expected_receives`).
 
-Beyond the original one-shot ring this backend adds:
+This module is the coordinator of both wall-clock engines: pool
+lifecycle, shared-memory shard shipping, the mesh and join choreography,
+the gather, and recovery. The worker half — the command loop, the setup
+message, the iteration — lives in
+:mod:`repro.distributed.backends.worker`, and the ring the workers talk
+over — framed stream sockets, one transport and one worker-side link —
+in :mod:`repro.distributed.backends.ring`. ``multiprocess`` workers bind
+that ring to AF_UNIX listeners at abstract names this coordinator picks;
+the TCP backend (:mod:`repro.distributed.backends.tcp`) subclasses the
+coordinator only to bind ``(host, port)`` instead.
+
+What the pool provides:
 
 * **a persistent worker pool** — workers are spawned once and survive
   across ``fit()`` calls; each ``setup`` re-ships the adapter and shards
@@ -17,14 +28,14 @@ Beyond the original one-shot ring this backend adds:
   process boundary;
 * **cross-machine shuffling** — ``shuffle_ring`` builds a freshly
   shuffled per-epoch :class:`~repro.distributed.protocol.RoutePlan`
-  every iteration (section 4.3), routed per-message via the full queue
-  mesh, where the old backend silently ignored the option;
+  every iteration (section 4.3), routed per-message over the all-pairs
+  socket mesh;
 * **overlapped ring sends** — under ``overlap_send=True`` each worker
-  hands forwarded submodels to a double-buffered background sender
-  (:class:`~repro.distributed.backends.worker._AsyncSender`) and returns to training the next convoy while
-  the previous one is still on the wire; the wire cast and byte
-  accounting stay on the training thread, so overlap changes timing,
-  never bits;
+  hands encoded frames to a double-buffered background sender
+  (:class:`~repro.distributed.backends.ring._AsyncSender`) and returns
+  to training the next convoy while the previous one is still on the
+  wire; the wire cast and byte accounting stay on the training thread,
+  so overlap changes timing, never bits;
 * **streaming ingestion** — ``ingest`` queues arriving rows with the
   shared :class:`~repro.distributed.dataplane.DataPlane`; at the next
   iteration boundary each drained batch is coded by the current nested
@@ -34,22 +45,12 @@ Beyond the original one-shot ring this backend adds:
   while waiting for results. Under ``fail_fast`` (default) a worker
   that dies mid-iteration tears the whole pool down with a raised error
   instead of wedging every peer on a receive that never comes. Under
-  ``drop_shard`` (paper section 4.3) the dead worker's shard is retired
-  from the data plane, survivors are woken with generation-tagged abort
-  sentinels, the ring/homes/protocol are re-planned over the survivor
-  set, and the iteration re-runs — the fit continues having lost only
-  the dead machine's data.
-
-The worker half — the command loop, the setup message, the iteration
-and the queue ring transport — lives in
-:mod:`repro.distributed.backends.worker` and is shared by every
-wall-clock engine; this module is the coordinator: pool lifecycle,
-shared-memory shard shipping, the gather, and the recovery choreography.
-The ring *transport* — how a forwarded submodel physically reaches the
-successor machine — is pluggable: this backend's workers pass messages
-over ``multiprocessing`` queues, while the TCP backend
-(:mod:`repro.distributed.backends.tcp`) subclasses the coordinator and
-swaps in framed socket connections.
+  ``drop_shard`` (paper section 4.3) the survivors see the dead peer's
+  sockets reset and abort the iteration (closing their mesh, which
+  cascades the EOF to any peer still blocked), the dead worker's shard
+  is retired from the data plane, the mesh is rebuilt over the survivor
+  set, the ring/homes/protocol are re-planned, and the iteration
+  re-runs — the fit continues having lost only the dead machine's data.
 
 Workers report per-shard metrics after the Z step; the lowest-ranked
 live worker additionally reports the assembled final parameters, which
@@ -60,6 +61,7 @@ invariant: after the W step every machine holds the full final model).
 from __future__ import annotations
 
 import copy
+import itertools
 import multiprocessing as mp
 import os
 import pickle
@@ -73,14 +75,14 @@ from repro.distributed.backends.base import (
     IterationStats,
     register_backend,
 )
-from repro.distributed.backends.worker import (
+from repro.distributed.backends.ring import (
     _LIVENESS_POLL_S,
-    IterationAborted,
-    WorkerSetup,
-    _QueueLink,
-    _worker_main,
+    _decode_control_blob,
+    _SocketLink,
 )
+from repro.distributed.backends.worker import WorkerSetup, _worker_main
 from repro.distributed.dataplane import ClusterState, DataPlane
+from repro.distributed.framing import KIND_HEARTBEAT, encode_shard_retired
 from repro.distributed.health import HealthMonitor
 from repro.distributed.interfaces import set_params_many
 from repro.distributed.messages import ShardRetired
@@ -94,7 +96,11 @@ from repro.distributed.shm import pack_array_block, pack_shards, unlink_segments
 from repro.distributed.topology import RingTopology
 from repro.utils.rng import check_random_state
 
-__all__ = ["MultiprocessBackend", "IterationAborted", "home_assignment"]
+__all__ = ["MultiprocessBackend", "home_assignment"]
+
+#: Makes every unix-socket name this process hands out unique, so a
+#: rebind never collides with a listener a wedged predecessor still holds.
+_BIND_SEQ = itertools.count()
 
 
 class _WorkersLost(Exception):
@@ -119,8 +125,7 @@ class _WorkersLost(Exception):
 class _ResponseChannel:
     """One worker's response stream, read without ever blocking.
 
-    Replaces the old *shared* result queue, which had a wedge the ring
-    queues were already hardened against but the result path was not: a
+    Replaces the old *shared* result queue, which had a wedge: a
     worker SIGKILLed while its feeder held the queue's cross-process
     write lock left that semaphore held forever, stranding every
     survivor's responses — under ``drop_shard`` the recovery could then
@@ -186,6 +191,25 @@ class _ResponseChannel:
             pass
 
 
+def _release_queue(cmd_q) -> None:
+    """Let go of a command queue whose reader is joined or killed.
+
+    Anything unsent to a gone process is garbage. Without this, a feeder
+    thread blocked writing (say) a > 64 KiB setup message into a pipe
+    nobody reads is joined by ``multiprocessing``'s exit handler, and
+    the interpreter never exits. Closing our copy of the read end is
+    CPython's own cure for the same wedge in ``ProcessPoolExecutor``
+    (gh-94777): once the last reader is gone the blocked write fails
+    with EPIPE and the feeder ends (quietly: ``_start_worker`` set
+    ``_ignore_epipe``, as the executor does). It comes first, so the
+    feeder — which closes the reader itself on the ``close()`` sentinel
+    — cannot be closing it at the same moment.
+    """
+    cmd_q._reader.close()
+    cmd_q.close()
+    cmd_q.cancel_join_thread()
+
+
 # ------------------------------------------------------------- coordinator
 @register_backend("multiprocess")
 class MultiprocessBackend(BaseBackend):
@@ -209,14 +233,6 @@ class MultiprocessBackend(BaseBackend):
         the dead shard and continues on the survivors. A timeout is
         reported as a stall (live-but-unresponsive workers), distinct
         from a fault (dead workers).
-    join_slots : int
-        Spare ring-queue slots pre-provisioned at pool spawn for machines
-        that may join mid-fit. Existing workers hold their fork-time copy
-        of the ring-queue table, so a joiner can only be reached through
-        a slot that already existed when they started; when the spares
-        run out the pool is transparently rebuilt (workers'
-        shards/RNG streams are collected and re-shipped, so the fit stays
-        bit-identical — just a slower join.)
     pin_workers : bool
         Pin each worker process to a contiguous slice of the
         coordinator's CPU affinity set (``os.sched_setaffinity``), so the
@@ -233,29 +249,26 @@ class MultiprocessBackend(BaseBackend):
     backend reports wall-clock time.
     """
 
-    #: Whether the ring runs over coordinator-built queues (the TCP
-    #: backend moves the ring to sockets and skips the mesh).
-    _needs_ring_queues = True
+    #: Seconds allowed for dialling/accepting each mesh connection (a
+    #: deployment setting on ``tcp``; between local processes, a constant).
+    connect_timeout = 10.0
 
     def __init__(
         self, *, ctx_method: str = "fork", worker_timeout: float | None = 300.0,
-        join_slots: int = 4, pin_workers: bool = False, **kwargs
+        pin_workers: bool = False, **kwargs
     ):
         super().__init__(**kwargs)
         self.ctx_method = ctx_method
         self.worker_timeout = worker_timeout
-        self.join_slots = int(join_slots)
         self.pin_workers = bool(pin_workers)
         self._worker_cpusets: dict[int, list[int]] = {}
         self._ctx = None
         self._procs: dict[int, object] = {}
-        self._ring_qs: list = []
-        self._abort_events: dict = {}
         self._cmd_qs: dict = {}
+        self._addr_map: dict = {}
         self._res_chans: dict[int, _ResponseChannel] = {}
         self._segments: list = []
         self._ranks: list[int] = []
-        self._gen = 0
         self._monitor: HealthMonitor | None = None
         self._respawns_done = 0
         self._boundary: dict | None = None
@@ -299,22 +312,21 @@ class MultiprocessBackend(BaseBackend):
         )
 
     def _rebuild_pool(self, members: dict, *, keep_pool: bool = False,
-                      capacity: int | None = None, force: bool = False) -> None:
+                      force: bool = False) -> None:
         """Make the pool hold exactly ``members``: {rank: (shard, rng_state)}.
 
         The one path by which shards reach workers wholesale — a fresh
-        fit, a restore, a slot-table growth, a respawn. A standing pool
-        is reused only under ``keep_pool`` and only when its ranks
-        already match; otherwise it is stopped (``force`` skips the
-        cooperative stop, for a pool with dead or wedged members) and
-        respawned with ``capacity`` addressable slots. Every shard is
-        then re-shipped through fresh shared-memory segments, with the
-        given SGD stream (``None``: the fresh seed-derived one).
+        fit, a restore, a respawn. A standing pool is reused only under
+        ``keep_pool`` and only when its ranks already match; otherwise
+        it is stopped (``force`` skips the cooperative stop, for a pool
+        with dead or wedged members) and respawned. Every shard is then
+        re-shipped through fresh shared-memory segments, with the given
+        SGD stream (``None``: the fresh seed-derived one).
         """
         live = sorted(members)
         if not (keep_pool and sorted(self._procs) == live):
             self._close_pool(force=force)
-            self._spawn(live, capacity=capacity)
+            self._spawn(live)
         self._ranks = live
         self._release_segments()
         # Anything that fails between shard shipping and a successful
@@ -382,13 +394,20 @@ class MultiprocessBackend(BaseBackend):
             chaos=self.chaos,
             cpuset=self._cpusets(self._ranks).get(rank),
             health=self.health,
-            **self._link_params(rank),
+            address=self._address_for(rank),
+            # Abort and await recovery on a peer death, instead of
+            # failing: both survivor policies need clean abort acks, not
+            # errors, out of the survivors — ``drop_shard`` re-plans
+            # around the loss, ``respawn`` rewinds and retries.
+            drop_on_fault=self.fault_policy is not FaultPolicy.FAIL_FAST,
         )
 
-    def _link_params(self, rank: int) -> dict:
-        """Ring-link fields of the setup message (the queue link needs
-        none; the TCP backend supplies host, port and abort behaviour)."""
-        return {}
+    def _address_for(self, rank: int):
+        """Where ``rank``'s worker binds its ring listener: a fresh Linux
+        abstract unix-socket name — nothing on disk, released by the
+        kernel with the socket. (The TCP backend binds ``(host, port)``.)
+        """
+        return f"\0parmac-{os.getpid()}-{next(_BIND_SEQ)}-{rank}"
 
     def _ship_setup(self, descs: dict, rng_states: dict) -> None:
         """Send per-worker setup commands and wait for every ack.
@@ -410,24 +429,16 @@ class MultiprocessBackend(BaseBackend):
         }
 
     def _connect_mesh(self, ranks) -> None:
-        """Link freshly set-up workers into a ring (override point).
+        """Exchange bound addresses and build the all-pairs socket mesh:
+        the workers just (re)bound their listeners and reply ``bound``;
+        each then dials every peer and acks ``ready`` to the caller's
+        gather."""
+        self._addr_map = self._collect("bound", ranks)
+        for rank in ranks:
+            self._send(rank, "connect", self._addr_map)
 
-        Nothing to do for queues — every worker inherited the full
-        ring-queue table when it started. The TCP backend exchanges the
-        bound ports and has the workers dial each other here.
-        """
-
-    def _spawn(self, ranks, *, capacity: int | None = None) -> None:
-        """Start worker processes for ``ranks``, with slot headroom.
-
-        ``capacity`` (default ``max(ranks) + 1``) is the number of
-        addressable machine slots; ``join_slots`` spares are provisioned
-        beyond it so machines joining mid-fit can be reached by workers
-        that inherited the ring-queue table at this spawn.
-        """
-        ranks = [int(r) for r in ranks]
-        if capacity is None:
-            capacity = max(ranks) + 1
+    def _spawn(self, ranks) -> None:
+        """Start worker processes for ``ranks``."""
         # Start the parent's resource tracker *before* forking so workers
         # inherit it; otherwise the first pool's workers lazily spawn
         # private trackers on shared-memory attach, which then warn about
@@ -439,14 +450,8 @@ class MultiprocessBackend(BaseBackend):
         except Exception:
             pass
         self._ctx = mp.get_context(self.ctx_method)
-        n_slots = capacity + self.join_slots if self._needs_ring_queues else 0
-        self._ring_qs = [self._ctx.Queue() for _ in range(n_slots)]
-        self._abort_events = {}
-        self._cmd_qs = {}
-        self._res_chans = {}
-        self._procs = {}
         for rank in ranks:
-            self._start_worker(rank)
+            self._start_worker(int(rank))
         # A fresh pool gets a fresh monitor: stale DEAD classifications
         # from a torn-down pool must not outlive it. Only the
         # per-iteration counters carry over, because the respawn path
@@ -460,27 +465,25 @@ class MultiprocessBackend(BaseBackend):
 
     def _start_worker(self, rank: int) -> None:
         """Fork one pool worker at ``rank`` with its own command queue,
-        private response pipe and (queue ring) abort event; the parent's
-        copy of the pipe's write end is closed right after the fork."""
-        self._cmd_qs[rank] = self._ctx.Queue()
-        if self._needs_ring_queues:
-            self._abort_events[rank] = self._ctx.Event()
+        private response pipe and (socket-free, so picklable) ring link;
+        the parent's copy of the pipe's write end is closed right after
+        the fork."""
+        cmd_q = self._cmd_qs[rank] = self._ctx.Queue()
+        # A write to a worker that is gone is the gather's to report, not
+        # a feeder-thread traceback on stderr (see _release_queue).
+        cmd_q._ignore_epipe = True
         reader, writer = self._ctx.Pipe(duplex=False)
         self._res_chans[rank] = _ResponseChannel(reader)
         try:
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(rank, self._cmd_qs[rank], writer, self._make_link(rank)),
+                args=(rank, cmd_q, writer, _SocketLink(rank, self.connect_timeout)),
                 daemon=True,
             )
             proc.start()
         finally:
             writer.close()
         self._procs[rank] = proc
-
-    def _make_link(self, rank: int):
-        """The worker end of the ring for ``rank`` (override point)."""
-        return _QueueLink(self._ring_qs, self._abort_events[rank])
 
     # ----------------------------------------------------------- streaming
     def _apply_ingest(self, batch) -> int:
@@ -506,16 +509,6 @@ class MultiprocessBackend(BaseBackend):
         """
         if not self._procs:
             raise RuntimeError("add_machine() requires an active fit")
-        if self._needs_ring_queues and p >= len(self._ring_qs):
-            # The fork-time ring-queue tables in existing workers cannot
-            # address slot p; rebuild the pool with fresh headroom. Every
-            # live worker's shard and SGD stream is collected and
-            # re-shipped — bit-identical, just a slower join.
-            collected = self._collect_worker_pool_state()
-            self._rebuild_pool(
-                {r: (c["shard"], c["rng_state"]) for r, c in collected.items()},
-                capacity=p + 1,
-            )
         old_ranks = list(self._ranks)
         try:
             self._start_worker(p)
@@ -537,21 +530,26 @@ class MultiprocessBackend(BaseBackend):
     def _ship_join(self, p: int, desc, old_ranks) -> None:
         """Deliver shard + plan to the joining worker and link it in.
 
-        The joiner's setup carries the coordinator's adapter, whose
-        parameters are the assembled post-iteration model — the joining
-        machine "receives the current submodels" (§4.3).
+        The new worker binds and announces its address, every standing
+        worker links it in (JOIN accepted, HELLO dialed), and the donor
+        — the lowest live rank — hands the current submodels over as a
+        WELCOME + framed BATCH: the joining machine "receives the
+        current submodels" (§4.3) exactly as they travel the ring.
         """
         self._send(p, "setup", self._setup_message(p, desc, None))
-        self._link_joiner(p, old_ranks)
+        addr = self._collect("bound", [p])[p]
+        donor = old_ranks[0]
+        for rank in old_ranks:
+            self._send(rank, "join_mesh", p, addr, rank == donor)
+        self._send(
+            p, "join_handshake", {r: self._addr_map[r] for r in old_ranks},
+            donor, len(self._specs),
+        )
+        self._collect("joined", old_ranks)
+        self._addr_map[p] = addr
         ready = self._collect("ready", [p])
         if ready[p] is not None:
             self._worker_cpusets[p] = ready[p]
-
-    def _link_joiner(self, p: int, old_ranks) -> None:
-        """Link a just-set-up joiner into the standing ring (override
-        point). Queues need nothing: slot ``p`` pre-exists in every
-        worker's table. The TCP backend runs the mesh handshake and the
-        WELCOME model hand-off here."""
 
     def _collect_worker_pool_state(self) -> dict:
         """{rank: {"shard": ..., "rng_state": ...}} from every live worker."""
@@ -608,7 +606,6 @@ class MultiprocessBackend(BaseBackend):
             else:
                 plan = RoutePlan.fixed(self._topology, self._protocol)
             expected = expected_receives(plan, self._homes)
-            self._gen += 1
             model_rank = self._ranks[0]
             self._dispatch_iteration(mu, plan, expected, model_rank, crashes)
             crashes = {}
@@ -732,13 +729,11 @@ class MultiprocessBackend(BaseBackend):
         this attempt; absent ranks run normally.
         """
         orders = plan.to_orders()
-        for ev in self._abort_events.values():
-            ev.clear()  # workers are idle between iterations; safe to reset
         if self._monitor is not None:
             self._monitor.begin_phase(self._ranks)
         for rank in self._ranks:
             self._send(
-                rank, "iter", mu, orders, expected[rank], self._gen, model_rank,
+                rank, "iter", mu, orders, expected[rank], model_rank,
                 crashes.get(rank),
             )
 
@@ -774,21 +769,6 @@ class MultiprocessBackend(BaseBackend):
         )
         self._route_rng.bit_generator.state = copy.deepcopy(boundary["route_rng"])
 
-    def _request_abort(self, ranks) -> None:
-        """Wake workers blocked on ring receives that will never arrive.
-
-        Queue transport: inject a generation-tagged sentinel into each
-        survivor's ring queue, and set the survivor's abort event — the
-        lock-free fallback for the case where the dead worker was killed
-        mid-write and left a ring queue's feeder lock held, which would
-        make the sentinel undeliverable. (The TCP transport needs
-        neither — survivors observe the dead peer's sockets reset and
-        self-abort.)
-        """
-        for rank in ranks:
-            self._abort_events[rank].set()
-            self._ring_qs[rank].put((self._gen, None))
-
     def _recv_available(self, ranks, timeout: float) -> list:
         """Every response currently deliverable from ``ranks``.
 
@@ -806,16 +786,17 @@ class MultiprocessBackend(BaseBackend):
                 # Heartbeats ride the same response channel as replies;
                 # feed them to the monitor and keep them out of gathers.
                 if msg[1] == "beat":
-                    self._observe_beat(msg[0], msg[2])
+                    self._observe_beat(msg[2])
                 else:
                     out.append(msg)
         return out
 
-    def _observe_beat(self, rank: int, payload) -> None:
-        """Ingest one worker heartbeat (override point: the TCP backend
-        decodes framed beats before feeding the monitor)."""
-        if self._monitor is not None:
-            seq, phase, progress = payload
+    def _observe_beat(self, payload: bytes) -> None:
+        """Decode a framed HEARTBEAT (workers beat with the same bytes a
+        coordinator socket would carry) and feed the monitor."""
+        if self._monitor is None:
+            return
+        for rank, seq, progress, phase in _decode_control_blob(payload, KIND_HEARTBEAT):
             self._monitor.observe(rank, seq, phase, progress)
 
     def _check_stalled(self, pending) -> None:
@@ -844,8 +825,6 @@ class MultiprocessBackend(BaseBackend):
         retired = []
         for rank in sorted(dead):
             proc = self._procs.pop(rank)
-            self._cmd_qs.pop(rank, None)
-            self._abort_events.pop(rank, None)
             chan = self._res_chans.pop(rank, None)
             if chan is not None:
                 chan.close()
@@ -853,6 +832,7 @@ class MultiprocessBackend(BaseBackend):
             if proc.is_alive():
                 proc.terminate()
             proc.join(timeout=5)
+            _release_queue(self._cmd_qs.pop(rank))
             rows = self.dataplane.retire(rank, lost=True)
             retired.append(ShardRetired(machine=rank, rows_lost=rows))
             # Reconnect predecessor -> successor, preserving the cycle
@@ -861,31 +841,26 @@ class MultiprocessBackend(BaseBackend):
             self._topology = self._topology.without_machine(rank)
         self._ranks = survivors
         self._replan()
-        self._rebuild_transport(retired)
+        self._rebuild_mesh()
         self._announce_replan(retired)
 
-    def _rebuild_transport(self, retired) -> None:
-        """Restore the ring transport for the survivor set.
-
-        Queues survive as-is: stale traffic from the aborted attempt is
-        generation-filtered at the receivers. The TCP backend overrides
-        to rebuild its socket mesh.
-        """
+    def _rebuild_mesh(self) -> None:
+        """Rebuild the socket mesh over the survivor set (fresh listen
+        sockets and HELLO handshakes — no stale frames survive)."""
+        for rank in self._ranks:
+            self._send(rank, "rebind", self._address_for(rank))
+        self._connect_mesh(self._ranks)
+        self._collect("ready")
 
     def _announce_replan(self, retired, ranks=None) -> None:
         """Ship the new protocol/home assignment to ``ranks`` (default:
-        every live worker), with the retirements that caused it in the
-        link's encoding."""
+        every live worker), with the retirements that caused it as
+        SHARD_RETIRED control frames."""
         ranks = list(self._ranks) if ranks is None else list(ranks)
-        announcement = self._encode_retired(retired)
+        announcement = b"".join(encode_shard_retired(m) for m in retired)
         for rank in ranks:
             self._send(rank, "replan", self._protocol, self._homes, announcement)
         self._collect("replanned", ranks)
-
-    def _encode_retired(self, retired):
-        """Retirement announcement as the workers' link expects it (the
-        queue link needs none; the TCP backend frames it)."""
-        return None
 
     # ----------------------------------------------------------- gathering
     def _collect(self, expect: str, ranks=None, *, survivable: bool = False) -> dict:
@@ -901,8 +876,8 @@ class MultiprocessBackend(BaseBackend):
           checkpoints — the default) and every round under
           ``fail_fast``: the fit is unrecoverable; tear down and raise.
         * the ``survivable`` iteration gather under ``drop_shard`` /
-          ``respawn``: the gather turns into an abort round — survivors
-          are woken, their responses (results or ``aborted`` acks)
+          ``respawn``: the gather turns into an abort round — the
+          survivors' responses (results or ``aborted`` acks) are
           drained, and :class:`_WorkersLost` reports the dead set to
           ``run_iteration`` for recovery.
         """
@@ -939,9 +914,10 @@ class MultiprocessBackend(BaseBackend):
                             f"worker(s) {sorted(newly_dead)} died mid-{expect}; "
                             "pool torn down"
                         ) from None
+                    # No wake-up needed: survivors observe the dead
+                    # peer's sockets reset (or an aborting peer's mesh
+                    # teardown) and self-abort.
                     pending -= newly_dead
-                    if pending and not dead:
-                        self._request_abort(pending)
                     dead |= newly_dead
                 if not msgs:
                     self._check_stalled(pending)
@@ -1029,9 +1005,9 @@ class MultiprocessBackend(BaseBackend):
         self._segments = []
 
     def _close_pool(self, *, force: bool = False) -> None:
-        """Stop the worker processes and drop the queue tables, leaving
-        fit state (data plane, topology, segments) in place — the
-        process half of :meth:`close`, reused by pool rebuilds."""
+        """Stop the worker processes and release their queues and pipes,
+        leaving fit state (data plane, topology, segments) in place —
+        the process half of :meth:`close`, reused by pool rebuilds."""
         if self._procs:
             if not force:
                 for rank in self._cmd_qs:
@@ -1046,9 +1022,10 @@ class MultiprocessBackend(BaseBackend):
                     proc.terminate()
                     proc.join(timeout=5)
         self._procs = {}
+        for cmd_q in self._cmd_qs.values():
+            _release_queue(cmd_q)
         self._cmd_qs = {}
-        self._ring_qs = []
-        self._abort_events = {}
+        self._addr_map = {}
         for chan in self._res_chans.values():
             chan.close()
         self._res_chans = {}

@@ -1,19 +1,18 @@
-"""The wall-clock worker runtime: one command loop for every ring transport.
+"""The wall-clock worker runtime: one command loop, on either engine.
 
-A ParMAC worker does the same thing whatever carries the ring: train the
-submodels that arrive, pass them on, then solve its Z step (paper
-section 4.1 / fig. 6). This module is that worker, written once —
+A ParMAC worker does the same thing wherever its ring sockets are bound:
+train the submodels that arrive, pass them on, then solve its Z step
+(paper section 4.1 / fig. 6). This module is that worker, written once —
 
 * :class:`WorkerSetup`, the one typed setup message a coordinator ships;
 * :class:`_WorkerState`, what a worker derives from it for one fit;
 * :func:`_run_worker_iteration`, one W step + Z step over a transport;
-* :func:`_worker_main`, the table-dispatched command loop;
+* :func:`_worker_main`, the table-dispatched command loop.
 
-— plus the queue flavour of the two transport-specific pieces the loop
-is parameterised by: a *ring transport* (``send``/``flush``/``recv``
-during an iteration) and a worker-side *ring link* (whatever the
-transport needs set up around iterations). The socket flavours live in
-:mod:`repro.distributed.backends.tcp`.
+The ring itself — the transport an iteration sends and receives on, and
+the worker-side link that builds, rebuilds and tears down the socket
+mesh around iterations — lives in :mod:`repro.distributed.backends.ring`;
+the loop is handed a link and never looks inside it.
 
 The full command table (op, who handles it, reply kind) and the setup
 message fields are listed in ``docs/architecture.md``; every reply is
@@ -23,10 +22,8 @@ replies ``error`` with the traceback.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import os
-import queue as queue_mod
 import signal
 import threading
 import time
@@ -41,21 +38,13 @@ from repro.distributed.batching import (
     train_message_batch,
 )
 from repro.distributed.chaos import ChaosShim
+from repro.distributed.framing import ProtocolError, encode_heartbeat
 from repro.distributed.health import HeartbeatSender, WorkerPulse
 from repro.distributed.interfaces import get_params_many, set_params_many
 from repro.distributed.messages import SubmodelMessage
 from repro.distributed.protocol import RoutePlan, WStepProtocol
-from repro.distributed.shm import attach_array_block, attach_shard
+from repro.distributed.shm import attach_shard
 from repro.optim.sgd import SGDState
-
-#: How often a blocked party (the coordinator waiting on results, a
-#: worker waiting on a ring receive) wakes to check on its peers; bounds
-#: how long a dead worker can go unnoticed.
-_LIVENESS_POLL_S = 0.5
-
-
-class IterationAborted(Exception):
-    """The in-flight iteration was cancelled for a survivor re-plan."""
 
 
 # ------------------------------------------------------------ setup message
@@ -67,11 +56,11 @@ class WorkerSetup:
     kept by the worker as the immutable half of its state. ``rng_state``
     restores a checkpointed SGD stream in place of the fresh
     ``seed``-derived one; ``cpuset`` (from the coordinator's
-    ``pin_workers`` partition) pins the process. ``host`` / ``port`` /
-    ``drop_on_fault`` are ring-link parameters: the socket link binds
-    ``(host, port)`` and, under ``drop_on_fault``, answers a peer's
-    death with a clean abort ack instead of an error; the queue link
-    ignores all three.
+    ``pin_workers`` partition) pins the process. ``address`` /
+    ``drop_on_fault`` are ring-link parameters: the link binds its
+    listener at ``address`` (``(host, port)`` on ``tcp``, a unix-socket
+    name on ``multiprocess``) and, under ``drop_on_fault``, answers a
+    peer's death with a clean abort ack instead of an error.
     """
 
     adapter: object
@@ -88,18 +77,15 @@ class WorkerSetup:
     chaos: object
     cpuset: list | None
     health: object
-    host: str | None = None
-    port: int = 0
-    drop_on_fault: bool = False
+    address: object
+    drop_on_fault: bool
 
 
 class _WorkerState:
     """One worker's per-fit state: the setup message plus what it derives.
 
-    One construction site keeps the queue and TCP workers bit-identical:
-    a field added to :class:`WorkerSetup` (RNG stream, batching knob,
-    ...) reaches both. ``cpuset`` records the affinity actually in
-    effect after pinning, which the ready ack reports.
+    ``cpuset`` records the affinity actually in effect after pinning,
+    which the ready ack reports.
     """
 
     def __init__(self, rank: int, setup: WorkerSetup, pulse: WorkerPulse):
@@ -178,260 +164,6 @@ class _WorkerState:
     def close(self) -> None:
         if self.seg is not None:
             self.seg.close()
-
-
-# --------------------------------------------------------------- transport
-class _AsyncSender:
-    """Double-buffered background sender for overlapped ring hops.
-
-    One daemon thread drains a bounded queue of transmit items, so the
-    worker's main thread hands a just-trained submodel batch off and
-    returns to training the next convoy while the previous one is still
-    on the wire. A *single* sender thread per transport preserves the
-    per-destination FIFO order the counter protocol relies on; the queue
-    depth of two is the double buffer — one send in flight, one staged —
-    which bounds how far the pipeline can run ahead of the NIC.
-
-    Failure handling: a transmit error is recorded, not raised in the
-    thread — the loop keeps consuming (and skipping) items so that
-    ``Queue.join`` always terminates and a producer blocked on a full
-    queue cannot deadlock; the original exception re-raises on the main
-    thread at the next ``submit``/``drain``/``check``, keeping its type
-    (the TCP worker's fault handling keys on ``ProtocolError``).
-    """
-
-    _STOP = object()
-
-    def __init__(self, transmit, *, depth: int = 2):
-        self._transmit = transmit
-        self._q: queue_mod.Queue = queue_mod.Queue(maxsize=depth)
-        self._exc: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="ring-sender", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            item = self._q.get()
-            try:
-                if item is self._STOP:
-                    return
-                if self._exc is None:
-                    self._transmit(*item)
-            except BaseException as exc:  # noqa: BLE001 - surfaced via check()
-                self._exc = exc
-            finally:
-                self._q.task_done()
-
-    def check(self) -> None:
-        """Re-raise a background transmit failure on the caller's thread."""
-        if self._exc is not None:
-            raise self._exc
-
-    def submit(self, *item) -> None:
-        """Queue one transmit, blocking while both buffers are full.
-
-        The wait is chopped into short timed puts so a send failure
-        surfaces here instead of deadlocking the producer against a
-        queue that will never drain normally.
-        """
-        while True:
-            self.check()
-            try:
-                self._q.put(item, timeout=0.1)
-                return
-            except queue_mod.Full:
-                continue
-
-    def drain(self) -> None:
-        """Block until every queued transmit has left, then re-check."""
-        self.check()
-        self._q.join()
-        self.check()
-
-    def close(self) -> None:
-        """Stop the thread after in-flight items (no new work accepted)."""
-        try:
-            self._q.put(self._STOP, timeout=1.0)
-        except queue_mod.Full:
-            pass  # wedged transmit; the daemon thread is abandoned
-        self._thread.join(timeout=5.0)
-
-
-class _QueueRingTransport:
-    """Ring transport over the coordinator-built full queue mesh.
-
-    The transport interface the worker iteration runs against:
-    ``send(dest, msg)`` may buffer, ``flush()`` forces buffered messages
-    out, ``recv()`` returns the next incoming message (flushing first,
-    so a worker never blocks while holding undelivered sends), and
-    ``wire_stats()`` reports what the iteration cost on the wire. Queues
-    deliver messages one at a time with no syscall to amortise, so this
-    implementation sends eagerly and ``flush`` is a no-op.
-
-    Every queue item is tagged with the iteration *generation*: after a
-    ``drop_shard`` recovery the retried iteration runs under a new
-    generation, so stale traffic from the aborted attempt — including
-    unconsumed abort sentinels — is silently discarded instead of
-    corrupting the ring. A ``(gen, None)`` item is the coordinator's
-    abort sentinel: it wakes a worker blocked on a receive whose sender
-    died and raises :class:`IterationAborted`.
-
-    The sentinel alone is not a reliable wake-up: ``mp.Queue`` writes
-    funnel through a per-queue feeder lock, and a worker SIGKILLed
-    mid-write leaves that lock held forever — the coordinator's sentinel
-    for that queue would never be delivered. ``abort_ev`` is the
-    lock-free fallback: a per-worker ``Event`` the receive loop polls
-    between short blocking gets, set by the coordinator alongside the
-    sentinel.
-    """
-
-    def __init__(self, rank: int, ring_qs, gen: int = 0, abort_ev=None, *,
-                 wire_dtype=None, compute_dtype=None, overlap=False,
-                 chaos_shim=None):
-        self.rank = rank
-        self._ring_qs = ring_qs
-        self.gen = gen
-        self._abort_ev = abort_ev
-        # Chaos shim: the per-link verdict is drawn at send() time (one
-        # draw per message, matching the simulated engines' per-hop
-        # draws) and served as a sleep at transmit time — on the sender
-        # thread under overlap_send, so overlap hides injected latency
-        # exactly as it hides real latency.
-        self._chaos = chaos_shim
-        # Reduced-precision wire (paper section 9): parameters are cast
-        # down at pack time — the pickled payload genuinely shrinks — and
-        # cast back to the compute dtype on receive. The worker already
-        # round-tripped theta through the wire dtype after training, so
-        # both casts are value-exact.
-        self._wire_dtype = wire_dtype
-        self._compute_dtype = compute_dtype
-        # Overlapped sends: the queue put (which pickles the payload)
-        # moves to a background thread. The wire cast and byte counting
-        # stay on the main thread, so overlap changes *when* a message
-        # leaves, never its bits.
-        self._sender = _AsyncSender(self._transmit) if overlap else None
-        self.msgs_sent = 0
-        self.bytes_sent = 0
-
-    def _transmit(self, dest: int, item, delay: float = 0.0) -> None:
-        if delay > 0.0:
-            time.sleep(delay)
-        self._ring_qs[dest].put(item)
-
-    def send(self, dest: int, msg: SubmodelMessage) -> None:
-        if self._wire_dtype is not None and dest != self.rank:
-            msg.theta = np.asarray(msg.theta, dtype=self._wire_dtype)
-        self.msgs_sent += 1
-        self.bytes_sent += msg.nbytes
-        item = (self.gen, msg)
-        delay = (
-            self._chaos.send_delay(dest, msg.nbytes)
-            if self._chaos is not None and dest != self.rank
-            else 0.0
-        )
-        if self._sender is not None and dest != self.rank:
-            self._sender.submit(dest, item, delay)
-        else:
-            self._transmit(dest, item, delay)
-
-    def flush(self) -> None:
-        pass
-
-    def drain(self) -> None:
-        """Wait for background sends to finish (no-op without overlap)."""
-        if self._sender is not None:
-            self._sender.drain()
-
-    def close(self) -> None:
-        """Stop the background sender, if any, without a full drain."""
-        if self._sender is not None:
-            self._sender.close()
-
-    def recv(self) -> SubmodelMessage:
-        while True:
-            try:
-                gen, msg = self._ring_qs[self.rank].get(timeout=_LIVENESS_POLL_S)
-            except queue_mod.Empty:
-                if self._sender is not None:
-                    self._sender.check()
-                if self._abort_ev is not None and self._abort_ev.is_set():
-                    raise IterationAborted() from None
-                continue
-            if gen != self.gen:
-                continue  # stale traffic from an aborted iteration
-            if msg is None:
-                raise IterationAborted()
-            if self._wire_dtype is not None:
-                msg.theta = np.asarray(msg.theta, dtype=self._compute_dtype)
-            return msg
-
-    def wire_stats(self) -> dict:
-        stats = {"hops": self.msgs_sent, "bytes_sent": self.bytes_sent}
-        if self._chaos is not None:
-            stats.update(self._chaos.counters)
-        return stats
-
-
-class _QueueLink:
-    """Worker end of the queue ring.
-
-    The ring queues and the abort event are inherited at process start,
-    so there is nothing to set up around iterations: ``setup`` is ready
-    at once, the link adds no ops, and streamed rows arrive as a
-    shared-memory block. The socket link
-    (:class:`repro.distributed.backends.tcp._SocketLink`) implements the
-    same interface with a mesh to build, rebuild and tear down.
-    """
-
-    #: What an interrupted iteration raises on this transport.
-    abort_errors = (IterationAborted,)
-
-    def __init__(self, ring_qs, abort_ev):
-        self._ring_qs = ring_qs
-        self._abort_ev = abort_ev
-
-    def ops(self) -> dict:
-        return {}
-
-    def open(self, state: _WorkerState) -> tuple:
-        """Reply to ``setup``. The ack reports the cpuset actually
-        applied (None when pinning is off or unsupported here)."""
-        return "ready", state.cpuset
-
-    def encode_beat(self, seq: int, phase: str, progress: int):
-        return seq, phase, progress
-
-    @contextlib.contextmanager
-    def ingest_rows(self, desc):
-        """The ``(X, F, Z, indices)`` of one shipped ingest batch, as
-        views over a segment the coordinator unlinks right after the ack."""
-        seg, arrays = attach_array_block(desc)
-        try:
-            yield arrays
-        finally:
-            seg.close()
-
-    def check_retired(self, retired) -> None:
-        pass
-
-    def transport(self, state: _WorkerState, gen: int, shim) -> _QueueRingTransport:
-        return _QueueRingTransport(
-            state.rank, self._ring_qs, gen, self._abort_ev,
-            wire_dtype=state.wire_dtype, compute_dtype=state.compute_dtype,
-            overlap=state.overlap, chaos_shim=shim,
-        )
-
-    def on_abort(self) -> bool:
-        """Whether an interrupted iteration is an abort to recover from
-        (reply ``aborted``) rather than an error. Always, here — and the
-        queues survive as-is: stale traffic is generation-filtered at
-        the receivers."""
-        return True
-
-    def close(self) -> None:
-        pass
 
 
 # ------------------------------------------------------------------ worker
@@ -584,8 +316,7 @@ class _Worker:
     """One pool worker: the command handlers and their dispatch table.
 
     Handlers return the ``(kind, payload)`` to reply with; ``link`` is
-    the worker end of the ring (queue or socket) and contributes the
-    ops only its transport needs.
+    the worker end of the ring and contributes the mesh ops.
     """
 
     def __init__(self, rank: int, res, link):
@@ -641,11 +372,12 @@ class _Worker:
             self.state.close()
         self.state = _WorkerState(self.rank, setup, self._pulse)
         if setup.health is not None and self._beat is None:
-            # Beats ride the response channel in the link's encoding (a
-            # plain tuple on queues, a HEARTBEAT control frame on tcp).
+            # Beats ride the response channel as HEARTBEAT control
+            # frames — the same bytes a multi-host deployment would send
+            # down a coordinator socket.
             self._beat = HeartbeatSender(
                 lambda seq, phase, progress: self.reply(
-                    "beat", self.link.encode_beat(seq, phase, progress)
+                    "beat", encode_heartbeat(self.rank, seq, progress, phase)
                 ),
                 setup.health.interval_s,
                 self._pulse,
@@ -664,11 +396,11 @@ class _Worker:
         self.state.replan(protocol, homes)
         return "replanned", None
 
-    def iter(self, mu, orders, n_expected, gen, model_rank, crash) -> tuple:
+    def iter(self, mu, orders, n_expected, model_rank, crash) -> tuple:
         state = self.state
         plan = RoutePlan.from_orders(orders, state.protocol)
         shim = state.chaos_shim()
-        transport = self.link.transport(state, gen, shim)
+        transport = self.link.transport(state, shim)
         try:
             try:
                 payload = _run_worker_iteration(
@@ -678,7 +410,8 @@ class _Worker:
             finally:
                 self._pulse.enter("idle")
                 transport.close()
-        except self.link.abort_errors:
+        except ProtocolError:
+            # A peer vanished mid-iteration (EOF or reset on its sockets).
             if not self.link.on_abort():
                 raise
             return "aborted", traceback.format_exc()

@@ -30,9 +30,8 @@ Two front ends consume the shared sampler:
 
 * :class:`~repro.distributed.costmodel.ChaosTimeline` charges the
   degradations to the simulated engines' virtual clocks;
-* :class:`ChaosShim` injects them into the wall-clock transports as
-  real sleeps between ``framing`` and the wire (the queue transport
-  sleeps before the put — the queue *is* its wire).
+* :class:`ChaosShim` injects them into the wall-clock ring transport
+  as real sleeps between ``framing`` and the wire.
 
 Both are recreated per iteration, so link streams realign across
 engines regardless of how many iterations each has run.
@@ -333,14 +332,14 @@ class _ChaosState:
 class ChaosShim(_ChaosState):
     """Wall-clock front end: real injected latency per hop.
 
-    Created per iteration by the queue/socket transports, sandwiched
+    Created per iteration by the socket ring transport, sandwiched
     between :mod:`~repro.distributed.framing` and the wire: the
     transport asks :meth:`send_delay` for each outgoing submodel
     message (one draw per hop, aligning the link streams with the
     simulators), accumulates the answer per destination, and sleeps it
-    off immediately before the frame's socket write / queue put — on
-    the background sender thread under ``overlap_send``, so overlap
-    hides injected latency exactly as it hides real latency.
+    off immediately before the frame's socket write — on the
+    background sender thread under ``overlap_send``, so overlap hides
+    injected latency exactly as it hides real latency.
 
     ``now`` for partition windows is wall seconds since the shim was
     created (= since the iteration's transport came up).

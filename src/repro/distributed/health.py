@@ -22,11 +22,10 @@ heartbeat plane:
   *this* phase, not since some previous iteration — and fail a stalled
   worker long before the hard ``worker_timeout`` cap would fire.
 
-Transport framing differs per backend (the tcp workers beat with encoded
-:func:`~repro.distributed.framing.encode_heartbeat` control frames, the
-mp workers with plain queue pings) but both feed the same monitor, and
-the per-iteration ``health_*`` counters surface identically through
-``IterationStats.extra``.
+Workers on both wall-clock engines beat with encoded
+:func:`~repro.distributed.framing.encode_heartbeat` control frames over
+their response pipe; the per-iteration ``health_*`` counters surface
+identically through ``IterationStats.extra`` on all four engines.
 
 The monitor itself is single-threaded (the coordinator's gather loop is
 the only caller); only :class:`WorkerPulse` is touched from two threads,
@@ -135,12 +134,12 @@ class WorkerPulse:
 class HeartbeatSender:
     """One worker's beat thread.
 
-    ``emit(seq, phase, progress)`` is the transport-specific send — the
-    mp workers enqueue a plain tuple, the tcp workers an encoded
-    HEARTBEAT frame — and must be safe to call concurrently with the
-    main thread's replies (the workers wrap the response channel in a
-    send lock). Emit errors end the thread quietly: if the response
-    channel is gone the coordinator is tearing us down anyway.
+    ``emit(seq, phase, progress)`` is the send — the wall-clock workers
+    write an encoded HEARTBEAT frame to their response pipe — and must
+    be safe to call concurrently with the main thread's replies (the
+    workers wrap the response channel in a send lock). Emit errors end
+    the thread quietly: if the response channel is gone the coordinator
+    is tearing us down anyway.
     """
 
     def __init__(self, emit, interval_s: float, pulse: WorkerPulse):

@@ -3,7 +3,7 @@
 The paper's generality claim, as a test suite: for a fixed seed and no
 within-shard shuffling, the deterministic visit sequence of the counter
 protocol makes **every registered engine** — sync tick simulation,
-discrete-event simulation, real OS processes over queues, real OS
+discrete-event simulation, real OS processes over unix sockets, real OS
 processes over TCP sockets — produce *bit-identical* final submodels,
 for a binary autoencoder and for a deep net alike.
 
@@ -180,7 +180,7 @@ class TestConformanceNet:
     @pytest.mark.parametrize("name", WALLCLOCK_BACKENDS)
     def test_deep_net_trains_on_real_processes(self, net_problem, name):
         # The acceptance headline: a DeepNet end-to-end on real processes
-        # (queue ring and socket ring alike).
+        # (unix-socket ring and TCP ring alike).
         X, Y = net_problem
         adapter, shards = net_setup(X, Y)
         before = adapter.model.loss(X, Y)
@@ -203,7 +203,7 @@ class TestTransportBackpressure:
         import socket
         import threading
 
-        from repro.distributed.backends.tcp import _SocketRingTransport
+        from repro.distributed.backends.ring import _SocketRingTransport
         from repro.distributed.interfaces import SubmodelSpec
         from repro.distributed.messages import SubmodelMessage
         from repro.optim.sgd import SGDState
@@ -258,12 +258,14 @@ class TestTransportBackpressure:
 
 
 class TestTCPWire:
-    """Socket-specific behaviour: framing stats and hop coalescing."""
+    """Socket-ring behaviour: framing stats and hop coalescing (on both
+    wall-clock engines — they share the ring), and tcp's port policy."""
 
-    def test_wire_stats_surfaced(self, X):
+    @pytest.mark.parametrize("name", WALLCLOCK_BACKENDS)
+    def test_wire_stats_surfaced(self, X, name):
         adapter, shards = ba_setup(X)
         with ParMACTrainer(
-            adapter, GeometricSchedule(1e-3, 2.0, 2), backend="tcp", seed=0
+            adapter, GeometricSchedule(1e-3, 2.0, 2), backend=name, seed=0
         ) as trainer:
             history = trainer.fit(shards)
         rec = history.records[-1]
@@ -273,10 +275,11 @@ class TestTCPWire:
         # Frame overhead: wire bytes strictly exceed raw payload bytes.
         assert rec.extra["bytes_sent"] > rec.extra["payload_bytes"]
 
-    def test_batching_coalesces_frames(self, X):
+    @pytest.mark.parametrize("name", WALLCLOCK_BACKENDS)
+    def test_batching_coalesces_frames(self, X, name):
         adapter, shards = ba_setup(X)
         with ParMACTrainer(
-            adapter, GeometricSchedule(1e-3, 2.0, 2), backend="tcp",
+            adapter, GeometricSchedule(1e-3, 2.0, 2), backend=name,
             epochs=2, shuffle_within=False, seed=0,
         ) as trainer:
             history = trainer.fit(shards)
@@ -287,8 +290,8 @@ class TestTCPWire:
         assert 0 < rec.extra["frames"] < rec.extra["hops"]
 
     def test_batching_does_not_change_bits(self, X):
-        # The queue ring delivers one message at a time, the socket ring
-        # one coalesced frame per destination: same bits either way.
+        # One coalesced frame per destination, over unix sockets or TCP:
+        # same bits either way.
         finals = {}
         for name in ("tcp", "multiprocess"):
             adapter, shards = ba_setup(X)
@@ -733,6 +736,33 @@ class TestElasticConformance:
         assert any(
             not np.array_equal(plain[sid], joined[sid]) for sid in plain
         )
+
+    def test_joins_are_unbounded_on_multiprocess(self, X):
+        """Standing workers link a joiner in by handshake, so nothing
+        is provisioned at spawn and nothing runs out: five consecutive
+        joins stay bit-identical to the simulated reference."""
+        from repro.data.synthetic import make_clustered
+
+        joins = {
+            it: [make_clustered(10, X.shape[1], n_clusters=3, rng=30 + it)]
+            for it in range(1, 6)
+        }
+        finals = {}
+        for name in (REFERENCE, "multiprocess"):
+            adapter, shards = ba_setup(X)
+            with ParMACTrainer(
+                adapter, GeometricSchedule(1e-3, 2.0, 7), backend=name,
+                epochs=2, shuffle_within=False, seed=0,
+            ) as trainer:
+                history = trainer.fit(shards, joins=joins)
+            assert [r.extra["n_machines"] for r in history.records] == [
+                3, 4, 5, 6, 7, 8, 8
+            ]
+            finals[name] = final_params(adapter)
+        for sid in finals[REFERENCE]:
+            assert np.array_equal(
+                finals[REFERENCE][sid], finals["multiprocess"][sid]
+            ), sid
 
 
 class TestCheckpointRestore:

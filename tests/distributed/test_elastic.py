@@ -4,8 +4,7 @@ Regression coverage for the three historical ``add_machine`` bugs —
 unvalidated shards joining silently, joins perturbing the route RNG
 (breaking bit-parity for the rest of the fit), and the donor model being
 cloned from a possibly-stale store — plus property tests for the
-:class:`~repro.distributed.dataplane.ClusterState` snapshot format and
-the multiprocess pool's join-slot growth path.
+:class:`~repro.distributed.dataplane.ClusterState` snapshot format.
 """
 
 import numpy as np
@@ -16,8 +15,6 @@ from hypothesis import strategies as st
 from repro.autoencoder import BinaryAutoencoder
 from repro.autoencoder.adapter import BAAdapter
 from repro.autoencoder.init import init_codes_pca
-from repro.core.penalty import GeometricSchedule
-from repro.core.trainer import ParMACTrainer
 from repro.distributed.backends import get_backend
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.dataplane import ClusterState, DataPlane
@@ -47,10 +44,6 @@ def ba_setup(X, P=3, n_bits=4, seed=0):
 def make_cluster(X, P=3, seed=0, **kwargs):
     adapter, shards = ba_setup(X, P=P, seed=seed)
     return SimulatedCluster(adapter, shards, seed=seed, **kwargs)
-
-
-def final_params(adapter):
-    return {s.sid: adapter.get_params(s).copy() for s in adapter.submodel_specs()}
 
 
 class TestAddMachineValidation:
@@ -401,28 +394,3 @@ class TestCheckpointGuards:
             assert stats.n_machines == 3 and stats.machines_added == 0
         finally:
             backend.close()
-
-
-class TestMultiprocessJoinSlots:
-    def test_exhausted_slots_grow_the_pool_bit_identically(self, X):
-        # join_slots=0 forces the transparent pool rebuild on the first
-        # join; the fit must still match the simulated reference bit for
-        # bit.
-        schedule = GeometricSchedule(1e-3, 2.0, 4)
-        joins = {2: [X[:15]]}
-        finals = {}
-        for name, options in [
-            ("sync", {}),
-            ("multiprocess", {"join_slots": 0}),
-        ]:
-            adapter, shards = ba_setup(X)
-            trainer = ParMACTrainer(
-                adapter, schedule, backend=name, epochs=2,
-                shuffle_within=False, seed=0, backend_options=options,
-            )
-            history = trainer.fit(shards, joins=joins)
-            trainer.close()
-            finals[name] = final_params(adapter)
-            assert [r.extra["machines_added"] for r in history.records] == [0, 0, 1, 0]
-        for sid in finals["sync"]:
-            assert np.array_equal(finals["sync"][sid], finals["multiprocess"][sid])

@@ -36,11 +36,8 @@ from repro.core.penalty import GeometricSchedule
 from repro.core.trainer import ParMACTrainer
 from repro.distributed.backends import get_backend
 from repro.distributed.backends.mp import MultiprocessBackend
-from repro.distributed.backends.tcp import (
-    TCPBackend,
-    _connect_with_retry,
-    _read_frames,
-)
+from repro.distributed.backends.ring import _connect_with_retry, _read_frames
+from repro.distributed.backends.tcp import TCPBackend
 from repro.distributed.framing import ProtocolError, encode_hello
 
 from tests.distributed.test_wallclock_faults import (
@@ -125,6 +122,22 @@ class TestConnectRetry:
         ) as trainer:
             history = trainer.fit(shards)
         assert np.isfinite(history.records[-1].e_q)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", WALLCLOCK_BACKENDS)
+    def test_mesh_setup_of_a_pool_larger_than_a_short_backlog(self, X, name):
+        """Every worker dials all its peers before it accepts any, so a
+        listener's backlog must hold P - 1 dials: with ``listen(16)`` a
+        20-worker mesh deadlocked (workers shut out of one full backlog
+        never got to accept the dials filling their own) until
+        ``connect_timeout`` failed the setup."""
+        adapter, shards = ba_setup(X, P=20)
+        backend = get_backend(name)(seed=0, worker_timeout=FAULT_DETECTION_TIMEOUT_S)
+        try:
+            backend.setup(adapter, shards)
+            assert np.isfinite(backend.run_iteration(1e-3).e_q)
+        finally:
+            backend.close()
 
 
 # -------------------------------------------------------- handshake stalls

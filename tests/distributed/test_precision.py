@@ -170,9 +170,10 @@ class TestMessageDtypeAllBackends:
             h_full.records[-1].e_q, rel=0.02
         )
 
-    def test_tcp_wire_bytes_shrink(self, X):
-        _, h_full = fit(lambda: ba_setup(X), "tcp")
-        _, h_low = fit(lambda: ba_setup(X), "tcp", message_dtype=np.float32)
+    @pytest.mark.parametrize("name", ["tcp", "multiprocess"])
+    def test_tcp_wire_bytes_shrink(self, X, name):
+        _, h_full = fit(lambda: ba_setup(X), name)
+        _, h_low = fit(lambda: ba_setup(X), name, message_dtype=np.float32)
         assert h_low.records[-1].extra["payload_bytes"] < (
             0.6 * h_full.records[-1].extra["payload_bytes"]
         )

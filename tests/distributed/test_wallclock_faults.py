@@ -11,6 +11,8 @@ never arrive — and a fit that fails for any reason must leave no
 
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -110,6 +112,62 @@ class TestWorkerDeath:
         assert backend.worker_pids == []
         assert shm_entries() <= shm_before
         backend.close()
+
+    def test_interpreter_exits_after_failed_setup(self, name):
+        """After that failed setup the process must still be able to
+        exit. The dead worker's command queue holds a setup message too
+        big for the pipe buffer (D=960, L=32), so its feeder thread is
+        blocked writing to a reader that is gone; a pool close that
+        merely dropped the queue left ``multiprocessing``'s exit handler
+        joining that thread forever. Closing the pool must end it (exit
+        status 8 if it is still alive), without a traceback of its own."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", EXIT_AFTER_FAILED_SETUP, name],
+            env=env, timeout=10, capture_output=True, text=True,
+        )
+        assert done.returncode == 7, done.stderr
+        assert "died mid-" in done.stdout
+        assert "Traceback" not in done.stderr
+
+
+#: Exits 7 when the documented error was raised, the pool's close left no
+#: queue feeder behind, and ``main`` returned.
+EXIT_AFTER_FAILED_SETUP = """
+import os, signal, sys, threading, time
+import numpy as np
+from repro.autoencoder import BinaryAutoencoder
+from repro.autoencoder.adapter import BAAdapter
+from repro.distributed.backends import get_backend
+from repro.distributed.partition import make_shards, partition_indices
+
+def main(name):
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(64, 960))
+    adapter = BAAdapter(BinaryAutoencoder.linear(960, 32))
+    Z = rng.integers(0, 2, size=(64, 32), dtype=np.uint8)
+    shards = make_shards(X, adapter.features(X), Z, partition_indices(64, 2, rng=0))
+    backend = get_backend(name)(seed=0, worker_timeout=20.0)
+    backend.setup(adapter, shards)
+    backend.run_iteration(1e-3)
+    backend.teardown()
+    os.kill(backend.worker_pids[0], signal.SIGKILL)
+    try:
+        backend.setup(adapter, shards)
+    except RuntimeError as exc:
+        print(exc)
+    else:
+        return 1
+    backend.close(force=True)
+    deadline = time.monotonic() + 5.0
+    while any(t.name == "QueueFeederThread" for t in threading.enumerate()):
+        if time.monotonic() > deadline:
+            return 8
+        time.sleep(0.05)
+    return 7
+
+sys.exit(main(sys.argv[1]))
+"""
 
 
 @pytest.mark.parametrize("name", WALLCLOCK_BACKENDS)
@@ -336,15 +394,29 @@ class TestDropShard:
         assert [r.extra["n_machines"] for r in history.records] == [3, 2, 2, 2]
         assert all(np.isfinite(r.e_q) for r in history.records)
 
-    def test_model_holder_death_after_last_send(self, X, name):
+    @pytest.mark.parametrize("send_in_flight", [False, True])
+    def test_model_holder_death_after_last_send(self, X, name, send_in_flight):
         """When the model-holding rank (lowest) dies after its last ring
         send, the completed attempt must still be accepted — the model is
-        fetched from a survivor (every worker holds the final copies)."""
+        fetched from a survivor (every worker holds the final copies).
+
+        ``send_in_flight``: the same death at Z-step entry, but with the
+        last send possibly still leaving. Under ``overlap_send`` the
+        final-lap frames are written by a background thread while the Z
+        step starts, and a 32769-float encoder submodel (256 KiB) does
+        not fit a socket buffer, so the kill can land mid-``sendall``.
+        Then a survivor reads a truncated frame, aborts, and the attempt
+        is retried on the rebuilt mesh instead of kept — either way the
+        fit must come out the same shape, and nothing may wedge.
+        """
+        options = {"worker_timeout": FAULT_DETECTION_TIMEOUT_S * 3}
+        if send_in_flight:
+            X = np.random.default_rng(4).normal(size=(60, 1 << 15))
+            options["overlap_send"] = True
         adapter, shards = killable_setup(X, P=3, kills={0: 2e-3}, kill_in_z=True)
         with ParMACTrainer(
             adapter, GeometricSchedule(1e-3, 2.0, 4), backend=name, seed=0,
-            fault_policy="drop_shard",
-            backend_options={"worker_timeout": FAULT_DETECTION_TIMEOUT_S * 3},
+            fault_policy="drop_shard", backend_options=options,
         ) as trainer:
             history = trainer.fit(shards)
         assert len(history) == 4
