@@ -688,6 +688,7 @@ class MultiprocessBackend(BaseBackend):
             for key, value in (payloads[r].get("wire") or {}).items():
                 wire[key] = wire.get(key, 0) + value
         extra = {"wall_time": wall, "w_time": w_time, "z_time": z_time}
+        extra["stats_time"] = max(payloads[r]["stats_time"] for r in ranks)
         extra.update(wire)
         extra.update(self._dtype_extras())
         if respawn:

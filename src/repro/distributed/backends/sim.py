@@ -147,9 +147,9 @@ class _SimBackend(BaseBackend):
                 f"injected fault at tick {fault.tick} never fired: the W "
                 f"step finished after {wstats.ticks} ticks"
             )
-        violations = sum(
-            self.adapter.violations_shard(cluster.shards[p]) for p in cluster.machines
-        )
+        t0 = time.perf_counter()
+        e_q, e_ba, violations = cluster.stats(mu)
+        stats_time = time.perf_counter() - t0
         self._iterations_done += 1
         respawn_extras = (
             {"respawns": respawns, "respawn_wait_s": 0.0}
@@ -158,8 +158,8 @@ class _SimBackend(BaseBackend):
         )
         return IterationStats(
             mu=float(mu),
-            e_q=cluster.e_q(mu),
-            e_ba=cluster.e_ba(),
+            e_q=e_q,
+            e_ba=e_ba,
             z_changes=zstats.z_changes,
             violations=violations,
             time=wstats.sim_time + zstats.sim_time,
@@ -173,6 +173,7 @@ class _SimBackend(BaseBackend):
                 "wall_time": wall,
                 "w_time": wstats.wall_time,
                 "z_time": zstats.wall_time,
+                "stats_time": stats_time,
                 **wstats.chaos,
                 **self._dtype_extras(),
                 **respawn_extras,

@@ -299,11 +299,13 @@ def _run_worker_iteration(state: _WorkerState, mu, plan, n_expected, transport,
     # next iteration opens a fresh transport whose frames must not
     # interleave with a still-draining sender.
     transport.drain()
-
+    t_s0 = time.perf_counter()
+    e_q, e_ba, violations = adapter.shard_stats(shard, mu)
     return {
-        "e_q": adapter.e_q_shard(shard, mu),
-        "e_ba": adapter.e_ba_shard(shard),
-        "violations": adapter.violations_shard(shard),
+        "stats_time": time.perf_counter() - t_s0,
+        "e_q": e_q,
+        "e_ba": e_ba,
+        "violations": violations,
         "z_changes": z_changes,
         "w_time": t_w,
         "z_time": t_z,

@@ -922,12 +922,17 @@ class SimulatedCluster:
                     return False
         return True
 
-    def e_q(self, mu: float) -> float:
-        """Global E_Q from per-shard contributions (no data movement)."""
-        return float(
-            sum(self.adapter.e_q_shard(self.shards[p], mu) for p in self.machines)
-        )
+    def stats(self, mu: float) -> tuple[float, float, float]:
+        """Global ``(E_Q, nested objective, violations)``: one statistics
+        pass per shard, summed in ring order (no data movement)."""
+        e_q = e_ba = violations = 0
+        for p in self.machines:
+            q, b, v = self.adapter.shard_stats(self.shards[p], mu)
+            e_q += q
+            e_ba += b
+            violations += v
+        return float(e_q), float(e_ba), violations
 
-    def e_ba(self) -> float:
-        """Global nested objective from per-shard contributions."""
-        return float(sum(self.adapter.e_ba_shard(self.shards[p]) for p in self.machines))
+    def e_q(self, mu: float) -> float:
+        """Global E_Q from per-shard contributions."""
+        return self.stats(mu)[0]

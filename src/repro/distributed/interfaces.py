@@ -9,7 +9,9 @@ into an adapter for the actual numerics. An adapter supplies:
 * ``w_update`` — one SGD pass of one submodel over one shard (the
   travelling-submodel work unit);
 * ``z_update`` — the per-shard Z step given the assembled model;
-* objective evaluations for monitoring.
+* ``shard_stats`` — a shard's ``(E_Q, nested objective, violations)`` in
+  one call, which is what every engine makes per shard per iteration;
+  ``e_q_shard`` / ``e_ba_shard`` / ``violations_shard`` name its parts.
 
 This mirrors the paper's observation that ParMAC is a *meta*-algorithm: the
 ring protocol is identical for any nested model (section 9).
@@ -103,6 +105,12 @@ class ParMACAdapter(Protocol):
     def z_update(self, shard, mu: float) -> int:
         """Z step on one shard in place; returns the number of changed bits
         (or coordinates). Uses the adapter's assembled model."""
+        ...
+
+    def shard_stats(self, shard, mu: float) -> tuple[float, float, float]:
+        """``(e_q, e_ba, violations)`` of this shard under the assembled
+        model — the three statistics below, computed together. Required:
+        it is the one call the engines make per shard per iteration."""
         ...
 
     def e_q_shard(self, shard, mu: float) -> float:

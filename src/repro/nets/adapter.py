@@ -278,6 +278,10 @@ class NetAdapter:
         return changed
 
     # --------------------------------------------------------- objectives
+    def shard_stats(self, shard: NetShard, mu: float) -> tuple[float, float, float]:
+        """``(E_Q, nested objective, constraint residual)`` of one shard."""
+        return self.e_q_shard(shard, mu), self.e_ba_shard(shard), self.violations_shard(shard)
+
     def e_q_shard(self, shard: NetShard, mu: float) -> float:
         return self._ztrainer.e_q(shard.X, shard.Y, shard.Zs, mu)
 

@@ -1,9 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.autoencoder import BinaryAutoencoder
-from repro.autoencoder.adapter import BAAdapter
-from repro.distributed.partition import Shard
+from repro.autoencoder.adapter import BAAdapter, _take_columns
+from repro.autoencoder.init import init_codes_pca
+from repro.core.penalty import GeometricSchedule
+from repro.core.trainer import ParMACTrainer
+from repro.data.synthetic import make_gist_like
+from repro.distributed.interfaces import ParMACAdapter
+from repro.distributed.partition import Shard, make_shards, partition_indices
+from repro.nets.adapter import NetAdapter
+from repro.nets.deepnet import DeepNet
 from repro.optim.sgd import SGDState
 
 
@@ -150,3 +161,330 @@ class TestZUpdateAndObjectives:
     def test_init_codes_match_encode(self, shard):
         adapter, s = shard
         assert np.array_equal(adapter.init_codes(s.F), adapter.model.encode(s.X))
+
+
+# ------------------------------------------------------------------ oracles
+# The expression forms the batched kernels and the shard statistics had
+# before they were rewritten over preallocated buffers and row blocks.
+# The kernels must match them bit for bit; the statistics to summation
+# order (E_Q, E_BA) and exactly (violations).
+def oracle_batch_enc(adapter, specs, thetas, states, shard, batch_size):
+    enc = adapter.model.encoder
+    cd = adapter.compute_dtype
+    lam = enc.lam
+    F = np.asarray(shard.F, dtype=cd)
+    bits = np.fromiter((spec.index for spec in specs), dtype=np.intp)
+    Yt = 2.0 * shard.Z[:, bits].astype(cd) - 1.0
+    Theta = np.stack([np.asarray(th, dtype=cd).ravel() for th in thetas])
+    W = np.ascontiguousarray(Theta[:, :-1])
+    b = np.ascontiguousarray(Theta[:, -1])
+    n = shard.n
+    for start in range(0, n, batch_size):
+        sl = slice(start, min(start + batch_size, n))
+        m_b = sl.stop - sl.start
+        etas = np.array([enc.schedule.rate(st.t) for st in states]).astype(cd)
+        scores = F[sl] @ W.T + b
+        Ya = Yt[sl] * ((Yt[sl] * scores) < 1.0)
+        W -= etas[:, None] * (lam * W - (Ya.T @ F[sl]) / m_b)
+        b -= etas * (-Ya.sum(axis=0) / m_b)
+        for st in states:
+            st.advance(m_b)
+    return [np.concatenate([W[i], b[i : i + 1]]) for i in range(len(specs))]
+
+
+def oracle_batch_dec(adapter, specs, thetas, states, shard, batch_size):
+    dec = adapter.model.decoder
+    cd = adapter.compute_dtype
+    L = adapter.model.n_bits
+    groups = [np.asarray(spec.index, dtype=np.intp) for spec in specs]
+    sizes = [len(rows) for rows in groups]
+    Z = shard.Z.astype(cd)
+    T = np.asarray(shard.X, dtype=cd)[:, np.concatenate(groups)]
+    W_blocks, c_blocks = [], []
+    for theta, rows in zip(thetas, groups):
+        theta = np.asarray(theta, dtype=cd).ravel()
+        kk = len(rows) * L
+        W_blocks.append(theta[:kk].reshape(len(rows), L))
+        c_blocks.append(theta[kk:])
+    W = np.ascontiguousarray(np.vstack(W_blocks))
+    c = np.concatenate(c_blocks)
+    group_of_row = np.repeat(np.arange(len(specs), dtype=np.intp), sizes)
+    n = shard.n
+    for start in range(0, n, batch_size):
+        sl = slice(start, min(start + batch_size, n))
+        m_b = sl.stop - sl.start
+        etas = np.array([dec.schedule.rate(st.t) for st in states]).astype(cd)
+        eta_rows = etas[group_of_row]
+        resid = Z[sl] @ W.T + c - T[sl]
+        W -= eta_rows[:, None] * ((2.0 / m_b) * (resid.T @ Z[sl]))
+        c -= eta_rows * ((2.0 / m_b) * resid.sum(axis=0))
+        for st in states:
+            st.advance(m_b)
+    out, offset = [], 0
+    for size in sizes:
+        rows = slice(offset, offset + size)
+        out.append(np.concatenate([W[rows].ravel(), c[rows]]))
+        offset += size
+    return out
+
+
+ORACLE_KERNEL = {"enc": oracle_batch_enc, "dec": oracle_batch_dec}
+
+
+def oracle_stats(adapter, shard, mu):
+    cd = adapter.compute_dtype
+    decode = adapter.model.decoder.decode
+    Zf = shard.Z.astype(cd)
+    H = adapter._encode_features(shard.F)
+    R = shard.X - decode(Zf)
+    dzh = Zf - H.astype(cd)
+    e_q = float((R * R).sum() + mu * (dzh * dzh).sum())
+    R = shard.X - decode(H)
+    return e_q, float((R * R).sum()), int((shard.Z != H).sum())
+
+
+def random_problem(n, D, L, dtype=np.float64, seed=0, n_decoder_groups=None):
+    """A BA with generic (non-zero) parameters and a shard of n rows."""
+    rng = np.random.default_rng(seed)
+    ba = BinaryAutoencoder.linear(D, L, dtype=dtype)
+    ba.encoder.A[:] = 0.3 * rng.normal(size=ba.encoder.A.shape)
+    ba.encoder.a[:] = 0.1 * rng.normal(size=L)
+    ba.decoder.B[:] = 0.3 * rng.normal(size=ba.decoder.B.shape)
+    ba.decoder.c[:] = 0.1 * rng.normal(size=D)
+    adapter = BAAdapter(ba, n_decoder_groups=n_decoder_groups)
+    X = rng.normal(size=(n, D)).astype(dtype)
+    Z = rng.integers(0, 2, size=(n, L)).astype(np.uint8)
+    return adapter, Shard(X=X, F=adapter.features(X), Z=Z, indices=np.arange(n))
+
+
+def chained_passes(kernel, adapter, specs, shard, batch_size, ts):
+    """Two chained passes from the model's parameters; returns the final
+    thetas and the carried states."""
+    thetas = [adapter.get_params(spec) for spec in specs]
+    states = [SGDState(t=t, n_updates=3 * t) for t in ts]
+    for _ in range(2):
+        thetas = kernel(adapter, specs, thetas, states, shard, batch_size)
+    return thetas, states
+
+
+def assert_kernel_matches_oracle(adapter, specs, shard, batch_size, ts=None):
+    ts = [0] * len(specs) if ts is None else ts
+    kind = specs[0].kind
+
+    def kernel(adapter, specs, thetas, states, shard, batch_size):
+        return adapter.w_update_batch(
+            specs, thetas, states, shard, 1.0,
+            batch_size=batch_size, shuffle=False, rng=None,
+        )
+
+    got, got_states = chained_passes(kernel, adapter, specs, shard, batch_size, ts)
+    want, want_states = chained_passes(
+        ORACLE_KERNEL[kind], adapter, specs, shard, batch_size, ts
+    )
+    assert got_states == want_states
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def of_kind(adapter, kind):
+    return [s for s in adapter.submodel_specs() if s.kind == kind]
+
+
+class TestBatchedKernelsMatchExpressionForm:
+    """The buffered kernels keep the expression forms' bits."""
+
+    # batch_size 50: a multiple, a ragged tail, n < batch_size, empty.
+    @pytest.mark.parametrize("n", [100, 130, 37, 0])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", ["enc", "dec"])
+    def test_full_convoy(self, kind, dtype, n):
+        adapter, shard = random_problem(n, 24, 6, dtype)
+        assert_kernel_matches_oracle(adapter, of_kind(adapter, kind), shard, 50)
+
+    @pytest.mark.parametrize("kind", ["enc", "dec"])
+    def test_each_state_keeps_its_own_rate(self, kind):
+        adapter, shard = random_problem(130, 24, 6)
+        specs = of_kind(adapter, kind)
+        assert_kernel_matches_oracle(
+            adapter, specs, shard, 50, ts=[0, 7, 7, 200, 3, 0][: len(specs)]
+        )
+
+    @pytest.mark.parametrize("order", [[4, 1, 2], [0, 2, 3], [3, 2, 1, 0]])
+    def test_noncontiguous_decoder_groups_take_the_gather(self, order):
+        adapter, shard = random_problem(130, 24, 6)
+        dec = of_kind(adapter, "dec")
+        specs = [dec[i] for i in order]
+        cols = np.concatenate([np.asarray(s.index) for s in specs])
+        assert not np.shares_memory(_take_columns(shard.X, cols), shard.X)
+        assert_kernel_matches_oracle(adapter, specs, shard, 50)
+
+    def test_a_home_block_of_decoder_groups_is_a_view(self):
+        adapter, shard = random_problem(10, 24, 6)
+        specs = of_kind(adapter, "dec")[1:4]
+        cols = np.concatenate([np.asarray(s.index) for s in specs])
+        T = _take_columns(shard.X, cols)
+        assert np.shares_memory(T, shard.X)
+        assert np.array_equal(T, shard.X[:, cols])
+
+    @given(
+        n=st.integers(0, 70),
+        D=st.integers(2, 20),
+        L=st.integers(1, 5),
+        batch_size=st.integers(1, 40),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        kind=st.sampled_from(["enc", "dec"]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_shape_any_subset(self, n, D, L, batch_size, dtype, kind, seed):
+        adapter, shard = random_problem(n, D, L, dtype, seed)
+        rng = np.random.default_rng(seed)
+        specs = of_kind(adapter, kind)
+        # A random same-kind subset in random order, with random counters.
+        pick = rng.permutation(len(specs))[: rng.integers(1, len(specs) + 1)]
+        specs = [specs[i] for i in pick]
+        ts = [int(t) for t in rng.integers(0, 3, size=len(specs))]
+        assert_kernel_matches_oracle(adapter, specs, shard, batch_size, ts)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_per_unit_decoder_update_is_unchanged_by_the_view(self, dtype):
+        # w_update(kind="dec") slices its contiguous rows; a spec whose
+        # rows are the same set out of order still gathers. Both must
+        # give what LinearRegression gives on the gathered columns.
+        from repro.distributed.interfaces import SubmodelSpec
+        from repro.optim.linreg import LinearRegression
+
+        adapter, shard = random_problem(130, 24, 6, dtype)
+        spec = of_kind(adapter, "dec")[2]
+        for rows in (spec.index, spec.index[::-1]):
+            theta0 = adapter.model.decoder.row_params(np.asarray(rows))
+            reg = LinearRegression(
+                6, len(rows), schedule=adapter.model.decoder.schedule, dtype=dtype
+            )
+            reg.set_params(theta0)
+            reg.partial_fit(
+                shard.Z.astype(dtype), shard.X[:, np.asarray(rows)], SGDState(),
+                batch_size=50, shuffle=False,
+            )
+            got = adapter.w_update(
+                SubmodelSpec(sid=spec.sid, kind="dec", index=rows), theta0,
+                SGDState(), shard, 1.0, batch_size=50, shuffle=False, rng=None,
+            )
+            assert np.array_equal(got, reg.get_params())
+
+    def test_sync_fit_is_bit_identical_to_the_expression_forms(self, monkeypatch):
+        """The bench's train_w32_tcp shape, shrunk: P = 2, two epochs,
+        batched W, alternating Z."""
+
+        def fit():
+            X = make_gist_like(400, 96, n_clusters=10, rng=0)
+            ba = BinaryAutoencoder.linear(96, 32)
+            adapter = BAAdapter(ba)
+            Z0, _ = init_codes_pca(X, 32, rng=0)
+            shards = make_shards(
+                X, adapter.features(X), Z0, partition_indices(400, 2, rng=0)
+            )
+            trainer = ParMACTrainer(
+                adapter, GeometricSchedule(1e-3, 2.0, 4), backend="sync",
+                epochs=2, shuffle_within=False, batch_size=100, seed=0,
+            )
+            history = trainer.fit(shards)
+            trainer.close()
+            return [adapter.get_params(s) for s in adapter.submodel_specs()], history
+
+        new, new_history = fit()
+        visits = []
+
+        def counted(kernel):
+            def run(*args):
+                visits.append(kernel)
+                return kernel(*args)
+            return run
+
+        monkeypatch.setattr(BAAdapter, "_w_update_batch_enc", counted(oracle_batch_enc))
+        monkeypatch.setattr(BAAdapter, "_w_update_batch_dec", counted(oracle_batch_dec))
+        old, old_history = fit()
+        # 4 iterations x 2 epochs x 2 machines, one convoy of each kind.
+        assert visits.count(oracle_batch_enc) == visits.count(oracle_batch_dec) == 16
+        assert all(np.array_equal(a, b) for a, b in zip(new, old))
+        assert [(r.z_changes, r.violations) for r in new_history.records] == [
+            (r.z_changes, r.violations) for r in old_history.records
+        ]
+
+
+class TestShardStats:
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 2000])
+    @pytest.mark.parametrize("mu", [0.0, 0.7])
+    def test_matches_model_and_expression_form(self, n, mu):
+        adapter, s = random_problem(n, 40, 8, seed=n)
+        e_q, e_ba, violations = adapter.shard_stats(s, mu)
+        want_q, want_ba, want_v = oracle_stats(adapter, s, mu)
+        assert isinstance(violations, int) and violations == want_v
+        assert e_q == pytest.approx(want_q, rel=1e-12)
+        assert e_ba == pytest.approx(want_ba, rel=1e-12)
+        if n:
+            assert e_q == pytest.approx(adapter.model.e_q(s.X, s.Z, mu), rel=1e-12)
+            assert e_ba == pytest.approx(adapter.model.e_ba(s.X), rel=1e-12)
+        else:
+            assert (e_q, e_ba, violations) == (0.0, 0.0, 0)
+
+    def test_float32_model(self):
+        adapter, s = random_problem(600, 40, 8, np.float32)
+        e_q, e_ba, violations = adapter.shard_stats(s, 0.7)
+        want_q, want_ba, want_v = oracle_stats(adapter, s, 0.7)
+        assert violations == want_v
+        assert e_q == pytest.approx(want_q, rel=1e-5)
+        assert e_ba == pytest.approx(want_ba, rel=1e-5)
+
+    def test_the_three_statistics_are_its_components(self, shard):
+        adapter, s = shard
+        e_q, e_ba, violations = adapter.shard_stats(s, 0.7)
+        assert adapter.e_q_shard(s, 0.7) == e_q
+        assert adapter.e_ba_shard(s) == e_ba
+        assert adapter.violations_shard(s) == violations
+
+    def test_encodes_the_shard_once(self, shard, monkeypatch):
+        adapter, s = shard
+        calls = []
+        encode = adapter._encode_features
+        monkeypatch.setattr(
+            adapter, "_encode_features", lambda F: calls.append(1) or encode(F)
+        )
+        adapter.shard_stats(s, 0.5)
+        assert len(calls) == 1
+
+    def test_no_shard_sized_temporaries(self):
+        # A 2000 x 960 float64 shard is 15 MB; three expression-form
+        # statistics peak at 30 MB. One block buffer is 1.9 MB.
+        adapter, s = random_problem(2000, 960, 32)
+        adapter.shard_stats(s, 0.5)
+        tracemalloc.start()
+        try:
+            adapter.shard_stats(s, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_both_adapters_satisfy_the_protocol(self):
+        ba = BAAdapter(BinaryAutoencoder.linear(10, 4))
+        net = NetAdapter(DeepNet.create([4, 6, 2], rng=1))
+        assert isinstance(ba, ParMACAdapter)
+        assert isinstance(net, ParMACAdapter)
+
+    def test_net_adapter_composes_its_three_statistics(self):
+        from repro.nets.adapter import make_net_shards
+        from repro.nets.mac_net import MACTrainerNet
+
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(30, 4))
+        Y = np.sin(X @ rng.normal(size=(4, 2)))
+        net = DeepNet.create([4, 6, 2], rng=1)
+        adapter = NetAdapter(net)
+        Zs = MACTrainerNet(net, seed=0).init_coords(X)
+        (s,) = make_net_shards(X, Y, Zs, [np.arange(30)])
+        assert adapter.shard_stats(s, 0.5) == (
+            adapter.e_q_shard(s, 0.5), adapter.e_ba_shard(s), adapter.violations_shard(s)
+        )

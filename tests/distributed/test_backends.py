@@ -155,6 +155,15 @@ class TestConformanceBA:
     def test_iteration_counts_match(self, run, name):
         assert len(run(name)[0]) == len(run(REFERENCE)[0])
 
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_statistics_tail_is_timed_under_its_own_key(self, run, name):
+        # The shard-statistics pass runs after z_time stops; it is
+        # reported beside w_time/z_time and is not part of ``time``.
+        for rec in run(name)[0].records:
+            assert rec.extra["stats_time"] > 0
+            if name in WALLCLOCK_BACKENDS:
+                assert rec.time == rec.extra["w_time"] + rec.extra["z_time"]
+
 
 class TestConformanceNet:
     """Bit-parity of a deep-net fit across every engine."""
