@@ -2,13 +2,13 @@
 
 The training half of this repo produces a binary hash; this package is
 the query-side hot path that makes it useful at production scale — a
-packed-code index with a blocked streaming top-k scan kernel (never the
+packed-code index with a tiled streaming top-k scan kernel (never the
 ``n_q x n_base`` distance matrix), optional sharding across worker
 threads or processes with an exact heap merge, a dynamically micro-
 batching front end that coalesces concurrent queries into one stacked
 encode GEMM plus one shared scan, and an open-loop Poisson load
 generator with p50/p95/p99 + rows/s accounting. See
-``benchmarks/bench_serve.py`` for the measured speedups and
+``python3 bench/run.py --trace`` for the measured rungs and
 ``docs/architecture.md`` ("Serving") for the contracts.
 """
 

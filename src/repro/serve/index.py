@@ -1,44 +1,61 @@
-"""Packed-code Hamming index with a blocked streaming top-k scan kernel.
+"""Packed-code Hamming index with a tiled streaming top-k scan kernel.
 
-``examples/image_retrieval.py``'s offline evaluation calls
-``hamming_cdist`` and materialises the full ``n_q x n_base`` distance
-matrix — fine for scoring a figure, fatal for serving: at n_base = 10^9
-and n_q = 64 that matrix alone is 128 GB. The serving hot path here never
-builds it. :func:`hamming_topk` scans the base in blocks of ``block``
-rows, XOR+popcounts one block against all queries (one word at a time
-through reused scratch — never a (n_q, block, n_words) cube), and folds
-the block into a bounded per-query top-k "heap" (two (n_q, k) arrays
-kept sorted by the total order below). Peak scratch is
+The serving hot path never builds the ``n_q x n_base`` distance matrix
+that ``hamming_cdist`` does (128 GB at n_base = 10^9, n_q = 64). **A scan
+owns one k-heap from its first row to its last, whatever the rows are
+stored in**: :func:`_scan_segments` walks id-ascending ``(offset,
+codes)`` segments — an index buffer is one, a shard plus its streamed
+``add`` blocks is many — and folds them into one per-query top-k "heap"
+(two (n_q, k) arrays kept sorted by the total order below).
+:func:`hamming_topk` is the one-segment case.
 
-    ``n_q * block * 13`` bytes    (XOR word + distance/count + mask panes)
-  + ``O(n_q * (k + block))``      (merge keys for improved rows)
+**Three sizes**, module constants because each wants a different value:
 
-independent of ``n_base`` — the documented memory bound. After the heap
-is full, a block row enters the merge only if it strictly beats the
-current kth-best distance (one compare + count per pruned block):
-within one scan base indices only grow, so an equal-distance candidate
-can never displace an earlier index under the tie order. Dense blocks
-(always the first, rarely later ones) are first tightened by a per-row
-value partition at the block's own kth distance — keeping boundary ties
-— before the sparse gather/scatter merge.
+* *XOR/popcount call*: ``_XOR_ELEMS`` (128 Ki) uint64 elements shaped
+  ``g`` queries x ``t = clamp(_XOR_ELEMS // n_q, 4096, 32768)`` rows:
+  cache-sized, and a base tile is read once per query group. Rows per
+  call matter more than elements (a 64 x 512 call pays per-row iterator
+  overhead). Do not shrink it: with two thread shards every return from
+  a ~15 us call re-takes the GIL. Closed-loop ``steady_qps`` against the
+  old whole-block kernel, flat index / 2 thread shards: 32 Ki per call
+  1.35x / **0.71x**, 128 Ki 1.32x / 1.00x, 256 Ki 1.09x / 1.14x.
+* *Select step*: a distance pane + mask of ``_PANE_ELEMS`` (1 Mi)
+  elements, ``_PANE_ELEMS // n_q`` rows per compare/count/merge round
+  trip. uint8 (``bitwise_count``'s native output) when ``64 * n_words
+  <= 254``, else uint16; the dtype's max is the sentinel, above every
+  distance. Results are uint16 either way.
+* *Step growth*: a step takes ``min(pane rows, max(t, rows scanned so
+  far), rows left in the segment)``. The first is small (always dense:
+  every row beats the empty heap), later ones double, so hits per step
+  stay near ``k ln 2`` per query and a 1M-row scan does 7-20 merges.
+
+Queries beyond ``_PANE_ELEMS // 4096`` = 256 are scanned in chunks, so
+peak scratch (:meth:`HammingIndex.memory_bound`, held to ``tracemalloc``
+in the tests) depends on neither ``n_base`` nor ``n_q``: XOR words
+(1 MiB) + pane, mask and one partition copy (3-5 MiB) + ``O(256 k)``
+merge keys.
+
+A pane row enters the heap only by strictly beating the current kth-best
+distance: ids only grow along a scan — hence id-ascending segments — so
+an equal-distance candidate never displaces an earlier id. Dense steps
+are first tightened by a per-row partition at the step's own kth
+(boundary ties kept); a step still dense after that (duplicated codes)
+is folded pane-at-a-time. Both are exactness paths, not optimisations.
 
 **Total order / tie contract.** Every path — ``hamming_cdist`` + argsort,
 :func:`hamming_topk`, and the sharded merge — ranks by the lexicographic
 key (distance, base index): equal-distance neighbours in ascending index
 order, exactly a sequential scan in database order. Selection runs on the
-composite integer key ``distance * stride + id`` (``stride`` > any id),
-which makes top-k selection a *total* order with no arbitrary argpartition
-boundary choices. That is what makes the k-heap merge associative:
-merging per-shard top-k results (:func:`merge_topk`) over any disjoint
-shard partition returns results **exactly equal** — ids and distances,
-tie order included — to one flat scan.
+composite integer key ``distance * stride + id`` (``stride`` > any id), a
+*total* order with no arbitrary argpartition boundary choices. That makes
+the k-heap merge associative: :func:`merge_topk` over any disjoint shard
+partition returns results **exactly equal** — ids, distances and tie
+order — to one flat scan.
 
 :class:`HammingIndex` wraps the kernel with an amortised-doubling code
-buffer (``add()`` for streaming ingest without per-add copies).
-:class:`ShardedHammingIndex` partitions the base across worker threads or
-processes (``partition_indices`` contiguous splits; process shards ship
-their codes through the mp backend's shared-memory block packing), scans
-shards in parallel and merges exactly.
+buffer (``add()`` without per-add copies). :class:`ShardedHammingIndex`
+partitions the base across worker threads or processes (process shards
+get their codes through shared memory), scans in parallel, merges exactly.
 """
 
 from __future__ import annotations
@@ -61,70 +78,188 @@ __all__ = [
     "ShardedHammingIndex",
 ]
 
-#: Default base rows per scan block; 4096 rows x 1 word x 64 queries is a
-#: 2 MB XOR cube — comfortably cache-resident scratch.
-DEFAULT_BLOCK = 4096
-
-_DIST_SENTINEL = np.uint16(np.iinfo(np.uint16).max)
+#: uint64 elements per XOR/popcount call (1 MiB of XOR words).
+_XOR_ELEMS = 128 * 1024
+#: Clamp on the base rows of one XOR/popcount call.
+_TILE_ROWS_MIN, _TILE_ROWS_MAX = 4096, 32768
+#: Distance-pane (and mask) elements per select step.
+_PANE_ELEMS = 1 << 20
+#: Candidate elements per fold of the tie-explosion path.
+_FOLD_ELEMS = 16 * 1024
 
 
 def _check_packed(arr, *, name: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.uint64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional packed codes, got shape {arr.shape}")
-    if arr.shape[1] * 64 >= int(_DIST_SENTINEL):
-        raise ValueError(
-            f"{name} has {arr.shape[1]} words; distances would overflow uint16"
-        )
+    if arr.shape[1] * 64 >= np.iinfo(np.uint16).max:
+        raise ValueError(f"{name} has {arr.shape[1]} words; distances would overflow uint16")
     return arr
 
 
-def _block_dists(Q, blk, acc, xbuf, cbuf) -> np.ndarray:
-    """Hamming distances of all queries to one base block, into ``acc``.
+def _dist_dtype(n_words: int) -> np.dtype:
+    """Pane dtype: its max is the heap sentinel, above every distance."""
+    return np.dtype(np.uint8 if 64 * n_words <= 254 else np.uint16)
 
-    One XOR + popcount pass per code word through preallocated scratch —
-    no (n_q, block, n_words) cube, no per-block allocations on the
-    native-popcount path. The first word's counts land directly in
-    ``acc`` (no zero-fill, no add), so the common L <= 64 single-word
-    case is exactly two vector passes per block.
-    """
-    b = len(blk)
-    acc, xbuf, cbuf = acc[:, :b], xbuf[:, :b], cbuf[:, :b]
-    for w in range(Q.shape[1]):
-        np.bitwise_xor(Q[:, w][:, None], blk[None, :, w], out=xbuf)
-        tgt = acc if w == 0 else cbuf
-        if HAS_BITWISE_COUNT:
-            np.bitwise_count(xbuf, out=tgt, casting="unsafe")
-        else:
-            tgt[...] = popcount(xbuf)
-        if w:
-            np.add(acc, cbuf, out=acc)
-    return acc
+
+def _pane_dists(Qw, blk, D, xflat, cflat, g: int, t: int) -> None:
+    """Hamming distances of all queries to the rows of ``blk``, into ``D``:
+    ``g`` queries x ``t`` rows per XOR + popcount call through flat
+    scratch (contiguous per call). The first word's counts land directly
+    in the pane, so one-word codes take exactly two passes per tile."""
+    n_words, n_q = Qw.shape
+    for r0 in range(0, len(blk), t):
+        r1 = min(len(blk), r0 + t)
+        for q0 in range(0, n_q, g):
+            q1 = min(n_q, q0 + g)
+            shape = (q1 - q0, r1 - r0)
+            xb = xflat[: shape[0] * shape[1]].reshape(shape)
+            out = D[q0:q1, r0:r1]
+            for w in range(n_words):
+                np.bitwise_xor(Qw[w, q0:q1, None], blk[r0:r1, w], out=xb)
+                tgt = out if w == 0 else cflat[: xb.size].reshape(shape)
+                if HAS_BITWISE_COUNT:
+                    np.bitwise_count(xb, out=tgt)
+                else:
+                    tgt[...] = popcount(xb)
+                if w:
+                    np.add(out, tgt, out=out)
+
+
+def _take_topk(cand_d, cand_i, k_eff: int, stride):
+    """Per row, the ``k_eff`` smallest candidates under the composite
+    (distance, id) key, in that order."""
+    key = cand_d.astype(np.int64) * stride + cand_i
+    part = np.argpartition(key, k_eff - 1, axis=1)[:, :k_eff]
+    r = np.arange(len(key), dtype=np.intp)[:, None]
+    sel = part[r, np.argsort(key[r, part], axis=1)]
+    return cand_d[r, sel], cand_i[r, sel]
 
 
 def _select_rows(best_d, best_i, rows, cand_d, cand_i, stride) -> None:
-    """Fold dense per-row candidates into the heap rows (composite key)."""
-    k_eff = best_d.shape[1]
+    """Fold per-row candidates into the heap rows ``rows``."""
     cand_d = np.concatenate([best_d[rows], cand_d], axis=1)
     cand_i = np.concatenate([best_i[rows], cand_i], axis=1)
-    key = cand_d.astype(np.int64) * stride + cand_i
-    part = np.argpartition(key, k_eff - 1, axis=1)[:, :k_eff]
-    r = np.arange(len(rows), dtype=np.intp)[:, None]
-    order = np.argsort(key[r, part], axis=1)
-    sel = part[r, order]
-    best_d[rows] = cand_d[r, sel]
-    best_i[rows] = cand_i[r, sel]
+    best_d[rows], best_i[rows] = _take_topk(cand_d, cand_i, best_d.shape[1], stride)
+
+
+def _admit(best_d, best_i, D, mask, first_id: int, stride, sentinel) -> None:
+    """Fold one select step (``D[:, c]`` is id ``first_id + c``) into the heap."""
+    n_q, rows = D.shape
+    k_eff = best_d.shape[1]
+    # A row enters only by strictly beating the kth-best distance
+    # (sentinel until the heap fills). Ties lose by construction: every
+    # id in this step exceeds every id already held. count_nonzero is
+    # ~100x cheaper than nonzero: a steady-state step is compare + count.
+    kth = best_d[:, -1:]
+    np.less(D, kth, out=mask)
+    n_hits = int(np.count_nonzero(mask))
+    if n_hits == 0:
+        return
+    if n_hits > n_q * k_eff and rows > k_eff:
+        # Dense step (always a scan's first, rarely later ones): tighten
+        # to d <= kth-of-step before paying the per-hit gather. Boundary
+        # ties survive, so the (distance, id) selection stays exact.
+        vk = np.partition(D, k_eff - 1, axis=1)[:, k_eff - 1 : k_eff]
+        np.less(D, np.minimum(vk + 1, kth), out=mask)
+        n_hits = int(np.count_nonzero(mask))
+    cap = max(64, 4 * k_eff)
+    if n_hits <= n_q * cap:
+        # flatnonzero + divmod beats 2-d nonzero ~7x at these shapes.
+        flat = np.flatnonzero(mask)
+        rr = flat // rows
+        counts = np.bincount(rr, minlength=n_q)
+        m = int(counts.max())
+        if m <= cap:
+            hit = np.flatnonzero(counts)
+            slot = np.arange(len(flat), dtype=np.int64) - (np.cumsum(counts) - counts)[rr]
+            pos = np.searchsorted(hit, rr)
+            cand_d = np.full((len(hit), m), sentinel, dtype=D.dtype)
+            cand_i = np.zeros((len(hit), m), dtype=np.int64)
+            cand_d[pos, slot] = D.reshape(-1)[flat]
+            cand_i[pos, slot] = flat - rr * rows + first_id
+            _select_rows(best_d, best_i, hit, cand_d, cand_i, stride)
+            return
+    # Tie explosion (e.g. a run of duplicated codes): even the tightened
+    # mask is dense — fold the whole pane for the rows it touches, a
+    # bounded slab of columns at a time.
+    hit = np.flatnonzero(mask.any(axis=1))
+    slab = max(1, _FOLD_ELEMS // len(hit))
+    for c0 in range(0, rows, slab):
+        c1 = min(rows, c0 + slab)
+        ids = np.arange(first_id + c0, first_id + c1, dtype=np.int64)
+        _select_rows(
+            best_d, best_i, hit, D[hit, c0:c1],
+            np.broadcast_to(ids, (len(hit), c1 - c0)), stride,
+        )
+
+
+def _scan_chunk(Q, segments, k_eff: int, stride) -> tuple[np.ndarray, np.ndarray]:
+    """One heap for ``Q`` (at most ``_PANE_ELEMS // _TILE_ROWS_MIN`` queries)
+    carried across every segment."""
+    n_q, n_words = Q.shape
+    dtype = _dist_dtype(n_words)
+    pane_rows = _PANE_ELEMS // n_q
+    t = max(_TILE_ROWS_MIN, min(_XOR_ELEMS // n_q, _TILE_ROWS_MAX))
+    g = min(n_q, _XOR_ELEMS // t)
+    # Flat buffers, reshaped per step: a mask sliced out of a wider 2-d
+    # buffer is non-contiguous and forces the slow 2-d nonzero.
+    xflat = np.empty(g * t, dtype=np.uint64)
+    cflat = np.empty(g * t, dtype=dtype) if n_words > 1 else None
+    dflat = np.empty(n_q * pane_rows, dtype=dtype)
+    mflat = np.empty(n_q * pane_rows, dtype=bool)
+    Qw = np.ascontiguousarray(Q.T)
+    sentinel = np.iinfo(dtype).max
+    best_d = np.full((n_q, k_eff), sentinel, dtype=dtype)
+    best_i = np.zeros((n_q, k_eff), dtype=np.int64)
+    scanned = 0
+    for offset, codes in segments:
+        start = 0
+        while start < len(codes):
+            rows = min(pane_rows, max(t, scanned), len(codes) - start)
+            D = dflat[: n_q * rows].reshape(n_q, rows)
+            _pane_dists(Qw, codes[start : start + rows], D, xflat, cflat, g, t)
+            mask = mflat[: n_q * rows].reshape(n_q, rows)
+            _admit(best_d, best_i, D, mask, offset + start, stride, sentinel)
+            start += rows
+            scanned += rows
+    return best_i, best_d.astype(np.uint16)
+
+
+def _scan_segments(queries, segments, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k over id-ascending ``(offset, codes)`` segments (``codes[r]``
+    has global id ``offset + r``), one heap per scan. Returns ``(ids,
+    dists)`` by (distance, id), ``min(k, total rows)`` columns wide."""
+    Q = _check_packed(queries, name="queries")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    segs, end = [], None
+    for offset, codes in segments:
+        offset, codes = int(offset), _check_packed(codes, name="base")
+        if codes.shape[1] != Q.shape[1]:
+            raise ValueError(f"incompatible packed shapes {Q.shape} and {codes.shape}")
+        if len(codes) == 0:
+            continue
+        # Strict-< admission is exact only because ids grow along the scan.
+        if end is not None and offset < end:
+            raise ValueError("segments must be id-ascending and disjoint")
+        end = offset + len(codes)
+        segs.append((offset, codes))
+    n_q = len(Q)
+    if not segs or n_q == 0:
+        return np.empty((n_q, 0), np.int64), np.empty((n_q, 0), np.uint16)
+    k_eff = min(k, sum(len(codes) for _, codes in segs))
+    stride = np.int64(end + 1)
+    max_q = _PANE_ELEMS // _TILE_ROWS_MIN
+    chunks = [Q[q0 : q0 + max_q] for q0 in range(0, n_q, max_q)]
+    ids, ds = zip(*(_scan_chunk(chunk, segs, k_eff, stride) for chunk in chunks))
+    return np.concatenate(ids), np.concatenate(ds)
 
 
 def hamming_topk(
-    queries: np.ndarray,
-    base: np.ndarray,
-    k: int,
-    *,
-    block: int = DEFAULT_BLOCK,
-    offset: int = 0,
+    queries: np.ndarray, base: np.ndarray, k: int, *, offset: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k Hamming neighbours of each query by blocked streaming scan.
+    """Top-k Hamming neighbours of each query by tiled streaming scan.
 
     Parameters
     ----------
@@ -132,9 +267,6 @@ def hamming_topk(
     k : int
         Neighbours per query; capped at ``len(base)`` (sharded callers
         pass a global k that may exceed one shard).
-    block : int
-        Base rows per scan block — the memory/latency knob (see module
-        docstring for the exact bound).
     offset : int
         Global id of ``base[0]``: returned ids are ``offset + row``, so a
         shard scans its slice yet reports global ids.
@@ -144,122 +276,7 @@ def hamming_topk(
     (ids, dists) : int64 (n_q, k_eff), uint16 (n_q, k_eff)
         Sorted by (distance, id); ``k_eff = min(k, len(base))``.
     """
-    Q = _check_packed(queries, name="queries")
-    B = _check_packed(base, name="base")
-    if Q.shape[1] != B.shape[1]:
-        raise ValueError(f"incompatible packed shapes {Q.shape} and {B.shape}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    n_q, n_b = len(Q), len(B)
-    k_eff = min(k, n_b)
-    if n_b == 0 or n_q == 0:
-        return (np.empty((n_q, 0), np.int64), np.empty((n_q, 0), np.uint16))
-
-    stride = np.int64(offset + n_b + 1)
-    best_d = np.full((n_q, k_eff), _DIST_SENTINEL, dtype=np.uint16)
-    best_i = np.zeros((n_q, k_eff), dtype=np.int64)
-    b0 = min(block, n_b)
-    acc = np.empty((n_q, b0), dtype=np.uint16)
-    xbuf = np.empty((n_q, b0), dtype=np.uint64)
-    cbuf = np.empty((n_q, b0), dtype=np.uint16)
-    ibuf = np.empty((n_q, b0), dtype=bool)
-
-    # Candidates accumulate across blocks and merge lazily: pruning with
-    # a (possibly stale) kth only ever drops entries already beaten by k
-    # held elements, so deferral never changes the exact result — it
-    # just turns per-block scatter merges into one merge per ~cap_pend
-    # survivors (typically a single merge per scan after the first).
-    pend_rr: list = []
-    pend_id: list = []
-    pend_d: list = []
-    n_pend = 0
-    cap_pend = 4 * n_q * k_eff
-
-    def _flush() -> None:
-        nonlocal n_pend
-        if n_pend == 0:
-            return
-        multi = len(pend_rr) > 1
-        rr = np.concatenate(pend_rr)
-        ids = np.concatenate(pend_id)
-        dv = np.concatenate(pend_d)
-        pend_rr.clear(), pend_id.clear(), pend_d.clear()
-        n_pend = 0
-        if multi:
-            # The slot arithmetic below needs row-grouped candidates;
-            # one block's flatnonzero order already is, concatenations
-            # are not. Stable keeps ascending ids within a row (the
-            # composite key never relies on it, but it aids debugging).
-            grp = np.argsort(rr, kind="stable")
-            rr, ids, dv = rr[grp], ids[grp], dv[grp]
-        counts = np.bincount(rr, minlength=n_q)
-        rows = np.nonzero(counts)[0]
-        m = int(counts.max())
-        starts = np.zeros(n_q + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        slot = np.arange(len(rr), dtype=np.int64) - starts[rr]
-        pos = np.searchsorted(rows, rr)
-        cand_d = np.full((len(rows), k_eff + m), _DIST_SENTINEL, dtype=np.uint16)
-        cand_i = np.zeros((len(rows), k_eff + m), dtype=np.int64)
-        cand_d[:, :k_eff] = best_d[rows]
-        cand_i[:, :k_eff] = best_i[rows]
-        cand_d[pos, k_eff + slot] = dv
-        cand_i[pos, k_eff + slot] = ids
-        key = cand_d.astype(np.int64) * stride + cand_i
-        order = np.argsort(key, axis=1)[:, :k_eff]
-        r = np.arange(len(rows), dtype=np.intp)[:, None]
-        best_d[rows] = cand_d[r, order]
-        best_i[rows] = cand_i[r, order]
-
-    for start in range(0, n_b, block):
-        blk = B[start : start + block]
-        w = len(blk)
-        d_blk = _block_dists(Q, blk, acc, xbuf, cbuf)
-        # A block row enters only by strictly beating the kth-best
-        # distance (sentinel on the first pass, so everything enters).
-        # Strict < makes ties lose by construction — every id in this
-        # block exceeds every id already held or pending. count_nonzero
-        # is ~100x cheaper than nonzero, so most steady-state blocks
-        # cost one compare + one count and move on.
-        improved = np.less(d_blk, best_d[:, -1][:, None], out=ibuf[:, :w])
-        n_hits = int(np.count_nonzero(improved))
-        if n_hits == 0:
-            continue
-        if n_hits > n_q * k_eff and w > k_eff:
-            # Dense pass (always the first block, rarely later ones):
-            # tighten with a per-row value partition before paying the
-            # per-hit gather. Keeping d <= kth-of-block preserves every
-            # boundary tie, so the (distance, id) selection stays exact;
-            # the survivors are ~k + ties per row.
-            vk = np.partition(d_blk, k_eff - 1, axis=1)[:, k_eff - 1][:, None]
-            np.logical_and(improved, d_blk <= vk, out=improved)
-        # flatnonzero + divmod beats 2-d nonzero ~7x at these shapes.
-        flat = np.flatnonzero(improved)
-        rr = flat // w
-        cc = flat - rr * w
-        if len(flat) > n_q * max(64, 4 * k_eff):
-            # Tie explosion (e.g. a block of duplicated codes): even the
-            # tightened mask is dense — merge this block pane-at-a-time.
-            rows = np.unique(rr)
-            ids_blk = np.arange(start, start + w, dtype=np.int64) + offset
-            _select_rows(
-                best_d, best_i, rows, d_blk[rows],
-                np.broadcast_to(ids_blk, (len(rows), w)), stride,
-            )
-            continue
-        pend_rr.append(rr)
-        pend_id.append(cc + (start + offset))
-        pend_d.append(d_blk[rr, cc])
-        n_pend += len(flat)
-        if n_pend >= cap_pend or best_d[0, -1] == _DIST_SENTINEL:
-            # Cap reached — or the heap is still all-sentinel (first
-            # contributing block): merge now so later blocks prune
-            # against a real kth instead of staying dense.
-            _flush()
-    _flush()
-    return best_i, best_d
+    return _scan_segments(queries, [(offset, base)], k)
 
 
 def merge_topk(
@@ -278,17 +295,11 @@ def merge_topk(
         raise ValueError("parts must be non-empty")
     ids = np.concatenate([p[0] for p in parts], axis=1)
     ds = np.concatenate([p[1] for p in parts], axis=1)
-    n_cand = ids.shape[1]
-    k_eff = min(k, n_cand)
+    k_eff = min(k, ids.shape[1])
     if k_eff == 0:
         return ids[:, :0], ds[:, :0]
-    stride = np.int64(ids.max(initial=0) + 1)
-    key = ds.astype(np.int64) * stride + ids
-    part = np.argpartition(key, k_eff - 1, axis=1)[:, :k_eff]
-    rows = np.arange(len(ids), dtype=np.intp)[:, None]
-    order = np.argsort(key[rows, part], axis=1)
-    sel = part[rows, order]
-    return ids[rows, sel], ds[rows, sel]
+    ds, ids = _take_topk(ds, ids, k_eff, np.int64(ids.max(initial=0) + 1))
+    return ids, ds
 
 
 def _as_packed_codes(codes, n_words: int, *, n_bits: int, name: str) -> np.ndarray:
@@ -314,18 +325,17 @@ class HammingIndex:
     assigning ids in arrival order — the id space every tie is broken on.
     """
 
-    def __init__(self, n_bits: int, *, block: int = DEFAULT_BLOCK):
+    def __init__(self, n_bits: int):
         if n_bits < 1:
             raise ValueError(f"n_bits must be >= 1, got {n_bits}")
         self.n_bits = int(n_bits)
         self.n_words = (self.n_bits + 63) // 64
-        self.block = int(block)
         self._buf = np.empty((0, self.n_words), dtype=np.uint64)
         self._n = 0
 
     @classmethod
-    def from_codes(cls, codes, n_bits: int, *, block: int = DEFAULT_BLOCK) -> "HammingIndex":
-        index = cls(n_bits, block=block)
+    def from_codes(cls, codes, n_bits: int) -> "HammingIndex":
+        index = cls(n_bits)
         index.add(codes)
         return index
 
@@ -341,12 +351,15 @@ class HammingIndex:
         return view
 
     def memory_bound(self, n_queries: int, k: int) -> int:
-        """Documented peak scan-scratch bytes for an (n_queries, k) search."""
-        blk = min(self.block, max(self._n, 1))
-        # XOR word (8) + distance acc (2) + count (2) + mask (1) panes.
-        panes = n_queries * blk * 13
-        merge = n_queries * (min(k, max(self._n, 1)) + blk) * (8 + 8 + 2)
-        return panes + merge
+        """Peak scan-scratch bytes of an (n_queries, k) search, whatever
+        ``n``; beyond one query chunk only the result grows with n_queries."""
+        item = _dist_dtype(self.n_words).itemsize
+        q = min(n_queries, _PANE_ELEMS // _TILE_ROWS_MIN)
+        # XOR words + word counts; pane + its one partition copy + mask.
+        tiles = _XOR_ELEMS * (8 + item) + _PANE_ELEMS * (2 * item + 1)
+        # <= 96 bytes per candidate in flight (ids, keys, argpartition, gathers).
+        merge = (q * (k + max(64, 4 * k)) + _FOLD_ELEMS) * 96
+        return tiles + merge + 2 * n_queries * k * (8 + 2)
 
     def add(self, codes) -> np.ndarray:
         """Append codes (packed or 0/1 bits); returns the assigned ids."""
@@ -372,7 +385,7 @@ class HammingIndex:
         queries = _as_packed_codes(
             queries, self.n_words, n_bits=self.n_bits, name="queries"
         )
-        return hamming_topk(queries, self._buf[: self._n], k, block=self.block)
+        return _scan_segments(queries, [(0, self._buf[: self._n])], k)
 
 
 class _ShardScanner:
@@ -380,27 +393,19 @@ class _ShardScanner:
 
     The shard starts as one contiguous slice ``[offset, offset + n)`` of
     the global id space; streamed ``append()`` blocks carry later id
-    ranges. A scan runs :func:`hamming_topk` per block and folds with
-    :func:`merge_topk` — exact by the associativity contract.
+    ranges. A scan hands the whole block list to the kernel: one heap,
+    one kernel entry, no per-block merge.
     """
 
-    def __init__(self, codes: np.ndarray, offset: int, *, block: int):
+    def __init__(self, codes: np.ndarray, offset: int):
         self.blocks: list[tuple[int, np.ndarray]] = [(int(offset), codes)]
-        self.block = block
-
-    @property
-    def n(self) -> int:
-        return sum(len(codes) for _, codes in self.blocks)
 
     def append(self, codes: np.ndarray, offset: int) -> None:
         self.blocks.append((int(offset), codes))
 
     def scan(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        parts = [
-            hamming_topk(queries, codes, k, block=self.block, offset=offset)
-            for offset, codes in self.blocks
-        ]
-        return parts[0] if len(parts) == 1 else merge_topk(parts, k)
+        # Read once: an append racing this scan is seen whole or not at all.
+        return _scan_segments(queries, list(self.blocks), k)
 
 
 class ScanResult(tuple):
@@ -439,10 +444,10 @@ class ScanResult(tuple):
         return self[1]
 
 
-def _shard_worker(desc, offset, block, task_q, res_conn):
+def _shard_worker(desc, offset, task_q, res_conn):
     """Process-shard loop: attach the shm codes, serve scans until None."""
     seg, (codes,) = attach_array_block(desc)
-    scanner = _ShardScanner(codes, offset, block=block)
+    scanner = _ShardScanner(codes, offset)
     try:
         while True:
             item = task_q.get()
@@ -489,7 +494,6 @@ class ShardedHammingIndex:
         n_shards: int,
         *,
         mode: str = "thread",
-        block: int = DEFAULT_BLOCK,
         ctx_method: str = "fork",
         scan_timeout_s: float | None = None,
     ):
@@ -503,7 +507,6 @@ class ShardedHammingIndex:
         self.n_words = (self.n_bits + 63) // 64
         self.n_shards = int(n_shards)
         self.mode = mode
-        self.block = int(block)
         #: Per-search deadline in seconds for the whole sharded gather
         #: (None = wait indefinitely, historical behaviour). A shard that
         #: misses it is reported through ``ScanResult.partial`` /
@@ -527,7 +530,7 @@ class ShardedHammingIndex:
         self._closed = False
         if mode == "thread":
             self._scanners = [
-                _ShardScanner(packed[idx[0] : idx[-1] + 1], idx[0], block=self.block)
+                _ShardScanner(packed[idx[0] : idx[-1] + 1], idx[0])
                 for idx in parts
             ]
             self._pool = ThreadPoolExecutor(
@@ -568,7 +571,7 @@ class ShardedHammingIndex:
         reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_shard_worker,
-            args=(desc, offset, self.block, task_q, writer),
+            args=(desc, offset, task_q, writer),
             daemon=True,
         )
         proc.start()
@@ -646,10 +649,13 @@ class ShardedHammingIndex:
         """Append codes to the tail shard; returns the assigned global ids."""
         packed = _as_packed_codes(codes, self.n_words, n_bits=self.n_bits, name="codes")
         ids = np.arange(self._n, self._n + len(packed), dtype=np.int64)
+        if len(packed) == 0:
+            # Nothing to scan, ship or replay: no block, no IPC round trip.
+            return ids
+        block = np.ascontiguousarray(packed)
         if self.mode == "thread":
-            self._scanners[-1].append(np.ascontiguousarray(packed), self._n)
+            self._scanners[-1].append(block, self._n)
         else:
-            block = np.ascontiguousarray(packed)
             self._task_qs[-1].put(("add", block, self._n))
             status, payload = self._pipes[-1].recv()
             if status != "ok":
@@ -709,24 +715,18 @@ class ShardedHammingIndex:
             for task_q in self._task_qs:
                 task_q.put(("scan", queries, k))
             parts, missed = self._collect(deadline)
-        if not missed:
-            ids, ds = merge_topk([p for _, p in parts], k)
-            return ScanResult(ids, ds)
         if self.mode == "process":
             for rank in missed:
                 self._respawn_worker(rank)
+        if parts:
+            ids, ds = merge_topk([p for _, p in parts], k)
+        else:
+            ids = np.empty((len(queries), 0), np.int64)
+            ds = np.empty((len(queries), 0), np.uint16)
         covered = self._n - sum(self._shard_rows[r] for r in missed)
-        coverage = covered / self._n if self._n else 0.0
-        if not parts:
-            n_q = len(queries)
-            return ScanResult(
-                np.empty((n_q, 0), np.int64),
-                np.empty((n_q, 0), np.uint16),
-                partial=True, coverage=0.0, shards_missed=missed,
-            )
-        ids, ds = merge_topk([p for _, p in parts], k)
         return ScanResult(
-            ids, ds, partial=True, coverage=coverage, shards_missed=missed
+            ids, ds, partial=bool(missed), coverage=covered / self._n,
+            shards_missed=missed,
         )
 
     def close(self) -> None:

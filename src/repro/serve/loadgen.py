@@ -11,7 +11,7 @@ service, not forgiven.
 
 ``LatencyStats`` / ``ThroughputStats`` follow the percentile-accounting
 shape ROADMAP points at (p50/p95/p99 + rows/s); both render to plain
-dicts for the ``BENCH_serve.json`` summaries.
+dicts for JSON summaries.
 """
 
 from __future__ import annotations

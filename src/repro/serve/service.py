@@ -199,8 +199,8 @@ class RetrievalService:
         batch, so the encode reuses the model's configured precision.
     index : HammingIndex | ShardedHammingIndex
         The packed-code index to scan. Built by the caller (see
-        :meth:`from_data` for the one-liner) so the sharding mode, block
-        size and ingest history stay under the caller's control.
+        :meth:`from_data` for the one-liner) so the sharding mode and
+        ingest history stay under the caller's control.
     k : int
         Default neighbours per query (overridable per request).
     max_wait_ms : float
@@ -262,7 +262,6 @@ class RetrievalService:
         n_shards: int = 1,
         shard_mode: str = "thread",
         encode_batch: int = 4096,
-        block: int | None = None,
         scan_timeout_s: float | None = None,
         **kwargs,
     ) -> "RetrievalService":
@@ -274,13 +273,12 @@ class RetrievalService:
         ]
         n_bits = code_blocks[0].shape[1]
         packed = np.concatenate([pack_bits(blk) for blk in code_blocks])
-        index_kwargs = {} if block is None else {"block": block}
         if n_shards == 1:
-            index = HammingIndex.from_codes(packed, n_bits, **index_kwargs)
+            index = HammingIndex.from_codes(packed, n_bits)
         else:
             index = ShardedHammingIndex(
                 packed, n_bits, n_shards, mode=shard_mode,
-                scan_timeout_s=scan_timeout_s, **index_kwargs
+                scan_timeout_s=scan_timeout_s,
             )
         return cls(model, index, **kwargs)
 
