@@ -9,8 +9,9 @@ virtual-clock W time and final E_Q of the two schemes at e = 4.
 
 
 from repro.autoencoder import BinaryAutoencoder
-from repro.core.parmac import ParMACTrainerBA
+from repro.autoencoder.adapter import BAAdapter, build_ba_shards
 from repro.core.penalty import GeometricSchedule
+from repro.core.trainer import ParMACTrainer
 from repro.data.synthetic import make_gist_like
 from repro.distributed.costmodel import CostModel
 from repro.utils.ascii_plot import ascii_table
@@ -22,12 +23,13 @@ SCHEDULE = GeometricSchedule(5e-3, 1.5, 12)
 
 
 def run_scheme(X, scheme):
-    ba = BinaryAutoencoder.linear(D, L)
-    trainer = ParMACTrainerBA(
-        ba, SCHEDULE, n_machines=P, epochs=E, scheme=scheme, backend="sync",
-        cost=CostModel(t_wr=1.0, t_wc=300.0, t_zr=2.0), seed=0,
+    adapter = BAAdapter(BinaryAutoencoder.linear(D, L))
+    trainer = ParMACTrainer(
+        adapter, SCHEDULE, epochs=E, scheme=scheme, backend="sync",
+        cost=CostModel(t_wr=1.0, t_wc=300.0, t_zr=2.0),
+        stop_on_fixed_point=True, seed=0,
     )
-    history = trainer.fit(X)
+    history = trainer.fit(build_ba_shards(adapter, X, n_machines=P, seed=0))
     last = history.records[-1]
     return {
         "e_q": last.e_q,

@@ -49,7 +49,8 @@ def write_bench_json(name: str, payload: dict, directory=None, *,
     return path
 
 from repro.autoencoder import BinaryAutoencoder
-from repro.autoencoder.adapter import BAAdapter
+from repro.autoencoder.adapter import BAAdapter, build_ba_shards
+from repro.core.trainer import ParMACTrainer
 from repro.distributed.backends import get_backend
 from repro.distributed.costmodel import CostModel
 from repro.distributed.partition import TimingShard
@@ -115,7 +116,6 @@ def sift1b_models():
     to 4000; L = 32 (the paper uses 64); RBF uses 300 centres (paper: 2000).
     """
     from repro.core.evaluation import RecallEvaluator
-    from repro.core.mac import MACTrainerBA
     from repro.core.penalty import GeometricSchedule
     from repro.data.synthetic import make_sift_like
     from repro.retrieval.baselines import TruncatedPCAHash
@@ -128,13 +128,18 @@ def sift1b_models():
 
     tpca = TruncatedPCAHash(L).fit(X, subset=1000, rng=0)
 
+    def serial_mac(ba):
+        # Serial MAC (fig. 1): the fit loop on one shard, exact decoder.
+        adapter = BAAdapter(ba, decoder_exact=True)
+        trainer = ParMACTrainer(adapter, schedule, epochs=2, evaluator=ev,
+                                stop_on_fixed_point=True, seed=0)
+        return trainer.fit(build_ba_shards(adapter, X, n_machines=1, seed=0))
+
     ba_lin = BinaryAutoencoder.linear(D, L)
-    hist_lin = MACTrainerBA(ba_lin, schedule, w_epochs=2, evaluator=ev,
-                            seed=0).fit(X)
+    hist_lin = serial_mac(ba_lin)
 
     ba_rbf = BinaryAutoencoder.rbf(X, n_centres=300, n_bits=L, rng=0)
-    hist_rbf = MACTrainerBA(ba_rbf, schedule, w_epochs=2, evaluator=ev,
-                            seed=0).fit(X)
+    hist_rbf = serial_mac(ba_rbf)
 
     return {
         "X": X, "Q": Q, "ev": ev, "L": L, "D": D,
@@ -153,13 +158,11 @@ def run_learning_curve(X, n_bits, schedule, *, n_machines=1, epochs=1,
     the time axis is SGD work; this is the workhorse for the fig. 7-9
     learning-curve benches.
     """
-    from repro.core.parmac import ParMACTrainerBA
-
     ba = BinaryAutoencoder.linear(X.shape[1], n_bits)
-    trainer = ParMACTrainerBA(
-        ba,
+    adapter = BAAdapter(ba)
+    trainer = ParMACTrainer(
+        adapter,
         schedule,
-        n_machines=n_machines,
         epochs=epochs,
         backend="sync",
         batch_size=100,
@@ -167,7 +170,8 @@ def run_learning_curve(X, n_bits, schedule, *, n_machines=1, epochs=1,
         shuffle_ring=shuffle_ring,
         cost=CostModel(t_wr=1.0, t_wc=0.0, t_zr=1.0),
         evaluator=evaluator,
+        stop_on_fixed_point=True,
         seed=seed,
     )
-    history = trainer.fit(X)
+    history = trainer.fit(build_ba_shards(adapter, X, n_machines=n_machines, seed=seed))
     return ba, history

@@ -1,14 +1,15 @@
 """K-layer MAC beyond autoencoders: a sigmoid deep net (section 3.2).
 
 MAC is a meta-algorithm: the same W/Z alternation trains any nested model.
-This example fits a 2-hidden-layer sigmoid regression net three ways —
+This example fits a 2-hidden-layer sigmoid regression net four ways —
 
 * conventional backprop SGD (the chain-rule baseline),
-* serial MAC with per-unit W steps and the generalised-proximal Z step,
+* serial MAC with per-unit W steps and the generalised-proximal Z step
+  (the ParMAC fit loop on one shard),
 * ParMAC on a simulated 4-machine ring, one travelling submodel per
   hidden unit,
 * ParMAC on *real OS processes* (``backend="multiprocess"``) — the same
-  generic trainer, a different entry in the backend registry —
+  fit loop, a different entry in the backend registry —
 
 and compares the nested objective reached by each.
 
@@ -21,8 +22,9 @@ from repro import (
     BackpropTrainer,
     DeepNet,
     GeometricSchedule,
-    MACTrainerNet,
-    ParMACTrainerNet,
+    NetAdapter,
+    ParMACTrainer,
+    build_net_shards,
 )
 
 
@@ -33,6 +35,17 @@ def make_problem(n=600, d_in=6, d_out=2, seed=0):
     W2 = rng.normal(size=(8, d_out))
     Y = np.tanh(np.tanh(X @ W1) @ W2)
     return X, Y
+
+
+def train_mac(net, X, Y, schedule, *, n_machines, epochs, z_steps=10,
+              backend="sync"):
+    """MAC on ``n_machines`` shards; returns the closed trainer."""
+    adapter = NetAdapter(net, z_steps=z_steps)
+    with ParMACTrainer(
+        adapter, schedule, backend=backend, epochs=epochs, batch_size=32, seed=0
+    ) as trainer:
+        trainer.fit(build_net_shards(adapter, X, Y, n_machines=n_machines, seed=0))
+    return trainer
 
 
 def main():
@@ -50,30 +63,24 @@ def main():
 
     print("2) serial MAC (10 iterations, no chain rule anywhere)")
     net_mac = DeepNet.create(sizes, rng=0)
-    trainer = MACTrainerNet(net_mac, schedule, w_epochs=3, seed=0)
-    history = trainer.fit(X, Y)
+    history = train_mac(net_mac, X, Y, schedule, n_machines=1, epochs=3).history_
     print(f"   nested loss: {net_mac.loss(X, Y):.2f} "
           f"(E_Q {history.e_q[0]:.1f} -> {history.e_q[-1]:.1f})")
 
     print("3) ParMAC: hidden units travel a simulated 4-machine ring")
     net_par = DeepNet.create(sizes, rng=0)
-    trainer = ParMACTrainerNet(
-        net_par, schedule, n_machines=4, epochs=2, z_steps=8, seed=0
-    )
     M = sum(layer.n_out for layer in net_par.layers)
     print(f"   M = {M} submodels (one per unit) over P = 4 machines")
-    trainer.fit(X, Y)
+    trainer = train_mac(net_par, X, Y, schedule, n_machines=4, epochs=2, z_steps=8)
     print(f"   nested loss: {net_par.loss(X, Y):.2f}  "
           f"copies-consistent={trainer.cluster_.model_copies_consistent()}")
 
     print("4) ParMAC on real OS processes (backend='multiprocess')")
     net_mp = DeepNet.create(sizes, rng=0)
-    trainer_mp = ParMACTrainerNet(
-        net_mp, schedule, n_machines=4, epochs=2, z_steps=8,
-        backend="multiprocess", seed=0,
-    )
-    history = trainer_mp.fit(X, Y)
-    trainer_mp.close()
+    history = train_mac(
+        net_mp, X, Y, schedule, n_machines=4, epochs=2, z_steps=8,
+        backend="multiprocess",
+    ).history_
     print(f"   nested loss: {net_mp.loss(X, Y):.2f}  "
           f"({history.total_time:.2f} s wall across {len(history)} iterations)")
 

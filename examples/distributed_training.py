@@ -19,11 +19,13 @@ Run:  python examples/distributed_training.py
 
 
 from repro import (
+    BAAdapter,
     BinaryAutoencoder,
     CostModel,
     GeometricSchedule,
-    ParMACTrainerBA,
+    ParMACTrainer,
     available_backends,
+    build_ba_shards,
 )
 from repro.data.synthetic import make_gist_like
 from repro.perfmodel.speedup import SpeedupParams, speedup
@@ -51,9 +53,11 @@ def main():
         # This demo is about the execution backends; pin the alternating
         # Z solver so the L=16 runs don't spend their time enumerating
         # 2^16 codes per iteration (auto dispatch would, exactly).
-        trainer = ParMACTrainerBA(ba, schedule, epochs=epochs, seed=0,
-                                  zstep_method="alternate", **kwargs)
-        history = trainer.fit(X)
+        adapter = BAAdapter(ba, zstep_method="alternate")
+        shards = build_ba_shards(adapter, X, n_machines=kwargs.pop("n_machines"), seed=0)
+        with ParMACTrainer(adapter, schedule, epochs=epochs, seed=0,
+                           stop_on_fixed_point=True, **kwargs) as trainer:
+            history = trainer.fit(shards)
         runs[label] = (ba, history)
         wallclock = label in ("multiprocessing", "tcp sockets")
         unit = "s wall" if wallclock else "virt units"

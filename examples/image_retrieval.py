@@ -18,7 +18,15 @@ import threading
 import time
 
 
-from repro import BinaryAutoencoder, GeometricSchedule, ITQHash, MACTrainerBA, TruncatedPCAHash
+from repro import (
+    BAAdapter,
+    BinaryAutoencoder,
+    GeometricSchedule,
+    ITQHash,
+    ParMACTrainer,
+    TruncatedPCAHash,
+    build_ba_shards,
+)
 from repro.data.synthetic import make_sift_like
 from repro.retrieval.groundtruth import euclidean_knn
 from repro.retrieval.hamming import pack_bits
@@ -30,6 +38,13 @@ def standardise(X):
     sd = X.std(axis=0)
     sd[sd == 0] = 1.0
     return (X - X.mean(axis=0)) / sd
+
+
+def train_mac(ba, X, schedule):
+    """Serial MAC (paper fig. 1): the fit loop on one shard, exact decoder."""
+    adapter = BAAdapter(ba, decoder_exact=True)
+    trainer = ParMACTrainer(adapter, schedule, epochs=2, stop_on_fixed_point=True, seed=0)
+    trainer.fit(build_ba_shards(adapter, X, n_machines=1, seed=0))
 
 
 def main():
@@ -47,11 +62,11 @@ def main():
     models["ITQ"] = ITQHash(n_bits, seed=0).fit(X)
 
     ba_lin = BinaryAutoencoder.linear(dim, n_bits)
-    MACTrainerBA(ba_lin, schedule, w_epochs=2, seed=0).fit(X)
+    train_mac(ba_lin, X, schedule)
     models["BA (linear)"] = ba_lin
 
     ba_rbf = BinaryAutoencoder.rbf(X, n_centres=200, n_bits=n_bits, rng=0)
-    MACTrainerBA(ba_rbf, schedule, w_epochs=2, seed=0).fit(X)
+    train_mac(ba_rbf, X, schedule)
     models["BA (RBF)"] = ba_rbf
 
     print(f"\n{'hash':>14} | {'prec@30':>8} | recall@R for R=1,10,100")

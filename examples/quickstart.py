@@ -4,7 +4,8 @@ Covers the core loop of the paper in ~50 lines:
 
 1. make a feature cloud (stand-in for GIST/SIFT descriptors);
 2. train an L-bit binary autoencoder with the method of auxiliary
-   coordinates (alternating W and Z steps over an increasing penalty);
+   coordinates (alternating W and Z steps over an increasing penalty) —
+   serial MAC, i.e. the ParMAC fit loop on one shard;
 3. compress the database to packed binary codes;
 4. answer nearest-neighbour queries by Hamming distance and score them
    against the exact Euclidean ground truth.
@@ -13,7 +14,13 @@ Run:  python examples/quickstart.py
 """
 
 
-from repro import BinaryAutoencoder, GeometricSchedule, MACTrainerBA
+from repro import (
+    BAAdapter,
+    BinaryAutoencoder,
+    GeometricSchedule,
+    ParMACTrainer,
+    build_ba_shards,
+)
 from repro.data.synthetic import make_clustered
 from repro.retrieval.groundtruth import euclidean_knn
 from repro.retrieval.hamming import hamming_knn, pack_bits
@@ -30,13 +37,15 @@ def main():
 
     print(f"2) training a {n_bits}-bit binary autoencoder with MAC ...")
     ba = BinaryAutoencoder.linear(n_features=dim, n_bits=n_bits)
-    trainer = MACTrainerBA(
-        ba,
+    adapter = BAAdapter(ba, decoder_exact=True)
+    trainer = ParMACTrainer(
+        adapter,
         GeometricSchedule(mu0=1e-3, factor=2.0, n_iters=12),
-        w_epochs=2,
+        epochs=2,
+        stop_on_fixed_point=True,
         seed=rng_seed,
     )
-    history = trainer.fit(X)
+    history = trainer.fit(build_ba_shards(adapter, X, n_machines=1, seed=rng_seed))
     print(f"   E_BA: {history.e_ba[0]:.0f} -> {history.e_ba[-1]:.0f} "
           f"over {len(history)} iterations "
           f"({history.records[-1].violations} constraint violations left)")

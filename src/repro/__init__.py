@@ -6,25 +6,31 @@ learning binary autoencoders" (arXiv:1605.09114 / MLSys 2019).
 
 Quickstart
 ----------
+One fit loop, :class:`ParMACTrainer`, trains any nested model through an
+adapter; serial MAC (paper fig. 1) is one shard on the ``"sync"`` engine
+with the exact least-squares decoder:
+
 >>> import numpy as np
->>> from repro import BinaryAutoencoder, MACTrainerBA, GeometricSchedule
+>>> from repro import (BAAdapter, BinaryAutoencoder, GeometricSchedule,
+...                    ParMACTrainer, build_ba_shards)
 >>> X = np.random.default_rng(0).normal(size=(500, 32))
 >>> ba = BinaryAutoencoder.linear(n_features=32, n_bits=8)
->>> trainer = MACTrainerBA(ba, GeometricSchedule(1e-4, 2.0, 8), seed=0)
->>> history = trainer.fit(X)
+>>> adapter = BAAdapter(ba, decoder_exact=True)
+>>> trainer = ParMACTrainer(adapter, GeometricSchedule(1e-4, 2.0, 8),
+...                         stop_on_fixed_point=True, seed=0)
+>>> history = trainer.fit(build_ba_shards(adapter, X, n_machines=1, seed=0))
 >>> codes = ba.encode(X)          # (500, 8) binary codes
 
-Distributed training on a simulated 8-machine ring:
+Distributed training on a simulated 8-machine ring (SGD decoder):
 
->>> from repro import ParMACTrainerBA
->>> ba2 = BinaryAutoencoder.linear(n_features=32, n_bits=8)
->>> trainer = ParMACTrainerBA(
-...     ba2, GeometricSchedule(1e-4, 2.0, 8), n_machines=8, seed=0)
->>> history = trainer.fit(X)
+>>> adapter = BAAdapter(BinaryAutoencoder.linear(n_features=32, n_bits=8))
+>>> trainer = ParMACTrainer(adapter, GeometricSchedule(1e-4, 2.0, 8),
+...                         stop_on_fixed_point=True, seed=0)
+>>> history = trainer.fit(build_ba_shards(adapter, X, n_machines=8, seed=0))
 
 Package map
 -----------
-- :mod:`repro.core` — MAC and ParMAC training drivers, penalty schedules.
+- :mod:`repro.core` — the ParMAC fit loop, penalty schedules, stopping.
 - :mod:`repro.autoencoder` — binary autoencoder model + Z-step solvers.
 - :mod:`repro.nets` — K-layer MAC for sigmoid deep nets + backprop baseline.
 - :mod:`repro.optim` — SGD substrate: linear SVMs, least squares, schedules.
@@ -36,15 +42,8 @@ Package map
 """
 
 from repro.autoencoder import BinaryAutoencoder
-from repro.autoencoder.adapter import BAAdapter
-from repro.core import (
-    GeometricSchedule,
-    MACTrainerBA,
-    ParMACTrainer,
-    ParMACTrainerBA,
-    ParMACTrainerNet,
-    TrainingHistory,
-)
+from repro.autoencoder.adapter import BAAdapter, build_ba_shards
+from repro.core import GeometricSchedule, ParMACTrainer, TrainingHistory
 from repro.core.evaluation import PrecisionEvaluator, RecallEvaluator
 from repro.distributed import (
     CostModel,
@@ -52,7 +51,7 @@ from repro.distributed import (
     available_backends,
     get_backend,
 )
-from repro.nets import BackpropTrainer, DeepNet, MACTrainerNet
+from repro.nets import BackpropTrainer, DeepNet, NetAdapter, build_net_shards
 from repro.perfmodel import SpeedupParams, speedup
 from repro.retrieval import ITQHash, TruncatedPCAHash
 
@@ -61,10 +60,8 @@ __version__ = "1.0.0"
 __all__ = [
     "BinaryAutoencoder",
     "BAAdapter",
-    "MACTrainerBA",
+    "build_ba_shards",
     "ParMACTrainer",
-    "ParMACTrainerBA",
-    "ParMACTrainerNet",
     "get_backend",
     "available_backends",
     "GeometricSchedule",
@@ -74,7 +71,8 @@ __all__ = [
     "SimulatedCluster",
     "CostModel",
     "DeepNet",
-    "MACTrainerNet",
+    "NetAdapter",
+    "build_net_shards",
     "BackpropTrainer",
     "SpeedupParams",
     "speedup",

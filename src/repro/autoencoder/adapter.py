@@ -9,6 +9,11 @@ throughout the speedup analysis.
 During the W step the authoritative parameters are the ones travelling in
 messages, so ``w_update`` works on raw flat vectors and never touches the
 model; the engines call ``set_params`` with the final copies afterwards.
+
+:func:`build_ba_shards` prepares a fit's data (tPCA codes, load-balanced
+partition, shards); serial MAC (paper fig. 1) is then
+:class:`~repro.core.trainer.ParMACTrainer` on one shard with
+``BAAdapter(model, decoder_exact=True)``.
 """
 
 from __future__ import annotations
@@ -16,13 +21,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autoencoder.binary_autoencoder import BinaryAutoencoder
+from repro.autoencoder.init import init_codes_pca
 from repro.autoencoder.zstep import MAX_ENUM_BITS, zstep
 from repro.distributed.interfaces import SubmodelSpec
+from repro.distributed.partition import make_shards, partition_indices
 from repro.optim.linreg import LinearRegression
 from repro.optim.sgd import SGDState
 from repro.optim.svm import LinearSVM
+from repro.utils.rng import check_random_state
+from repro.utils.validation import check_array, check_binary_codes
 
-__all__ = ["BAAdapter"]
+__all__ = ["BAAdapter", "build_ba_shards"]
 
 # Rows per block of the shard-statistics pass: 256 x 960 float64 is
 # 1.9 MB, which stays in L2/L3 (128 and 512 measured within 5 % of it).
@@ -56,6 +65,11 @@ class BAAdapter:
         Decoder row groups (default: L, giving M = 2L submodels).
     zstep_method, max_enum_bits, max_sweeps :
         Passed through to :func:`repro.autoencoder.zstep.zstep`.
+    decoder_exact : bool
+        Fit each visited decoder group exactly by least squares on the
+        visited shard instead of an SGD pass — fig. 1's serial algorithm.
+        That is the whole-data solve only when there is one shard, so the
+        data plane refuses a second machine (:attr:`max_machines`).
     """
 
     def __init__(
@@ -66,6 +80,7 @@ class BAAdapter:
         zstep_method: str = "auto",
         max_enum_bits: int = MAX_ENUM_BITS,
         max_sweeps: int = 20,
+        decoder_exact: bool = False,
     ):
         self.model = model
         L = model.n_bits
@@ -80,6 +95,8 @@ class BAAdapter:
         self.zstep_method = zstep_method
         self.max_enum_bits = int(max_enum_bits)
         self.max_sweeps = int(max_sweeps)
+        self.decoder_exact = bool(decoder_exact)
+        self._lstsq = None  # (X, Z, W, c) of the last exact decoder solve
         # Decoder rows split into near-equal contiguous groups.
         self._groups = [
             tuple(int(r) for r in rows)
@@ -104,6 +121,11 @@ class BAAdapter:
     def compute_dtype(self) -> np.dtype:
         """End-to-end compute precision (the model's parameter dtype)."""
         return self.model.compute_dtype
+
+    @property
+    def max_machines(self) -> int | None:
+        """Machines a fit may use: 1 with the exact decoder, else no cap."""
+        return 1 if self.decoder_exact else None
 
     def batch_key(self, spec: SubmodelSpec):
         """Encoder bits batch with encoder bits (shared SVM features),
@@ -161,6 +183,8 @@ class BAAdapter:
             return svm.get_params()
         if spec.kind == "dec":
             rows = np.asarray(spec.index)
+            if self.decoder_exact:
+                return self._decoder_lstsq(shard, rows)
             reg = LinearRegression(
                 self.model.n_bits, len(rows), schedule=self.model.decoder.schedule,
                 dtype=cd,
@@ -206,11 +230,31 @@ class BAAdapter:
         kinds = {spec.kind for spec in specs}
         if kinds == {"enc"}:
             return self._w_update_batch_enc(specs, thetas, states, shard, batch_size)
+        if kinds == {"dec"} and self.decoder_exact:
+            return [self._decoder_lstsq(shard, np.asarray(s.index)) for s in specs]
         if kinds == {"dec"}:
             return self._w_update_batch_dec(specs, thetas, states, shard, batch_size)
         raise ValueError(
             f"a BA batch must be all-encoder or all-decoder, got kinds {sorted(kinds)}"
         )
+
+    def _decoder_lstsq(self, shard, rows: np.ndarray) -> np.ndarray:
+        """Flat parameters of decoder rows ``rows`` fitted exactly by least
+        squares to the shard's ``(Z, X[:, rows])``.
+
+        The whole decoder is solved once per shard state (its ``X`` and
+        ``Z`` arrays, which updates rebind rather than mutate) and each
+        group takes its rows, so an iteration solves once however many
+        groups visit, as fig. 1 does.
+        """
+        solved = self._lstsq
+        if solved is None or solved[0] is not shard.X or solved[1] is not shard.Z:
+            cd = self.compute_dtype
+            reg = LinearRegression(self.model.n_bits, self.model.decoder.n_outputs, dtype=cd)
+            reg.fit_lstsq(shard.Z.astype(cd), shard.X)
+            solved = self._lstsq = (shard.X, shard.Z, reg.W, reg.c)
+        W, c = solved[2], solved[3]
+        return np.concatenate([W[rows].ravel(), c[rows]])
 
     def _w_update_batch_enc(self, specs, thetas, states, shard, batch_size):
         """Stacked SVMSGD: all bits' hinge subgradients from two GEMMs.
@@ -345,6 +389,7 @@ class BAAdapter:
         )
         changes = int((Z_new != shard.Z).sum())
         shard.Z = Z_new
+        self._lstsq = None  # the W step's solve is spent; drop its arrays
         return changes
 
     # --------------------------------------------------------- objectives
@@ -393,3 +438,30 @@ class BAAdapter:
     def init_codes(self, F: np.ndarray) -> np.ndarray:
         """Codes for new points "by applying the nested model" (section 4.3)."""
         return self._encode_features(F)
+
+
+def build_ba_shards(
+    adapter: BAAdapter, X, Z0=None, *, n_machines: int, alphas=None, seed=None
+) -> list:
+    """Shards for a BA fit from the global data ``X``.
+
+    ``X`` is cast to the model's compute dtype. Initial codes are ``Z0``
+    or, by default, truncated-PCA codes (section 8.1); rows are then
+    split over ``n_machines`` in proportion to ``alphas`` (relative
+    machine speeds, section 4.3), shuffled. Both draws come from
+    ``seed``'s stream, codes first.
+    """
+    model = adapter.model
+    X = check_array(X, name="X", dtype=model.compute_dtype)
+    rng = check_random_state(seed)
+    F = adapter.features(X)
+    if Z0 is None:
+        Z, _ = init_codes_pca(F, model.n_bits, rng=rng)
+    else:
+        Z = check_binary_codes(Z0)
+        if Z.shape != (len(X), model.n_bits):
+            raise ValueError(
+                f"Z0 must have shape {(len(X), model.n_bits)}, got {Z.shape}"
+            )
+    parts = partition_indices(len(X), n_machines, alphas=alphas, rng=rng, shuffle=True)
+    return make_shards(X, F, Z, parts)

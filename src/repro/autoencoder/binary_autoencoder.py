@@ -6,8 +6,8 @@ Holds the model state and the two objective functions of paper section 3.1:
 * ``E_Q(h, f, Z; mu) = sum_n ||x_n - f(z_n)||^2 + mu ||z_n - h(x_n)||^2``
   (eq. 3, the quadratic-penalty surrogate MAC actually minimises)
 
-Training drivers live in :mod:`repro.core.mac` (serial MAC) and
-:mod:`repro.core.parmac` (distributed ParMAC).
+Training is :class:`~repro.core.trainer.ParMACTrainer` over a
+:class:`~repro.autoencoder.adapter.BAAdapter`; serial MAC is one shard.
 """
 
 from __future__ import annotations

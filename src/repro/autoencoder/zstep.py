@@ -21,11 +21,9 @@ Three solvers, as in the paper:
 All solvers are vectorised across points: the per-point problems share
 ``B^T B`` so the quadratic term is computed once.
 
-Enumeration and the relaxed solve each have one kernel. The alternating
-solver takes ``impl``: ``"stacked"`` (default) maintains ``G = R B`` (an
+Each solver has one kernel. The alternating one maintains ``G = R B`` (an
 n x L stack of per-bit linear terms) with one rank-1 update per flipped
-bit instead of materialising per-bit n x D residual copies; ``"legacy"``
-is the original residual sweep the parity tests compare against.
+bit instead of materialising per-bit n x D residual copies.
 """
 
 from __future__ import annotations
@@ -197,7 +195,6 @@ def zstep_alternate(
     Z0: np.ndarray | None = None,
     *,
     max_sweeps: int = 20,
-    impl: str = "stacked",
 ) -> np.ndarray:
     """Alternating optimisation over bits, initialised from ``Z0``.
 
@@ -211,19 +208,16 @@ def zstep_alternate(
     update is exact given the others, so sweeps never increase the
     objective; we stop when a full sweep changes nothing.
 
-    ``impl="stacked"`` never materialises ``r_base``: since
-    ``r_base . b_l == (R B)_l + z_l ||b_l||^2``, it maintains the n x L
-    stack ``G = R B`` with one GEMM up front and a rank-1 update per
-    flipped bit — O(n L) per bit instead of O(n D). ``impl="legacy"`` is
-    the original per-bit residual sweep.
+    ``r_base`` is never materialised: since
+    ``r_base . b_l == (R B)_l + z_l ||b_l||^2``, the solver maintains the
+    n x L stack ``G = R B`` with one GEMM up front and a rank-1 update per
+    flipped bit — O(n L) per bit instead of O(n D).
 
     ``Z0`` defaults to the truncated relaxed solution (the paper's
     initialisation).
     """
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    if impl not in ("stacked", "legacy"):
-        raise ValueError(f"unknown impl {impl!r}")
     cd = _solver_dtype(B)
     XcB = _linear_term(X, B, c, cd)
     Hf = np.asarray(H, dtype=cd)
@@ -232,25 +226,6 @@ def zstep_alternate(
     Z = check_binary_codes(Z0).astype(cd)
     L = B.shape[1]
     b_norms = (B * B).sum(axis=0)  # ||b_l||^2 for each column l
-    if impl == "legacy":
-        # Current residual x - f(z).
-        R = np.asarray(X, dtype=cd) - Z @ B.T - np.asarray(c, dtype=cd)
-        for _ in range(max_sweeps):
-            changed = False
-            for l in range(L):
-                b_l = B[:, l]
-                # Residual with bit l's contribution removed.
-                r_base = R + np.outer(Z[:, l], b_l)
-                delta = b_norms[l] - 2.0 * r_base @ b_l + mu * (1.0 - 2.0 * Hf[:, l])
-                new_zl = (delta <= 0.0).astype(cd)
-                diff = new_zl - Z[:, l]
-                if np.any(diff != 0.0):
-                    changed = True
-                    R -= np.outer(diff, b_l)
-                    Z[:, l] = new_zl
-            if not changed:
-                break
-        return Z.astype(np.uint8)
     BtB = B.T @ B
     # G = R @ B, the per-bit linear terms, built by one GEMM pair; flipping
     # bit l of some rows moves G by a rank-1 update with row l of B^T B.

@@ -1,9 +1,9 @@
-"""MAC training drivers and shared training infrastructure.
+"""The MAC/ParMAC fit loop and shared training infrastructure.
 
-:mod:`repro.core.mac` is the serial reference (paper fig. 1);
-:mod:`repro.core.parmac` is the distributed driver built on the engines in
-:mod:`repro.distributed`. Both share the penalty schedule, history records
-and convergence/stopping logic defined here.
+:class:`~repro.core.trainer.ParMACTrainer` is the one fit loop: any
+adapter, any engine in :mod:`repro.distributed`. Serial MAC (paper
+fig. 1) is that loop on one shard on the ``"sync"`` engine. The penalty
+schedule, history records and convergence/stopping logic live here too.
 """
 
 from repro.core.penalty import GeometricSchedule, penalty_schedule
@@ -13,10 +13,7 @@ from repro.core.convergence import (
     lagrange_multiplier_estimates,
     z_fixed_point,
 )
-from repro.core.mac import MACTrainerBA
 from repro.core.trainer import ParMACTrainer
-from repro.core.parmac import ParMACTrainerBA
-from repro.core.parmac_net import ParMACTrainerNet
 
 __all__ = [
     "GeometricSchedule",
@@ -26,8 +23,5 @@ __all__ = [
     "z_fixed_point",
     "constraints_satisfied",
     "lagrange_multiplier_estimates",
-    "MACTrainerBA",
     "ParMACTrainer",
-    "ParMACTrainerBA",
-    "ParMACTrainerNet",
 ]

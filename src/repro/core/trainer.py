@@ -7,27 +7,30 @@ comes from a :class:`~repro.distributed.interfaces.ParMACAdapter`
 (binary autoencoder, deep net, ...) and *where* it runs comes from a
 :class:`~repro.distributed.backends.base.Backend` resolved by name
 through the backend registry (``"sync"``, ``"async"``,
-``"multiprocess"``).
+``"multiprocess"``, ``"tcp"``).
 
-The model-specific front ends :class:`~repro.core.parmac.ParMACTrainerBA`
-and :class:`~repro.core.parmac_net.ParMACTrainerNet` are thin shims over
-this class: they prepare shards and initial coordinates, then delegate.
+It is the only fit loop. Model code supplies an adapter and a shard
+builder (:func:`~repro.autoencoder.adapter.build_ba_shards`,
+:func:`~repro.nets.adapter.build_net_shards`); serial MAC (paper fig. 1)
+is the same loop on one shard on the ``"sync"`` engine.
 
->>> adapter = NetAdapter(net)                        # doctest: +SKIP
->>> shards = make_net_shards(X, Y, Zs, parts)        # doctest: +SKIP
+>>> adapter = NetAdapter(net)                                # doctest: +SKIP
+>>> shards = build_net_shards(adapter, X, Y, n_machines=4)   # doctest: +SKIP
 >>> trainer = ParMACTrainer(adapter, backend="multiprocess", seed=0)
->>> history = trainer.fit(shards)                    # doctest: +SKIP
+>>> history = trainer.fit(shards)                            # doctest: +SKIP
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+from repro.core.convergence import EarlyStopping
 from repro.core.history import IterationRecord, TrainingHistory
 from repro.core.penalty import GeometricSchedule, penalty_schedule
 from repro.distributed.backends import get_backend
 from repro.distributed.backends.base import Backend
 from repro.distributed.dataplane import ClusterState
+from repro.distributed.interfaces import get_params_many, set_params_many
 
 __all__ = ["ParMACTrainer"]
 
@@ -68,11 +71,21 @@ class ParMACTrainer:
         only — results stay bit-identical.
     evaluator : callable, optional
         Called with the adapter's model after every iteration; may return
-        a dict with "precision" / "recall" entries for the history.
+        a dict with "precision" / "recall" entries for the history, or
+        None (no metrics).
     stop_on_fixed_point : bool
         Stop once an iteration changes no auxiliary coordinates and
-        leaves no constraint violations (the paper's stopping test; used
-        by the binary-autoencoder front end).
+        leaves no constraint violations (the paper's stopping test for
+        binary autoencoders, fig. 1).
+    early_stopping : bool
+        Stop at the first iteration whose evaluator score (its result's
+        ``evaluator.score_key`` entry) drops below the best so far, and
+        restore the submodels of the best-scoring iteration (section 8.1:
+        the initial codes are only ever improved). Only the parameters
+        are restored: the shards keep the last iteration's codes, so
+        ``cluster_.gather_codes()`` and :meth:`checkpoint` do not match
+        the restored model. Requires an evaluator, and cannot be combined
+        with ``fit(resume=...)`` (the stopper's state is not checkpointed).
     backend_options : dict, optional
         Extra keyword arguments for the backend class (e.g.
         ``message_dtype`` / ``batch_units`` on any engine,
@@ -105,8 +118,11 @@ class ParMACTrainer:
         seed=None,
         evaluator=None,
         stop_on_fixed_point: bool = False,
+        early_stopping: bool = False,
         backend_options: dict | None = None,
     ):
+        if early_stopping and evaluator is None:
+            raise ValueError("early_stopping requires an evaluator")
         self.adapter = adapter
         if schedule is None:
             schedule = GeometricSchedule(mu0=1.0, factor=2.0, n_iters=10)
@@ -127,6 +143,7 @@ class ParMACTrainer:
         self.backend = backend
         self.evaluator = evaluator
         self.stop_on_fixed_point = bool(stop_on_fixed_point)
+        self.early_stopping = bool(early_stopping)
         self.history_: TrainingHistory | None = None
 
     @property
@@ -233,8 +250,15 @@ class ParMACTrainer:
         ``checkpoint_every``-th iteration (atomically replacing the
         file), making the fit resumable after a crash or kill.
         """
+        if resume is not None and self.early_stopping:
+            raise ValueError(
+                "early_stopping cannot resume: its best score and snapshot "
+                "are not part of the checkpoint"
+            )
         history = TrainingHistory()
         start = 0
+        stopper = EarlyStopping() if self.early_stopping else None
+        best = None
         try:
             if resume is not None:
                 state = (
@@ -274,11 +298,15 @@ class ParMACTrainer:
                 record.extra.setdefault("n_machines", stats.n_machines)
                 record.extra.setdefault("machines_added", stats.machines_added)
                 record.extra.setdefault("replan_s", stats.replan_s)
+                metrics = {}
                 if self.evaluator is not None:
-                    metrics = self.evaluator(self.adapter.model)
+                    metrics = self.evaluator(self.adapter.model) or {}
                     record.precision = metrics.get("precision")
                     record.recall = metrics.get("recall")
                 history.append(record)
+                if stopper is not None and self._early_stop(stopper, metrics):
+                    best = stopper.best_state
+                    break
                 if checkpoint_path is not None and (i + 1) % max(
                     1, int(checkpoint_every)
                 ) == 0:
@@ -294,8 +322,26 @@ class ParMACTrainer:
             # shipping and the first result must release per-fit
             # resources (e.g. shared-memory segments) on the way out.
             self.backend.teardown()
+        if best is not None:
+            set_params_many(self.adapter, zip(self.adapter.submodel_specs(), best))
         self.history_ = history
         return history
+
+    def _early_stop(self, stopper: EarlyStopping, metrics: dict) -> bool:
+        """Feed this iteration's score to ``stopper``, snapshotting the
+        submodels when it is a new best; True when the fit should stop."""
+        key = self.evaluator.score_key
+        if key not in metrics:
+            raise ValueError(
+                f"early_stopping reads the evaluator's {key!r} result, "
+                f"which it did not return"
+            )
+        score = metrics[key]
+        snapshot = None
+        if score >= stopper.best_score:
+            specs = self.adapter.submodel_specs()
+            snapshot = [theta.copy() for theta in get_params_many(self.adapter, specs)]
+        return stopper.update(score, snapshot)
 
     def _write_checkpoint(self, path) -> None:
         """Snapshot to ``path`` atomically (write-temp-then-rename), so a

@@ -70,7 +70,9 @@ class DataPlane:
     adapter : ParMACAdapter
         Supplies ``features`` / ``init_codes`` for coding streamed rows.
         Adapters without those methods still get ownership/retirement
-        bookkeeping; ingestion raises a clear error.
+        bookkeeping; ingestion raises a clear error. An adapter whose
+        ``max_machines`` is not None caps the machine set: setup, restore
+        and joins beyond it raise ``ValueError``.
     shards : sequence or mapping
         One shard per machine. A sequence assigns machine ids 0..P-1; a
         mapping keeps its ids (machines may have been removed upstream).
@@ -89,6 +91,7 @@ class DataPlane:
             self.shards = {p: s for p, s in enumerate(shards)}
         if not self.shards:
             raise ValueError("need at least one shard")
+        self._check_machine_cap(len(self.shards))
         self.own_data = bool(own_data)
         self._n_rows = {p: s.n for p, s in self.shards.items()}
         self._next_machine_id = 1 + max(self.shards)
@@ -138,6 +141,14 @@ class DataPlane:
         plane — its data stream is gone, as distinct from an id that
         never existed (which is a caller error)."""
         return int(p) in self.retired
+
+    def _check_machine_cap(self, n: int) -> None:
+        cap = getattr(self.adapter, "max_machines", None)
+        if cap is not None and n > cap:
+            raise ValueError(
+                f"this {type(self.adapter).__name__} trains on at most {cap} "
+                f"machine(s), got {n} (see its max_machines)"
+            )
 
     def _require_machine(self, p) -> int:
         p = int(p)
@@ -224,8 +235,10 @@ class DataPlane:
         the new shard is held to the width of the live ones. Raises the
         identical clear errors, so a wrong-width machine fails at the
         ``add_machine`` call site instead of joining silently and
-        exploding later.
+        exploding later. A machine beyond the adapter's ``max_machines``
+        is refused here too.
         """
+        self._check_machine_cap(self.n_machines + 1)
         return self._check_stream_batch(
             X_new,
             self.shards[self.machines[0]],

@@ -33,6 +33,10 @@ Adapters may additionally implement the **batched W-step** entry points
 
 Engines drive these through :mod:`repro.distributed.batching` behind the
 ``batch_units`` backend knob.
+
+An adapter whose update is only correct on a bounded machine set says
+so with ``max_machines`` (an int, or None for no cap; absent means
+None): the data plane refuses larger sets at setup, restore and join.
 """
 
 from __future__ import annotations

@@ -15,13 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.distributed.interfaces import SubmodelSpec
+from repro.distributed.partition import partition_indices
 from repro.nets.deepnet import DeepNet
 from repro.nets.layers import ACTIVATIONS
-from repro.nets.mac_net import MACTrainerNet
+from repro.nets.mac import e_q, init_coords, z_step
 from repro.optim.schedules import InverseSchedule
 from repro.optim.sgd import SGDState, minibatch_indices
+from repro.utils.rng import check_random_state
 
-__all__ = ["NetShard", "NetAdapter", "make_net_shards"]
+__all__ = ["NetShard", "NetAdapter", "make_net_shards", "build_net_shards"]
 
 
 @dataclass
@@ -61,13 +63,32 @@ def make_net_shards(X, Y, Zs, parts, *, dtype=None) -> list[NetShard]:
     ]
 
 
+def build_net_shards(adapter, X, Y, *, n_machines: int, seed=None) -> list[NetShard]:
+    """Shards for a deep-net fit from global ``(X, Y)``.
+
+    Coordinates start at the forward pass of ``adapter.model``; rows are
+    split evenly over ``n_machines`` by ``seed``'s stream. Everything is
+    cast to the net's compute dtype, and 1-d targets become one column.
+    """
+    net = adapter.model
+    X = np.asarray(X, dtype=net.compute_dtype)
+    Y = np.asarray(Y, dtype=net.compute_dtype)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    if len(X) != len(Y):
+        raise ValueError(f"X has {len(X)} rows but Y has {len(Y)}")
+    rng = check_random_state(seed)
+    parts = partition_indices(len(X), n_machines, rng=rng)
+    return make_net_shards(X, Y, init_coords(net, X), parts)
+
+
 class NetAdapter:
     """ParMAC adapter exposing a :class:`DeepNet`'s hidden units as submodels.
 
     Parameters
     ----------
     net : DeepNet
-    z_steps, z_lr : Z-step optimiser settings (delegated to MACTrainerNet's
+    z_steps, z_lr : Z-step optimiser settings (:func:`repro.nets.mac.z_step`'s
         safeguarded gradient descent, run shard-locally).
     """
 
@@ -84,8 +105,6 @@ class NetAdapter:
             for j in range(layer.n_out):
                 self._specs.append(SubmodelSpec(sid=sid, kind="unit", index=(k, j)))
                 sid += 1
-        # A private trainer instance provides the Z-step numerics.
-        self._ztrainer = MACTrainerNet(net, z_steps=z_steps, z_lr=z_lr)
 
     # -------------------------------------------------------------- specs
     def submodel_specs(self) -> list[SubmodelSpec]:
@@ -264,12 +283,14 @@ class NetAdapter:
     def z_update(self, shard: NetShard, mu: float) -> int:
         """Shard-local safeguarded gradient Z step; returns coords changed.
 
-        Runs the trainer's stacked (activation-cached) solver: a shard's Z
-        solves are a handful of whole-shard GEMMs per gradient step in the
-        model's compute dtype — the Z-step mirror of ``w_update_batch`` —
-        and remain bit-identical to ``MACTrainerNet.z_step_reference``.
+        Runs the activation-cached solver: a shard's Z solves are a handful
+        of whole-shard GEMMs per gradient step in the model's compute
+        dtype — the Z-step mirror of ``w_update_batch``.
         """
-        new_Zs = self._ztrainer.z_step(shard.X, shard.Y, shard.Zs, mu)
+        new_Zs = z_step(
+            self.model, shard.X, shard.Y, shard.Zs, mu,
+            z_steps=self.z_steps, z_lr=self.z_lr,
+        )
         changed = sum(
             int((np.abs(new - old) > 1e-12).sum())
             for new, old in zip(new_Zs, shard.Zs)
@@ -283,7 +304,7 @@ class NetAdapter:
         return self.e_q_shard(shard, mu), self.e_ba_shard(shard), self.violations_shard(shard)
 
     def e_q_shard(self, shard: NetShard, mu: float) -> float:
-        return self._ztrainer.e_q(shard.X, shard.Y, shard.Zs, mu)
+        return e_q(self.model, shard.X, shard.Y, shard.Zs, mu)
 
     def e_ba_shard(self, shard: NetShard) -> float:
         """Shard contribution to the nested objective (name kept for the

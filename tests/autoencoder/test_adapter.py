@@ -476,14 +476,14 @@ class TestShardStats:
 
     def test_net_adapter_composes_its_three_statistics(self):
         from repro.nets.adapter import make_net_shards
-        from repro.nets.mac_net import MACTrainerNet
+        from repro.nets.mac import init_coords
 
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 4))
         Y = np.sin(X @ rng.normal(size=(4, 2)))
         net = DeepNet.create([4, 6, 2], rng=1)
         adapter = NetAdapter(net)
-        Zs = MACTrainerNet(net, seed=0).init_coords(X)
+        Zs = init_coords(net, X)
         (s,) = make_net_shards(X, Y, Zs, [np.arange(30)])
         assert adapter.shard_stats(s, 0.5) == (
             adapter.e_q_shard(s, 0.5), adapter.e_ba_shard(s), adapter.violations_shard(s)

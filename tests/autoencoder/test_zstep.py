@@ -58,6 +58,35 @@ def enumerate_oracle(X, B, c, H, mu):
     return C[np.argmin(scores, axis=1)].astype(np.uint8)
 
 
+def alternate_oracle(X, B, c, H, mu, Z0=None, max_sweeps=20):
+    """The per-bit residual sweep ``zstep_alternate`` used to run: keep
+    the n x D residual ``x - f(z)`` and, for each bit, rebuild the
+    residual with that bit removed. Kept here as the reference the
+    stacked ``G = R B`` solver is compared against."""
+    cd = B.dtype
+    Hf = np.asarray(H, dtype=cd)
+    if Z0 is None:
+        Z0 = zstep_relaxed(X, B, c, H, mu)
+    Z = np.asarray(Z0).astype(cd)
+    b_norms = (B * B).sum(axis=0)
+    R = np.asarray(X, dtype=cd) - Z @ B.T - np.asarray(c, dtype=cd)
+    for _ in range(max_sweeps):
+        changed = False
+        for l in range(B.shape[1]):
+            b_l = B[:, l]
+            r_base = R + np.outer(Z[:, l], b_l)
+            delta = b_norms[l] - 2.0 * r_base @ b_l + mu * (1.0 - 2.0 * Hf[:, l])
+            new_zl = (delta <= 0.0).astype(cd)
+            diff = new_zl - Z[:, l]
+            if np.any(diff != 0.0):
+                changed = True
+                R -= np.outer(diff, b_l)
+                Z[:, l] = new_zl
+        if not changed:
+            break
+    return Z.astype(np.uint8)
+
+
 class TestObjective:
     def test_matches_definition(self):
         X, B, c, H, mu = random_problem()
@@ -219,7 +248,7 @@ def dyadic_problem(seed, dtype, n=12, D=6, L=5, mu=0.5):
 
     Every intermediate the solvers form — Gram entries, linear terms,
     per-bit deltas — is then a small multiple of 1/16, exactly
-    representable in float32 and float64 alike. Both impls therefore
+    representable in float32 and float64 alike. Solver and oracle therefore
     compute *exactly* the same deltas and scores, so bit-parity of the
     stacked rewrites is a theorem on this grid, not a lucky draw.
     """
@@ -303,30 +332,30 @@ class TestEnumerateKernel:
 
 
 class TestStackedParity:
-    """The ``impl="stacked"`` alternating solver is bit-identical to the
-    legacy formulation — the contract the engines' cross-backend
-    conformance relies on (a Z step must not depend on which kernel ran
-    it)."""
+    """The stacked alternating solver is bit-identical to the per-bit
+    residual sweep (``alternate_oracle``) — the contract the engines'
+    cross-backend conformance relies on (a Z step must not depend on
+    which kernel ran it)."""
 
     @given(seed=st.integers(0, 10_000),
            dtype=st.sampled_from([np.float32, np.float64]))
     @settings(max_examples=25, deadline=None)
     def test_alternate_parity_dyadic(self, seed, dtype):
         X, B, c, H, mu, Z0 = dyadic_problem(seed, dtype)
-        legacy = zstep_alternate(X, B, c, H, mu, Z0, impl="legacy")
-        stacked = zstep_alternate(X, B, c, H, mu, Z0, impl="stacked")
-        assert np.array_equal(legacy, stacked)
+        oracle = alternate_oracle(X, B, c, H, mu, Z0)
+        stacked = zstep_alternate(X, B, c, H, mu, Z0)
+        assert np.array_equal(oracle, stacked)
 
     @given(seed=st.integers(0, 10_000),
            dtype=st.sampled_from([np.float32, np.float64]))
     @settings(max_examples=25, deadline=None)
     def test_alternate_parity_from_relaxed_init_dyadic(self, seed, dtype):
-        # With no Z0 both impls start from the one relaxed kernel (it has
-        # no impl of its own) and must still agree.
+        # With no Z0 both start from the one relaxed kernel and must
+        # still agree.
         X, B, c, H, mu, _ = dyadic_problem(seed, dtype)
-        legacy = zstep_alternate(X, B, c, H, mu, impl="legacy")
-        stacked = zstep_alternate(X, B, c, H, mu, impl="stacked")
-        assert np.array_equal(legacy, stacked)
+        oracle = alternate_oracle(X, B, c, H, mu)
+        stacked = zstep_alternate(X, B, c, H, mu)
+        assert np.array_equal(oracle, stacked)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_alternate_parity_continuous(self, seed):
@@ -335,17 +364,17 @@ class TestStackedParity:
         # rounding to disagree.
         X, B, c, H, mu = random_problem(n=30, D=8, L=6, mu=0.7, seed=seed)
         Z0 = np.random.default_rng(seed + 50).integers(0, 2, size=H.shape)
-        legacy = zstep_alternate(X, B, c, H, mu, Z0.astype(np.uint8), impl="legacy")
-        stacked = zstep_alternate(X, B, c, H, mu, Z0.astype(np.uint8), impl="stacked")
-        assert np.array_equal(legacy, stacked)
+        oracle = alternate_oracle(X, B, c, H, mu, Z0.astype(np.uint8))
+        stacked = zstep_alternate(X, B, c, H, mu, Z0.astype(np.uint8))
+        assert np.array_equal(oracle, stacked)
 
-    def test_unknown_impl_raises(self):
-        X, B, c, H, mu = random_problem()
-        with pytest.raises(ValueError, match="impl"):
-            zstep_alternate(X, B, c, H, mu, impl="vectorised")
-        # Enumeration and the relaxed solve have one kernel, so no knob.
+    def test_no_kernel_knob(self):
+        # Every solver has one kernel, so none takes an ``impl``.
         assert list(inspect.signature(zstep_enumerate).parameters) == list("XBcH") + ["mu"]
         assert list(inspect.signature(zstep_relaxed).parameters) == list("XBcH") + ["mu"]
+        assert list(inspect.signature(zstep_alternate).parameters) == (
+            list("XBcH") + ["mu", "Z0", "max_sweeps"]
+        )
 
 
 class TestDispatcher:

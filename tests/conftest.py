@@ -38,11 +38,11 @@ def small_ba():
 @pytest.fixture()
 def fitted_ba(small_cloud):
     """A BA quickly fitted on the small cloud (3 MAC iterations)."""
-    from repro.core.mac import MACTrainerBA
     from repro.core.penalty import GeometricSchedule
+    from tests.fits import fit_ba
 
     ba = BinaryAutoencoder.linear(n_features=12, n_bits=6)
-    MACTrainerBA(ba, GeometricSchedule(1e-3, 2.0, 3), seed=0).fit(small_cloud)
+    fit_ba(ba, small_cloud, GeometricSchedule(1e-3, 2.0, 3), seed=0)
     return ba
 
 

@@ -1,11 +1,11 @@
-"""MAC trainer exercised through every Z-step solver path."""
+"""Serial MAC exercised through every Z-step solver path."""
 
 import numpy as np
 import pytest
 
 from repro.autoencoder import BinaryAutoencoder
-from repro.core.mac import MACTrainerBA
 from repro.core.penalty import GeometricSchedule
+from tests.fits import fit_ba
 
 
 @pytest.fixture(scope="module")
@@ -18,44 +18,38 @@ def X():
 SCHED = GeometricSchedule(1e-3, 2.0, 5)
 
 
+def serial(ba, X, **adapter_options):
+    return fit_ba(ba, X, SCHED, adapter_options=adapter_options, seed=0).history_
+
+
 class TestSolverPaths:
     @pytest.mark.parametrize("method", ["enumerate", "alternate", "relaxed"])
     def test_all_methods_train(self, X, method):
         ba = BinaryAutoencoder.linear(10, 5)
-        h = MACTrainerBA(ba, SCHED, zstep_method=method, seed=0).fit(X)
+        h = serial(ba, X, zstep_method=method)
         assert np.isfinite(h.records[-1].e_q)
         assert h.records[-1].e_q < h.records[0].e_q * 1.5
 
     def test_auto_switches_on_max_enum_bits(self, X):
         # With max_enum_bits below L the auto path must use alternation;
         # both runs stay finite and close in objective.
-        enum_ba = BinaryAutoencoder.linear(10, 5)
-        h_enum = MACTrainerBA(enum_ba, SCHED, max_enum_bits=5, seed=0).fit(X)
-        alt_ba = BinaryAutoencoder.linear(10, 5)
-        h_alt = MACTrainerBA(alt_ba, SCHED, max_enum_bits=2, seed=0).fit(X)
+        h_enum = serial(BinaryAutoencoder.linear(10, 5), X, max_enum_bits=5)
+        h_alt = serial(BinaryAutoencoder.linear(10, 5), X, max_enum_bits=2)
         assert h_alt.records[-1].e_q <= h_enum.records[-1].e_q * 1.3
 
     def test_enumerate_no_worse_than_alternate(self, X):
         # Exact Z steps can only help the penalised objective per step.
-        enum_ba = BinaryAutoencoder.linear(10, 5)
-        h_enum = MACTrainerBA(
-            enum_ba, SCHED, zstep_method="enumerate", seed=0
-        ).fit(X)
-        alt_ba = BinaryAutoencoder.linear(10, 5)
-        h_alt = MACTrainerBA(
-            alt_ba, SCHED, zstep_method="alternate", seed=0
-        ).fit(X)
+        h_enum = serial(BinaryAutoencoder.linear(10, 5), X, zstep_method="enumerate")
+        h_alt = serial(BinaryAutoencoder.linear(10, 5), X, zstep_method="alternate")
         # Same W-step trajectory seeds; exact solver ends at least as low
         # up to SGD noise.
         assert h_enum.records[-1].e_q <= h_alt.records[-1].e_q * 1.1
 
     def test_max_sweeps_one_still_trains(self, X):
         ba = BinaryAutoencoder.linear(10, 5)
-        h = MACTrainerBA(
-            ba, SCHED, zstep_method="alternate", max_sweeps=1, seed=0
-        ).fit(X)
+        h = serial(ba, X, zstep_method="alternate", max_sweeps=1)
         assert np.isfinite(h.records[-1].e_q)
 
     def test_rejects_bad_w_epochs(self, X):
         with pytest.raises(ValueError):
-            MACTrainerBA(BinaryAutoencoder.linear(10, 5), SCHED, w_epochs=0)
+            fit_ba(BinaryAutoencoder.linear(10, 5), X, SCHED, epochs=0)

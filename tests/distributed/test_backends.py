@@ -34,7 +34,7 @@ from repro.distributed.backends import (
 from repro.distributed.partition import make_shards, partition_indices
 from repro.nets.adapter import NetAdapter, make_net_shards
 from repro.nets.deepnet import DeepNet
-from repro.nets.mac_net import MACTrainerNet
+from repro.nets.mac import init_coords
 
 BACKENDS = available_backends()
 #: The reference engine every other backend is compared against.
@@ -70,7 +70,7 @@ def ba_setup(X, P=3, n_bits=4, seed=0):
 def net_setup(X, Y, P=3, seed=0):
     net = DeepNet.create([4, 6, 2], rng=1)
     adapter = NetAdapter(net, z_steps=5)
-    Zs = MACTrainerNet(net, seed=seed).init_coords(X)
+    Zs = init_coords(net, X)
     parts = partition_indices(len(X), P, rng=seed)
     return adapter, make_net_shards(X, Y, Zs, parts)
 

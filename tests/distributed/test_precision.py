@@ -25,7 +25,7 @@ from repro.distributed.costmodel import CostModel
 from repro.distributed.partition import make_shards, partition_indices
 from repro.nets.adapter import NetAdapter, make_net_shards
 from repro.nets.deepnet import DeepNet
-from repro.nets.mac_net import MACTrainerNet
+from repro.nets.mac import init_coords
 
 from .test_cluster import build_cluster
 
@@ -53,7 +53,7 @@ def net_setup(X, dtype=np.float64, P=3, seed=0):
     Y = np.sin(np.asarray(X) @ rng.normal(size=(X.shape[1], 2)))
     net = DeepNet.create([X.shape[1], 6, 2], rng=1, dtype=dtype)
     adapter = NetAdapter(net, z_steps=5)
-    Zs = MACTrainerNet(net, seed=seed).init_coords(np.asarray(X, dtype=dtype))
+    Zs = init_coords(net, np.asarray(X, dtype=dtype))
     parts = partition_indices(len(X), P, rng=seed)
     return adapter, make_net_shards(X, Y, Zs, parts)
 

@@ -4,15 +4,15 @@ Section 8.4's memory discipline: kernel values are computed once (stored
 quantised in the paper) and the travelling SVM submodels train on them —
 the raw inputs never need re-kernelising per visit. The shards' F matrix
 carries the kernel features; this test exercises the whole path through
-the public ParMAC trainer.
+the ParMAC fit loop.
 """
 
 import numpy as np
 import pytest
 
 from repro.autoencoder import BinaryAutoencoder
-from repro.core.parmac import ParMACTrainerBA
 from repro.core.penalty import GeometricSchedule
+from tests.fits import fit_ba
 
 
 @pytest.fixture(scope="module")
@@ -25,20 +25,15 @@ def X():
 class TestRBFThroughParMAC:
     def test_trains_on_simulated_ring(self, X):
         ba = BinaryAutoencoder.rbf(X, n_centres=40, n_bits=6, rng=0)
-        trainer = ParMACTrainerBA(
-            ba, GeometricSchedule(1e-3, 2.0, 6), n_machines=4, seed=0
-        )
-        h = trainer.fit(X)
+        trainer = fit_ba(ba, X, GeometricSchedule(1e-3, 2.0, 6), n_machines=4, seed=0)
+        h = trainer.history_
         assert np.isfinite(h.records[-1].e_q)
         assert h.records[-1].e_q < h.records[0].e_q
         assert trainer.cluster_.model_copies_consistent()
 
     def test_shards_store_kernel_features(self, X):
         ba = BinaryAutoencoder.rbf(X, n_centres=40, n_bits=6, rng=0)
-        trainer = ParMACTrainerBA(
-            ba, GeometricSchedule(1e-3, 2.0, 2), n_machines=3, seed=0
-        )
-        trainer.fit(X)
+        trainer = fit_ba(ba, X, GeometricSchedule(1e-3, 2.0, 2), n_machines=3, seed=0)
         for p in trainer.cluster_.machines:
             shard = trainer.cluster_.shards[p]
             assert shard.F.shape[1] == 40  # kernel features, not raw dims
@@ -46,11 +41,10 @@ class TestRBFThroughParMAC:
 
     def test_trains_on_multiprocess_ring(self, X):
         ba = BinaryAutoencoder.rbf(X, n_centres=30, n_bits=5, rng=0)
-        trainer = ParMACTrainerBA(
-            ba, GeometricSchedule(1e-3, 2.0, 3), n_machines=2,
+        h = fit_ba(
+            ba, X, GeometricSchedule(1e-3, 2.0, 3), n_machines=2,
             backend="multiprocess", seed=0,
-        )
-        h = trainer.fit(X)
+        ).history_
         assert np.isfinite(h.records[-1].e_q)
 
     def test_quantised_kernel_features_close(self, X):

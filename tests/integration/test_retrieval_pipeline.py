@@ -15,13 +15,13 @@ import pytest
 from repro.autoencoder import BinaryAutoencoder
 from repro.autoencoder.decoder import LinearDecoder
 from repro.core.evaluation import PrecisionEvaluator
-from repro.core.mac import MACTrainerBA
 from repro.core.penalty import GeometricSchedule
 from repro.data.synthetic import make_sift_like
 from repro.retrieval.baselines import TruncatedPCAHash
 from repro.retrieval.groundtruth import euclidean_knn
 from repro.retrieval.hamming import pack_bits
 from repro.retrieval.metrics import recall_at_R
+from tests.fits import fit_ba
 
 L = 16
 
@@ -41,11 +41,11 @@ def trained(workload):
     # keeps this 28-iteration fixture fast.
     X, Q, nn1 = workload
     tpca = TruncatedPCAHash(L).fit(X)
-    kw = dict(w_epochs=2, zstep_method="alternate", seed=0)
+    kw = dict(epochs=2, adapter_options=dict(zstep_method="alternate"), seed=0)
     ba_lin = BinaryAutoencoder.linear(32, L)
-    MACTrainerBA(ba_lin, GeometricSchedule(1e-2, 2.0, 14), **kw).fit(X)
+    fit_ba(ba_lin, X, GeometricSchedule(1e-2, 2.0, 14), **kw)
     ba_rbf = BinaryAutoencoder.rbf(X, n_centres=200, n_bits=L, rng=0)
-    MACTrainerBA(ba_rbf, GeometricSchedule(1e-2, 2.0, 14), **kw).fit(X)
+    fit_ba(ba_rbf, X, GeometricSchedule(1e-2, 2.0, 14), **kw)
     return tpca, ba_lin, ba_rbf
 
 
@@ -65,10 +65,7 @@ class TestReconstruction:
     def test_constraints_eventually_satisfied(self, workload):
         X, _, _ = workload
         ba = BinaryAutoencoder.linear(32, 8)
-        trainer = MACTrainerBA(
-            ba, GeometricSchedule(1e-2, 2.5, 16), w_epochs=2, seed=0
-        )
-        h = trainer.fit(X)
+        h = fit_ba(ba, X, GeometricSchedule(1e-2, 2.5, 16), epochs=2, seed=0).history_
         assert h.records[-1].violations == 0
 
 
@@ -107,10 +104,9 @@ class TestEarlyStoppingGuarantee:
         X, Q, _ = workload
         ev = PrecisionEvaluator(Q, X, K=50, k=30)
         ba = BinaryAutoencoder.linear(32, 8)
-        trainer = MACTrainerBA(
-            ba, GeometricSchedule(1e-2, 2.0, 14), evaluator=ev,
+        h = fit_ba(
+            ba, X, GeometricSchedule(1e-2, 2.0, 14), evaluator=ev,
             early_stopping=True, seed=0,
-        )
-        h = trainer.fit(X)
+        ).history_
         final = ev(ba)["precision"]
         assert final >= max(r.precision for r in h.records) - 1e-12

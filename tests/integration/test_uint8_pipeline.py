@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from repro.autoencoder import BinaryAutoencoder
-from repro.core.mac import MACTrainerBA
 from repro.core.penalty import GeometricSchedule
 from repro.data.quantize import Uint8Store
 from repro.data.synthetic import make_sift_like
+from tests.fits import fit_ba
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +32,9 @@ class TestUint8Pipeline:
         X, store = clouds
         sched = GeometricSchedule(1e-2, 2.0, 6)
         ba_f = BinaryAutoencoder.linear(16, 4)
-        h_f = MACTrainerBA(ba_f, sched, seed=0).fit(X)
+        h_f = fit_ba(ba_f, X, sched, seed=0).history_
         ba_q = BinaryAutoencoder.linear(16, 4)
-        h_q = MACTrainerBA(ba_q, sched, seed=0).fit(store.all_rows())
+        h_q = fit_ba(ba_q, store.all_rows(), sched, seed=0).history_
         assert h_q.records[-1].e_ba == pytest.approx(
             h_f.records[-1].e_ba, rel=0.05
         )

@@ -7,7 +7,7 @@ from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.partition import partition_indices
 from repro.nets.adapter import NetAdapter, NetShard, make_net_shards
 from repro.nets.deepnet import DeepNet
-from repro.nets.mac_net import MACTrainerNet
+from repro.nets.mac import init_coords
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +21,7 @@ def problem():
 def build_net_cluster(X, Y, P=3, seed=0, **kwargs):
     net = DeepNet.create([4, 6, 2], rng=seed)
     adapter = NetAdapter(net, z_steps=5)
-    Zs = MACTrainerNet(net, seed=seed).init_coords(X)
+    Zs = init_coords(net, X)
     parts = partition_indices(len(X), P, rng=seed)
     shards = make_net_shards(X, Y, Zs, parts)
     cluster = SimulatedCluster(adapter, shards, seed=seed, **kwargs)
@@ -60,7 +60,7 @@ class TestNetAdapter:
         X, Y = problem
         net = DeepNet.create([4, 6, 2], rng=1)
         adapter = NetAdapter(net)
-        Zs = MACTrainerNet(net, seed=0).init_coords(X)
+        Zs = init_coords(net, X)
         shard = make_net_shards(X, Y, Zs, [np.arange(len(X))])[0]
         spec = adapter.submodel_specs()[0]
         theta = adapter.get_params(spec) + 0.5  # perturb
