@@ -14,7 +14,7 @@ from repro.autoencoder.init import init_codes_pca
 from repro.autoencoder.zstep import zstep
 from repro.data.synthetic import make_clustered
 from repro.distributed.allreduce import exact_w_step_ba
-from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.backends import get_backend
 from repro.distributed.partition import make_shards, partition_indices
 from repro.utils.ascii_plot import ascii_table
 
@@ -43,10 +43,11 @@ def run_sgd(X, epochs):
     Z, _ = init_codes_pca(X, L, rng=0)
     parts = partition_indices(len(X), P, rng=0)
     shards = make_shards(X, X, Z, parts)
-    cluster = SimulatedCluster(adapter, shards, epochs=epochs, seed=0)
+    cluster = get_backend("sync")(epochs=epochs, seed=0)
+    cluster.setup(adapter, shards)
     for mu in MUS:
-        cluster.iteration(mu)
-    return cluster.e_q(MUS[-1])
+        e_q = cluster.run_iteration(mu).e_q
+    return e_q
 
 
 def test_ablation_exact_wstep(benchmark, report):

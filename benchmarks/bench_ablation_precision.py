@@ -13,7 +13,7 @@ from repro.autoencoder.adapter import BAAdapter
 from repro.autoencoder.init import init_codes_pca
 from repro.core.penalty import GeometricSchedule
 from repro.data.synthetic import make_gist_like
-from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.backends import get_backend
 from repro.distributed.costmodel import CostModel
 from repro.distributed.partition import make_shards, partition_indices
 from repro.utils.ascii_plot import ascii_table
@@ -30,18 +30,18 @@ def run_precision(X, dtype):
     Z, _ = init_codes_pca(X, L, rng=0)
     parts = partition_indices(len(X), P, rng=0)
     shards = make_shards(X, adapter.features(X), Z, parts)
-    cluster = SimulatedCluster(
-        adapter, shards, epochs=2,
-        cost=CostModel(t_wr=1.0, t_wc=300.0, t_zr=2.0),
+    cluster = get_backend("sync")(
+        epochs=2, cost=CostModel(t_wr=1.0, t_wc=300.0, t_zr=2.0),
         message_dtype=dtype, seed=0,
     )
+    cluster.setup(adapter, shards)
     total_bytes = 0
     total_comm = 0.0
     for mu in SCHEDULE:
-        w, _ = cluster.iteration(mu)
-        total_bytes += w.bytes_sent
-        total_comm += w.comm_time
-    return cluster.e_q(SCHEDULE.values()[-1]), total_bytes, total_comm
+        stats = cluster.run_iteration(mu)
+        total_bytes += stats.bytes_sent
+        total_comm += stats.extra["comm_time"]
+    return stats.e_q, total_bytes, total_comm
 
 
 def test_ablation_precision(benchmark, report):

@@ -71,8 +71,8 @@ def timing_cluster(N, n_bits, D, P, e, cost, *, engine="async", scheme="rounds",
                    n_decoder_groups=None):
     """Timing-only simulated cluster: real protocol, virtual clock, no math.
 
-    Built through the execution-backend registry so the benches exercise
-    the same construction path as the generic trainer.
+    The simulated backend itself, built through the registry — the same
+    construction path as the generic trainer.
     """
     ba = BinaryAutoencoder.linear(D, n_bits)
     adapter = BAAdapter(ba, n_decoder_groups=n_decoder_groups)
@@ -82,7 +82,7 @@ def timing_cluster(N, n_bits, D, P, e, cost, *, engine="async", scheme="rounds",
         epochs=e, scheme=scheme, cost=cost, seed=0, execute_updates=False
     )
     backend.setup(adapter, shards)
-    return backend.cluster
+    return backend
 
 
 def measured_speedup(N, n_bits, D, Ps, e, cost, **kwargs):

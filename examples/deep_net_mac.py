@@ -73,7 +73,7 @@ def main():
     print(f"   M = {M} submodels (one per unit) over P = 4 machines")
     trainer = train_mac(net_par, X, Y, schedule, n_machines=4, epochs=2, z_steps=8)
     print(f"   nested loss: {net_par.loss(X, Y):.2f}  "
-          f"copies-consistent={trainer.cluster_.model_copies_consistent()}")
+          f"copies-consistent={trainer.backend.model_copies_consistent()}")
 
     print("4) ParMAC on real OS processes (backend='multiprocess')")
     net_mp = DeepNet.create(sizes, rng=0)

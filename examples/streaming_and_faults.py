@@ -1,16 +1,20 @@
 """Streaming and fault tolerance on the simulated cluster (section 4.3).
 
-Walks the four operational scenarios ParMAC supports without any central
+Walks the operational scenarios ParMAC supports without any central
 coordinator:
 
 1. a machine collects new data mid-training (within-machine streaming);
 2. a machine discards stale data;
 3. a brand-new, preloaded machine joins the ring;
 4. a machine dies mid-W-step and its in-flight submodels are recovered
-   from the predecessor's copies;
+   from the copies their senders kept;
 5. the network turns hostile — lossy, jittery, briefly partitioned,
    with one straggling machine — and the fit degrades in *time only*:
    the final model is bit-identical to the clean run's.
+
+The simulated cluster is the ``sync`` backend: arrivals and joins queue
+through ``ingest``/``add_machine`` and land at the next iteration
+boundary, exactly as on the wall-clock engines.
 
 Run:  python examples/streaming_and_faults.py
 """
@@ -22,7 +26,7 @@ from repro.autoencoder.adapter import BAAdapter
 from repro.autoencoder.init import init_codes_pca
 from repro.data.synthetic import make_clustered
 from repro.distributed import ChaosConfig, PartitionWindow
-from repro.distributed.cluster import FaultEvent, SimulatedCluster
+from repro.distributed.backends import get_backend
 from repro.distributed.partition import make_shards, partition_indices
 
 
@@ -36,15 +40,15 @@ def main():
     Z, _ = init_codes_pca(X, n_bits, rng=0)
     parts = partition_indices(len(X), P, rng=0)
     shards = make_shards(X, adapter.features(X), Z, parts)
-    cluster = SimulatedCluster(adapter, shards, epochs=2, seed=0)
+    cluster = get_backend("sync")(epochs=2, seed=0, fault_policy="drop_shard")
+    cluster.setup(adapter, shards)
 
     mus = iter(1e-3 * 2.0 ** np.arange(12))
 
-    def iterate(label, **kwargs):
-        mu = next(mus)
-        cluster.iteration(mu, **kwargs)
-        print(f"{label:>34}: machines={cluster.n_machines} "
-              f"points={cluster.n_points} E_Q={cluster.e_q(mu):9.1f} "
+    def iterate(label):
+        stats = cluster.run_iteration(next(mus))
+        print(f"{label:>34}: machines={stats.n_machines} "
+              f"points={cluster.n_points} E_Q={stats.e_q:9.1f} "
               f"copies-consistent={cluster.model_copies_consistent()}")
 
     print("warm-up iterations")
@@ -52,20 +56,21 @@ def main():
     iterate("iteration 2")
 
     print("\n1) machine 1 collects 150 new points (codes = h(x), no comm)")
-    cluster.add_data(1, stream[:150])
-    iterate("after add_data")
+    cluster.ingest(1, stream[:150])
+    iterate("after ingest")
 
     print("\n2) machine 0 discards its 20 oldest points")
-    cluster.remove_data(0, list(range(20)))
-    iterate("after remove_data")
+    cluster.dataplane.remove_rows(0, list(range(20)))
+    iterate("after remove_rows")
 
     print("\n3) a new preloaded machine joins the ring")
     new_id = cluster.add_machine(stream[150:300])
-    print(f"   machine {new_id} inserted; ring: {cluster.topology}")
     iterate("after add_machine")
+    print(f"   machine {new_id} inserted; ring: {cluster.topology}")
 
     print("\n4) machine 2 dies at tick 1 of the next W step")
-    iterate("fault + recovery", fault=FaultEvent(machine=2, tick=1))
+    cluster.inject_fault(2, tick=1)
+    iterate("fault + recovery")
     iterate("next full iteration")
 
     print("\n5) the network turns hostile (loss, jitter, a partition, a straggler)")
@@ -85,22 +90,21 @@ def main():
         adapter = BAAdapter(ba)
         Z, _ = init_codes_pca(X, n_bits, rng=0)
         shards = make_shards(X, adapter.features(X), Z, parts)
-        cluster = SimulatedCluster(
-            adapter, shards, epochs=2, seed=0, chaos=chaos_cfg
-        )
-        w, _ = cluster.iteration(1e-3)
+        backend = get_backend("sync")(epochs=2, seed=0, chaos=chaos_cfg)
+        backend.setup(adapter, shards)
+        stats = backend.run_iteration(1e-3)
         finals = [adapter.get_params(s).copy() for s in adapter.submodel_specs()]
-        return w, finals
+        return stats.extra, finals
 
-    clean_w, clean_finals = short_fit(None)
-    chaos_w, chaos_finals = short_fit(chaos)
+    clean, clean_finals = short_fit(None)
+    chaotic, chaos_finals = short_fit(chaos)
     identical = all(
         np.array_equal(a, b) for a, b in zip(clean_finals, chaos_finals)
     )
-    print(f"   clean   W step: {clean_w.sim_time:8.1f} virtual s")
-    print(f"   chaotic W step: {chaos_w.sim_time:8.1f} virtual s "
-          f"(drops={chaos_w.chaos['chaos_drops']}, "
-          f"partition holds={chaos_w.chaos['chaos_partition_holds']})")
+    print(f"   clean   W step: {clean['w_sim_time']:8.1f} virtual s")
+    print(f"   chaotic W step: {chaotic['w_sim_time']:8.1f} virtual s "
+          f"(drops={chaotic['chaos_drops']}, "
+          f"partition holds={chaotic['chaos_partition_holds']})")
     print(f"   final submodels bit-identical to the clean run: {identical}")
 
     print("\nThe model kept training through every event; at the end of every")

@@ -47,7 +47,6 @@ from repro.core import GeometricSchedule, ParMACTrainer, TrainingHistory
 from repro.core.evaluation import PrecisionEvaluator, RecallEvaluator
 from repro.distributed import (
     CostModel,
-    SimulatedCluster,
     available_backends,
     get_backend,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "TrainingHistory",
     "PrecisionEvaluator",
     "RecallEvaluator",
-    "SimulatedCluster",
     "CostModel",
     "DeepNet",
     "NetAdapter",

@@ -83,9 +83,10 @@ class ParMACTrainer:
         restore the submodels of the best-scoring iteration (section 8.1:
         the initial codes are only ever improved). Only the parameters
         are restored: the shards keep the last iteration's codes, so
-        ``cluster_.gather_codes()`` and :meth:`checkpoint` do not match
-        the restored model. Requires an evaluator, and cannot be combined
-        with ``fit(resume=...)`` (the stopper's state is not checkpointed).
+        ``backend.gather_codes()`` (simulated engines) and
+        :meth:`checkpoint` do not match the restored model. Requires an
+        evaluator, and cannot be combined with ``fit(resume=...)`` (the
+        stopper's state is not checkpointed).
     backend_options : dict, optional
         Extra keyword arguments for the backend class (e.g.
         ``message_dtype`` / ``batch_units`` on any engine,
@@ -98,7 +99,8 @@ class ParMACTrainer:
     history_ : TrainingHistory
     backend : Backend
         Persistent across ``fit`` calls — the multiprocessing pool is
-        reused, not respawned, on a second fit.
+        reused, not respawned, on a second fit. On ``"sync"``/``"async"``
+        it is the simulated cluster itself (shards, stores, codes).
     """
 
     def __init__(
@@ -145,11 +147,6 @@ class ParMACTrainer:
         self.stop_on_fixed_point = bool(stop_on_fixed_point)
         self.early_stopping = bool(early_stopping)
         self.history_: TrainingHistory | None = None
-
-    @property
-    def cluster_(self):
-        """The underlying SimulatedCluster (simulated backends only)."""
-        return getattr(self.backend, "cluster", None)
 
     def ingest(self, p: int, X_new) -> None:
         """Queue streamed rows for machine ``p`` (paper section 4.3).

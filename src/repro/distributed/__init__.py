@@ -9,9 +9,9 @@ parallel with zero communication. This package provides:
 * the submodel-message protocol with visit counters (section 4.1), the
   two-round W-step variant (section 4.2), and a visit-list variant that
   supports fault tolerance (section 4.3);
-* four engines executing the identical protocol: a deterministic
-  synchronous tick engine, an asynchronous discrete-event engine with a
-  virtual clock (used for speedup measurements), a real
+* four engines executing the identical protocol: two simulators — one
+  tick executor read by fig. 3's tick clock (``sync``) or by a
+  discrete-event clock (``async``, used for speedup measurements) — a real
   ``multiprocessing`` ring backend, and a TCP backend whose submodels
   travel real sockets as length-prefixed framed batches (the closest
   single-host stand-in for the paper's MPI deployment);
@@ -26,7 +26,6 @@ from repro.distributed.protocol import RoutePlan, WStepProtocol, expected_receiv
 from repro.distributed.partition import Shard, make_shards, partition_indices
 from repro.distributed.chaos import ChaosConfig, PartitionWindow
 from repro.distributed.costmodel import ChaosTimeline, CostModel
-from repro.distributed.cluster import SimulatedCluster, WStepStats, ZStepStats
 from repro.distributed.backends import (
     AsyncSimBackend,
     Backend,
@@ -38,6 +37,7 @@ from repro.distributed.backends import (
     get_backend,
     register_backend,
 )
+from repro.distributed.backends.sim import WStepStats, ZStepStats
 from repro.distributed.framing import ProtocolError
 from repro.distributed.allreduce import allreduce_sum, exact_decoder_fit, exact_svm_steps
 
@@ -56,7 +56,6 @@ __all__ = [
     "ChaosConfig",
     "PartitionWindow",
     "ChaosTimeline",
-    "SimulatedCluster",
     "WStepStats",
     "ZStepStats",
     "Backend",

@@ -64,7 +64,12 @@ class FaultPolicy(str, enum.Enum):
         The paper's resilience claim (section 4.3): the dead machine's
         shard is excised from the data plane, the ring is re-planned
         around the survivor set, and the fit continues — a failure loses
-        only that machine's data, never the run.
+        only that machine's data, never the run. A machine dead before
+        its first hop (a W-point crash, a tick-0 fault) is retired and
+        the W step runs on the survivors; one dead at its Z step has
+        already trained and forwarded every submodel, so the W step
+        stands and only its shard is lost; on the simulators a death at
+        a later tick is the section 4.3 rescue.
     ``RESPAWN``
         Self-healing: the coordinator restores the whole cluster to the
         iteration-start boundary it snapshotted before dispatch, spawns
@@ -250,8 +255,8 @@ class BaseBackend:
         surface as ``chaos_*`` keys in ``IterationStats.extra``.
         Scheduled ``crashes`` are the one exception to "timing only":
         they SIGKILL real worker processes on the wall-clock engines
-        (and map onto the injected-fault path on the simulated ones) —
-        pair them with ``fault_policy="respawn"`` to assert the model
+        (the simulated ones retire the machine, with the same outcome)
+        — pair them with ``fault_policy="respawn"`` to assert the model
         still comes out bit-identical.
     health : HealthConfig, dict or None
         Heartbeat supervision for the wall-clock engines (default None —

@@ -51,6 +51,8 @@ What the pool provides:
   is retired from the data plane, the mesh is rebuilt over the survivor
   set, the ring/homes/protocol are re-planned, and the iteration
   re-runs — the fit continues having lost only the dead machine's data.
+  A worker that dies after its last ring send (at its Z step) owes its
+  peers nothing, so every survivor completes and that attempt is kept.
 
 Workers report per-shard metrics after the Z step; the lowest-ranked
 live worker additionally reports the assembled final parameters, which

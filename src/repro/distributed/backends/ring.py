@@ -38,9 +38,12 @@ stats shows what the coalescing saved.
 
 **Faults.** A dead peer is detected, not waited for: a worker blocked on
 a receive observes the peer's sockets reset (EOF mid-frame) and raises a
-:class:`~repro.distributed.framing.ProtocolError`. There is no
-user-space cross-process lock anywhere on the ring, so a SIGKILL at any
-instant leaves nothing held that a survivor could block on. Under a
+:class:`~repro.distributed.framing.ProtocolError` — unless the peer had
+already delivered every message the route plan sends from it to this
+worker (it died after its W step): that EOF loses nothing and is
+ignored. There is no user-space cross-process lock anywhere on the ring,
+so a SIGKILL at any instant leaves nothing held that a survivor could
+block on. Under a
 survivor policy the link closes its mesh — cascading the EOF to any peer
 still blocked — and awaits ``rebind`` + ``connect``: the rebuilt mesh is
 fresh sockets and fresh HELLO handshakes, so no stale frame survives an
@@ -202,13 +205,16 @@ class _SocketRingTransport:
     frames.
     """
 
-    def __init__(self, rank, out_conns, in_conns, spec_by_sid, *,
+    def __init__(self, rank, out_conns, in_conns, spec_by_sid, senders, *,
                  wire_dtype=None, compute_dtype=None, overlap=False,
                  chaos_shim=None):
         self.rank = rank
         self._out = out_conns
         self._in = in_conns
         self._peer_of = {conn: peer for peer, conn in in_conns.items()}
+        # peer -> messages the route plan says it still owes this worker
+        # (``senders``: :func:`~repro.distributed.protocol.expected_senders`).
+        self._owed = dict(senders)
         self._spec_by_sid = spec_by_sid
         # Reduced-precision wire (paper section 9): parameters are cast
         # down before framing — the frame's ndarray bytes genuinely shrink
@@ -321,11 +327,18 @@ class _SocketRingTransport:
         decoder = self._decoders[peer]
         if not data:
             decoder.eof()
+            if not self._owed.get(peer):
+                # The peer delivered all it sends here and left (e.g. it
+                # died at its Z step): nothing is lost, stop listening.
+                self._selector.unregister(conn)
+                return
             raise ProtocolError(f"machine {peer} closed its connection mid-W-step")
         for kind, payload in decoder.feed(data):
             if kind != KIND_BATCH:
                 raise ProtocolError(f"unexpected frame kind {kind} mid-W-step")
-            self._inbox.extend(decode_batch(payload, self._spec_by_sid))
+            msgs = decode_batch(payload, self._spec_by_sid)
+            self._owed[peer] = self._owed.get(peer, 0) - len(msgs)
+            self._inbox.extend(msgs)
 
     def recv(self):
         if not self._inbox:
@@ -704,9 +717,9 @@ class _SocketLink:
         if blob:
             _decode_control_blob(blob, KIND_SHARD_RETIRED)
 
-    def transport(self, state, shim) -> _SocketRingTransport:
+    def transport(self, state, shim, senders) -> _SocketRingTransport:
         return _SocketRingTransport(
-            self.rank, self._out, self._in, state.spec_by_sid,
+            self.rank, self._out, self._in, state.spec_by_sid, senders,
             wire_dtype=state.wire_dtype, compute_dtype=state.compute_dtype,
             overlap=state.overlap, chaos_shim=shim,
         )

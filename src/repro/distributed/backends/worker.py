@@ -42,7 +42,7 @@ from repro.distributed.framing import ProtocolError, encode_heartbeat
 from repro.distributed.health import HeartbeatSender, WorkerPulse
 from repro.distributed.interfaces import get_params_many, set_params_many
 from repro.distributed.messages import SubmodelMessage
-from repro.distributed.protocol import RoutePlan, WStepProtocol
+from repro.distributed.protocol import RoutePlan, WStepProtocol, expected_senders
 from repro.distributed.shm import attach_shard
 from repro.optim.sgd import SGDState
 
@@ -402,7 +402,8 @@ class _Worker:
         state = self.state
         plan = RoutePlan.from_orders(orders, state.protocol)
         shim = state.chaos_shim()
-        transport = self.link.transport(state, shim)
+        senders = expected_senders(plan, state.homes, self.rank)
+        transport = self.link.transport(state, shim, senders)
         try:
             try:
                 payload = _run_worker_iteration(

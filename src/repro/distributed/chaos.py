@@ -92,8 +92,10 @@ class CrashEvent:
     Crashes are resolved by the *coordinator*, once, on the first attempt
     of the target iteration, and shipped in that iteration's command —
     retried attempts ship no crash, so a fit under ``respawn`` converges
-    instead of re-killing the replacement. On the simulated engines a
-    crash maps onto the existing fault path (no process to kill).
+    instead of re-killing the replacement. The simulated engines have no
+    process to kill and reproduce the wall-clock outcome instead: under
+    ``drop_shard`` a "w" crash retires the machine before the W step and
+    a "z" crash retires it after the W step, before the Z step.
     """
 
     machine: int

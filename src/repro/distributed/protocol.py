@@ -28,6 +28,7 @@ __all__ = [
     "RoutePlan",
     "home_assignment",
     "expected_receives",
+    "expected_senders",
     "replan",
 ]
 
@@ -227,4 +228,20 @@ def expected_receives(plan: RoutePlan, homes: dict[int, int]) -> dict[int, int]:
     for home in homes.values():
         for p in plan.path(home)[1:]:
             counts[p] += 1
+    return counts
+
+
+def expected_senders(plan: RoutePlan, homes: dict[int, int], machine: int) -> dict[int, int]:
+    """Ring messages ``machine`` receives from each peer during one W step.
+
+    The per-sender split of :func:`expected_receives`. A peer that has
+    delivered all of them owes ``machine`` nothing more this W step, so
+    its connection closing (it died at its Z step) is not a fault here.
+    """
+    counts: dict[int, int] = {}
+    for home in homes.values():
+        path = plan.path(home)
+        for p, q in zip(path, path[1:]):
+            if q == machine:
+                counts[p] = counts.get(p, 0) + 1
     return counts

@@ -45,7 +45,7 @@ class TestFit:
     def test_z_returned_matches_shape(self, X):
         ba = BinaryAutoencoder.linear(12, 4)
         trainer = fit_ba(ba, X, GeometricSchedule(1e-3, 2.0, 3), seed=0)
-        _, Z = trainer.cluster_.gather_codes()
+        _, Z = trainer.backend.gather_codes()
         assert Z.shape == (len(X), 4)
 
     def test_custom_z0(self, X):

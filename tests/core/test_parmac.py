@@ -76,7 +76,7 @@ class TestSimulatedBackends:
     def test_alphas_load_balancing(self, X):
         ba = BinaryAutoencoder.linear(10, 4)
         tr = fit_ba(ba, X, SCHED, n_machines=3, alphas=[2.0, 1.0, 1.0], seed=0)
-        sizes = [tr.cluster_.shards[p].n for p in tr.cluster_.machines]
+        sizes = [tr.backend.shards[p].n for p in tr.backend.machines]
         assert sizes[0] == pytest.approx(2 * sizes[1], abs=2)
 
     def test_shuffle_ring_works(self, X):

@@ -31,7 +31,7 @@ class TestParMACNet:
         X, Y = problem
         net = DeepNet.create([4, 6, 2], rng=1)
         trainer = fit_net(net, X, Y, n_machines=4, seed=0)
-        assert trainer.cluster_.model_copies_consistent()
+        assert trainer.backend.model_copies_consistent()
 
     def test_close_to_serial_mac_net(self, problem):
         X, Y = problem

@@ -129,7 +129,8 @@ class TestRegistry:
         backend = SyncSimBackend(epochs=1, seed=0)
         h = ParMACTrainer(adapter, "sift10k", backend=backend).fit(shards)
         assert len(h) >= 1
-        assert backend.cluster is not None
+        # A simulated backend is the cluster: still readable after the fit.
+        assert backend.n_machines == len(shards)
 
 
 class TestConformanceBA:
@@ -232,8 +233,8 @@ class TestTransportBackpressure:
         a_out, b_in = tiny_pair()
         b_out, a_in = tiny_pair()
         transports = {
-            0: _SocketRingTransport(0, {1: a_out}, {1: a_in}, {0: spec}),
-            1: _SocketRingTransport(1, {0: b_out}, {0: b_in}, {0: spec}),
+            0: _SocketRingTransport(0, {1: a_out}, {1: a_in}, {0: spec}, {1: 1}),
+            1: _SocketRingTransport(1, {0: b_out}, {0: b_in}, {0: spec}, {0: 1}),
         }
         received, errors = {}, {}
 
@@ -264,6 +265,58 @@ class TestTransportBackpressure:
         finally:
             for s in (a_out, a_in, b_out, b_in):
                 s.close()
+
+
+class TestTransportPeerEOF:
+    """A peer closing its connection is a fault only while the route plan
+    says it still owes this worker messages: one that delivered them all
+    and died (at its Z step) must not abort a survivor still receiving
+    from someone else."""
+
+    @staticmethod
+    def receive(owed_by_2):
+        """Worker 0 hears from peers 1 and 2; peer 2 sends one message and
+        closes, then peer 1 sends one. Returns the received senders."""
+        import socket
+
+        from repro.distributed.backends.ring import _SocketRingTransport
+        from repro.distributed.framing import encode_batch
+        from repro.distributed.interfaces import SubmodelSpec
+        from repro.distributed.messages import SubmodelMessage
+        from repro.optim.sgd import SGDState
+
+        spec = SubmodelSpec(0, "w")
+        pairs = {peer: socket.socketpair() for peer in (1, 2)}
+        transport = _SocketRingTransport(
+            0, {}, {peer: ends[0] for peer, ends in pairs.items()}, {0: spec},
+            {1: 1, 2: owed_by_2},
+        )
+
+        def deliver(peer):
+            msg = SubmodelMessage(spec=spec, theta=np.full(3, float(peer)), sgd_state=SGDState())
+            pairs[peer][1].sendall(encode_batch([msg]))
+
+        try:
+            deliver(2)
+            pairs[2][1].close()
+            got = [transport.recv().theta[0]]
+            deliver(1)
+            got.append(transport.recv().theta[0])
+            return got
+        finally:
+            transport.close()
+            for ends in pairs.values():
+                for s in ends:
+                    s.close()
+
+    def test_eof_after_everything_owed_is_not_a_fault(self):
+        assert self.receive(owed_by_2=1) == [2.0, 1.0]
+
+    def test_eof_while_still_owed_is_a_fault(self):
+        from repro.distributed.framing import ProtocolError
+
+        with pytest.raises(ProtocolError, match="machine 2 closed"):
+            self.receive(owed_by_2=2)
 
 
 class TestTCPWire:
@@ -878,18 +931,18 @@ class TestFaultPolicySim:
         backend = get_backend("sync")(seed=0, fault_policy="drop_shard")
         backend.setup(adapter, shards)
         backend.run_iteration(1e-3)
-        lost_rows = backend.cluster.shards[2].n
-        n_before = backend.cluster.n_points
+        lost_rows = backend.shards[2].n
+        n_before = backend.n_points
         backend.inject_fault(2, tick=1)
         stats = backend.run_iteration(2e-3)
         assert stats.shards_lost == 1
         assert stats.n_machines == 3
-        assert backend.cluster.n_points == n_before - lost_rows
+        assert backend.n_points == n_before - lost_rows
         assert np.isfinite(stats.e_q)
         # Training continues and the survivor copies stay consistent.
         stats = backend.run_iteration(4e-3)
         assert stats.shards_lost == 0
-        assert backend.cluster.model_copies_consistent()
+        assert backend.model_copies_consistent()
 
     def test_fail_fast_raises_on_fault(self, X):
         adapter, shards = ba_setup(X, P=3)
@@ -919,3 +972,51 @@ class TestFaultPolicySim:
         backend.inject_fault(1, tick=10_000)
         with pytest.raises(RuntimeError, match="never fired"):
             backend.run_iteration(1e-3)
+
+
+@pytest.mark.parametrize("name", ["sync", "async"])
+class TestCrashScheduleSim:
+    """Scheduled chaos crashes on the simulators under ``drop_shard``
+    take the wall-clock engines' outcome: a W-point crash retires the
+    machine before the W step, a Z-point crash after it, and every
+    machine scheduled for the iteration retires."""
+
+    @staticmethod
+    def fit(X, name, crashes=(), remove_before_iteration_1=None):
+        adapter, shards = ba_setup(X, P=4)
+        backend = get_backend(name)(
+            epochs=2, seed=0, fault_policy="drop_shard",
+            chaos={"crashes": crashes} if crashes else None,
+        )
+        backend.setup(adapter, shards)
+        stats = [backend.run_iteration(1e-3)]
+        if remove_before_iteration_1 is not None:
+            backend.remove_machine(remove_before_iteration_1)
+        stats.append(backend.run_iteration(2e-3))
+        return stats, final_params(adapter)
+
+    @staticmethod
+    def assert_same(got, ref):
+        assert set(got) == set(ref)
+        for sid in ref:
+            assert np.array_equal(got[sid], ref[sid]), sid
+
+    def test_z_crash_trains_every_machine_then_retires(self, X, name):
+        # The crash iteration's W step is the crash-free one: all four
+        # machines train, then machine 1 is lost before its Z step.
+        _, clean = self.fit(X, name)
+        stats, got = self.fit(X, name, crashes=[(1, 1, "z")])
+        self.assert_same(got, clean)
+        assert [s.shards_lost for s in stats] == [0, 1]
+        assert [s.n_machines for s in stats] == [4, 3]
+
+    def test_w_crash_retires_then_trains(self, X, name):
+        _, ref = self.fit(X, name, remove_before_iteration_1=1)
+        stats, got = self.fit(X, name, crashes=[(1, 1, "w")])
+        self.assert_same(got, ref)
+        assert [s.shards_lost for s in stats] == [0, 1]
+
+    def test_every_crashed_machine_retires(self, X, name):
+        stats, _ = self.fit(X, name, crashes=[(0, 1, "w"), (2, 1, "z")])
+        assert stats[1].shards_lost == 2
+        assert stats[1].n_machines == 2

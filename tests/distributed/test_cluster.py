@@ -1,4 +1,5 @@
-"""SimulatedCluster: protocol invariants, determinism, virtual-clock laws."""
+"""The simulated cluster (``sync``/``async`` backends): protocol
+invariants, determinism, virtual-clock laws."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from repro.autoencoder import BinaryAutoencoder
 from repro.autoencoder.adapter import BAAdapter
 from repro.autoencoder.init import init_codes_pca
-from repro.distributed.cluster import FaultEvent, SimulatedCluster
+from repro.distributed.backends.sim import FaultEvent
 from repro.distributed.costmodel import CostModel
 from repro.distributed.partition import make_shards, partition_indices
+from tests.fits import sim
 
 
 def build_cluster(
@@ -27,11 +29,11 @@ def build_cluster(
     Z, _ = init_codes_pca(X, n_bits, rng=seed)
     parts = partition_indices(len(X), P, rng=seed, shuffle=not equal_shards)
     shards = make_shards(X, adapter.features(X), Z, parts)
-    cluster = SimulatedCluster(
+    cluster = sim(
         adapter,
         shards,
+        engine,
         epochs=epochs,
-        engine=engine,
         cost=cost if cost is not None else CostModel(),
         seed=seed,
         **kwargs,
@@ -198,7 +200,7 @@ class TestVirtualClock:
         parts = partition_indices(len(X), 3, alphas=alphas, rng=0)
         shards = make_shards(X, X, Z, parts)
         cost = CostModel(t_zr=1.0, speeds={0: 2.0, 1: 1.0, 2: 1.0})
-        cluster = SimulatedCluster(adapter, shards, cost=cost, seed=0)
+        cluster = sim(adapter, shards, cost=cost, seed=0)
         z = cluster.z_step(0.1)
         times = list(z.per_machine_time.values())
         assert max(times) / min(times) == pytest.approx(1.0, rel=0.05)
@@ -208,9 +210,9 @@ class TestZStep:
     def test_z_step_never_increases_e_q(self, X):
         cluster, _ = build_cluster(X, P=3)
         cluster.w_step(0.5)
-        before = cluster.e_q(0.5)
+        before = cluster.stats(0.5)[0]
         cluster.z_step(0.5)
-        assert cluster.e_q(0.5) <= before + 1e-9
+        assert cluster.stats(0.5)[0] <= before + 1e-9
 
     def test_z_changes_reported(self, X):
         cluster, _ = build_cluster(X, P=3)
@@ -233,8 +235,7 @@ class TestIterationLoop:
         mus = [1e-3 * 2**i for i in range(5)]
         eqs = []
         for mu in mus:
-            cluster.iteration(mu)
-            eqs.append(cluster.e_q(mu))
+            eqs.append(cluster.run_iteration(mu).e_q)
         assert eqs[-1] < eqs[0]
 
     def test_invalid_engine_rejected(self, X):

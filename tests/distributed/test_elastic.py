@@ -2,8 +2,8 @@
 
 Regression coverage for the three historical ``add_machine`` bugs —
 unvalidated shards joining silently, joins perturbing the route RNG
-(breaking bit-parity for the rest of the fit), and the donor model being
-cloned from a possibly-stale store — plus property tests for the
+(breaking bit-parity for the rest of the fit), and the joiner's model
+being cloned from a possibly-stale store — plus property tests for the
 :class:`~repro.distributed.dataplane.ClusterState` snapshot format.
 """
 
@@ -16,7 +16,6 @@ from repro.autoencoder import BinaryAutoencoder
 from repro.autoencoder.adapter import BAAdapter
 from repro.autoencoder.init import init_codes_pca
 from repro.distributed.backends import get_backend
-from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.dataplane import ClusterState, DataPlane
 from repro.distributed.partition import (
     Shard,
@@ -24,6 +23,7 @@ from repro.distributed.partition import (
     make_shards,
     partition_indices,
 )
+from tests.fits import sim
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,14 @@ def ba_setup(X, P=3, n_bits=4, seed=0):
 
 def make_cluster(X, P=3, seed=0, **kwargs):
     adapter, shards = ba_setup(X, P=P, seed=seed)
-    return SimulatedCluster(adapter, shards, seed=seed, **kwargs)
+    return sim(adapter, shards, seed=seed, **kwargs)
+
+
+def join(cluster, X_new):
+    """Add a machine and admit it now (not at the next iteration)."""
+    p = cluster.add_machine(X_new)
+    cluster.drain_joins()
+    return p
 
 
 class TestAddMachineValidation:
@@ -68,7 +75,7 @@ class TestAddMachineValidation:
 
     def test_non_streamable_shards_rejected(self):
         ba = BinaryAutoencoder.linear(8, 4)
-        cluster = SimulatedCluster(
+        cluster = sim(
             BAAdapter(ba), [TimingShard(50) for _ in range(3)],
             execute_updates=False, seed=0,
         )
@@ -105,9 +112,9 @@ class TestJoinRouteRNGIndependence:
 
     def test_route_rng_state_untouched_by_join(self, X):
         cluster = make_cluster(X, shuffle_ring=True)
-        cluster.iteration(1e-3)
+        cluster.run_iteration(1e-3)
         state_before = cluster._route_rng.bit_generator.state
-        cluster.add_machine(X[:10])
+        join(cluster, X[:10])
         assert cluster._route_rng.bit_generator.state == state_before
 
     def test_schedule_agrees_up_to_the_join(self, X):
@@ -136,16 +143,16 @@ class TestJoinRouteRNGIndependence:
 
     def test_join_streams_are_distinct_and_id_keyed(self, X):
         cluster = make_cluster(X)
-        p1 = cluster.add_machine(X[:10])
-        p2 = cluster.add_machine(X[10:20])
+        p1 = join(cluster, X[:10])
+        p2 = join(cluster, X[10:20])
         a = cluster._machine_rngs[p1].integers(0, 2**63, size=4)
         b = cluster._machine_rngs[p2].integers(0, 2**63, size=4)
         assert not np.array_equal(a, b)
         # Same seed, same machine id → same stream, regardless of what
         # else happened in between (keyed derivation, not a counter).
         other = make_cluster(X)
-        other.iteration(1e-3)
-        q1 = other.add_machine(X[:10])
+        other.run_iteration(1e-3)
+        q1 = join(other, X[:10])
         assert q1 == p1
         assert np.array_equal(
             other._machine_rngs[q1].integers(0, 2**63, size=4), a
@@ -153,13 +160,13 @@ class TestJoinRouteRNGIndependence:
 
 
 class TestJoinDonorLiveness:
-    """Bugfix 3: the donor model is assembled from verified-live
-    survivor stores, taking the freshest copy of each submodel — never a
-    stale (or deleted) store."""
+    """Bugfix 3: a joining machine receives the current assembled model
+    (what the wall-clock donor ships in its WELCOME) — never a stale (or
+    retired) store's copy."""
 
     def test_clone_prefers_freshest_live_copies(self, X):
         cluster = make_cluster(X)
-        cluster.iteration(1e-3)
+        cluster.run_iteration(1e-3)
         first = cluster.machines[0]
         sid = cluster.adapter.submodel_specs()[0].sid
         # Make the first machine's copy of one submodel stale: older
@@ -167,32 +174,32 @@ class TestJoinDonorLiveness:
         stale = cluster._stores[first][sid]
         stale.counter -= 1
         stale.theta = stale.theta + 123.0
-        p = cluster.add_machine(X[:10])
+        p = join(cluster, X[:10])
         fresh = cluster._stores[cluster.machines[1]][sid]
         assert np.array_equal(cluster._stores[p][sid].theta, fresh.theta)
         assert not np.array_equal(cluster._stores[p][sid].theta, stale.theta)
 
     def test_clone_skips_retired_stores(self, X):
         cluster = make_cluster(X, P=4)
-        cluster.iteration(1e-3)
+        cluster.run_iteration(1e-3)
         dead = cluster.machines[0]
         cluster.remove_machine(dead)
-        p = cluster.add_machine(X[:10])
+        p = join(cluster, X[:10])
         survivor = cluster._stores[cluster.machines[0]]
         for sid, msg in cluster._stores[p].items():
             assert np.array_equal(msg.theta, survivor[sid].theta)
 
     def test_joined_machine_holds_current_model(self, X):
         cluster = make_cluster(X)
-        cluster.iteration(1e-3)
-        p = cluster.add_machine(X[:10])
+        cluster.run_iteration(1e-3)
+        p = join(cluster, X[:10])
         specs = cluster.adapter.submodel_specs()
         for spec in specs:
             assert np.array_equal(
                 cluster._stores[p][spec.sid].theta,
                 cluster.adapter.get_params(spec),
             )
-        cluster.iteration(2e-3)
+        cluster.run_iteration(2e-3)
         assert cluster.model_copies_consistent()
 
 

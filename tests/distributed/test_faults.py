@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distributed.cluster import FaultEvent
+from repro.distributed.backends.sim import FaultEvent
 
 from .test_cluster import build_cluster
 
@@ -32,14 +32,13 @@ class TestFaultDuringWStep:
     def test_training_continues_after_fault(self, X):
         # The model still improves over subsequent full iterations.
         cluster, _ = build_cluster(X, P=4, seed=2)
-        cluster.iteration(1e-3)
-        e0 = cluster.e_q(1e-3)
+        e0 = cluster.run_iteration(1e-3).e_q
         cluster.w_step(2e-3, fault=FaultEvent(machine=3, tick=2))
         cluster.z_step(2e-3)
         for mu in (4e-3, 8e-3, 16e-3):
-            cluster.iteration(mu)
-        assert np.isfinite(cluster.e_q(16e-3))
-        assert cluster.e_q(16e-3) < e0 * 2  # sane magnitude, no blow-up
+            e_q = cluster.run_iteration(mu).e_q
+        assert np.isfinite(e_q)
+        assert e_q < e0 * 2  # sane magnitude, no blow-up
 
     def test_dead_machines_data_is_lost(self, X):
         cluster, _ = build_cluster(X, P=4)
@@ -76,13 +75,68 @@ class TestFaultDuringWStep:
             assert store[spec.sid].sgd_state.n_updates == len(X) - dead_n
 
 
+class TestRescueTakesCurrentCopies:
+    """Regression: after a warm iteration every store holds the previous
+    W step's final copies, marked done. A rescue that took one of those
+    never re-queued it, so the submodel silently skipped the whole W step
+    (parameters untouched, ``n_updates`` still e·N from the last step) —
+    every tick-0 fault did this to the dead machine's home submodels, and
+    a shuffled ring did it mid-step too."""
+
+    E = 2
+
+    def warm(self, X, seed, **kwargs):
+        cluster, adapter = build_cluster(X, P=4, epochs=self.E, seed=seed, **kwargs)
+        cluster.run_iteration(1e-3)
+        before = {s.sid: adapter.get_params(s).copy() for s in adapter.submodel_specs()}
+        return cluster, adapter, before
+
+    def assert_every_submodel_trained(self, cluster, adapter, before, n_updates):
+        store = cluster._stores[cluster.machines[0]]
+        assert cluster.model_copies_consistent()
+        for spec in adapter.submodel_specs():
+            assert n_updates(store[spec.sid].sgd_state.n_updates), spec
+            assert not np.array_equal(adapter.get_params(spec), before[spec.sid]), spec
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tick0_fault_trains_every_submodel_on_the_survivors(self, X, seed):
+        cluster, adapter, before = self.warm(X, seed)
+        survivors_n = len(X) - cluster.shards[2].n
+        cluster.w_step(2e-3, fault=FaultEvent(machine=2, tick=0))
+        self.assert_every_submodel_trained(
+            cluster, adapter, before, lambda n: n == self.E * survivors_n
+        )
+
+    def test_tick0_fault_is_retire_then_w_step(self, X):
+        # The wall-clock engines' excise-and-rerun, bit for bit.
+        faulted, a, _ = self.warm(X, 0)
+        faulted.w_step(2e-3, fault=FaultEvent(machine=2, tick=0))
+        retired, b, _ = self.warm(X, 0)
+        retired.remove_machine(2)
+        retired.w_step(2e-3)
+        for spec in a.submodel_specs():
+            assert np.array_equal(a.get_params(spec), b.get_params(spec))
+        assert faulted.dataplane.shards_lost == 1
+
+    @pytest.mark.parametrize("tick", [1, 2, 3])
+    def test_shuffled_ring_mid_step_rescue(self, X, tick):
+        # At ticks 1-3 no submodel has finished its second epoch, so each
+        # one misses at least the dead shard's epoch-2 pass: n_updates < e·N.
+        for seed in range(20):
+            cluster, adapter, before = self.warm(X, seed, shuffle_ring=True)
+            cluster.w_step(2e-3, fault=FaultEvent(machine=2, tick=tick))
+            self.assert_every_submodel_trained(
+                cluster, adapter, before, lambda n: n < self.E * len(X)
+            )
+
+
 class TestFaultDuringZStep:
     def test_remove_machine_models_z_step_fault(self, X):
         # "If it happens during the Z step, all we need to do is discard the
         # faulty machine and reconnect" — remove_machine is exactly that.
         cluster, _ = build_cluster(X, P=4)
-        cluster.iteration(0.1)
+        cluster.run_iteration(0.1)
         cluster.remove_machine(1)
         assert cluster.n_machines == 3
-        cluster.iteration(0.2)  # keeps running
+        cluster.run_iteration(0.2)  # keeps running
         assert cluster.model_copies_consistent()

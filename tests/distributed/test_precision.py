@@ -107,17 +107,16 @@ class TestMessagePrecision:
         low, al = build_cluster(X, P=4, seed=3, message_dtype=np.float32)
         mus = [1e-3 * 2**i for i in range(5)]
         for mu in mus:
-            full.iteration(mu)
-            low.iteration(mu)
-        assert low.e_q(mus[-1]) == pytest.approx(full.e_q(mus[-1]), rel=0.02)
+            e_full = full.run_iteration(mu).e_q
+            e_low = low.run_iteration(mu).e_q
+        assert e_low == pytest.approx(e_full, rel=0.02)
 
     def test_float16_still_trains(self, X):
         low, _ = build_cluster(X, P=4, seed=3, message_dtype=np.float16)
         mus = [1e-3 * 2**i for i in range(5)]
         eqs = []
         for mu in mus:
-            low.iteration(mu)
-            eqs.append(low.e_q(mu))
+            eqs.append(low.run_iteration(mu).e_q)
         assert np.isfinite(eqs[-1])
         assert eqs[-1] < eqs[0]
 

@@ -6,6 +6,7 @@ from repro.distributed.protocol import (
     RoutePlan,
     WStepProtocol,
     expected_receives,
+    expected_senders,
     home_assignment,
 )
 from repro.distributed.topology import RingTopology
@@ -152,3 +153,17 @@ class TestExpectedReceives:
             for p in plan.path(home)[1:]:
                 manual[p] += 1
         assert counts == manual
+
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 8), st.integers(0, 9),
+           st.sampled_from(["rounds", "tworound"]))
+    @settings(max_examples=40)
+    def test_per_sender_split_sums_to_receives(self, P, e, M, seed, scheme):
+        proto = WStepProtocol(P, e, scheme)
+        plan = RoutePlan.shuffled(range(P), proto, rng=seed)
+        homes = home_assignment(M, P)
+        counts = expected_receives(plan, homes)
+        for machine in range(P):
+            senders = expected_senders(plan, homes, machine)
+            assert sum(senders.values()) == counts[machine]
+            if P > 1:  # on a ring of two or more nobody sends to itself
+                assert machine not in senders

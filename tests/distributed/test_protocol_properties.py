@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from repro.autoencoder import BinaryAutoencoder
 from repro.autoencoder.adapter import BAAdapter
-from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.costmodel import CostModel
 from repro.distributed.partition import TimingShard
+from tests.fits import sim
 
 
 def build(P, e, L, scheme, engine, shuffle_ring, seed=0, n=1000, D=8,
@@ -24,8 +24,8 @@ def build(P, e, L, scheme, engine, shuffle_ring, seed=0, n=1000, D=8,
     adapter = BAAdapter(ba, n_decoder_groups=groups)
     base, extra = divmod(n, P)
     shards = [TimingShard(base + (1 if p < extra else 0)) for p in range(P)]
-    return SimulatedCluster(
-        adapter, shards, epochs=e, scheme=scheme, engine=engine,
+    return sim(
+        adapter, shards, engine, epochs=e, scheme=scheme,
         shuffle_ring=shuffle_ring, cost=CostModel(t_wc=3.0),
         execute_updates=False, seed=seed,
     ), adapter

@@ -1,0 +1,193 @@
+"""One executor, two clocks: the simulated engines' numerics and virtual
+time, pinned.
+
+``sync`` and ``async`` run every W step through the same tick executor
+and differ only in the clock that replays its record. On a grid of
+``scheme`` x ``shuffle_within`` x ``shuffle_ring`` x ``overlap_send`` x
+{no chaos, delay + jitter + partition + straggler} at P in {1, 4}, this
+module holds both engines to digests recorded from the two-executor
+simulator they replaced:
+
+* ``sync`` parameters, codes and objectives, bit for bit;
+* ``sync`` and ``async`` virtual time (``IterationStats.time``, the
+  ``w_sim_time``/``z_sim_time``/``comp_time``/``comm_time``/``chaos_*``
+  extras, and every ``WStepStats``/``ZStepStats`` field including idle
+  and per-machine times), bit for bit;
+* ``async`` parameters and codes equal to ``sync``'s everywhere. The
+  replaced simulator failed this where both shuffles were on at P = 4
+  (its event engine drew SGD minibatches in event order).
+"""
+
+import hashlib
+import itertools
+import struct
+
+import numpy as np
+import pytest
+
+from repro.autoencoder import BinaryAutoencoder
+from repro.autoencoder.adapter import BAAdapter, build_ba_shards
+from repro.data.synthetic import make_clustered
+from repro.distributed.chaos import ChaosConfig, PartitionWindow
+from repro.distributed.costmodel import CostModel
+from tests.fits import sim
+
+CHAOS = ChaosConfig(
+    delay_ms=2.0, jitter_ms=1.0, stragglers={0: 1.5},
+    partitions=[PartitionWindow(100.0, 400.0)], seed=7,
+)
+
+#: (scheme, shuffle_within, shuffle_ring, overlap_send, chaos, P) ->
+#: (sync numerics, sync timing, async timing) digests.
+PINNED = {
+    ('rounds', False, False, False, False, 1): ('eb0c2bdeced53d12', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', False, False, False, False, 4): ('e6530ce68d1bfcc7', '2bb389d0f9ff1a27', '0badb2892de30d5a'),
+    ('rounds', False, False, False, True, 1): ('eb0c2bdeced53d12', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', False, False, False, True, 4): ('e6530ce68d1bfcc7', '172d6ea39bb2be2c', '7ea03247b8874f5d'),
+    ('rounds', False, False, True, False, 1): ('eb0c2bdeced53d12', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', False, False, True, False, 4): ('e6530ce68d1bfcc7', '2045301bf0abe432', '2eab6e2243b1ec81'),
+    ('rounds', False, False, True, True, 1): ('eb0c2bdeced53d12', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', False, False, True, True, 4): ('e6530ce68d1bfcc7', '81ef6517cf77e62a', 'e58c6d3dff48b448'),
+    ('rounds', False, True, False, False, 1): ('eb0c2bdeced53d12', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', False, True, False, False, 4): ('7d1622c254a2d136', '2bb389d0f9ff1a27', '4d94268762f84f95'),
+    ('rounds', False, True, False, True, 1): ('eb0c2bdeced53d12', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', False, True, False, True, 4): ('7d1622c254a2d136', 'b40e9c04e4544d49', '32f0d404641bf6e2'),
+    ('rounds', False, True, True, False, 1): ('eb0c2bdeced53d12', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', False, True, True, False, 4): ('7d1622c254a2d136', '2045301bf0abe432', '2ae8efb8d7d6a27b'),
+    ('rounds', False, True, True, True, 1): ('eb0c2bdeced53d12', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', False, True, True, True, 4): ('7d1622c254a2d136', 'b9665518cd340442', '47b327d26bef1a85'),
+    ('rounds', True, False, False, False, 1): ('fcd13403c52ee32d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', True, False, False, False, 4): ('78ad45952fee8992', '2bb389d0f9ff1a27', '0badb2892de30d5a'),
+    ('rounds', True, False, False, True, 1): ('fcd13403c52ee32d', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', True, False, False, True, 4): ('78ad45952fee8992', '172d6ea39bb2be2c', '7ea03247b8874f5d'),
+    ('rounds', True, False, True, False, 1): ('fcd13403c52ee32d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', True, False, True, False, 4): ('78ad45952fee8992', '2045301bf0abe432', '2eab6e2243b1ec81'),
+    ('rounds', True, False, True, True, 1): ('fcd13403c52ee32d', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', True, False, True, True, 4): ('78ad45952fee8992', '81ef6517cf77e62a', 'e58c6d3dff48b448'),
+    ('rounds', True, True, False, False, 1): ('fcd13403c52ee32d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', True, True, False, False, 4): ('36a03c7b00e5da8f', '2bb389d0f9ff1a27', '4d94268762f84f95'),
+    ('rounds', True, True, False, True, 1): ('fcd13403c52ee32d', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', True, True, False, True, 4): ('36a03c7b00e5da8f', 'b40e9c04e4544d49', '32f0d404641bf6e2'),
+    ('rounds', True, True, True, False, 1): ('fcd13403c52ee32d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', True, True, True, False, 4): ('36a03c7b00e5da8f', '2045301bf0abe432', '2ae8efb8d7d6a27b'),
+    ('rounds', True, True, True, True, 1): ('fcd13403c52ee32d', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', True, True, True, True, 4): ('36a03c7b00e5da8f', 'b9665518cd340442', '47b327d26bef1a85'),
+    ('tworound', False, False, False, False, 1): ('eb0c2bdeced53d12', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', False, False, False, False, 4): ('d3d473e0a4b2d297', 'bc08ac0ce9b8deb0', '65248d8fbc3a76f3'),
+    ('tworound', False, False, False, True, 1): ('eb0c2bdeced53d12', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', False, False, False, True, 4): ('d3d473e0a4b2d297', '4beaa282fa81b530', 'e24b8ea31ca28d9f'),
+    ('tworound', False, False, True, False, 1): ('eb0c2bdeced53d12', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', False, False, True, False, 4): ('d3d473e0a4b2d297', '1aa5eced94a54289', 'aa1daeeed8e9db8f'),
+    ('tworound', False, False, True, True, 1): ('eb0c2bdeced53d12', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', False, False, True, True, 4): ('d3d473e0a4b2d297', '57d3b4c51f3565ed', '1635eb9f6feedb3b'),
+    ('tworound', False, True, False, False, 1): ('eb0c2bdeced53d12', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', False, True, False, False, 4): ('175545f1c6397bd5', 'bc08ac0ce9b8deb0', '0ae441a5f998ede0'),
+    ('tworound', False, True, False, True, 1): ('eb0c2bdeced53d12', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', False, True, False, True, 4): ('175545f1c6397bd5', 'ab3d03b60dc01688', 'b8bdf3486a603fef'),
+    ('tworound', False, True, True, False, 1): ('eb0c2bdeced53d12', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', False, True, True, False, 4): ('175545f1c6397bd5', '1aa5eced94a54289', 'f6212fe2a6273447'),
+    ('tworound', False, True, True, True, 1): ('eb0c2bdeced53d12', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', False, True, True, True, 4): ('175545f1c6397bd5', 'd43e961f8a326049', '24f3c196817edc72'),
+    ('tworound', True, False, False, False, 1): ('ae20f354096f5482', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', True, False, False, False, 4): ('2feb0fcd006458ba', 'bc08ac0ce9b8deb0', '65248d8fbc3a76f3'),
+    ('tworound', True, False, False, True, 1): ('ae20f354096f5482', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', True, False, False, True, 4): ('2feb0fcd006458ba', '4beaa282fa81b530', 'e24b8ea31ca28d9f'),
+    ('tworound', True, False, True, False, 1): ('ae20f354096f5482', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', True, False, True, False, 4): ('2feb0fcd006458ba', '1aa5eced94a54289', 'aa1daeeed8e9db8f'),
+    ('tworound', True, False, True, True, 1): ('ae20f354096f5482', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', True, False, True, True, 4): ('2feb0fcd006458ba', '57d3b4c51f3565ed', '1635eb9f6feedb3b'),
+    ('tworound', True, True, False, False, 1): ('ae20f354096f5482', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', True, True, False, False, 4): ('6026b104a60e0923', 'bc08ac0ce9b8deb0', '0ae441a5f998ede0'),
+    ('tworound', True, True, False, True, 1): ('ae20f354096f5482', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', True, True, False, True, 4): ('6026b104a60e0923', 'ab3d03b60dc01688', 'b8bdf3486a603fef'),
+    ('tworound', True, True, True, False, 1): ('ae20f354096f5482', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', True, True, True, False, 4): ('6026b104a60e0923', '1aa5eced94a54289', 'f6212fe2a6273447'),
+    ('tworound', True, True, True, True, 1): ('ae20f354096f5482', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', True, True, True, True, 4): ('6026b104a60e0923', 'd43e961f8a326049', '24f3c196817edc72'),
+}
+
+
+@pytest.fixture(scope="module")
+def X():
+    return make_clustered(120, 8, n_clusters=3, rng=4)
+
+
+def digest(values) -> str:
+    """Order-sensitive digest of arrays, ints and the exact bits of floats."""
+    h = hashlib.sha256()
+    for v in values:
+        if isinstance(v, np.ndarray):
+            h.update(str(v.dtype).encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        elif isinstance(v, (bool, int, np.integer)):
+            h.update(b"i" + struct.pack("<q", int(v)))
+        elif isinstance(v, (float, np.floating)):
+            h.update(b"f" + struct.pack("<d", float(v)))
+        else:
+            h.update(repr(v).encode())
+    return h.hexdigest()[:16]
+
+
+def flat(d: dict) -> list:
+    return [x for k in sorted(d) for x in (k, d[k])]
+
+
+def run(X, engine, scheme, within, ring, overlap, chaos, P):
+    """Two iterations at e = 2 under ``CostModel(t_wc=50, speeds={1: 0.5})``;
+    returns the (numerics, timing) digests."""
+    adapter = BAAdapter(BinaryAutoencoder.linear(X.shape[1], 4))
+    backend = sim(
+        adapter, build_ba_shards(adapter, X, n_machines=P, seed=0), engine,
+        epochs=2, scheme=scheme, batch_size=16, shuffle_within=within,
+        shuffle_ring=ring, overlap_send=overlap, chaos=CHAOS if chaos else None,
+        cost=CostModel(t_wc=50.0, speeds={1: 0.5}), seed=0,
+    )
+    steps = []  # every WStepStats / ZStepStats, in order
+
+    def recording(method):
+        def call(*args, **kwargs):
+            steps.append(method(*args, **kwargs))
+            return steps[-1]
+
+        return call
+
+    backend.w_step = recording(backend.w_step)
+    backend.z_step = recording(backend.z_step)
+    numerics, timing = [], []
+    for mu in (1e-3, 2e-3):
+        s = backend.run_iteration(mu)
+        numerics += [s.e_q, s.e_ba, s.z_changes, s.violations]
+        timing += [s.time, s.bytes_sent]
+        timing += flat({
+            k: v for k, v in s.extra.items()
+            if k in ("w_sim_time", "z_sim_time", "comp_time", "comm_time", "bytes_sent")
+            or k.startswith("chaos_")
+        })
+    for st in steps:
+        if hasattr(st, "idle_time"):
+            timing += [st.sim_time, st.comp_time, st.comm_time, st.idle_time,
+                       st.n_messages, st.bytes_sent, st.ticks]
+            timing += flat(st.per_machine_comp) + flat(st.per_machine_comm) + flat(st.chaos)
+        else:
+            timing += [st.sim_time] + flat(st.per_machine_time)
+    numerics += [adapter.get_params(s) for s in adapter.submodel_specs()]
+    numerics += list(backend.gather_codes())
+    return digest(numerics), digest(timing)
+
+
+@pytest.mark.parametrize("config", sorted(PINNED), ids=lambda c: "-".join(map(str, c)))
+def test_one_executor_two_clocks(X, config):
+    sync_numerics, sync_timing, async_timing = PINNED[config]
+    s_num, s_time = run(X, "sync", *config)
+    a_num, a_time = run(X, "async", *config)
+    assert (s_num, s_time) == (sync_numerics, sync_timing)
+    assert a_time == async_timing
+    assert a_num == s_num
+
+
+def test_grid_is_complete():
+    grid = itertools.product(
+        ("rounds", "tworound"), (False, True), (False, True), (False, True),
+        (False, True), (1, 4),
+    )
+    assert set(grid) == set(PINNED)

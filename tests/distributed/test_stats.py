@@ -65,6 +65,6 @@ class TestZStepStats:
         cluster, _ = build_cluster(X, P=3, seed=2)
         # Drive mu very high: Z snaps to h(X) and stays there.
         for mu in (1e-3, 1.0, 1e6):
-            cluster.iteration(mu)
+            cluster.run_iteration(mu)
         z = cluster.z_step(1e6)
         assert z.z_changes == 0

@@ -428,6 +428,42 @@ class TestDropShard:
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", WALLCLOCK_BACKENDS)
+class TestDropShardCrashOutcome:
+    """A scheduled crash under ``drop_shard`` has one outcome, the
+    simulators': a W-point crash retires the machine before the W step, a
+    Z-point crash after it. Regression: a survivor still receiving from
+    its predecessor used to read the Z-crashed peer's EOF as a mid-W-step
+    death, abort, and re-run the iteration — or not, as the race fell."""
+
+    @staticmethod
+    def fit(X, backend):
+        adapter, shards = ba_setup(X, P=4)
+        trainer = ParMACTrainer(adapter, GeometricSchedule(1e-3, 2.0, 3), backend=backend)
+        history = trainer.fit(shards)
+        params = {s.sid: adapter.get_params(s).copy() for s in adapter.submodel_specs()}
+        return [r.extra["shards_lost"] for r in history.records], params
+
+    @pytest.mark.parametrize("point, repeats", [("z", 10), ("w", 1)])
+    def test_crash_matches_sync_on_every_repeat(self, X, name, point, repeats):
+        options = dict(
+            epochs=2, shuffle_within=False, seed=0, fault_policy="drop_shard",
+            chaos={"crashes": [(1, 1, point)]},
+        )
+        lost_ref, ref = self.fit(X, get_backend("sync")(**options))
+        assert lost_ref == [0, 1, 0]
+        backend = get_backend(name)(worker_timeout=FAULT_DETECTION_TIMEOUT_S * 3, **options)
+        try:
+            for _ in range(repeats):
+                lost, got = self.fit(X, backend)
+                assert lost == lost_ref
+                for sid in ref:
+                    assert np.array_equal(got[sid], ref[sid]), (point, sid)
+        finally:
+            backend.close()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", WALLCLOCK_BACKENDS)
 class TestCheckpointSurvivesKill:
     def test_checkpoint_sigkill_restore_reaches_same_model(self, X, name, tmp_path):
         """The restartability contract: snapshot between iterations,

@@ -2,12 +2,23 @@
 
 Serial MAC (paper fig. 1) is :class:`ParMACTrainer` on one shard on the
 ``"sync"`` engine with the exact least-squares decoder; ParMAC is the
-same call with more shards and the SGD decoder.
+same call with more shards and the SGD decoder. Tests that drive the
+simulated cluster step by step build it with :func:`sim`.
 """
 
 from repro.autoencoder.adapter import BAAdapter, build_ba_shards
 from repro.core.trainer import ParMACTrainer
+from repro.distributed.backends import get_backend
 from repro.nets.adapter import NetAdapter, build_net_shards
+
+
+def sim(adapter, shards, engine="sync", **options):
+    """A simulated engine (``"sync"`` or ``"async"``) set up on
+    ``shards``: the simulated cluster, ready for ``w_step``/``z_step``/
+    ``run_iteration``."""
+    backend = get_backend(engine)(**options)
+    backend.setup(adapter, shards)
+    return backend
 
 
 def fit_ba(
@@ -24,8 +35,9 @@ def fit_ba(
     **trainer_options,
 ) -> ParMACTrainer:
     """Fit a binary autoencoder in place; returns the closed trainer
-    (``history_``, ``cluster_`` on the simulated engines). The decoder is
-    exact on one shard and SGD otherwise unless ``decoder_exact`` says."""
+    (``history_``; on ``sync`` its ``backend`` is the simulated cluster).
+    The decoder is exact on one shard and SGD otherwise unless
+    ``decoder_exact`` says."""
     if decoder_exact is None:
         decoder_exact = n_machines == 1
     adapter = BAAdapter(model, decoder_exact=decoder_exact, **(adapter_options or {}))

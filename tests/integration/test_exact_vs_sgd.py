@@ -11,8 +11,8 @@ from repro.autoencoder.adapter import BAAdapter
 from repro.autoencoder.init import init_codes_pca
 from repro.autoencoder.zstep import zstep
 from repro.distributed.allreduce import exact_w_step_ba
-from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.partition import make_shards, partition_indices
+from tests.fits import sim
 
 
 @pytest.fixture(scope="module")
@@ -46,11 +46,8 @@ def run_sgd(X, mus, P=4, epochs=2, seed=0):
     Z, _ = init_codes_pca(X, 6, rng=seed)
     parts = partition_indices(len(X), P, rng=seed)
     shards = make_shards(X, X, Z, parts)
-    cluster = SimulatedCluster(adapter, shards, epochs=epochs, seed=seed)
-    eqs = []
-    for mu in mus:
-        cluster.iteration(mu)
-        eqs.append(cluster.e_q(mu))
+    cluster = sim(adapter, shards, epochs=epochs, seed=seed)
+    eqs = [cluster.run_iteration(mu).e_q for mu in mus]
     return ba, eqs
 
 

@@ -29,13 +29,13 @@ class TestRBFThroughParMAC:
         h = trainer.history_
         assert np.isfinite(h.records[-1].e_q)
         assert h.records[-1].e_q < h.records[0].e_q
-        assert trainer.cluster_.model_copies_consistent()
+        assert trainer.backend.model_copies_consistent()
 
     def test_shards_store_kernel_features(self, X):
         ba = BinaryAutoencoder.rbf(X, n_centres=40, n_bits=6, rng=0)
         trainer = fit_ba(ba, X, GeometricSchedule(1e-3, 2.0, 2), n_machines=3, seed=0)
-        for p in trainer.cluster_.machines:
-            shard = trainer.cluster_.shards[p]
+        for p in trainer.backend.machines:
+            shard = trainer.backend.shards[p]
             assert shard.F.shape[1] == 40  # kernel features, not raw dims
             assert shard.X.shape[1] == 10  # decoder still sees raw space
 

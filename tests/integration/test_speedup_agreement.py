@@ -11,10 +11,10 @@ import pytest
 
 from repro.autoencoder import BinaryAutoencoder
 from repro.autoencoder.adapter import BAAdapter
-from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.costmodel import CostModel
 from repro.distributed.partition import Shard, partition_indices
 from repro.perfmodel.speedup import SpeedupParams, speedup
+from tests.fits import sim
 
 
 def timing_cluster(N, n_bits, D, P, e, cost, engine="async"):
@@ -31,8 +31,8 @@ def timing_cluster(N, n_bits, D, P, e, cost, engine="async"):
         )
         for idx in parts
     ]
-    return SimulatedCluster(
-        adapter, shards, epochs=e, cost=cost, engine=engine,
+    return sim(
+        adapter, shards, engine, epochs=e, cost=cost,
         execute_updates=False, seed=0,
     ), adapter
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.partition import partition_indices
 from repro.nets.adapter import NetAdapter, NetShard, make_net_shards
 from repro.nets.deepnet import DeepNet
 from repro.nets.mac import init_coords
+from tests.fits import sim
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def build_net_cluster(X, Y, P=3, seed=0, **kwargs):
     Zs = init_coords(net, X)
     parts = partition_indices(len(X), P, rng=seed)
     shards = make_net_shards(X, Y, Zs, parts)
-    cluster = SimulatedCluster(adapter, shards, seed=seed, **kwargs)
+    cluster = sim(adapter, shards, seed=seed, **kwargs)
     return cluster, adapter, net
 
 
@@ -97,7 +97,7 @@ class TestNetOnRing:
         cluster, adapter, net = build_net_cluster(X, Y, P=3, epochs=2)
         before = net.loss(X, Y)
         for mu in (0.5, 1.0, 2.0, 4.0, 8.0):
-            cluster.iteration(mu)
+            cluster.run_iteration(mu)
         assert net.loss(X, Y) < before
 
     def test_z_step_never_increases_e_q(self, problem):
