@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.autoencoder.binary_autoencoder import BinaryAutoencoder
 from repro.autoencoder.init import init_codes_pca
-from repro.autoencoder.zstep import MAX_ENUM_BITS, zstep
-from repro.distributed.interfaces import SubmodelSpec
+from repro.autoencoder.zstep import MAX_ENUM_BITS, _centre, _linear_term, _zstep
+from repro.distributed.interfaces import SubmodelSpec, ZStepResult
 from repro.distributed.partition import make_shards, partition_indices
 from repro.optim.linreg import LinearRegression
 from repro.optim.sgd import SGDState
@@ -33,9 +33,43 @@ from repro.utils.validation import check_array, check_binary_codes
 
 __all__ = ["BAAdapter", "build_ba_shards"]
 
-# Rows per block of the shard-statistics pass: 256 x 960 float64 is
-# 1.9 MB, which stays in L2/L3 (128 and 512 measured within 5 % of it).
+# Rows per block of the standalone statistics' centred data: 256 x 960
+# float64 is 1.9 MB, which stays in L2/L3 (128 and 512 measured within
+# 5 % of it).
 _STATS_BLOCK_ROWS = 256
+
+
+def _sum_sq(A: np.ndarray) -> float:
+    """``sum(A * A)`` accumulated in float64 (one ``vdot`` when ``A``
+    already is), without a float64 copy of ``A``."""
+    if A.dtype == np.float64:
+        return float(np.vdot(A, A))
+    return float(np.einsum("ij,ij->", A, A, dtype=np.float64))
+
+
+def _statistics(sq: float, XcB, B, Z, H, mu: float) -> tuple[float, float, int]:
+    """A shard's ``(E_Q, E_BA, violations)`` from its Z-step terms.
+
+    ``sq`` is ``sum ||x - c||^2`` and ``XcB`` the linear term ``(X - c) B``.
+    The quadratic expansion of the Z-step objective gives each residual
+    without decoding a row:
+
+        sum ||x - c - B z||^2 = sq - 2 sum z . XcB + sum z^T (B^T B) z
+
+    which is O(n L^2) for ``Z`` and the encoder's codes ``H`` alike, all
+    in float64. For binary codes ``sum (z - h)^2`` *is* the violation
+    count, which makes the E_Q penalty ``mu * violations`` exactly.
+    """
+    B64 = np.asarray(B, dtype=np.float64)
+    G = B64.T @ B64
+    XcB2 = 2.0 * np.asarray(XcB, dtype=np.float64)
+
+    def residual(C) -> float:
+        Cf = C.astype(np.float64)
+        return sq + float(np.vdot(Cf @ G - XcB2, Cf))
+
+    violations = int(np.count_nonzero(Z != H))
+    return residual(Z) + mu * violations, residual(H), violations
 
 
 def _take_columns(X: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -372,14 +406,23 @@ class BAAdapter:
         enc = self.model.encoder
         return (F @ enc.A.T + enc.a >= 0.0).astype(np.uint8)
 
-    def z_update(self, shard, mu: float) -> int:
-        """Exact/alternating Z step on one shard; returns bits changed."""
+    def z_update(self, shard, mu: float) -> ZStepResult:
+        """Exact/alternating Z step on one shard, with the shard's
+        statistics under the new codes.
+
+        One encode ``H`` and one linear term ``(X - c) B`` serve the
+        solver and the statistics (:func:`_statistics`); ``sum ||x -
+        c||^2`` is read off the centred data before it is dropped.
+        """
         dec = self.model.decoder
         H = self._encode_features(shard.F)
-        Z_new = zstep(
-            shard.X,
+        Xc = _centre(shard.X, dec.c, dec.B)
+        XcB = _linear_term(Xc, dec.B)
+        sq = _sum_sq(Xc)
+        del Xc
+        Z_new = _zstep(
+            XcB,
             dec.B,
-            dec.c,
             H,
             mu,
             method=self.zstep_method,
@@ -390,33 +433,26 @@ class BAAdapter:
         changes = int((Z_new != shard.Z).sum())
         shard.Z = Z_new
         self._lstsq = None  # the W step's solve is spent; drop its arrays
-        return changes
+        return ZStepResult(changes, *_statistics(sq, XcB, dec.B, Z_new, H, mu))
 
     # --------------------------------------------------------- objectives
     def shard_stats(self, shard, mu: float) -> tuple[float, float, int]:
-        """Shard contributions ``(E_Q, E_BA, violations)`` in one pass.
+        """Shard contributions ``(E_Q, E_BA, violations)`` of the current
+        codes: :func:`_statistics`, as :meth:`z_update` reports them.
 
-        One encode, then both reconstructions per block of rows into one
-        reused buffer, so the shard streams through cache once and no
-        (n, D) temporary exists. For binary codes ``sum (z - h)^2`` *is*
-        the violation count, which makes the E_Q penalty ``mu *
-        violations`` exactly.
+        The linear term is built one block of rows at a time, so no (n, D)
+        temporary exists.
         """
-        cd = self.compute_dtype
         dec = self.model.decoder
-        H = self._encode_features(shard.F)
-        violations = int((shard.Z != H).sum())
-        buf = np.empty((min(_STATS_BLOCK_ROWS, shard.n), dec.n_outputs), dtype=cd)
-        resid = [0.0, 0.0]  # sum ||x - f(z)||^2, sum ||x - f(h(x))||^2
+        XcB = np.empty((shard.n, self.model.n_bits), dtype=dec.B.dtype)
+        sq = 0.0
         for start in range(0, shard.n, _STATS_BLOCK_ROWS):
-            blk = slice(start, min(start + _STATS_BLOCK_ROWS, shard.n))
-            R = buf[: blk.stop - blk.start]
-            for i, codes in enumerate((shard.Z, H)):
-                np.matmul(codes[blk].astype(cd), dec.B.T, out=R)
-                R += dec.c
-                np.subtract(shard.X[blk], R, out=R)
-                resid[i] += float(np.vdot(R, R))
-        return resid[0] + mu * violations, resid[1], violations
+            blk = slice(start, start + _STATS_BLOCK_ROWS)
+            Xc = _centre(shard.X[blk], dec.c, dec.B)
+            np.matmul(Xc, dec.B, out=XcB[blk])
+            sq += _sum_sq(Xc)
+        H = self._encode_features(shard.F)
+        return _statistics(sq, XcB, dec.B, shard.Z, H, mu)
 
     def e_q_shard(self, shard, mu: float) -> float:
         """Shard contribution to E_Q (eq. 3)."""

@@ -21,9 +21,13 @@ Three solvers, as in the paper:
 All solvers are vectorised across points: the per-point problems share
 ``B^T B`` so the quadratic term is computed once.
 
-Each solver has one kernel. The alternating one maintains ``G = R B`` (an
-n x L stack of per-bit linear terms) with one rank-1 update per flipped
-bit instead of materialising per-bit n x D residual copies.
+Each public solver is the linear term ``(X - c) B`` (:func:`_linear_term`)
+followed by one private kernel on it, so a caller that already holds the
+linear term (the BA adapter, which also derives the shard statistics
+from it) runs the kernel directly. The alternating kernel maintains
+``G = R B`` (an n x L stack of per-bit linear terms) with one rank-1
+update per flipped bit instead of materialising per-bit n x D residual
+copies.
 """
 
 from __future__ import annotations
@@ -59,13 +63,22 @@ MAX_ENUM_BITS = 16
 _ENUM_SCRATCH_BYTES = 1 << 19
 
 
-def _linear_term(X, B: np.ndarray, c, cd: np.dtype) -> np.ndarray:
-    """``(X - c) @ B`` in the compute precision, shape (n, L): the
+def _centre(X, c, B: np.ndarray) -> np.ndarray:
+    """``X - c`` in the compute precision of a solve with decoder ``B``,
+    shape (n, D). Non-finite values pass through; :func:`_linear_term`
+    refuses them."""
+    cd = _solver_dtype(B)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.asarray(X, dtype=cd) - np.asarray(c, dtype=cd)
+
+
+def _linear_term(Xc: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``Xc @ B`` for centred data ``Xc = X - c``, shape (n, L): the
     data-dependent linear term every solver starts from. Refuses
     non-finite values: ``argmin`` and ``delta <= 0`` would turn them into
     a silent all-zero code."""
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
-        XcB = (np.asarray(X, dtype=cd) - np.asarray(c, dtype=cd)) @ B
+        XcB = Xc @ B
     if not np.isfinite(XcB).all():
         row = np.flatnonzero(~np.isfinite(XcB).all(axis=1))[0]
         raise ValueError(
@@ -114,6 +127,11 @@ def zstep_enumerate(
     ``(Q + U) + V`` in code order ``b * 2^Llo + a`` (bit l = column l):
     exact ties go to the lowest code. Raises for ``L > MAX_ENUM_BITS``.
     """
+    return _enumerate(_linear_term(_centre(X, c, B), B), B, H, mu)
+
+
+def _enumerate(XcB: np.ndarray, B: np.ndarray, H: np.ndarray, mu: float) -> np.ndarray:
+    """The :func:`zstep_enumerate` kernel on the linear term ``XcB``."""
     L = B.shape[1]
     if L > MAX_ENUM_BITS:
         raise ValueError(
@@ -123,7 +141,7 @@ def zstep_enumerate(
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
     cd = _solver_dtype(B)
-    lin = _linear_term(X, B, c, cd) + mu * np.asarray(H, dtype=cd)  # (n, L)
+    H = np.asarray(H)
     Llo = L // 2
     Clo, Chi = _all_codes(Llo, cd), _all_codes(L - Llo, cd)
     G = B.T @ B
@@ -136,15 +154,16 @@ def zstep_enumerate(
     Q += quad(Chi, G[Llo:, Llo:])
     Clo *= -2.0  # from here on only the linear terms use the code tables
     Chi *= -2.0
-    n, (nlo, nhi) = len(lin), Q.shape
+    n, (nlo, nhi) = len(XcB), Q.shape
     tile = max(1, _ENUM_SCRATCH_BYTES // (2 * nhi * cd.itemsize))
     M, T = np.empty((2, min(tile, n), nhi), dtype=cd)
     shifts = np.arange(L, dtype=np.intp)
     Z = np.empty((n, L), dtype=np.uint8)
     for start in range(0, n, tile):
         rows = slice(start, start + tile)
-        U = Clo @ lin[rows, :Llo].T  # (2^Llo, m)
-        V = lin[rows, Llo:] @ Chi.T  # (m, 2^(L-Llo))
+        lin = XcB[rows] + mu * np.asarray(H[rows], dtype=cd)  # (m, L)
+        U = Clo @ lin[:, :Llo].T  # (2^Llo, m)
+        V = lin[:, Llo:] @ Chi.T  # (m, 2^(L-Llo))
         m = len(V)
         Mm, Tm = M[:m], T[:m]
         # Mm[i, b] = min_a Q[a, b] + U[a, i], one low half-code per pass.
@@ -173,11 +192,16 @@ def zstep_relaxed(
     ``(B^T B + mu I) z = B^T (x - c) + mu h``; we clip to [0,1] and
     threshold at 1/2 (ties -> 1, matching the step convention).
     """
+    return _relaxed(_linear_term(_centre(X, c, B), B), B, H, mu)
+
+
+def _relaxed(XcB: np.ndarray, B: np.ndarray, H: np.ndarray, mu: float) -> np.ndarray:
+    """The :func:`zstep_relaxed` kernel on the linear term ``XcB``."""
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
     cd = _solver_dtype(B)
     G = B.T @ B + mu * np.eye(B.shape[1], dtype=cd)
-    Lin = _linear_term(X, B, c, cd) + mu * np.asarray(H, dtype=cd)  # (n, L)
+    Lin = XcB + mu * np.asarray(H, dtype=cd)  # (n, L)
     # Guard the mu = 0, rank-deficient-decoder corner with a pseudo-inverse.
     try:
         Zrel = np.linalg.solve(G, Lin.T).T
@@ -216,13 +240,26 @@ def zstep_alternate(
     ``Z0`` defaults to the truncated relaxed solution (the paper's
     initialisation).
     """
+    return _alternate(
+        _linear_term(_centre(X, c, B), B), B, H, mu, Z0, max_sweeps=max_sweeps
+    )
+
+
+def _alternate(
+    XcB: np.ndarray,
+    B: np.ndarray,
+    H: np.ndarray,
+    mu: float,
+    Z0: np.ndarray | None,
+    *,
+    max_sweeps: int,
+) -> np.ndarray:
+    """The :func:`zstep_alternate` kernel on the linear term ``XcB``."""
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     cd = _solver_dtype(B)
-    XcB = _linear_term(X, B, c, cd)
-    Hf = np.asarray(H, dtype=cd)
     if Z0 is None:
-        Z0 = zstep_relaxed(X, B, c, H, mu)
+        Z0 = _relaxed(XcB, B, H, mu)
     Z = check_binary_codes(Z0).astype(cd)
     L = B.shape[1]
     b_norms = (B * B).sum(axis=0)  # ||b_l||^2 for each column l
@@ -230,7 +267,7 @@ def zstep_alternate(
     # G = R @ B, the per-bit linear terms, built by one GEMM pair; flipping
     # bit l of some rows moves G by a rank-1 update with row l of B^T B.
     G = XcB - Z @ BtB
-    mu_term = mu * (1.0 - 2.0 * Hf)
+    mu_term = mu * (1.0 - 2.0 * np.asarray(H, dtype=cd))
     for _ in range(max_sweeps):
         changed = False
         for l in range(L):
@@ -269,12 +306,20 @@ def zstep(
     enforces, so auto dispatch uses exact enumeration everywhere it is
     allowed (L = 16 is the paper's SIFT setting).
     """
+    return _zstep(
+        _linear_term(_centre(X, c, B), B), B, H, mu, method=method, Z0=Z0,
+        max_enum_bits=max_enum_bits, max_sweeps=max_sweeps,
+    )
+
+
+def _zstep(XcB, B, H, mu, *, method, Z0, max_enum_bits, max_sweeps) -> np.ndarray:
+    """The :func:`zstep` dispatch over the kernels, on the linear term."""
     if method == "auto":
         method = "enumerate" if B.shape[1] <= max_enum_bits else "alternate"
     if method == "enumerate":
-        return zstep_enumerate(X, B, c, H, mu)
+        return _enumerate(XcB, B, H, mu)
     if method == "alternate":
-        return zstep_alternate(X, B, c, H, mu, Z0, max_sweeps=max_sweeps)
+        return _alternate(XcB, B, H, mu, Z0, max_sweeps=max_sweeps)
     if method == "relaxed":
-        return zstep_relaxed(X, B, c, H, mu)
+        return _relaxed(XcB, B, H, mu)
     raise ValueError(f"unknown Z-step method {method!r}")

@@ -19,7 +19,7 @@ parallel with zero communication. This package provides:
   exact-gradient allreduce W step (section 6 ablation).
 """
 
-from repro.distributed.interfaces import ParMACAdapter, SubmodelSpec
+from repro.distributed.interfaces import ParMACAdapter, SubmodelSpec, ZStepResult
 from repro.distributed.messages import SubmodelMessage
 from repro.distributed.topology import RingTopology
 from repro.distributed.protocol import RoutePlan, WStepProtocol, expected_receives
@@ -44,6 +44,7 @@ from repro.distributed.allreduce import allreduce_sum, exact_decoder_fit, exact_
 __all__ = [
     "ParMACAdapter",
     "SubmodelSpec",
+    "ZStepResult",
     "SubmodelMessage",
     "RingTopology",
     "RoutePlan",

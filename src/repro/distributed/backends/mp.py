@@ -86,7 +86,7 @@ from repro.distributed.backends.worker import WorkerSetup, _worker_main
 from repro.distributed.dataplane import ClusterState, DataPlane
 from repro.distributed.framing import KIND_HEARTBEAT, encode_shard_retired
 from repro.distributed.health import HealthMonitor
-from repro.distributed.interfaces import set_params_many
+from repro.distributed.interfaces import ZStepResult, set_params_many
 from repro.distributed.messages import ShardRetired
 from repro.distributed.protocol import (
     RoutePlan,
@@ -690,7 +690,6 @@ class MultiprocessBackend(BaseBackend):
             for key, value in (payloads[r].get("wire") or {}).items():
                 wire[key] = wire.get(key, 0) + value
         extra = {"wall_time": wall, "w_time": w_time, "z_time": z_time}
-        extra["stats_time"] = max(payloads[r]["stats_time"] for r in ranks)
         extra.update(wire)
         extra.update(self._dtype_extras())
         if respawn:
@@ -704,12 +703,13 @@ class MultiprocessBackend(BaseBackend):
                 for r in sorted(self._worker_cpusets)
             }
         self._iterations_done += 1
+        z = ZStepResult.total({r: payloads[r]["z"] for r in ranks})
         return IterationStats(
             mu=mu,
-            e_q=sum(payloads[r]["e_q"] for r in ranks),
-            e_ba=sum(payloads[r]["e_ba"] for r in ranks),
-            z_changes=sum(payloads[r]["z_changes"] for r in ranks),
-            violations=sum(payloads[r]["violations"] for r in ranks),
+            e_q=z.e_q,
+            e_ba=z.e_ba,
+            z_changes=z.z_changes,
+            violations=z.violations,
             time=w_time + z_time,
             wall_time=wall,
             extra=extra,

@@ -64,7 +64,7 @@ from repro.distributed.backends.base import (
 from repro.distributed.batching import GroupTable, train_message_batch
 from repro.distributed.costmodel import ChaosTimeline, CostModel, OverlapSendTimeline
 from repro.distributed.dataplane import ClusterState, DataPlane
-from repro.distributed.interfaces import get_params_many, set_params_many
+from repro.distributed.interfaces import ZStepResult, get_params_many, set_params_many
 from repro.distributed.messages import SubmodelMessage
 from repro.distributed.protocol import home_assignment
 from repro.distributed.topology import RingTopology
@@ -98,12 +98,16 @@ class WStepStats:
 
 @dataclass
 class ZStepStats:
-    """Virtual-clock accounting for one Z step."""
+    """Virtual-clock accounting for one Z step, with the shard statistics
+    it reports, totalled over machines."""
 
     sim_time: float = 0.0
     z_changes: int = 0
     wall_time: float = 0.0
     per_machine_time: dict = field(default_factory=dict)
+    e_q: float = 0.0
+    e_ba: float = 0.0
+    violations: float = 0
 
 
 @dataclass(frozen=True)
@@ -455,7 +459,9 @@ class _SimBackend(BaseBackend):
 
     # ------------------------------------------------------------- Z step
     def z_step(self, mu: float) -> ZStepStats:
-        """Run the Z step on every shard — no communication at all."""
+        """Run the Z step on every shard — no communication at all — and
+        total the statistics it reports. Under ``execute_updates=False``
+        only the clock runs: no adapter call, and the statistics stay 0."""
         t0 = time.perf_counter()
         stats = ZStepStats(per_machine_time={})
         n_submodels = len(self.adapter.submodel_specs())
@@ -464,12 +470,15 @@ class _SimBackend(BaseBackend):
             if self.chaos is not None and self.chaos.active()
             else (lambda p: 1.0)
         )
+        results = {}
         for p in self.machines:
             shard = self.shards[p]
             if self.execute_updates:
-                stats.z_changes += self.adapter.z_update(shard, mu)
+                results[p] = self.adapter.z_update(shard, mu)
             t = self.cost.z_work(p, shard.n, n_submodels) * slow(p)
             stats.per_machine_time[p] = t
+        total = ZStepResult.total(results)
+        stats.z_changes, stats.e_q, stats.e_ba, stats.violations = total
         stats.sim_time = max(stats.per_machine_time.values(), default=0.0)
         stats.wall_time = time.perf_counter() - t0
         return stats
@@ -537,9 +546,8 @@ class _SimBackend(BaseBackend):
             self._retire(p, lost=True)
         zstats = self.z_step(mu)
         wall = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        e_q, e_ba, violations = self.stats(mu)
-        stats_time = time.perf_counter() - t0
+        if not self.execute_updates:  # timing only: the shards as they stand
+            zstats.e_q, zstats.e_ba, zstats.violations = self.stats(mu)
         self._iterations_done += 1
         respawn_extras = (
             {"respawns": respawns, "respawn_wait_s": 0.0}
@@ -548,10 +556,10 @@ class _SimBackend(BaseBackend):
         )
         return IterationStats(
             mu=float(mu),
-            e_q=e_q,
-            e_ba=e_ba,
+            e_q=zstats.e_q,
+            e_ba=zstats.e_ba,
             z_changes=zstats.z_changes,
-            violations=violations,
+            violations=zstats.violations,
             time=wstats.sim_time + zstats.sim_time,
             wall_time=wall,
             extra={
@@ -563,7 +571,6 @@ class _SimBackend(BaseBackend):
                 "wall_time": wall,
                 "w_time": wstats.wall_time,
                 "z_time": zstats.wall_time,
-                "stats_time": stats_time,
                 **wstats.chaos,
                 **self._dtype_extras(),
                 **respawn_extras,
@@ -665,15 +672,14 @@ class _SimBackend(BaseBackend):
         return True
 
     def stats(self, mu: float) -> tuple[float, float, float]:
-        """Global ``(E_Q, nested objective, violations)``: one statistics
-        pass per shard, summed in ring order (no data movement)."""
-        e_q = e_ba = violations = 0
-        for p in self.machines:
-            q, b, v = self.adapter.shard_stats(self.shards[p], mu)
-            e_q += q
-            e_ba += b
-            violations += v
-        return float(e_q), float(e_ba), violations
+        """Global ``(E_Q, nested objective, violations)`` of the shards as
+        they stand: one ``shard_stats`` call per shard, totalled like the
+        Z step's (no data movement)."""
+        total = ZStepResult.total({
+            p: ZStepResult(0, *self.adapter.shard_stats(self.shards[p], mu))
+            for p in self.machines
+        })
+        return total.e_q, total.e_ba, total.violations
 
 
 @register_backend("sync")

@@ -288,7 +288,7 @@ def _run_worker_iteration(state: _WorkerState, mu, plan, n_expected, transport,
         os.kill(os.getpid(), signal.SIGKILL)
     pulse.enter("z")
     t_z0 = time.perf_counter()
-    z_changes = adapter.z_update(shard, mu)
+    z_result = adapter.z_update(shard, mu)
     if straggle is not None:
         straggle(t_z0)
     t_z = time.perf_counter() - t_z0
@@ -299,14 +299,8 @@ def _run_worker_iteration(state: _WorkerState, mu, plan, n_expected, transport,
     # next iteration opens a fresh transport whose frames must not
     # interleave with a still-draining sender.
     transport.drain()
-    t_s0 = time.perf_counter()
-    e_q, e_ba, violations = adapter.shard_stats(shard, mu)
     return {
-        "stats_time": time.perf_counter() - t_s0,
-        "e_q": e_q,
-        "e_ba": e_ba,
-        "violations": violations,
-        "z_changes": z_changes,
+        "z": z_result,
         "w_time": t_w,
         "z_time": t_z,
         "wire": transport.wire_stats(),

@@ -8,9 +8,13 @@ into an adapter for the actual numerics. An adapter supplies:
   units for a deep net);
 * ``w_update`` — one SGD pass of one submodel over one shard (the
   travelling-submodel work unit);
-* ``z_update`` — the per-shard Z step given the assembled model;
-* ``shard_stats`` — a shard's ``(E_Q, nested objective, violations)`` in
-  one call, which is what every engine makes per shard per iteration;
+* ``z_update`` — the per-shard Z step given the assembled model,
+  returning a :class:`ZStepResult`: the coordinates it changed and the
+  shard's ``(E_Q, nested objective, violations)`` under the new ones.
+  It is the one adapter call every engine makes per shard after the W
+  step; engines total the results with :meth:`ZStepResult.total`;
+* ``shard_stats`` — the same three statistics of a shard as it stands,
+  without a Z step (diagnostics, timing-only simulations);
   ``e_q_shard`` / ``e_ba_shard`` / ``violations_shard`` name its parts.
 
 This mirrors the paper's observation that ParMAC is a *meta*-algorithm: the
@@ -42,13 +46,19 @@ None): the data plane refuses larger sets at setup, restore and join.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.optim.sgd import SGDState
 
-__all__ = ["SubmodelSpec", "ParMACAdapter", "get_params_many", "set_params_many"]
+__all__ = [
+    "SubmodelSpec",
+    "ZStepResult",
+    "ParMACAdapter",
+    "get_params_many",
+    "set_params_many",
+]
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,32 @@ class SubmodelSpec:
     sid: int
     kind: str
     index: Any = None
+
+
+class ZStepResult(NamedTuple):
+    """What one shard's Z step reports: coordinates changed, and the
+    shard's E_Q, nested objective and constraint residual under the new
+    coordinates."""
+
+    z_changes: int
+    e_q: float
+    e_ba: float
+    violations: float
+
+    @classmethod
+    def total(cls, per_machine: dict) -> ZStepResult:
+        """Field-wise sum of ``{machine id: result}`` in ascending machine
+        id — the one reduction every engine makes, so the float totals are
+        bit-identical across engines whatever order the ring visits its
+        machines in."""
+        z_changes, e_q, e_ba, violations = 0, 0.0, 0.0, 0
+        for p in sorted(per_machine):
+            r = per_machine[p]
+            z_changes += r.z_changes
+            e_q += r.e_q
+            e_ba += r.e_ba
+            violations += r.violations
+        return cls(z_changes, float(e_q), float(e_ba), violations)
 
 
 @runtime_checkable
@@ -106,15 +142,16 @@ class ParMACAdapter(Protocol):
         """
         ...
 
-    def z_update(self, shard, mu: float) -> int:
-        """Z step on one shard in place; returns the number of changed bits
-        (or coordinates). Uses the adapter's assembled model."""
+    def z_update(self, shard, mu: float) -> ZStepResult:
+        """Z step on one shard in place, under the adapter's assembled
+        model; returns the changed bits (or coordinates) and the shard's
+        statistics under the new codes, as :meth:`shard_stats` would."""
         ...
 
     def shard_stats(self, shard, mu: float) -> tuple[float, float, float]:
-        """``(e_q, e_ba, violations)`` of this shard under the assembled
-        model — the three statistics below, computed together. Required:
-        it is the one call the engines make per shard per iteration."""
+        """``(e_q, e_ba, violations)`` of this shard as it stands, under
+        the assembled model — the three statistics below, computed
+        together."""
         ...
 
     def e_q_shard(self, shard, mu: float) -> float:

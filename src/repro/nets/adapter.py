@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.distributed.interfaces import SubmodelSpec
+from repro.distributed.interfaces import SubmodelSpec, ZStepResult
 from repro.distributed.partition import partition_indices
 from repro.nets.deepnet import DeepNet
 from repro.nets.layers import ACTIVATIONS
@@ -280,8 +280,9 @@ class NetAdapter:
         return [np.concatenate([W[i], b[i : i + 1]]) for i in range(len(specs))]
 
     # ------------------------------------------------------------- Z step
-    def z_update(self, shard: NetShard, mu: float) -> int:
-        """Shard-local safeguarded gradient Z step; returns coords changed.
+    def z_update(self, shard: NetShard, mu: float) -> ZStepResult:
+        """Shard-local safeguarded gradient Z step; returns the coords
+        changed and :meth:`shard_stats` under the new coordinates.
 
         Runs the activation-cached solver: a shard's Z solves are a handful
         of whole-shard GEMMs per gradient step in the model's compute
@@ -296,7 +297,7 @@ class NetAdapter:
             for new, old in zip(new_Zs, shard.Zs)
         )
         shard.Zs = new_Zs
-        return changed
+        return ZStepResult(changed, *self.shard_stats(shard, mu))
 
     # --------------------------------------------------------- objectives
     def shard_stats(self, shard: NetShard, mu: float) -> tuple[float, float, float]:

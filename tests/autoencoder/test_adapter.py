@@ -2,16 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.autoencoder import BinaryAutoencoder
 from repro.autoencoder.adapter import BAAdapter, _take_columns
 from repro.autoencoder.init import init_codes_pca
+from repro.autoencoder.zstep import MAX_ENUM_BITS, zstep
 from repro.core.penalty import GeometricSchedule
 from repro.core.trainer import ParMACTrainer
 from repro.data.synthetic import make_gist_like
-from repro.distributed.interfaces import ParMACAdapter
+from repro.distributed.interfaces import ParMACAdapter, ZStepResult
 from repro.distributed.partition import Shard, make_shards, partition_indices
 from repro.nets.adapter import NetAdapter
 from repro.nets.deepnet import DeepNet
@@ -138,8 +139,9 @@ class TestZUpdateAndObjectives:
     def test_z_update_returns_change_count(self, shard):
         adapter, s = shard
         Z_before = s.Z.copy()
-        changes = adapter.z_update(s, mu=0.5)
-        assert changes == int((s.Z != Z_before).sum())
+        result = adapter.z_update(s, mu=0.5)
+        assert isinstance(result, ZStepResult)
+        assert result.z_changes == int((s.Z != Z_before).sum())
 
     def test_e_q_shard_matches_model(self, shard):
         adapter, s = shard
@@ -165,9 +167,10 @@ class TestZUpdateAndObjectives:
 
 # ------------------------------------------------------------------ oracles
 # The expression forms the batched kernels and the shard statistics had
-# before they were rewritten over preallocated buffers and row blocks.
-# The kernels must match them bit for bit; the statistics to summation
-# order (E_Q, E_BA) and exactly (violations).
+# before they were rewritten over preallocated buffers and, for the
+# statistics, the Z step's quadratic expansion. The kernels must match
+# them bit for bit; the statistics to rounding (E_Q, E_BA) and exactly
+# (violations).
 def oracle_batch_enc(adapter, specs, thetas, states, shard, batch_size):
     enc = adapter.model.encoder
     cd = adapter.compute_dtype
@@ -457,7 +460,7 @@ class TestShardStats:
 
     def test_no_shard_sized_temporaries(self):
         # A 2000 x 960 float64 shard is 15 MB; three expression-form
-        # statistics peak at 30 MB. One block buffer is 1.9 MB.
+        # statistics peak at 30 MB. One block of centred rows is 1.9 MB.
         adapter, s = random_problem(2000, 960, 32)
         adapter.shard_stats(s, 0.5)
         tracemalloc.start()
@@ -488,3 +491,42 @@ class TestShardStats:
         assert adapter.shard_stats(s, 0.5) == (
             adapter.e_q_shard(s, 0.5), adapter.e_ba_shard(s), adapter.violations_shard(s)
         )
+        # Its Z step reports them under the new coordinates.
+        result = adapter.z_update(s, 0.5)
+        assert isinstance(result, ZStepResult) and result.z_changes > 0
+        assert result[1:] == adapter.shard_stats(s, 0.5)
+
+
+class TestZStepReportsTheStatistics:
+    """``z_update`` solves with the public solver's bits and reports the
+    shard's statistics under the new codes: the expression form's to
+    rounding, violations exactly."""
+
+    @given(
+        method=st.sampled_from(["auto", "enumerate", "alternate", "relaxed"]),
+        n=st.sampled_from([0, 1, 255, 256, 257]),
+        mu=st.sampled_from([0.0, 0.7, 1e3]),
+        L=st.sampled_from([3, MAX_ENUM_BITS, MAX_ENUM_BITS + 1]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_the_expression_form(self, method, n, mu, L, dtype, seed):
+        assume(method != "enumerate" or L <= MAX_ENUM_BITS)
+        adapter, s = random_problem(n, 24, L, dtype, seed)
+        adapter.zstep_method = method
+        dec = adapter.model.decoder
+        Z0 = s.Z.copy()
+        H = adapter._encode_features(s.F)
+        want_Z = zstep(s.X, dec.B, dec.c, H, mu, method=method, Z0=Z0)
+
+        result = adapter.z_update(s, mu)
+        assert np.array_equal(s.Z, want_Z)
+        assert result.z_changes == int((want_Z != Z0).sum())
+        want_q, want_ba, want_v = oracle_stats(adapter, s, mu)
+        rel = 1e-12 if dtype is np.float64 else 1e-5
+        assert isinstance(result.violations, int) and result.violations == want_v
+        assert result.e_q == pytest.approx(want_q, rel=rel)
+        assert result.e_ba == pytest.approx(want_ba, rel=rel)
+        e_q, e_ba, violations = adapter.shard_stats(s, mu)
+        assert violations == result.violations
+        assert (e_q, e_ba) == pytest.approx((result.e_q, result.e_ba), rel=rel)

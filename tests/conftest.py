@@ -7,9 +7,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.autoencoder import BinaryAutoencoder
 from repro.data.synthetic import make_clustered, make_sift_like
+
+# Example budgets of the property tests that do not fix their own;
+# ``HYPOTHESIS_PROFILE=nightly`` runs ten times the default's.
+settings.register_profile("default", max_examples=100, deadline=None)
+settings.register_profile("nightly", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

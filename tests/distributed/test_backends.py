@@ -156,14 +156,48 @@ class TestConformanceBA:
     def test_iteration_counts_match(self, run, name):
         assert len(run(name)[0]) == len(run(REFERENCE)[0])
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_statistics_tail_is_timed_under_its_own_key(self, run, name):
-        # The shard-statistics pass runs after z_time stops; it is
-        # reported beside w_time/z_time and is not part of ``time``.
-        for rec in run(name)[0].records:
-            assert rec.extra["stats_time"] > 0
-            if name in WALLCLOCK_BACKENDS:
-                assert rec.time == rec.extra["w_time"] + rec.extra["z_time"]
+
+class CountingAdapter(BAAdapter):
+    """Appends one line per ``z_update`` / ``shard_stats`` /
+    ``_encode_features`` call to the file at ``log`` — a count that
+    survives the trip into worker processes."""
+
+    log = None
+
+    def _note(self, what):
+        with open(self.log, "a") as fh:
+            fh.write(what + "\n")
+
+    def z_update(self, shard, mu):
+        self._note("z_update")
+        return super().z_update(shard, mu)
+
+    def shard_stats(self, shard, mu):
+        self._note("shard_stats")
+        return super().shard_stats(shard, mu)
+
+    def _encode_features(self, F):
+        self._note("encode")
+        return super()._encode_features(F)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_one_adapter_call_per_shard_per_iteration(X, name, tmp_path):
+    # The Z step reports the statistics: no engine makes a second pass
+    # over a shard, and each shard is encoded once per iteration.
+    ba = BinaryAutoencoder.linear(X.shape[1], 4)
+    adapter = CountingAdapter(ba)
+    adapter.log = str(tmp_path / "calls")
+    Z, _ = init_codes_pca(X, 4, rng=0)
+    shards = make_shards(X, adapter.features(X), Z, partition_indices(len(X), 3, rng=0))
+    with ParMACTrainer(
+        adapter, GeometricSchedule(1e-3, 2.0, 4), backend=name, seed=0
+    ) as trainer:
+        trainer.fit(shards)
+    calls = (tmp_path / "calls").read_text().split()
+    assert {what: calls.count(what) for what in ("z_update", "shard_stats", "encode")} == {
+        "z_update": 3 * 4, "shard_stats": 0, "encode": 3 * 4,
+    }
 
 
 class TestConformanceNet:
@@ -798,6 +832,28 @@ class TestElasticConformance:
         assert any(
             not np.array_equal(plain[sid], joined[sid]) for sid in plain
         )
+
+    def test_statistics_identical_after_a_mid_ring_join(self):
+        """E_Q and E_BA are totalled in machine-id order on every engine,
+        so a machine joined mid-ring (ring [0, 3, 1, 2]) cannot move
+        their last bits on one engine and not another. (The simulators
+        used to total in ring order.)"""
+        from repro.data.synthetic import make_clustered
+
+        reported = {}
+        for name in BACKENDS:
+            with get_backend(name)(epochs=2, shuffle_within=False, seed=0) as backend:
+                for seed in range(8):
+                    X = make_clustered(150, 48, n_clusters=4, rng=seed)
+                    adapter, shards = ba_setup(X, P=3, n_bits=8, seed=seed)
+                    backend.setup(adapter, shards)
+                    backend.add_machine(X[:40], after=0)
+                    stats = [backend.run_iteration(mu) for mu in (1e-3, 2e-3, 4e-3)]
+                    backend.teardown()
+                    reported[name, seed] = [(s.e_q, s.e_ba) for s in stats]
+        for name in BACKENDS:
+            for seed in range(8):
+                assert reported[name, seed] == reported[REFERENCE, seed], (name, seed)
 
     def test_joins_are_unbounded_on_multiprocess(self, X):
         """Standing workers link a joiner in by handshake, so nothing

@@ -107,3 +107,15 @@ class TestProtocolProperties:
         t_sync = s.w_step(0.0).sim_time
         t_async = a.w_step(0.0).sim_time
         assert t_async <= t_sync + 1e-9
+
+
+class TestTimingOnlyZStep:
+    def test_z_step_runs_the_clock_alone(self):
+        # Timing shards hold a size and no data: a timing-only Z step must
+        # charge the cost model without any adapter numerics.
+        for engine in ("sync", "async"):
+            cluster, _ = build(4, 2, 64, "rounds", engine, False, n=10**6)
+            stats = cluster.z_step(0.5)
+            assert sorted(stats.per_machine_time) == [0, 1, 2, 3]
+            assert stats.sim_time > 0
+            assert (stats.z_changes, stats.e_q, stats.e_ba, stats.violations) == (0, 0, 0, 0)

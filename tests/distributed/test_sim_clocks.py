@@ -8,7 +8,9 @@ and differ only in the clock that replays its record. On a grid of
 module holds both engines to digests recorded from the two-executor
 simulator they replaced:
 
-* ``sync`` parameters, codes and objectives, bit for bit;
+* ``sync`` parameters, codes, ``z_changes`` and violations, bit for bit
+  (E_Q and E_BA, which the Z step now derives from its own terms, are
+  held to the expression form at 1e-12 instead);
 * ``sync`` and ``async`` virtual time (``IterationStats.time``, the
   ``w_sim_time``/``z_sim_time``/``comp_time``/``comm_time``/``chaos_*``
   extras, and every ``WStepStats``/``ZStepStats`` field including idle
@@ -30,6 +32,7 @@ from repro.autoencoder.adapter import BAAdapter, build_ba_shards
 from repro.data.synthetic import make_clustered
 from repro.distributed.chaos import ChaosConfig, PartitionWindow
 from repro.distributed.costmodel import CostModel
+from tests.autoencoder.test_adapter import oracle_stats
 from tests.fits import sim
 
 CHAOS = ChaosConfig(
@@ -40,70 +43,70 @@ CHAOS = ChaosConfig(
 #: (scheme, shuffle_within, shuffle_ring, overlap_send, chaos, P) ->
 #: (sync numerics, sync timing, async timing) digests.
 PINNED = {
-    ('rounds', False, False, False, False, 1): ('eb0c2bdeced53d12', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', False, False, False, False, 4): ('e6530ce68d1bfcc7', '2bb389d0f9ff1a27', '0badb2892de30d5a'),
-    ('rounds', False, False, False, True, 1): ('eb0c2bdeced53d12', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', False, False, False, True, 4): ('e6530ce68d1bfcc7', '172d6ea39bb2be2c', '7ea03247b8874f5d'),
-    ('rounds', False, False, True, False, 1): ('eb0c2bdeced53d12', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', False, False, True, False, 4): ('e6530ce68d1bfcc7', '2045301bf0abe432', '2eab6e2243b1ec81'),
-    ('rounds', False, False, True, True, 1): ('eb0c2bdeced53d12', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', False, False, True, True, 4): ('e6530ce68d1bfcc7', '81ef6517cf77e62a', 'e58c6d3dff48b448'),
-    ('rounds', False, True, False, False, 1): ('eb0c2bdeced53d12', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', False, True, False, False, 4): ('7d1622c254a2d136', '2bb389d0f9ff1a27', '4d94268762f84f95'),
-    ('rounds', False, True, False, True, 1): ('eb0c2bdeced53d12', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', False, True, False, True, 4): ('7d1622c254a2d136', 'b40e9c04e4544d49', '32f0d404641bf6e2'),
-    ('rounds', False, True, True, False, 1): ('eb0c2bdeced53d12', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', False, True, True, False, 4): ('7d1622c254a2d136', '2045301bf0abe432', '2ae8efb8d7d6a27b'),
-    ('rounds', False, True, True, True, 1): ('eb0c2bdeced53d12', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', False, True, True, True, 4): ('7d1622c254a2d136', 'b9665518cd340442', '47b327d26bef1a85'),
-    ('rounds', True, False, False, False, 1): ('fcd13403c52ee32d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', True, False, False, False, 4): ('78ad45952fee8992', '2bb389d0f9ff1a27', '0badb2892de30d5a'),
-    ('rounds', True, False, False, True, 1): ('fcd13403c52ee32d', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', True, False, False, True, 4): ('78ad45952fee8992', '172d6ea39bb2be2c', '7ea03247b8874f5d'),
-    ('rounds', True, False, True, False, 1): ('fcd13403c52ee32d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', True, False, True, False, 4): ('78ad45952fee8992', '2045301bf0abe432', '2eab6e2243b1ec81'),
-    ('rounds', True, False, True, True, 1): ('fcd13403c52ee32d', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', True, False, True, True, 4): ('78ad45952fee8992', '81ef6517cf77e62a', 'e58c6d3dff48b448'),
-    ('rounds', True, True, False, False, 1): ('fcd13403c52ee32d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', True, True, False, False, 4): ('36a03c7b00e5da8f', '2bb389d0f9ff1a27', '4d94268762f84f95'),
-    ('rounds', True, True, False, True, 1): ('fcd13403c52ee32d', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', True, True, False, True, 4): ('36a03c7b00e5da8f', 'b40e9c04e4544d49', '32f0d404641bf6e2'),
-    ('rounds', True, True, True, False, 1): ('fcd13403c52ee32d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', True, True, True, False, 4): ('36a03c7b00e5da8f', '2045301bf0abe432', '2ae8efb8d7d6a27b'),
-    ('rounds', True, True, True, True, 1): ('fcd13403c52ee32d', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', True, True, True, True, 4): ('36a03c7b00e5da8f', 'b9665518cd340442', '47b327d26bef1a85'),
-    ('tworound', False, False, False, False, 1): ('eb0c2bdeced53d12', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', False, False, False, False, 4): ('d3d473e0a4b2d297', 'bc08ac0ce9b8deb0', '65248d8fbc3a76f3'),
-    ('tworound', False, False, False, True, 1): ('eb0c2bdeced53d12', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', False, False, False, True, 4): ('d3d473e0a4b2d297', '4beaa282fa81b530', 'e24b8ea31ca28d9f'),
-    ('tworound', False, False, True, False, 1): ('eb0c2bdeced53d12', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', False, False, True, False, 4): ('d3d473e0a4b2d297', '1aa5eced94a54289', 'aa1daeeed8e9db8f'),
-    ('tworound', False, False, True, True, 1): ('eb0c2bdeced53d12', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', False, False, True, True, 4): ('d3d473e0a4b2d297', '57d3b4c51f3565ed', '1635eb9f6feedb3b'),
-    ('tworound', False, True, False, False, 1): ('eb0c2bdeced53d12', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', False, True, False, False, 4): ('175545f1c6397bd5', 'bc08ac0ce9b8deb0', '0ae441a5f998ede0'),
-    ('tworound', False, True, False, True, 1): ('eb0c2bdeced53d12', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', False, True, False, True, 4): ('175545f1c6397bd5', 'ab3d03b60dc01688', 'b8bdf3486a603fef'),
-    ('tworound', False, True, True, False, 1): ('eb0c2bdeced53d12', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', False, True, True, False, 4): ('175545f1c6397bd5', '1aa5eced94a54289', 'f6212fe2a6273447'),
-    ('tworound', False, True, True, True, 1): ('eb0c2bdeced53d12', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', False, True, True, True, 4): ('175545f1c6397bd5', 'd43e961f8a326049', '24f3c196817edc72'),
-    ('tworound', True, False, False, False, 1): ('ae20f354096f5482', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', True, False, False, False, 4): ('2feb0fcd006458ba', 'bc08ac0ce9b8deb0', '65248d8fbc3a76f3'),
-    ('tworound', True, False, False, True, 1): ('ae20f354096f5482', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', True, False, False, True, 4): ('2feb0fcd006458ba', '4beaa282fa81b530', 'e24b8ea31ca28d9f'),
-    ('tworound', True, False, True, False, 1): ('ae20f354096f5482', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', True, False, True, False, 4): ('2feb0fcd006458ba', '1aa5eced94a54289', 'aa1daeeed8e9db8f'),
-    ('tworound', True, False, True, True, 1): ('ae20f354096f5482', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', True, False, True, True, 4): ('2feb0fcd006458ba', '57d3b4c51f3565ed', '1635eb9f6feedb3b'),
-    ('tworound', True, True, False, False, 1): ('ae20f354096f5482', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', True, True, False, False, 4): ('6026b104a60e0923', 'bc08ac0ce9b8deb0', '0ae441a5f998ede0'),
-    ('tworound', True, True, False, True, 1): ('ae20f354096f5482', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', True, True, False, True, 4): ('6026b104a60e0923', 'ab3d03b60dc01688', 'b8bdf3486a603fef'),
-    ('tworound', True, True, True, False, 1): ('ae20f354096f5482', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', True, True, True, False, 4): ('6026b104a60e0923', '1aa5eced94a54289', 'f6212fe2a6273447'),
-    ('tworound', True, True, True, True, 1): ('ae20f354096f5482', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', True, True, True, True, 4): ('6026b104a60e0923', 'd43e961f8a326049', '24f3c196817edc72'),
+    ('rounds', False, False, False, False, 1): ('70652e904072bd34', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', False, False, False, False, 4): ('1c36f610b5c8feaf', '2bb389d0f9ff1a27', '0badb2892de30d5a'),
+    ('rounds', False, False, False, True, 1): ('70652e904072bd34', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', False, False, False, True, 4): ('1c36f610b5c8feaf', '172d6ea39bb2be2c', '7ea03247b8874f5d'),
+    ('rounds', False, False, True, False, 1): ('70652e904072bd34', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', False, False, True, False, 4): ('1c36f610b5c8feaf', '2045301bf0abe432', '2eab6e2243b1ec81'),
+    ('rounds', False, False, True, True, 1): ('70652e904072bd34', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', False, False, True, True, 4): ('1c36f610b5c8feaf', '81ef6517cf77e62a', 'e58c6d3dff48b448'),
+    ('rounds', False, True, False, False, 1): ('70652e904072bd34', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', False, True, False, False, 4): ('92c44449178e0f9e', '2bb389d0f9ff1a27', '4d94268762f84f95'),
+    ('rounds', False, True, False, True, 1): ('70652e904072bd34', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', False, True, False, True, 4): ('92c44449178e0f9e', 'b40e9c04e4544d49', '32f0d404641bf6e2'),
+    ('rounds', False, True, True, False, 1): ('70652e904072bd34', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', False, True, True, False, 4): ('92c44449178e0f9e', '2045301bf0abe432', '2ae8efb8d7d6a27b'),
+    ('rounds', False, True, True, True, 1): ('70652e904072bd34', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', False, True, True, True, 4): ('92c44449178e0f9e', 'b9665518cd340442', '47b327d26bef1a85'),
+    ('rounds', True, False, False, False, 1): ('479241977be5710d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', True, False, False, False, 4): ('cbc2b379fb3a5450', '2bb389d0f9ff1a27', '0badb2892de30d5a'),
+    ('rounds', True, False, False, True, 1): ('479241977be5710d', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', True, False, False, True, 4): ('cbc2b379fb3a5450', '172d6ea39bb2be2c', '7ea03247b8874f5d'),
+    ('rounds', True, False, True, False, 1): ('479241977be5710d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', True, False, True, False, 4): ('cbc2b379fb3a5450', '2045301bf0abe432', '2eab6e2243b1ec81'),
+    ('rounds', True, False, True, True, 1): ('479241977be5710d', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', True, False, True, True, 4): ('cbc2b379fb3a5450', '81ef6517cf77e62a', 'e58c6d3dff48b448'),
+    ('rounds', True, True, False, False, 1): ('479241977be5710d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', True, True, False, False, 4): ('783c68636ac0fcaf', '2bb389d0f9ff1a27', '4d94268762f84f95'),
+    ('rounds', True, True, False, True, 1): ('479241977be5710d', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', True, True, False, True, 4): ('783c68636ac0fcaf', 'b40e9c04e4544d49', '32f0d404641bf6e2'),
+    ('rounds', True, True, True, False, 1): ('479241977be5710d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', True, True, True, False, 4): ('783c68636ac0fcaf', '2045301bf0abe432', '2ae8efb8d7d6a27b'),
+    ('rounds', True, True, True, True, 1): ('479241977be5710d', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', True, True, True, True, 4): ('783c68636ac0fcaf', 'b9665518cd340442', '47b327d26bef1a85'),
+    ('tworound', False, False, False, False, 1): ('70652e904072bd34', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', False, False, False, False, 4): ('41d444bc8e348290', 'bc08ac0ce9b8deb0', '65248d8fbc3a76f3'),
+    ('tworound', False, False, False, True, 1): ('70652e904072bd34', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', False, False, False, True, 4): ('41d444bc8e348290', '4beaa282fa81b530', 'e24b8ea31ca28d9f'),
+    ('tworound', False, False, True, False, 1): ('70652e904072bd34', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', False, False, True, False, 4): ('41d444bc8e348290', '1aa5eced94a54289', 'aa1daeeed8e9db8f'),
+    ('tworound', False, False, True, True, 1): ('70652e904072bd34', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', False, False, True, True, 4): ('41d444bc8e348290', '57d3b4c51f3565ed', '1635eb9f6feedb3b'),
+    ('tworound', False, True, False, False, 1): ('70652e904072bd34', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', False, True, False, False, 4): ('9f1fe32eab006e8d', 'bc08ac0ce9b8deb0', '0ae441a5f998ede0'),
+    ('tworound', False, True, False, True, 1): ('70652e904072bd34', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', False, True, False, True, 4): ('9f1fe32eab006e8d', 'ab3d03b60dc01688', 'b8bdf3486a603fef'),
+    ('tworound', False, True, True, False, 1): ('70652e904072bd34', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', False, True, True, False, 4): ('9f1fe32eab006e8d', '1aa5eced94a54289', 'f6212fe2a6273447'),
+    ('tworound', False, True, True, True, 1): ('70652e904072bd34', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', False, True, True, True, 4): ('9f1fe32eab006e8d', 'd43e961f8a326049', '24f3c196817edc72'),
+    ('tworound', True, False, False, False, 1): ('23d0fe85fdf6447e', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', True, False, False, False, 4): ('0e4409d5a4bb6a89', 'bc08ac0ce9b8deb0', '65248d8fbc3a76f3'),
+    ('tworound', True, False, False, True, 1): ('23d0fe85fdf6447e', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', True, False, False, True, 4): ('0e4409d5a4bb6a89', '4beaa282fa81b530', 'e24b8ea31ca28d9f'),
+    ('tworound', True, False, True, False, 1): ('23d0fe85fdf6447e', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', True, False, True, False, 4): ('0e4409d5a4bb6a89', '1aa5eced94a54289', 'aa1daeeed8e9db8f'),
+    ('tworound', True, False, True, True, 1): ('23d0fe85fdf6447e', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', True, False, True, True, 4): ('0e4409d5a4bb6a89', '57d3b4c51f3565ed', '1635eb9f6feedb3b'),
+    ('tworound', True, True, False, False, 1): ('23d0fe85fdf6447e', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', True, True, False, False, 4): ('0340ae13d61e9d29', 'bc08ac0ce9b8deb0', '0ae441a5f998ede0'),
+    ('tworound', True, True, False, True, 1): ('23d0fe85fdf6447e', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', True, True, False, True, 4): ('0340ae13d61e9d29', 'ab3d03b60dc01688', 'b8bdf3486a603fef'),
+    ('tworound', True, True, True, False, 1): ('23d0fe85fdf6447e', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', True, True, True, False, 4): ('0340ae13d61e9d29', '1aa5eced94a54289', 'f6212fe2a6273447'),
+    ('tworound', True, True, True, True, 1): ('23d0fe85fdf6447e', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', True, True, True, True, 4): ('0340ae13d61e9d29', 'd43e961f8a326049', '24f3c196817edc72'),
 }
 
 
@@ -156,7 +159,10 @@ def run(X, engine, scheme, within, ring, overlap, chaos, P):
     numerics, timing = [], []
     for mu in (1e-3, 2e-3):
         s = backend.run_iteration(mu)
-        numerics += [s.e_q, s.e_ba, s.z_changes, s.violations]
+        numerics += [s.z_changes, s.violations]
+        want = [oracle_stats(adapter, backend.shards[p], mu) for p in backend.machines]
+        assert s.e_q == pytest.approx(sum(w[0] for w in want), rel=1e-12)
+        assert s.e_ba == pytest.approx(sum(w[1] for w in want), rel=1e-12)
         timing += [s.time, s.bytes_sent]
         timing += flat({
             k: v for k, v in s.extra.items()
