@@ -22,7 +22,13 @@ import numpy as np
 
 from repro.autoencoder.binary_autoencoder import BinaryAutoencoder
 from repro.autoencoder.init import init_codes_pca
-from repro.autoencoder.zstep import MAX_ENUM_BITS, _centre, _linear_term, _zstep
+from repro.autoencoder.zstep import (
+    MAX_ENUM_BITS,
+    _centre,
+    _check_options,
+    _linear_term,
+    _zstep,
+)
 from repro.distributed.interfaces import SubmodelSpec, ZStepResult
 from repro.distributed.partition import make_shards, partition_indices
 from repro.optim.linreg import LinearRegression
@@ -98,7 +104,9 @@ class BAAdapter:
     n_decoder_groups : int, optional
         Decoder row groups (default: L, giving M = 2L submodels).
     zstep_method, max_enum_bits, max_sweeps :
-        Passed through to :func:`repro.autoencoder.zstep.zstep`.
+        Passed through to :func:`repro.autoencoder.zstep.zstep`, and
+        checked here: a bad value fails at construction, not in the first
+        Z step.
     decoder_exact : bool
         Fit each visited decoder group exactly by least squares on the
         visited shard instead of an SGD pass — fig. 1's serial algorithm.
@@ -126,6 +134,7 @@ class BAAdapter:
                 f"n_decoder_groups must be in [1, {D}], got {n_decoder_groups}"
             )
         self.n_decoder_groups = int(n_decoder_groups)
+        _check_options(zstep_method, max_enum_bits, max_sweeps)
         self.zstep_method = zstep_method
         self.max_enum_bits = int(max_enum_bits)
         self.max_sweeps = int(max_sweeps)

@@ -61,6 +61,18 @@ class TestSpecs:
         with pytest.raises(ValueError):
             BAAdapter(BinaryAutoencoder.linear(10, 4), n_decoder_groups=11)
 
+    @pytest.mark.parametrize("option, match", [
+        (dict(zstep_method="bogus"), "unknown Z-step method"),
+        (dict(max_sweeps=0), "max_sweeps"),
+        (dict(max_enum_bits=MAX_ENUM_BITS + 4), "max_enum_bits"),
+        (dict(max_enum_bits=-1), "max_enum_bits"),
+    ])
+    def test_rejects_bad_zstep_options(self, option, match):
+        # Regression: these once passed construction and failed only in
+        # the first Z step, after setup and a whole W step.
+        with pytest.raises(ValueError, match=match):
+            BAAdapter(BinaryAutoencoder.linear(10, 4), **option)
+
 
 class TestParams:
     def test_roundtrip_all_specs(self):

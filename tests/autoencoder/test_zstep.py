@@ -1,5 +1,7 @@
 """Z-step solver correctness: the binary proximal operator of section 3.1."""
 
+import hashlib
+import importlib
 import inspect
 import itertools
 import tracemalloc
@@ -9,15 +11,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.autoencoder import BinaryAutoencoder
+from repro.autoencoder.adapter import BAAdapter, build_ba_shards
 from repro.autoencoder.zstep import (
     _ENUM_SCRATCH_BYTES,
     MAX_ENUM_BITS,
+    _enumerate,
+    _enumerate_dense,
     zstep,
     zstep_alternate,
     zstep_enumerate,
     zstep_objective,
     zstep_relaxed,
 )
+from repro.core.penalty import GeometricSchedule
+from repro.data.synthetic import make_gist_like
+from tests.fits import sim
+
+# The module itself (``repro.autoencoder.zstep`` the attribute is the
+# re-exported function), for patching its kernels.
+zmod = importlib.import_module("repro.autoencoder.zstep")
 
 
 def random_problem(n=20, D=6, L=4, mu=1.0, seed=0):
@@ -219,6 +232,21 @@ class TestAlternate:
         with pytest.raises(ValueError):
             zstep_alternate(X, B, c, H, mu, max_sweeps=0)
 
+    @pytest.mark.parametrize("L", [4, 8, 12])
+    def test_gap_to_exact(self, L):
+        # Section 3.1's trade: alternation from the relaxed start lands
+        # within 10 % of the exact optimum, and never below it.
+        X, B, c, H, mu = random_problem(n=2000, D=32, L=L, mu=0.5)
+        exact = zstep_objective(X, B, c, H, mu, zstep_enumerate(X, B, c, H, mu)).sum()
+        alt = zstep_objective(X, B, c, H, mu, zstep_alternate(X, B, c, H, mu)).sum()
+        assert 1.0 <= alt / exact < 1.10
+
+    def test_polishes_the_relaxed_start(self):
+        X, B, c, H, mu = random_problem(n=2000, D=32, L=8, mu=0.5, seed=1)
+        relaxed = zstep_objective(X, B, c, H, mu, zstep_relaxed(X, B, c, H, mu)).sum()
+        alt = zstep_objective(X, B, c, H, mu, zstep_alternate(X, B, c, H, mu)).sum()
+        assert alt <= relaxed
+
 
 class TestRelaxed:
     def test_binary_output(self):
@@ -331,6 +359,112 @@ class TestEnumerateKernel:
         assert peaks[1] <= 1.10 * peaks[0]
 
 
+def tile_rows(L, dtype):
+    """Rows per enumeration tile (two blocks of rows x 2^(L - L//2) scores)."""
+    return max(1, _ENUM_SCRATCH_BYTES // (2 * 2 ** (L - L // 2) * np.dtype(dtype).itemsize))
+
+
+@pytest.fixture
+def dense_rows(monkeypatch):
+    """Rows the enumeration sends through the min-plus kernel, per call."""
+    rows, real = [], zmod._minplus
+
+    def counted(Q, U, V, M, T):
+        rows.append(len(V))
+        return real(Q, U, V, M, T)
+
+    monkeypatch.setattr(zmod, "_minplus", counted)
+    return rows
+
+
+class TestDominance:
+    """The dominance pass drops only codes that cannot win, so the reduced
+    kernel returns the dense kernel's codes bit for bit: continuous and
+    dyadic inputs, exact ties, both precisions, and row counts around a
+    tile."""
+
+    @given(seed=st.integers(0, 10_000),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           L=st.integers(1, 16),
+           mu=st.sampled_from([0.0, 1e-3, 0.7, 1e3]),
+           rows=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]),
+           inputs=st.sampled_from(["continuous", "dyadic", "duplicate", "zero"]),
+           D=st.integers(1, 24))
+    def test_parity_with_dense(self, seed, dtype, L, mu, rows, inputs, D):
+        tiles, extra = rows  # n = 0, 1, or a row tile and -1, 0, +1 rows
+        n = tiles * tile_rows(L, dtype) + extra
+        if inputs == "continuous":
+            rng = np.random.default_rng(seed)
+            B = rng.normal(size=(D, L)).astype(dtype)
+            Xc = rng.normal(size=(n, D)).astype(dtype)
+            H = rng.integers(0, 2, size=(n, L)).astype(np.uint8)
+        else:
+            X, B, c, H, _, _ = dyadic_problem(seed, dtype, n=n, D=D, L=L)
+            Xc = X - c
+            # Duplicated / all-zero decoder columns make distinct codes
+            # score exactly the same.
+            if inputs == "duplicate":
+                B[:, L // 2 :] = B[:, : L - L // 2]
+            elif inputs == "zero":
+                B[:, ::2] = 0.0
+        XcB = Xc @ B
+        assert np.array_equal(_enumerate(XcB, B, H, mu), _enumerate_dense(XcB, B, H, mu))
+
+    def test_numpy_mu_on_a_float32_model(self):
+        # A float64 scalar mu lifts float32 U, V to float64; the kernel
+        # still returns the dense codes.
+        X, B, c, H, _ = random_problem(n=200, D=20, L=12, seed=16)
+        B32 = B.astype(np.float32)
+        XcB = ((X - c) @ B).astype(np.float32)
+        mu = np.float64(0.7)
+        assert np.array_equal(_enumerate(XcB, B32, H, mu), _enumerate_dense(XcB, B32, H, mu))
+
+    def test_huge_mu_never_goes_dense(self, dense_rows):
+        # mu = 1e3 outweighs every reconstruction term: dominance fixes
+        # every bit to h, and no row reaches the min-plus kernel.
+        X, B, c, H, _ = random_problem(n=300, D=10, L=16, seed=14)
+        assert np.array_equal(zstep_enumerate(X, B, c, H, 1e3), H)
+        assert sum(dense_rows) == 0
+
+    def test_coupled_bits_go_dense(self, dense_rows):
+        # D = 3 < L: B^T B has rank 3, and its strong off-diagonal terms
+        # leave most bits undecided, so rows take the min-plus kernel.
+        X, B, c, H, mu = random_problem(n=300, D=3, L=16, mu=1e-3, seed=15)
+        Z = zstep_enumerate(X, B, c, H, mu)
+        assert sum(dense_rows) > 0
+        XcB = (X - c) @ B
+        assert np.array_equal(Z, _enumerate_dense(XcB, B, H, mu))
+
+
+def fit_digests(n=600, seed=0):
+    """Per-iteration (z_changes, code digest) of a ``train_z16_mp``-shaped
+    fit on ``sync``: GIST-like data, L = 16 (the Z step enumerates), two
+    machines, shuffled W step, a doubling mu schedule."""
+    X = make_gist_like(n, 128, n_clusters=8, rng=seed)
+    adapter = BAAdapter(BinaryAutoencoder.linear(128, 16))
+    cluster = sim(adapter, build_ba_shards(adapter, X, n_machines=2, seed=seed),
+                  epochs=1, shuffle_within=True, seed=seed)
+    out = []
+    for mu in GeometricSchedule(1e-3, 2.0, 5):
+        z_changes = cluster.run_iteration(float(mu)).z_changes
+        codes = np.ascontiguousarray(cluster.gather_codes()[1])
+        out.append((z_changes, hashlib.sha256(codes.tobytes()).hexdigest()[:16]))
+    return out
+
+
+class TestPinnedFit:
+    def test_z16_fit_codes(self):
+        # Recorded from the full 2^16 enumeration: any kernel change that
+        # moves one code of one row in any iteration fails here.
+        assert fit_digests() == [
+            (2604, "0f90cc8a31f96297"),
+            (202, "5953dac9237e5c88"),
+            (27, "393f6f82862cd5f1"),
+            (95, "f544ad8271c838a8"),
+            (116, "e15ca0025337ce8c"),
+        ]
+
+
 class TestStackedParity:
     """The stacked alternating solver is bit-identical to the per-bit
     residual sweep (``alternate_oracle``) — the contract the engines'
@@ -426,3 +560,11 @@ class TestDispatcher:
         X, B, c, H, mu = random_problem()
         with pytest.raises(ValueError):
             zstep(X, B, c, H, mu, method="quantum")
+
+    @pytest.mark.parametrize("bits", [-1, MAX_ENUM_BITS + 1, MAX_ENUM_BITS + 4])
+    def test_rejects_enum_bits_past_the_limit(self, bits):
+        # Regression: max_enum_bits = 20 at L = 18 once auto-dispatched to
+        # enumeration, which then refused with "use zstep_alternate".
+        X, B, c, H, mu = random_problem(n=4, D=5, L=18, seed=10)
+        with pytest.raises(ValueError, match="max_enum_bits"):
+            zstep(X, B, c, H, mu, max_enum_bits=bits)
