@@ -134,7 +134,7 @@ class BAAdapter:
                 f"n_decoder_groups must be in [1, {D}], got {n_decoder_groups}"
             )
         self.n_decoder_groups = int(n_decoder_groups)
-        _check_options(zstep_method, max_enum_bits, max_sweeps)
+        _check_options(zstep_method, max_enum_bits, max_sweeps, L)
         self.zstep_method = zstep_method
         self.max_enum_bits = int(max_enum_bits)
         self.max_sweeps = int(max_sweeps)

@@ -12,10 +12,12 @@ a binary proximal operator. Expanding with binary identities
 Three solvers, as in the paper:
 
 * **enumeration** — exact for small L (used for SIFT-10K / SIFT-1M with
-  L=16): per point, a dominance pass first fixes every bit whose flip
-  gain has one sign whatever the other bits are, then only the codes
-  that agree with the fixed bits are scored (all 2^L when too few bits
-  are fixed). The codes are those of scoring all 2^L, bit for bit;
+  L=16): per point, a dominance test fixes every bit whose flip gain has
+  one sign whatever the other bits are; a point left with many free bits
+  branches on one of them and each half is tested again, and only the
+  codes that agree with some leaf's fixed bits are scored (all 2^L when
+  a point's tree grows past its node budget). The codes are those of
+  scoring all 2^L, bit for bit;
 * **alternating** — coordinate minimisation over bits, each sweep never
   increasing the objective, converging to a local minimum;
 * **relaxed** — the [0,1]-box relaxation solved in closed form and
@@ -67,13 +69,40 @@ _METHODS = ("auto", "enumerate", "alternate", "relaxed")
 # small enough to stay in L2 beside the 512 KiB pair table at L = 16.
 _ENUM_SCRATCH_BYTES = 1 << 19
 
-# Rows the dominance pass leaves with at least this many free bits are
-# scored by the min-plus kernel over all 2^L codes; fewer free bits, only
-# the 2^f codes that agree with the fixed ones. Chosen with the bench's
-# ``backend.z_s`` rung: a kept code costs about 5 ns to score against
-# 2.3 ns a code for the min-plus kernel, so at L = 16 a row is cheaper
-# reduced up to 14 free bits.
-_ENUM_DENSE_BITS = 15
+# Rows per block: the branch-and-fix tree and the leaves' scoring run a
+# block of whole row tiles at a time, so their per-call numpy cost is paid
+# once for several tiles.
+_ENUM_BLOCK_ROWS = 512
+
+# The branch-and-fix tree (:func:`_leaves`) splits a node left with at
+# least ``_BRANCH_BITS`` free bits. A row goes to the min-plus kernel once
+# its tree would pass ``_ROW_NODES`` nodes, or once one level of a block's
+# trees would pass ``_LEVEL_NODES`` (which bounds the tree's memory).
+# Chosen with the bench's ``backend.z_s`` rung, like
+# ``_ENUM_SCRATCH_BYTES``: on the Z calls of its fit the kernel time is
+# flat within noise for 9-11 bits, 32-64 nodes per row and 2048-4096 per
+# level, and smaller budgets send rows to the min-plus kernel.
+_BRANCH_BITS = 9
+_ROW_NODES = 32
+_LEVEL_NODES = 2048
+
+
+def _check_mu(mu: float) -> None:
+    """Refuse a penalty weight no solve can use. A negative ``mu`` makes
+    the Z step no proximal operator; a NaN or infinite one makes every
+    score non-finite, and ``argmin`` / ``delta <= 0`` would decode that to
+    a silent all-zero code."""
+    if not (np.isfinite(mu) and mu >= 0):
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
+
+
+def _check_enum_bits(L: int) -> None:
+    """Refuse an enumeration over more than ``2^MAX_ENUM_BITS`` codes."""
+    if L > MAX_ENUM_BITS:
+        raise ValueError(
+            f"enumeration over 2^{L} codes refused (max {MAX_ENUM_BITS} bits); "
+            "use zstep_alternate"
+        )
 
 
 def _centre(X, c, B: np.ndarray) -> np.ndarray:
@@ -136,12 +165,14 @@ def zstep_enumerate(
     minimum of ``(Q + U) + V`` in code order ``b * 2^Llo + a`` (bit l =
     column l): exact ties go to the lowest code.
 
-    Most of the 2^L codes provably cannot win: a dominance pass fixes the
-    bits whose flip gain keeps one sign over every code, and a row scores
-    only the codes that agree with them. Rows left with many free bits
-    take the min-plus kernel over all codes, which never forms a rows x
-    2^L matrix. Both read the same ``Q``, ``U`` and ``V``, so the codes
-    are those of scoring every code. Raises for ``L > MAX_ENUM_BITS``.
+    Most of the 2^L codes provably cannot win: a dominance test fixes the
+    bits whose flip gain keeps one sign over every code, a row left with
+    many free bits branches on one and tests each half again, and a row
+    scores only the codes that agree with its leaves. Rows whose tree
+    outgrows its budget take the min-plus kernel over all codes, which
+    never forms a rows x 2^L matrix. Both read the same ``Q``, ``U`` and
+    ``V``, so the codes are those of scoring every code. Raises for ``L >
+    MAX_ENUM_BITS``.
     """
     return _enumerate(_linear_term(_centre(X, c, B), B), B, H, mu)
 
@@ -151,13 +182,8 @@ def _enum_tables(B: np.ndarray, mu: float):
     half-code tables scaled by -2 (``U = Clo @ lin_lo``, ``V = lin_hi @
     Chi``) and ``G = B^T B``. Raises for ``L > MAX_ENUM_BITS``."""
     L = B.shape[1]
-    if L > MAX_ENUM_BITS:
-        raise ValueError(
-            f"enumeration over 2^{L} codes refused (max {MAX_ENUM_BITS} bits); "
-            "use zstep_alternate"
-        )
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+    _check_enum_bits(L)
+    _check_mu(mu)
     cd = _solver_dtype(B)
     Llo = L // 2
     Clo, Chi = _all_codes(Llo, cd), _all_codes(L - Llo, cd)
@@ -232,175 +258,209 @@ def _enumerate_dense(XcB: np.ndarray, B: np.ndarray, H: np.ndarray, mu: float) -
     return Z
 
 
-def _dominance(lin: np.ndarray, G: np.ndarray, mu: float):
-    """Bits no optimal code can change, per row: ``(free, ones)``, the
-    (m, L) mask of bits left free and the integer code of the bits fixed
-    to one.
+def _settle(FO, gs, tau, W) -> None:
+    """The dominance test on nodes, in place: fix every free bit whose
+    flip gain keeps one sign over the node's codes, until a round fixes
+    nothing. Column j of ``FO`` (2L, k) stacks node j's bits fixed to one
+    over its free bits, as 0/1; ``gs`` (2L, k) is ``[d0; -d0]`` and
+    ``tau`` (k,) the margin, both of the node's row.
 
-    Setting bit l gains ``d_l(z) = G_ll - 2 lin_l + mu + 2 sum_{m != l}
-    G_lm z_m``. Over the codes that agree with the bits fixed so far it
-    lies in ``[d_min, d_max]``, from ``min(0, G_lm)`` / ``max(0, G_lm)``
-    on the free bits; ``d_min > tau`` fixes ``z_l = 0`` and ``d_max <
-    -tau`` fixes ``z_l = 1``, until a round fixes nothing.
+    Setting bit l gains ``d_l(z) = d0_l + 2 sum_{m != l} G_lm z_m`` with
+    ``d0_l = G_ll - 2 lin_l + mu``. Over the codes that agree with the
+    fixed bits it lies in ``[d_min, d_max]``, the sums with ``min(0,
+    G_lm)`` / ``max(0, G_lm)`` on the free bits; ``gs + W @ FO`` is
+    ``[d_min; -d_max]``. ``d_min > tau`` fixes ``z_l = 0`` and ``d_max <
+    -tau`` fixes ``z_l = 1``.
+    """
+    L = len(FO) // 2
+    while True:
+        X = (W @ FO + gs > tau).reshape(2, L, -1)
+        X &= FO[L:] > 0.0  # (to 0, to 1) per bit and node
+        if not X.any():
+            return
+        FO[L:] -= X[0] | X[1]
+        FO[:L] += X[1]
+
+
+def _leaves(lin: np.ndarray, G: np.ndarray, mu: float):
+    """The branch-and-fix tree of every row: ``(row, free, ones, dense)``,
+    the leaves' rows, their free bits and their bits fixed to one (as
+    integer codes), and the (m,) mask of rows over a node budget.
+
+    A node is a row plus fixed bits; the root fixes none. Each node first
+    runs the dominance test (:func:`_settle`). One left with at least
+    :data:`_BRANCH_BITS` free bits splits on the free bit most coupled to
+    the others (largest ``sum |G_lm|`` over its free bits) into ``z_l =
+    0`` and ``z_l = 1``, and each child runs the test again; fewer free
+    bits make a leaf. A row whose tree would pass :data:`_ROW_NODES`
+    nodes, or whose children would pass :data:`_LEVEL_NODES` in one level
+    of the block, is ``dense``: its leaves are dropped and it takes
+    :func:`_minplus`.
 
     ``tau`` is ``sqrt(eps)`` times ``sum|G| + 2 |lin|_1 + mu L``, a bound
     on every partial sum of any score. A computed score or gain carries at
     most ``O(L) eps`` of that scale in rounding, orders of magnitude less,
-    so a dropped code's computed score is strictly above that of a kept
-    code and exact ties are never fixed.
+    so a fixed bit's flip strictly lowers the computed score and exact
+    ties are never fixed.
     """
     m, L = lin.shape
     cd = G.dtype  # the pair table's precision, never finer than lin's
     off = G - np.diag(np.diag(G))
     neg, pos = np.minimum(off, 0.0), np.maximum(off, 0.0)
-    gain0 = np.diag(G) + mu - 2.0 * lin  # d_l with every other bit zero
+    W = 2.0 * np.block([[off, neg], [-off, -pos]])
+    d0 = (np.diag(G) + mu - 2.0 * lin).T  # d_l with every other bit zero
+    gs = np.concatenate((d0, -d0))
     fi = np.finfo(cd)
     # (8 L + 32) eps bounds the rounding of two scores and one gain; it
     # only exceeds sqrt(eps) below float32. ``tiny`` covers subnormal scales.
     margin = max(np.sqrt(fi.eps), (8 * L + 32) * fi.eps)
-    scale = np.abs(G).sum() + 2.0 * np.abs(lin).sum(axis=1) + mu * L
-    tau = (margin * scale + fi.tiny)[:, None]
-    free = np.ones((m, L), dtype=bool)
-    one = np.zeros((m, L), dtype=bool)
-    for _ in range(L):
-        gain = gain0 + 2.0 * (one.astype(cd) @ off)
-        F = free.astype(cd)
-        to0 = free & (gain + 2.0 * (F @ neg) > tau)
-        to1 = free & (gain + 2.0 * (F @ pos) < -tau)
-        fixed = to0 | to1
-        if not fixed.any():
-            break
-        free &= ~fixed
-        one |= to1
-    return free, one.astype(np.intp) @ (1 << np.arange(L, dtype=np.intp))
+    tau = margin * (np.abs(G).sum() + 2.0 * np.abs(lin).sum(axis=1) + mu * L) + fi.tiny
+    row = np.arange(m, dtype=np.intp)
+    FO = np.zeros((2 * L, m), dtype=cd)
+    FO[L:] = 1.0
+    nodes = np.ones(m, dtype=np.intp)
+    dense = np.zeros(m, dtype=bool)
+    weights = 1 << np.arange(L, dtype=np.intp)
+    out = []
+    while len(row):
+        _settle(FO, gs.take(row, axis=1), tau[row], W)
+        split = FO[L:].sum(axis=0) >= _BRANCH_BITS
+        leaf = ~split
+        out.append((row[leaf], weights @ (FO[:, leaf] > 0.0).reshape(2, L, -1)))
+        row, FO = row[split], FO[:, split]
+        # Two children per split node; a row past a budget goes dense.
+        want = 2 * np.bincount(row, minlength=m)
+        over = nodes + want > _ROW_NODES
+        over |= np.cumsum(np.where(over, 0, want)) > _LEVEL_NODES
+        over &= want > 0
+        dense |= over
+        nodes += want
+        keep = ~over[row]
+        row, FO = row[keep], FO[:, keep]
+        bit = np.where(FO[L:] > 0.0, np.abs(off) @ FO[L:], -1.0).argmax(axis=0)
+        row, FO = np.repeat(row, 2), np.repeat(FO, 2, axis=1)
+        kids = np.arange(len(row), dtype=np.intp)
+        FO[L + bit.repeat(2), kids] = 0.0
+        FO[bit, kids[1::2]] = 1.0
+    row = np.concatenate([r for r, _ in out])
+    ones, free = np.concatenate([f for _, f in out], axis=1)
+    keep = ~dense[row]
+    return row[keep], free[keep], ones[keep], dense
 
 
 def _deposit(base: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(r, 2^f): ``base`` plus ``arange(2^f)`` deposited on the bits whose
-    values are ``weights`` (r, f), ascending when the weights are."""
-    out = np.empty((len(base), 1 << weights.shape[1]), dtype=np.intp)
-    out[:, 0] = base
-    for j in range(weights.shape[1]):
+    """(2^f, r): ``base`` (r,) plus ``arange(2^f)`` deposited on the bits
+    whose values are ``weights`` (f, r), ascending when the weights are."""
+    out = np.empty((1 << len(weights), len(base)), dtype=np.intp)
+    out[0] = base
+    for j, w in enumerate(weights):
         h = 1 << j
-        out[:, h : 2 * h] = out[:, :h] + weights[:, j, None]
+        np.add(out[:h], w, out=out[h : 2 * h])
     return out
 
 
-def _score_free(Q, U, V, at, free, ones, scratch) -> np.ndarray:
-    """Codes of tile rows ``at`` by scoring only the codes that agree with
-    their fixed bits; every row in ``at`` has the same number of free low
-    bits (``Llo = L // 2``) and the same number of free high bits.
+def _score_leaves(Q, U, V, row, free, ones, scratch):
+    """``(score, code)`` of each leaf: the first code, in code order, at
+    the minimum score of the codes that agree with its fixed bits, and
+    that minimum.
 
-    A row's candidates are its low halves ``a`` (2^f_lo, ascending) times
-    its high halves ``b`` (2^f_hi). Each scores ``(Q[a, b] + U[a, i]) +
-    V[i, b]`` from the min-plus kernel's arrays, laid out ``b``-major so
-    the first ``argmin`` is the lowest code among exact ties.
+    A leaf's candidates are its free low halves ``a`` (2^f_lo, ascending)
+    times its free high halves ``b`` (2^f_hi); leaves with the same
+    ``(f_lo, f_hi)`` are scored together, laid out ``(b, a, leaf)`` so
+    that a code's position is its rank in code order and every ufunc runs
+    along the leaves. Each code scores ``(Q[a, b] + U[a, i]) + V[i, b]``
+    from the min-plus kernel's arrays, so the first ``argmin`` is the
+    lowest code among exact ties.
     """
     nlo, nhi = Q.shape
-    m, Llo = len(V), nlo.bit_length() - 1
-    fr, shift = free[at], np.arange(free.shape[1], dtype=np.intp)
-    f_lo, f_hi = int(fr[0, :Llo].sum()), int(fr[0, Llo:].sum())
-    P = np.nonzero(fr)[1].reshape(len(at), f_lo + f_hi)  # free bits, ascending
-    W = 1 << shift[P]
-    A = _deposit(ones[at] & (nlo - 1), W[:, :f_lo])
-    Bh = _deposit(ones[at] >> Llo, W[:, f_lo:] >> Llo)
-    na, nb = A.shape[1], Bh.shape[1]
-    UA = U.reshape(-1).take(A * m + at[:, None])  # U[a, i]
-    VB = V.reshape(-1).take(at[:, None] * nhi + Bh)  # V[i, b]
-    QA = A * nhi
-    Qf = Q.reshape(-1)
+    Llo = nlo.bit_length() - 1
+    bits = 1 << np.arange(Llo + nhi.bit_length() - 1, dtype=np.intp)
+    is_free = (free[:, None] & bits) != 0  # (leaves, L)
+    f_lo, f_hi = is_free[:, :Llo].sum(axis=1), is_free[:, Llo:].sum(axis=1)
+    group = f_lo * len(bits) + f_hi
+    score, code = np.empty(len(row), dtype=Q.dtype), np.empty(len(row), dtype=np.intp)
     ib = np.dtype(np.intp).itemsize
-    step = max(1, scratch.nbytes // ((ib + Q.itemsize) * na * nb))
-    out = np.empty(len(at), dtype=np.intp)
-    for s0 in range(0, len(at), step):
-        r = min(step, len(at) - s0)
-        c = r * na * nb
-        idx = scratch[: ib * c].view(np.intp).reshape(r, nb, na)
-        s = scratch[ib * c : (ib + Q.itemsize) * c].view(Q.dtype).reshape(r, nb, na)
-        part = slice(s0, s0 + r)
-        np.add(Bh[part, :, None], QA[part, None, :], out=idx)  # a * nhi + b
-        np.take(Qf, idx, out=s)
-        s += UA[part, None, :]
-        s += VB[part, :, None]
-        kb, ka = np.divmod(s.reshape(r, -1).argmin(axis=1), na)
-        rr = np.arange(r, dtype=np.intp)
-        out[part] = (Bh[part][rr, kb] << Llo) | A[part][rr, ka]
-    return out
-
-
-class _MinPlusQueue:
-    """Rows bound for :func:`_minplus`, run a whole row tile at a time (its
-    cost is two ufunc calls per low half-code, however few the rows). Each
-    row keeps the ``U`` column and ``V`` row its own tile computed, so its
-    code is the one :func:`_enumerate_dense` picks."""
-
-    def __init__(self, Q: np.ndarray, tile: int, Z: np.ndarray, scratch: np.ndarray):
-        nhi = Q.shape[1]
-        self.Q, self.tile, self.Z, self.m = Q, tile, Z, 0
-        self.M, self.T = scratch[: 2 * tile * nhi * Q.itemsize].view(Q.dtype).reshape(
-            2, tile, nhi
-        )
-        self.UT = self.V = None  # allocated by the first push
-
-    def push(self, U: np.ndarray, V: np.ndarray, at: np.ndarray, start: int) -> None:
-        """Queue tile rows ``at`` (``U`` column, ``V`` row) for ``Z[start + at]``."""
-        if self.UT is None and len(at):
-            self.UT = np.empty((self.tile, len(U)), dtype=U.dtype)
-            self.V = np.empty((self.tile, V.shape[1]), dtype=V.dtype)
-            self.rows = np.empty(self.tile, dtype=np.intp)
-        while len(at):
-            k = min(len(at), self.tile - self.m)
-            into = slice(self.m, self.m + k)
-            np.take(U.T, at[:k], axis=0, out=self.UT[into])
-            np.take(V, at[:k], axis=0, out=self.V[into])
-            self.rows[into] = start + at[:k]
-            self.m += k
-            at = at[k:]
-            if self.m == self.tile:
-                self.flush()
-
-    def flush(self) -> None:
-        m, self.m = self.m, 0
-        if m:
-            codes = _minplus(self.Q, self.UT[:m].T, self.V[:m], self.M, self.T)
-            self.Z[self.rows[:m]] = _code_bits(codes, self.Z.shape[1])
+    per = ib + Q.itemsize  # an index and a score per code
+    for g in np.unique(group).tolist():
+        at = np.flatnonzero(group == g)
+        fl, fh = int(f_lo[at[0]]), int(f_hi[at[0]])
+        P = bits[np.nonzero(is_free[at])[1]].reshape(len(at), fl + fh).T
+        step = max(1, scratch.nbytes // (per << (fl + fh)))
+        for s0 in range(0, len(at), step):
+            part, p = at[s0 : s0 + step], P[:, s0 : s0 + step]
+            r, c = len(part), len(part) << (fl + fh)
+            o, i = ones[part], row[part]
+            A = _deposit(o & (nlo - 1), p[:fl])  # (2^f_lo, r)
+            Bh = _deposit(o >> Llo, p[fl:] >> Llo)  # (2^f_hi, r)
+            idx = scratch[: ib * c].view(np.intp).reshape(len(Bh), len(A), r)
+            s = scratch[ib * c : per * c].view(Q.dtype).reshape(len(Bh), len(A), r)
+            np.add(Bh[:, None], A * nhi, out=idx)  # a * nhi + b
+            Q.take(idx, out=s)
+            s += U.take(A * U.shape[1] + i)  # U[a, i]
+            s += V.take(i * nhi + Bh)[:, None]  # V[i, b]
+            s = s.reshape(-1, r)
+            k, rr = s.argmin(axis=0), np.arange(r, dtype=np.intp)
+            score[part] = s[k, rr]
+            kb, ka = np.divmod(k, len(A))
+            code[part] = (Bh[kb, rr] << Llo) | A[ka, rr]
+    return score, code
 
 
 def _enumerate(XcB: np.ndarray, B: np.ndarray, H: np.ndarray, mu: float) -> np.ndarray:
     """The :func:`zstep_enumerate` kernel on the linear term ``XcB``.
 
-    Per row tile, the dominance pass (:func:`_dominance`) fixes the bits
-    no optimal code can change. A row left with fewer than
-    :data:`_ENUM_DENSE_BITS` free bits scores only the codes that agree
-    with its fixed bits (:func:`_score_free`); the others queue for the
-    min-plus kernel (:class:`_MinPlusQueue`). Both score a code as ``(Q[a,
-    b] + U[a, i]) + V[i, b]`` from the same arrays and take its first
-    minimum, so the codes equal :func:`_enumerate_dense`'s bit for bit.
+    Rows go a block of whole row tiles (:data:`_ENUM_BLOCK_ROWS`) at a time,
+    with ``U`` and ``V`` computed per tile as :func:`_enumerate_dense`
+    computes them. Per block, the branch-and-fix tree (:func:`_leaves`)
+    splits each row's codes into leaves that hold every code that can
+    win; each leaf is scored (:func:`_score_leaves`) and a row takes the
+    lowest ``(score, code)`` over its leaves. Rows over a node budget take
+    the min-plus kernel. Both score a code as ``(Q[a, b] + U[a, i]) + V[i,
+    b]`` from the same arrays and take its first minimum, so the codes
+    equal :func:`_enumerate_dense`'s bit for bit.
     """
     Q, Clo, Chi, G = _enum_tables(B, mu)
     n, L, tile = len(XcB), B.shape[1], _enum_tile(Q)
-    Llo = L // 2
+    nlo, nhi = Q.shape
+    block = tile * max(1, _ENUM_BLOCK_ROWS // tile)
     H = np.asarray(H)
     Z = np.empty((n, L), dtype=np.uint8)
     # One scratch block: the min-plus kernel's M, T, or the scores of the
-    # codes kept by the dominance pass, never both at once.
+    # leaves' codes, never both at once.
     scratch = np.empty(_ENUM_SCRATCH_BYTES, dtype=np.uint8)
-    dense = _MinPlusQueue(Q, min(tile, n), Z, scratch)
-    for start in range(0, n, tile):
-        rows = slice(start, start + tile)
-        lin, U, V = _tile_terms(XcB[rows], H[rows], mu, Clo, Chi)
-        free, ones = _dominance(lin, G, mu)
-        f_lo, f_hi = free[:, :Llo].sum(axis=1), free[:, Llo:].sum(axis=1)
+    M, T = scratch[: 2 * tile * nhi * Q.itemsize].view(Q.dtype).reshape(2, tile, nhi)
+    # One block's terms, allocated by the first tile. They are sized for a
+    # whole block even when n is smaller, so that a call's peak memory is
+    # the same for one row tile as for many.
+    lin = U = V = None
+    for b0 in range(0, n, block):
+        m = min(block, n - b0)
+        for t0 in range(0, m, tile):
+            rows = slice(b0 + t0, b0 + min(t0 + tile, m))
+            lt, Ut, Vt = _tile_terms(XcB[rows], H[rows], mu, Clo, Chi)
+            if U is None:
+                lin = np.empty((block, L), dtype=lt.dtype)
+                U = np.empty((nlo, block), dtype=Ut.dtype)
+                V = np.empty((block, nhi), dtype=Vt.dtype)
+            k = slice(t0, t0 + len(lt))
+            lin[k], U[:, k], V[k] = lt, Ut, Vt
         # A numpy float64 ``mu`` makes float32 ``U``, ``V`` float64, and the
         # min-plus kernel then rounds its two levels differently: score
         # every row there.
-        heavy = (f_lo + f_hi >= _ENUM_DENSE_BITS) | (U.dtype != Q.dtype)
-        group = np.where(heavy, -1, f_lo * (L + 1) + f_hi)
-        for g in np.unique(group[~heavy]):
-            at = np.flatnonzero(group == g)
-            Z[start + at] = _code_bits(_score_free(Q, U, V, at, free, ones, scratch), L)
-        dense.push(U, V, np.flatnonzero(heavy), start)
-    dense.flush()
+        if U.dtype != Q.dtype:
+            dense = np.arange(m, dtype=np.intp)
+        else:
+            row, free, ones, heavy = _leaves(lin[:m], G, mu)
+            score, code = _score_leaves(Q, U, V, row, free, ones, scratch)
+            # Each row's code: the lowest (score, code) over its leaves.
+            order = np.lexsort((code, score, row))
+            head = np.ones(len(order), dtype=bool)
+            head[1:] = row[order[1:]] != row[order[:-1]]
+            Z[b0 + row[order[head]]] = _code_bits(code[order[head]], L)
+            dense = np.flatnonzero(heavy)
+        for d0 in range(0, len(dense), tile):
+            at = dense[d0 : d0 + tile]
+            Z[b0 + at] = _code_bits(_minplus(Q, U[:, at], V[at], M, T), L)
     return Z
 
 
@@ -422,8 +482,7 @@ def zstep_relaxed(
 
 def _relaxed(XcB: np.ndarray, B: np.ndarray, H: np.ndarray, mu: float) -> np.ndarray:
     """The :func:`zstep_relaxed` kernel on the linear term ``XcB``."""
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+    _check_mu(mu)
     cd = _solver_dtype(B)
     G = B.T @ B + mu * np.eye(B.shape[1], dtype=cd)
     Lin = XcB + mu * np.asarray(H, dtype=cd)  # (n, L)
@@ -482,6 +541,7 @@ def _alternate(
     """The :func:`zstep_alternate` kernel on the linear term ``XcB``."""
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    _check_mu(mu)
     cd = _solver_dtype(B)
     if Z0 is None:
         Z0 = _relaxed(XcB, B, H, mu)
@@ -532,18 +592,20 @@ def zstep(
     allowed (L = 16 is the paper's SIFT setting). ``max_enum_bits`` must
     lie in ``[0, MAX_ENUM_BITS]``.
     """
-    _check_options(method, max_enum_bits, max_sweeps)
+    _check_options(method, max_enum_bits, max_sweeps, np.shape(B)[1])
     return _zstep(
         _linear_term(_centre(X, c, B), B), B, H, mu, method=method, Z0=Z0,
         max_enum_bits=max_enum_bits, max_sweeps=max_sweeps,
     )
 
 
-def _check_options(method: str, max_enum_bits: int, max_sweeps: int) -> None:
-    """Refuse :func:`zstep` options no solve can run with, before any
-    data is touched."""
+def _check_options(method: str, max_enum_bits: int, max_sweeps: int, n_bits: int) -> None:
+    """Refuse :func:`zstep` options no solve with ``n_bits``-bit codes can
+    run with, before any data is touched."""
     if method not in _METHODS:
         raise ValueError(f"unknown Z-step method {method!r}; expected one of {_METHODS}")
+    if method == "enumerate":
+        _check_enum_bits(n_bits)
     if not 0 <= max_enum_bits <= MAX_ENUM_BITS:
         raise ValueError(
             f"max_enum_bits must be in [0, {MAX_ENUM_BITS}], got {max_enum_bits}"

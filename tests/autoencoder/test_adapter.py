@@ -73,6 +73,14 @@ class TestSpecs:
         with pytest.raises(ValueError, match=match):
             BAAdapter(BinaryAutoencoder.linear(10, 4), **option)
 
+    def test_rejects_enumeration_past_the_limit(self):
+        # Regression: a 32-bit model with zstep_method="enumerate" once
+        # constructed and failed only in the first Z step.
+        with pytest.raises(ValueError, match=r"enumeration over 2\^32 codes refused"):
+            BAAdapter(BinaryAutoencoder.linear(64, 32), zstep_method="enumerate")
+        BAAdapter(BinaryAutoencoder.linear(64, 16), zstep_method="enumerate")
+        BAAdapter(BinaryAutoencoder.linear(64, 32))  # auto alternates there
+
 
 class TestParams:
     def test_roundtrip_all_specs(self):

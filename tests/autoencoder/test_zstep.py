@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 from repro.autoencoder import BinaryAutoencoder
 from repro.autoencoder.adapter import BAAdapter, build_ba_shards
 from repro.autoencoder.zstep import (
+    _BRANCH_BITS,
+    _ENUM_BLOCK_ROWS,
     _ENUM_SCRATCH_BYTES,
+    _METHODS,
     MAX_ENUM_BITS,
     _enumerate,
     _enumerate_dense,
@@ -144,6 +147,21 @@ class TestComputePrecision:
         X, B, c, H, mu = random_problem(n=10, L=4)
         X[3, 2] = X[7, 0] = bad
         with pytest.raises(ValueError, match="row 3"):
+            solver(X, B, c, H, mu)
+
+    @pytest.mark.parametrize("solver", [
+        zstep_enumerate, zstep_alternate, zstep_relaxed,
+        lambda X, B, c, H, mu: zstep_alternate(X, B, c, H, mu, H),
+        *(lambda X, B, c, H, mu, m=m: zstep(X, B, c, H, mu, method=m) for m in _METHODS),
+    ], ids=["enumerate", "alternate", "relaxed", "alternate_warm",
+            *(f"zstep_{m}" for m in _METHODS)])
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_mu_is_refused(self, solver, mu):
+        # Regression: a NaN mu (and an infinite one for enumeration and
+        # the relaxed solver) made every score non-finite, which the
+        # solvers decoded to 0...0 instead of raising.
+        X, B, c, H, _ = random_problem(n=10, L=4)
+        with pytest.raises(ValueError, match="mu must be finite and >= 0"):
             solver(X, B, c, H, mu)
 
     @pytest.mark.parametrize("solver", [zstep_enumerate, zstep_alternate, zstep_relaxed])
@@ -364,6 +382,31 @@ def tile_rows(L, dtype):
     return max(1, _ENUM_SCRATCH_BYTES // (2 * 2 ** (L - L // 2) * np.dtype(dtype).itemsize))
 
 
+def block_rows(L, dtype):
+    """Rows per branch-and-fix block: whole tiles, about ``_ENUM_BLOCK_ROWS``."""
+    tile = tile_rows(L, dtype)
+    return tile * max(1, _ENUM_BLOCK_ROWS // tile)
+
+
+def parity_problem(seed, dtype, n, D, L, inputs):
+    """``(XcB, B, H)`` for the parity tests: continuous inputs, or dyadic
+    ones, optionally with duplicated or all-zero decoder columns, which
+    make distinct codes score exactly the same."""
+    if inputs == "continuous":
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(D, L)).astype(dtype)
+        Xc = rng.normal(size=(n, D)).astype(dtype)
+        H = rng.integers(0, 2, size=(n, L)).astype(np.uint8)
+    else:
+        X, B, c, H, _, _ = dyadic_problem(seed, dtype, n=n, D=D, L=L)
+        Xc = X - c
+        if inputs == "duplicate":
+            B[:, L // 2 :] = B[:, : L - L // 2]
+        elif inputs == "zero":
+            B[:, ::2] = 0.0
+    return Xc @ B, B, H
+
+
 @pytest.fixture
 def dense_rows(monkeypatch):
     """Rows the enumeration sends through the min-plus kernel, per call."""
@@ -378,36 +421,57 @@ def dense_rows(monkeypatch):
 
 
 class TestDominance:
-    """The dominance pass drops only codes that cannot win, so the reduced
-    kernel returns the dense kernel's codes bit for bit: continuous and
-    dyadic inputs, exact ties, both precisions, and row counts around a
-    tile."""
+    """The dominance pass and the branch-and-fix tree drop only codes that
+    cannot win, so the reduced kernel returns the dense kernel's codes bit
+    for bit: continuous and dyadic inputs, exact ties, both precisions,
+    and row counts around a tile and a block."""
 
     @given(seed=st.integers(0, 10_000),
            dtype=st.sampled_from([np.float32, np.float64]),
            L=st.integers(1, 16),
            mu=st.sampled_from([0.0, 1e-3, 0.7, 1e3]),
-           rows=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]),
+           rows=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1),
+                                 ("block", -1), ("block", 0), ("block", 1)]),
            inputs=st.sampled_from(["continuous", "dyadic", "duplicate", "zero"]),
            D=st.integers(1, 24))
     def test_parity_with_dense(self, seed, dtype, L, mu, rows, inputs, D):
-        tiles, extra = rows  # n = 0, 1, or a row tile and -1, 0, +1 rows
-        n = tiles * tile_rows(L, dtype) + extra
-        if inputs == "continuous":
-            rng = np.random.default_rng(seed)
-            B = rng.normal(size=(D, L)).astype(dtype)
-            Xc = rng.normal(size=(n, D)).astype(dtype)
-            H = rng.integers(0, 2, size=(n, L)).astype(np.uint8)
-        else:
-            X, B, c, H, _, _ = dyadic_problem(seed, dtype, n=n, D=D, L=L)
-            Xc = X - c
-            # Duplicated / all-zero decoder columns make distinct codes
-            # score exactly the same.
-            if inputs == "duplicate":
-                B[:, L // 2 :] = B[:, : L - L // 2]
-            elif inputs == "zero":
-                B[:, ::2] = 0.0
-        XcB = Xc @ B
+        # n = 0, 1, or a row tile or a block and -1, 0, +1 rows
+        unit, extra = rows
+        n = (block_rows(L, dtype) if unit == "block" else unit * tile_rows(L, dtype)) + extra
+        XcB, B, H = parity_problem(seed, dtype, n, D, L, inputs)
+        assert np.array_equal(_enumerate(XcB, B, H, mu), _enumerate_dense(XcB, B, H, mu))
+
+    # (_BRANCH_BITS, _ROW_NODES, _LEVEL_NODES, _ENUM_BLOCK_ROWS): trees deep
+    # enough at any L for a level's node budget to cut a block mid-way and
+    # for a row to go dense after it already emitted leaves; blocks of one
+    # row tile and of several.
+    @pytest.mark.parametrize("budgets", [(1, 6, 16, 1), (2, 4, 8, 1), (3, 16, 64, 4096)])
+    @given(seed=st.integers(0, 10_000),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           L=st.integers(1, 16),
+           mu=st.sampled_from([0.0, 1e-3, 0.7]),
+           rows=st.sampled_from([(1, 0), ("tile", 1), ("block", -1), ("block", 1)]),
+           inputs=st.sampled_from(["continuous", "dyadic", "duplicate", "zero"]),
+           D=st.integers(1, 24))
+    def test_parity_with_dense_small_budgets(self, budgets, seed, dtype, L, mu, rows,
+                                             inputs, D):
+        names = ("_BRANCH_BITS", "_ROW_NODES", "_LEVEL_NODES", "_ENUM_BLOCK_ROWS")
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in zip(names, budgets):
+                mp.setattr(zmod, name, value)
+            tile = tile_rows(L, dtype)
+            block = tile * max(1, zmod._ENUM_BLOCK_ROWS // tile)
+            unit, extra = rows
+            n = {"tile": tile, "block": block}.get(unit, unit) + extra
+            XcB, B, H = parity_problem(seed, dtype, n, D, L, inputs)
+            Z = _enumerate(XcB, B, H, mu)
+        assert np.array_equal(Z, _enumerate_dense(XcB, B, H, mu))
+
+    def test_without_numpy_2_popcount(self, monkeypatch):
+        # The kernel runs on NumPy < 2.0, which has no ``bitwise_count``.
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        X, B, c, H, mu = random_problem(n=300, D=24, L=16, mu=1e-3, seed=17)
+        XcB = (X - c) @ B
         assert np.array_equal(_enumerate(XcB, B, H, mu), _enumerate_dense(XcB, B, H, mu))
 
     def test_numpy_mu_on_a_float32_model(self):
@@ -450,6 +514,45 @@ def fit_digests(n=600, seed=0):
         codes = np.ascontiguousarray(cluster.gather_codes()[1])
         out.append((z_changes, hashlib.sha256(codes.tobytes()).hexdigest()[:16]))
     return out
+
+
+class TestBranching:
+    """The branch-and-fix tree on the Z calls of a real fit: the pinned
+    ``train_z16_mp``-shaped fit, whose late iterations leave rows with
+    many free bits."""
+
+    def test_replay_matches_dense(self, monkeypatch):
+        # Every Z call of the fit: the kernel's codes are the dense ones.
+        calls, real = [], zmod._enumerate
+
+        def checked(XcB, B, H, mu):
+            Z = real(XcB, B, H, mu)
+            calls.append(np.array_equal(Z, _enumerate_dense(XcB, B, H, mu)))
+            return Z
+
+        monkeypatch.setattr(zmod, "_enumerate", checked)
+        fit_digests()
+        assert calls == [True] * 10  # 5 iterations x 2 machines
+
+    def test_heavy_rows_branch_instead_of_going_dense(self, monkeypatch, dense_rows):
+        # Rows the dominance test alone leaves with >= _BRANCH_BITS free
+        # bits exist in this fit; the tree splits them, and no row of any
+        # Z call reaches the min-plus kernel.
+        heavy, children, real = [], [], zmod._settle
+
+        def counted(FO, gs, tau, W):
+            L = len(FO) // 2
+            root = bool(FO[L:].all())  # only the roots have no fixed bit
+            real(FO, gs, tau, W)
+            if root:
+                heavy.append(int((FO[L:].sum(axis=0) >= _BRANCH_BITS).sum()))
+            else:
+                children.append(FO.shape[1])
+
+        monkeypatch.setattr(zmod, "_settle", counted)
+        fit_digests()
+        assert sum(heavy) > 0 and sum(children) > 0
+        assert sum(dense_rows) == 0
 
 
 class TestPinnedFit:
