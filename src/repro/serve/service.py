@@ -5,10 +5,10 @@ is encoded to an L-bit code by the trained binary autoencoder, then its k
 Hamming-nearest base codes are returned. Per-query, both steps are tiny —
 a (1, D) GEMV and a scan — and Python/launch overhead dominates. The fix
 is the same convoy idea as ``repro.distributed.batching``'s W-step
-batching, applied to inference: concurrent requests arriving within a
-``max_wait_ms`` window (capped at ``max_batch``) coalesce into **one**
-stacked encode — a single (B, D) x (D, L) GEMM in the model's
-``compute_dtype`` — and **one** shared scan pass over the index.
+batching, applied to inference: requests that queue while a scan runs
+(capped at ``max_batch``) coalesce into **one** stacked encode — a
+single (B, D) x (D, L) GEMM in the model's ``compute_dtype`` — and
+**one** shared scan pass over the index.
 
 Batching changes how fast, not what: the scan is exact integer top-k
 under the (distance, id) total order, so a request's result depends only
@@ -16,6 +16,10 @@ on its own query and the index contents — any arrival interleaving of
 the same queries returns the same per-query results (tested). Requests
 with different ``k`` share one scan at ``max(k)``; each answer is the
 first ``k_i`` columns, exact by the prefix property of a total order.
+Batch-mates are whoever happened to queue, so one request cannot fail
+another: ``submit`` refuses a non-finite or non-numeric vector, and a
+batch whose queries differ in length is stacked and encoded once per
+length, so a length the model cannot encode fails only its own tickets.
 
 The per-request machinery is deliberately thin — it *is* the overhead
 batching amortises, so it must not reintroduce it. Requests join the
@@ -27,13 +31,19 @@ machinery, and completion is a single ``event.set()`` per *batch*.
 Every :class:`Ticket` slices its own rows out lazily on ``result()``
 (on the caller's thread, not the batcher's).
 
-Latency semantics: a request admitted to a batch waits at most
-``max_wait_ms`` for company (the window opens at the *first* request of
-the batch, closing early when ``max_batch`` is reached), then pays the
-shared encode+scan once. Under load the window fills instantly and the
-service runs back-to-back full batches — throughput scales with batch
-size while the window bounds the idle-time latency tax at exactly
-``max_wait_ms``.
+Latency semantics: the batcher is work-conserving. Whenever it is free
+it serves whatever has queued, up to ``max_batch``, so a request that
+reaches an idle service is encoded and scanned at once, and requests
+that arrive while a scan runs share the next one. A request's queue wait
+is therefore only the rest of the scan already running (plus full
+batches ahead of it); under load batches fill while the previous scan
+runs, so throughput still scales with batch size. At low load a timed
+window cannot pay for itself: a companion saves one batch's fixed cost
+(well under a millisecond on a 1M-code scan), while the window charges
+every idle arrival its full length. Near saturation the removal is not
+known to be free: the first batch of each busy period is smaller than a
+window would have made it, and p99 may rise there; that is unsettled
+(ROADMAP item 9, *Tails*).
 """
 
 from __future__ import annotations
@@ -78,21 +88,21 @@ class _Batch:
     """One micro-batch: requests joined at submit, one shared completion.
 
     ``items`` grows under the service condition lock while the batch is
-    the *open* one; once full (or once the batcher closes its window) it
-    is swapped out and never mutated again. One Event and one results
-    pair serve every ticket in the batch.
+    the *open* one; once full (or once the batcher takes it) it is
+    swapped out and never mutated again. One Event and one results pair
+    serve every ticket in the batch; ``errors`` maps the rows that failed
+    to their exception.
     """
 
-    __slots__ = ("event", "items", "t_first", "ids", "dists", "error",
+    __slots__ = ("event", "items", "ids", "dists", "errors",
                  "t_done", "partial", "coverage")
 
     def __init__(self):
         self.event = threading.Event()
         self.items: list = []
-        self.t_first = 0.0
         self.ids = None
         self.dists = None
-        self.error: BaseException | None = None
+        self.errors: dict[int, BaseException] = {}
         self.t_done: float | None = None
         self.partial = False
         self.coverage = 1.0
@@ -141,8 +151,9 @@ class Ticket:
         batch = self._batch
         if not batch.event.wait(timeout):
             raise TimeoutError("query did not complete in time")
-        if batch.error is not None:
-            raise batch.error
+        error = batch.errors.get(self._row)
+        if error is not None:
+            raise error
         return (
             batch.ids[self._row, : self.k].copy(),
             batch.dists[self._row, : self.k].copy(),
@@ -204,10 +215,12 @@ class RetrievalService:
     k : int
         Default neighbours per query (overridable per request).
     max_wait_ms : float
-        Batching window: how long the first request of a batch waits for
-        company before the batch is served regardless of size.
+        Accepted (``>= 0``) and ignored. It was a timed batching window;
+        the batcher is work-conserving now (module docstring), because
+        on an idle service the window cost more than a companion saved.
+        The keyword stays only while callers still pass it.
     max_batch : int
-        Hard batch-size cap; a full window closes early.
+        Hard batch-size cap; requests past it start the next batch.
     max_pending : int | None
         Admission-control cap on in-flight queries (submitted, not yet
         served). ``submit`` raises :class:`Overloaded` immediately when
@@ -236,9 +249,9 @@ class RetrievalService:
         if not isinstance(index, (HammingIndex, ShardedHammingIndex)):
             raise TypeError(f"index must be a Hamming index, got {type(index)!r}")
         self.model = model
+        self._dtype = getattr(model, "compute_dtype", np.float64)
         self.index = index
         self.k = int(k)
-        self.max_wait_s = float(max_wait_ms) / 1e3
         self.max_batch = int(max_batch)
         self.max_pending = None if max_pending is None else int(max_pending)
         self.stats = ServiceStats()
@@ -284,10 +297,16 @@ class RetrievalService:
 
     # ------------------------------------------------------------------- API
     def submit(self, x: np.ndarray, k: int | None = None) -> Ticket:
-        """Enqueue one query vector; returns its :class:`Ticket`."""
-        x = np.asarray(x)
+        """Enqueue one query vector; returns its :class:`Ticket`.
+
+        Raises ``ValueError`` for anything but a finite 1-d numeric
+        vector, which is cast here to the model's ``compute_dtype``.
+        """
+        x = np.asarray(x, dtype=self._dtype)
         if x.ndim != 1:
             raise ValueError(f"x must be a single 1-d query vector, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("x contains NaN or Inf values")
         k = self.k if k is None else int(k)
         if k < 1 or k > self.index.n:
             raise ValueError(f"k={k} out of range for index of size {self.index.n}")
@@ -304,15 +323,14 @@ class RetrievalService:
             batch = self._open
             row = len(batch.items)
             batch.items.append((x, k))
-            # Wake the batcher only at the two edges it sleeps on: a
-            # batch opening (its window starts now) and a batch filling
-            # (serve it without waiting out the window).
-            if row == 0:
-                batch.t_first = time.perf_counter()
-                self._cond.notify()
-            elif row + 1 >= self.max_batch:
+            # Wake the batcher only at the two edges it may sleep on: a
+            # batch opening (an idle batcher serves it at once) and a
+            # batch filling (later requests start the next one).
+            if row + 1 >= self.max_batch:
                 self._ready.append(batch)
                 self._open = _Batch()
+                self._cond.notify()
+            elif row == 0:
                 self._cond.notify()
         return Ticket(batch, row, k)
 
@@ -361,22 +379,14 @@ class RetrievalService:
 
     # --------------------------------------------------------------- batcher
     def _gather(self) -> _Batch | None:
-        """Block for the next batch: the first request opens the window."""
+        """Block until something has queued, then take it: a full batch
+        first, else the open one, however few requests it holds."""
         with self._cond:
             while True:
                 if self._ready:
                     return self._ready.popleft()
                 if self._open.items:
-                    if not self._closed and self.max_wait_s > 0:
-                        remaining = (
-                            self._open.t_first + self.max_wait_s
-                            - time.perf_counter()
-                        )
-                        if remaining > 0:
-                            self._cond.wait(timeout=remaining)
-                            continue
-                    batch = self._open
-                    self._open = _Batch()
+                    batch, self._open = self._open, _Batch()
                     return batch
                 if self._closed:
                     return None
@@ -385,24 +395,47 @@ class RetrievalService:
                 # lost; the periodic wake just re-checks and sleeps again.
                 self._cond.wait(timeout=0.5)
 
+    def _encode(self, batch: _Batch) -> np.ndarray:
+        """Stack and encode the batch once per query length.
+
+        Returns the packed codes, row for row with the batch. In the
+        usual case every query has one length: one stack, one encode. A
+        length whose stack or encode raises fails only its own rows, in
+        ``batch.errors``; their codes stay zero and their results unread.
+        """
+        items = batch.items
+        groups: dict[int, list[int]] = {}
+        for row, (x, _) in enumerate(items):
+            groups.setdefault(len(x), []).append(row)
+        packed = np.zeros((len(items), self.index.n_words), np.uint64)
+        for group in groups.values():
+            try:
+                X = np.stack([items[row][0] for row in group])
+                packed[group] = pack_bits(self.model.encode(X))
+            except Exception as exc:
+                batch.errors.update(dict.fromkeys(group, exc))
+        return packed
+
     def _serve(self, batch: _Batch) -> None:
         items = batch.items
         try:
-            dtype = getattr(self.model, "compute_dtype", np.float64)
-            X = np.asarray(np.stack([x for x, _ in items]), dtype=dtype)
             t0 = time.perf_counter()
-            packed = pack_bits(self.model.encode(X))
+            packed = self._encode(batch)
             t1 = time.perf_counter()
-            with self._index_lock:
-                res = self.index.search(packed, max(k for _, k in items))
-            t2 = time.perf_counter()
-            ids, dists = res
-            batch.partial = bool(getattr(res, "partial", False))
-            batch.coverage = float(getattr(res, "coverage", 1.0))
-            self.stats.record(len(items), t1 - t0, t2 - t1, partial=batch.partial)
-            batch.ids, batch.dists = ids, dists
+            if len(batch.errors) < len(items):
+                with self._index_lock:
+                    res = self.index.search(packed, max(k for _, k in items))
+                t2 = time.perf_counter()
+                batch.partial = bool(getattr(res, "partial", False))
+                batch.coverage = float(getattr(res, "coverage", 1.0))
+                self.stats.record(
+                    len(items) - len(batch.errors), t1 - t0, t2 - t1,
+                    partial=batch.partial,
+                )
+                batch.ids, batch.dists = res
         except BaseException as exc:
-            batch.error = exc
+            for row in range(len(items)):
+                batch.errors.setdefault(row, exc)
         with self._cond:
             self._pending -= len(items)
         batch.t_done = time.perf_counter()

@@ -22,6 +22,7 @@ from repro.retrieval.hamming import hamming_cdist, pack_bits
 from repro.serve import HammingIndex, ShardedHammingIndex
 from repro.serve.index import ScanResult
 from repro.serve.service import Overloaded, RetrievalService, ServiceClosed
+from tests.serve.test_service import GatedModel
 
 N_BITS = 32
 K = 10
@@ -276,15 +277,6 @@ class _HashModel:
         return (np.asarray(X)[:, :N_BITS] > 0).astype(np.uint8)
 
 
-class _SlowModel(_HashModel):
-    def __init__(self, delay_s):
-        self.delay_s = delay_s
-
-    def encode(self, X):
-        time.sleep(self.delay_s)
-        return super().encode(X)
-
-
 def make_service(n=400, **kwargs):
     rng = np.random.default_rng(3)
     X_base = rng.standard_normal((n, N_BITS))
@@ -303,44 +295,43 @@ class TestServiceDegradation:
     def test_admission_control_rejects_when_saturated(self):
         rng = np.random.default_rng(3)
         X_base = rng.standard_normal((200, N_BITS))
+        model = GatedModel(_HashModel())
         svc = RetrievalService(
-            _SlowModel(0.2),
+            model,
             HammingIndex.from_codes(
                 pack_bits(_HashModel().encode(X_base)), N_BITS
             ),
             k=5,
-            max_wait_ms=0.0,
             max_pending=2,
         )
         try:
-            t1 = svc.submit(rng.standard_normal(N_BITS))
-            t2 = svc.submit(rng.standard_normal(N_BITS))
-            with pytest.raises(Overloaded, match="max_pending=2"):
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline:
+            with model.held():
+                t1 = model.hold_batcher(svc, rng.standard_normal(N_BITS))
+                t2 = svc.submit(rng.standard_normal(N_BITS))
+                with pytest.raises(Overloaded, match="max_pending=2"):
                     svc.submit(rng.standard_normal(N_BITS))
-                    time.sleep(0.01)
-            assert svc.stats.snapshot()["n_rejected"] >= 1
+                assert svc.stats.snapshot()["n_rejected"] == 1
             t1.result(10.0)
             t2.result(10.0)
+            svc.submit(rng.standard_normal(N_BITS)).result(10.0)  # room again
         finally:
             svc.close()
 
     def test_close_timeout_names_inflight_tickets(self):
         rng = np.random.default_rng(3)
         X_base = rng.standard_normal((200, N_BITS))
+        model = GatedModel(_HashModel())
         svc = RetrievalService(
-            _SlowModel(2.0),
+            model,
             HammingIndex.from_codes(
                 pack_bits(_HashModel().encode(X_base)), N_BITS
             ),
             k=5,
-            max_wait_ms=0.0,
         )
-        t = svc.submit(rng.standard_normal(N_BITS))
-        time.sleep(0.1)  # let the batcher enter the slow encode
-        with pytest.raises(TimeoutError, match=r"1 in-flight ticket"):
-            svc.close(timeout=0.2)
+        with model.held():
+            t = model.hold_batcher(svc, rng.standard_normal(N_BITS))
+            with pytest.raises(TimeoutError, match=r"1 in-flight ticket"):
+                svc.close(timeout=0.2)
         # The drain finishes; a retried close succeeds and is idempotent.
         t.result(10.0)
         svc.close()
