@@ -62,7 +62,7 @@ def test_fig07_epochs_effect(benchmark, report, workload):
     report("  NOTE: on this synthetic cloud the tPCA initialisation is already")
     report("  near neighbour-optimal, so precision settles slightly below its")
     report("  starting value while E_Q/E_BA improve (deviation from the paper's")
-    report("  real-image curves; see EXPERIMENTS.md). Early stopping recovers")
+    report("  real-image curves). Early stopping recovers")
     report("  the best iterate, as in the paper.")
 
     # More epochs -> W step solved more exactly -> final E_Q no worse.

@@ -60,5 +60,5 @@ def test_fig12_recall_at_R(benchmark, report, sift1b_models):
     # The trained RBF encoder improves on the initialisation at small R.
     # (On this synthetic workload the *linear* encoder does not beat tPCA
     # — the cloud's neighbourhood structure is exactly its principal
-    # subspace; recorded as a deviation in EXPERIMENTS.md.)
+    # subspace, a deviation from the paper.)
     assert rbf[:6].mean() > tpca[:6].mean()

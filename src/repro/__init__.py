@@ -38,7 +38,7 @@ Package map
   multiprocessing backend, streaming, fault tolerance, allreduce.
 - :mod:`repro.perfmodel` — the analytical speedup model (section 5/app. A).
 - :mod:`repro.retrieval` — Hamming search, precision/recall, tPCA & ITQ.
-- :mod:`repro.data` — synthetic GIST/SIFT-like workloads, uint8 storage.
+- :mod:`repro.data` — synthetic GIST/SIFT-like workloads.
 """
 
 from repro.autoencoder import BinaryAutoencoder

@@ -36,7 +36,6 @@ __all__ = [
     "SymbolTable",
     "run_check",
     "collect_files",
-    "enclosing_function",
     "enclosing_class",
 ]
 
@@ -280,15 +279,6 @@ def _link_parents(tree: ast.AST) -> None:
 
 def parent_of(node: ast.AST) -> ast.AST | None:
     return getattr(node, "_repro_parent", None)
-
-
-def enclosing_function(node: ast.AST):
-    cur = parent_of(node)
-    while cur is not None:
-        if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return cur
-        cur = parent_of(cur)
-    return None
 
 
 def enclosing_class(node: ast.AST):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro.analysis.core import Finding
 
-__all__ = ["Baseline", "render_text", "render_json", "parse_json"]
+__all__ = ["Baseline", "render_text", "render_json"]
 
 _FORMAT_VERSION = 1
 
@@ -109,13 +109,3 @@ def render_json(
         "stale": [e.to_dict() for e in (stale or [])],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def parse_json(text: str) -> tuple[list[Finding], int, list[Finding]]:
-    """Inverse of :func:`render_json` (round-trip property-tested)."""
-    doc = json.loads(text)
-    return (
-        [Finding.from_dict(d) for d in doc.get("findings", [])],
-        int(doc.get("suppressed", 0)),
-        [Finding.from_dict(d) for d in doc.get("stale", [])],
-    )

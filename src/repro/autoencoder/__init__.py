@@ -12,14 +12,8 @@ solvers; the training drivers live in :mod:`repro.core`.
 from repro.autoencoder.encoder import LinearEncoder, RBFEncoder, gaussian_kernel_features
 from repro.autoencoder.decoder import LinearDecoder
 from repro.autoencoder.binary_autoencoder import BinaryAutoencoder
-from repro.autoencoder.zstep import (
-    zstep,
-    zstep_alternate,
-    zstep_enumerate,
-    zstep_objective,
-    zstep_relaxed,
-)
-from repro.autoencoder.init import init_codes_pca, init_codes_random
+from repro.autoencoder.zstep import zstep, zstep_alternate, zstep_enumerate
+from repro.autoencoder.init import init_codes_pca
 
 __all__ = [
     "LinearEncoder",
@@ -30,8 +24,5 @@ __all__ = [
     "zstep",
     "zstep_enumerate",
     "zstep_alternate",
-    "zstep_relaxed",
-    "zstep_objective",
     "init_codes_pca",
-    "init_codes_random",
 ]

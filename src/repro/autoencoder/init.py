@@ -2,7 +2,7 @@
 
 The paper initialises "the binary codes from truncated PCA ran on a subset
 of the training set (small enough that it fits in one machine)"
-(section 8.1). A random initialisation is provided for ablations.
+(section 8.1).
 """
 
 from __future__ import annotations
@@ -10,10 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.retrieval.baselines import TruncatedPCAHash
-from repro.utils.rng import check_random_state
-from repro.utils.validation import check_positive_int
 
-__all__ = ["init_codes_pca", "init_codes_random"]
+__all__ = ["init_codes_pca"]
 
 
 def init_codes_pca(
@@ -27,11 +25,3 @@ def init_codes_pca(
     """
     hash_ = TruncatedPCAHash(n_bits).fit(X, subset=subset, rng=rng)
     return hash_.encode(X), hash_
-
-
-def init_codes_random(n: int, n_bits: int, *, rng=None) -> np.ndarray:
-    """Uniformly random binary codes of shape (n, n_bits)."""
-    n = check_positive_int(n, name="n")
-    n_bits = check_positive_int(n_bits, name="n_bits")
-    rng = check_random_state(rng)
-    return rng.integers(0, 2, size=(n, n_bits), dtype=np.uint8)

@@ -50,10 +50,8 @@ def _solver_dtype(B) -> np.dtype:
     return dtype if dtype.kind == "f" else np.dtype(np.float64)
 
 __all__ = [
-    "zstep_objective",
     "zstep_enumerate",
     "zstep_alternate",
-    "zstep_relaxed",
     "zstep",
 ]
 
@@ -128,18 +126,6 @@ def _linear_term(Xc: np.ndarray, B: np.ndarray) -> np.ndarray:
             "NaN/inf, or the product overflowed the compute precision"
         )
     return XcB
-
-
-def zstep_objective(
-    X: np.ndarray, B: np.ndarray, c: np.ndarray, H: np.ndarray, mu: float, Z: np.ndarray
-) -> np.ndarray:
-    """Per-point Z-step objective values (n,) for codes ``Z``."""
-    cd = _solver_dtype(B)
-    Zf = np.asarray(Z, dtype=cd)
-    Hf = np.asarray(H, dtype=cd)
-    R = np.asarray(X, dtype=cd) - Zf @ B.T - np.asarray(c, dtype=cd)
-    dzh = Zf - Hf
-    return (R * R).sum(axis=1) + mu * (dzh * dzh).sum(axis=1)
 
 
 def _all_codes(L: int, dtype) -> np.ndarray:
@@ -240,22 +226,6 @@ def _minplus(Q, U, V, M, T) -> np.ndarray:
 def _code_bits(codes: np.ndarray, L: int) -> np.ndarray:
     """Integer codes as (m, L) bits, bit l in column l."""
     return (codes[:, None] >> np.arange(L, dtype=np.intp)) & 1
-
-
-def _enumerate_dense(XcB: np.ndarray, B: np.ndarray, H: np.ndarray, mu: float) -> np.ndarray:
-    """Every row through the min-plus kernel (:func:`_minplus`), one row
-    tile at a time: all 2^L codes scored. :func:`_enumerate` returns the
-    same codes bit for bit."""
-    Q, Clo, Chi, _ = _enum_tables(B, mu)
-    n, L, tile = len(XcB), B.shape[1], _enum_tile(Q)
-    H = np.asarray(H)
-    M, T = np.empty((2, min(tile, n), Q.shape[1]), dtype=Q.dtype)
-    Z = np.empty((n, L), dtype=np.uint8)
-    for start in range(0, n, tile):
-        rows = slice(start, start + tile)
-        _, U, V = _tile_terms(XcB[rows], H[rows], mu, Clo, Chi)
-        Z[rows] = _code_bits(_minplus(Q, U, V, M, T), L)
-    return Z
 
 
 def _settle(FO, gs, tau, W) -> None:
@@ -410,14 +380,14 @@ def _enumerate(XcB: np.ndarray, B: np.ndarray, H: np.ndarray, mu: float) -> np.n
     """The :func:`zstep_enumerate` kernel on the linear term ``XcB``.
 
     Rows go a block of whole row tiles (:data:`_ENUM_BLOCK_ROWS`) at a time,
-    with ``U`` and ``V`` computed per tile as :func:`_enumerate_dense`
-    computes them. Per block, the branch-and-fix tree (:func:`_leaves`)
-    splits each row's codes into leaves that hold every code that can
-    win; each leaf is scored (:func:`_score_leaves`) and a row takes the
-    lowest ``(score, code)`` over its leaves. Rows over a node budget take
-    the min-plus kernel. Both score a code as ``(Q[a, b] + U[a, i]) + V[i,
-    b]`` from the same arrays and take its first minimum, so the codes
-    equal :func:`_enumerate_dense`'s bit for bit.
+    with ``U`` and ``V`` computed per tile. Per block, the branch-and-fix
+    tree (:func:`_leaves`) splits each row's codes into leaves that hold
+    every code that can win; each leaf is scored (:func:`_score_leaves`)
+    and a row takes the lowest ``(score, code)`` over its leaves. Rows over
+    a node budget take the min-plus kernel. Both score a code as ``(Q[a,
+    b] + U[a, i]) + V[i, b]`` from the same arrays and take its first
+    minimum, so the codes equal those of sending every row through the
+    min-plus kernel, bit for bit.
     """
     Q, Clo, Chi, G = _enum_tables(B, mu)
     n, L, tile = len(XcB), B.shape[1], _enum_tile(Q)
@@ -464,24 +434,14 @@ def _enumerate(XcB: np.ndarray, B: np.ndarray, H: np.ndarray, mu: float) -> np.n
     return Z
 
 
-def zstep_relaxed(
-    X: np.ndarray,
-    B: np.ndarray,
-    c: np.ndarray,
-    H: np.ndarray,
-    mu: float,
-) -> np.ndarray:
-    """Truncated solution of the [0,1]-relaxed Z step.
+def _relaxed(XcB: np.ndarray, B: np.ndarray, H: np.ndarray, mu: float) -> np.ndarray:
+    """Truncated solution of the [0,1]-relaxed Z step on the linear term
+    ``XcB``.
 
     The relaxed problem is unconstrained quadratic with solution
     ``(B^T B + mu I) z = B^T (x - c) + mu h``; we clip to [0,1] and
     threshold at 1/2 (ties -> 1, matching the step convention).
     """
-    return _relaxed(_linear_term(_centre(X, c, B), B), B, H, mu)
-
-
-def _relaxed(XcB: np.ndarray, B: np.ndarray, H: np.ndarray, mu: float) -> np.ndarray:
-    """The :func:`zstep_relaxed` kernel on the linear term ``XcB``."""
     _check_mu(mu)
     cd = _solver_dtype(B)
     G = B.T @ B + mu * np.eye(B.shape[1], dtype=cd)

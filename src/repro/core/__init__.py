@@ -8,11 +8,6 @@ schedule, history records and convergence/stopping logic live here too.
 
 from repro.core.penalty import GeometricSchedule, penalty_schedule
 from repro.core.history import IterationRecord, TrainingHistory
-from repro.core.convergence import (
-    constraints_satisfied,
-    lagrange_multiplier_estimates,
-    z_fixed_point,
-)
 from repro.core.trainer import ParMACTrainer
 
 __all__ = [
@@ -20,8 +15,5 @@ __all__ = [
     "penalty_schedule",
     "IterationRecord",
     "TrainingHistory",
-    "z_fixed_point",
-    "constraints_satisfied",
-    "lagrange_multiplier_estimates",
     "ParMACTrainer",
 ]

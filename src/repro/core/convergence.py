@@ -1,56 +1,16 @@
-"""Convergence and stopping machinery for MAC / ParMAC.
+"""Early stopping for MAC / ParMAC on validation retrieval precision.
 
-Implements the checks behind paper sections 3.1 and 6:
-
-* the practical BA stopping criterion — "if no change in Z and Z = h(X)
-  then stop" (fig. 1), i.e. a Z fixed point with satisfied constraints;
-* the Lagrange-multiplier estimates of theorem 6.1,
-  ``lambda_n = -mu (z_n - h(x_n))``, whose convergence the quadratic-penalty
-  theory tracks;
-* an early-stopping monitor on validation retrieval precision — "we stop
-  iterating for a mu value ... when the precision of the hash function in a
-  validation set decreases", guaranteeing the initial codes are only
-  improved.
+The paper's rule: "we stop iterating for a mu value ... when the
+precision of the hash function in a validation set decreases", which
+guarantees the initial codes are only improved. The other stopping test of fig. 1 (no
+change in Z and Z = h(X)) is the trainer's ``stop_on_fixed_point``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "z_fixed_point",
-    "constraints_satisfied",
-    "lagrange_multiplier_estimates",
-    "EarlyStopping",
-]
-
-
-def constraints_satisfied(Z: np.ndarray, H: np.ndarray) -> bool:
-    """True when ``Z == h(X)`` bitwise (the penalty constraints hold)."""
-    return bool(np.array_equal(np.asarray(Z), np.asarray(H)))
-
-
-def z_fixed_point(Z_new: np.ndarray, Z_old: np.ndarray, H: np.ndarray) -> bool:
-    """The BA-MAC stopping test: Z unchanged by the Z step *and* Z = h(X).
-
-    When both hold, larger mu values cannot change anything: the penalty
-    term is zero and the reconstruction term is already minimised over the
-    reachable codes, so MAC stops at a finite mu (section 3.1).
-    """
-    return bool(np.array_equal(np.asarray(Z_new), np.asarray(Z_old))) and constraints_satisfied(
-        Z_new, H
-    )
-
-
-def lagrange_multiplier_estimates(Z: np.ndarray, H: np.ndarray, mu: float) -> np.ndarray:
-    """Penalty-method multiplier estimates ``lambda_n = -mu (z_n - h(x_n))``.
-
-    Theorem 6.1: along the quadratic-penalty path these converge to the KKT
-    multipliers of the constrained problem. Returned per point and bit.
-    """
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    return -mu * (np.asarray(Z, dtype=np.float64) - np.asarray(H, dtype=np.float64))
+__all__ = ["EarlyStopping"]
 
 
 class EarlyStopping:

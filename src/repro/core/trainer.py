@@ -90,8 +90,8 @@ class ParMACTrainer:
     backend_options : dict, optional
         Extra keyword arguments for the backend class (e.g.
         ``message_dtype`` / ``batch_units`` on any engine,
-        ``execute_updates`` for simulated engines, ``ctx_method`` for
-        the multiprocessing pool, ``ports`` / ``connect_timeout`` for
+        ``execute_updates`` for simulated engines, ``worker_timeout``
+        for the wall-clock pools, ``ports`` / ``connect_timeout`` for
         the TCP ring).
 
     Attributes

@@ -5,32 +5,13 @@ SIFT-1B. Those corpora are not redistributable here, so this package
 provides generators producing feature clouds with the statistical structure
 the algorithms actually exploit — cluster structure (so nearest-neighbour
 retrieval is meaningful) and redundancy (so few SGD epochs suffice, paper
-section 8.2) — plus the uint8 storage trick of section 8.4.
+section 8.2).
 """
 
-from repro.data.datasets import RetrievalDataset, train_test_split
-from repro.data.quantize import dequantize_uint8, quantize_uint8, Uint8Store
-from repro.data.synthetic import (
-    make_clustered,
-    make_gist_like,
-    make_sift_like,
-    sift_10k,
-    cifar_like,
-    sift_1m_scaled,
-    sift_1b_scaled,
-)
+from repro.data.synthetic import make_clustered, make_gist_like, make_sift_like
 
 __all__ = [
-    "RetrievalDataset",
-    "train_test_split",
-    "quantize_uint8",
-    "dequantize_uint8",
-    "Uint8Store",
     "make_clustered",
     "make_gist_like",
     "make_sift_like",
-    "sift_10k",
-    "cifar_like",
-    "sift_1m_scaled",
-    "sift_1b_scaled",
 ]

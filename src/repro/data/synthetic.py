@@ -27,10 +27,6 @@ __all__ = [
     "make_clustered",
     "make_gist_like",
     "make_sift_like",
-    "sift_10k",
-    "cifar_like",
-    "sift_1m_scaled",
-    "sift_1b_scaled",
 ]
 
 
@@ -94,46 +90,3 @@ def make_sift_like(
     if as_uint8:
         return np.round(X).astype(np.uint8)
     return X
-
-
-# --------------------------------------------------------------------------
-# Named workloads mirroring the paper's four benchmarks (scaled to CI size).
-# Each returns (X_train, X_test) float arrays.
-# --------------------------------------------------------------------------
-
-def sift_10k(*, n_train: int = 10_000, n_test: int = 100, rng=None):
-    """SIFT-10K stand-in: N=10000 training, 100 test queries, D=128."""
-    rng = check_random_state(rng)
-    X = make_sift_like(n_train + n_test, 128, rng=rng)
-    return X[:n_train], X[n_train:]
-
-
-def cifar_like(*, n_train: int = 50_000, n_test: int = 10_000, rng=None):
-    """CIFAR stand-in: D=320 GIST-like features."""
-    rng = check_random_state(rng)
-    X = make_gist_like(n_train + n_test, 320, rng=rng)
-    return X[:n_train], X[n_train:]
-
-
-def sift_1m_scaled(*, scale: float = 0.1, rng=None):
-    """SIFT-1M stand-in, scaled by ``scale`` (default 100K train / 1K test)."""
-    n_train = max(100, int(1_000_000 * scale))
-    n_test = max(10, int(10_000 * scale))
-    rng = check_random_state(rng)
-    X = make_sift_like(n_train + n_test, 128, rng=rng)
-    return X[:n_train], X[n_train:]
-
-
-def sift_1b_scaled(*, scale: float = 1e-4, rng=None):
-    """SIFT-1B stand-in, heavily scaled (default 10K learn / 100 queries).
-
-    The real corpus has 10^8 learning vectors; the *speedup* analysis for it
-    in the paper (fig. 10 right) is itself theoretical, which we reproduce
-    exactly from the model; this generator supports the learning-curve and
-    recall experiments at laptop scale.
-    """
-    n_train = max(1_000, int(1e8 * scale))
-    n_test = max(100, int(1e4 * scale))
-    rng = check_random_state(rng)
-    X = make_sift_like(n_train + n_test, 128, rng=rng)
-    return X[:n_train], X[n_train:]

@@ -219,8 +219,6 @@ class MultiprocessBackend(BaseBackend):
 
     Extra parameters beyond :class:`BaseBackend`:
 
-    ctx_method : str
-        ``multiprocessing`` start method ("fork" is fastest on Linux).
     worker_timeout : float or None
         Upper bound in seconds on one whole collective gather — the time
         from issuing a command round (setup, iteration) until *all* P
@@ -256,15 +254,13 @@ class MultiprocessBackend(BaseBackend):
     connect_timeout = 10.0
 
     def __init__(
-        self, *, ctx_method: str = "fork", worker_timeout: float | None = 300.0,
-        pin_workers: bool = False, **kwargs
+        self, *, worker_timeout: float | None = 300.0, pin_workers: bool = False,
+        **kwargs
     ):
         super().__init__(**kwargs)
-        self.ctx_method = ctx_method
         self.worker_timeout = worker_timeout
         self.pin_workers = bool(pin_workers)
         self._worker_cpusets: dict[int, list[int]] = {}
-        self._ctx = None
         self._procs: dict[int, object] = {}
         self._cmd_qs: dict = {}
         self._addr_map: dict = {}
@@ -336,21 +332,13 @@ class MultiprocessBackend(BaseBackend):
         # segments: tear the fit down (close releases the segments) and
         # re-raise.
         try:
-            self._segments, descs = pack_shards(
-                [members[r][0] for r in live], untrack=self._untrack
-            )
+            self._segments, descs = pack_shards([members[r][0] for r in live])
             self._ship_setup(
                 dict(zip(live, descs)), {r: members[r][1] for r in live}
             )
         except Exception:
             self.close(force=True)
             raise
-
-    @property
-    def _untrack(self) -> bool:
-        """Whether workers attach segments under their own resource
-        tracker (any start method but fork) and must untrack them."""
-        return self.ctx_method != "fork"
 
     def _cpusets(self, ranks) -> dict:
         """Contiguous partition of the coordinator's CPU set over ``ranks``.
@@ -451,7 +439,6 @@ class MultiprocessBackend(BaseBackend):
             resource_tracker.ensure_running()
         except Exception:
             pass
-        self._ctx = mp.get_context(self.ctx_method)
         for rank in ranks:
             self._start_worker(int(rank))
         # A fresh pool gets a fresh monitor: stale DEAD classifications
@@ -467,17 +454,21 @@ class MultiprocessBackend(BaseBackend):
 
     def _start_worker(self, rank: int) -> None:
         """Fork one pool worker at ``rank`` with its own command queue,
-        private response pipe and (socket-free, so picklable) ring link;
-        the parent's copy of the pipe's write end is closed right after
-        the fork."""
-        cmd_q = self._cmd_qs[rank] = self._ctx.Queue()
+        private response pipe and (socket-free) ring link; the parent's
+        copy of the pipe's write end is closed right after the fork.
+
+        Fork is the one start method: workers inherit the coordinator's
+        resource tracker (see :meth:`_spawn`), and the abstract-socket
+        ring they bind is Linux-only anyway."""
+        fork = mp.get_context("fork")
+        cmd_q = self._cmd_qs[rank] = fork.Queue()
         # A write to a worker that is gone is the gather's to report, not
         # a feeder-thread traceback on stderr (see _release_queue).
         cmd_q._ignore_epipe = True
-        reader, writer = self._ctx.Pipe(duplex=False)
+        reader, writer = fork.Pipe(duplex=False)
         self._res_chans[rank] = _ResponseChannel(reader)
         try:
-            proc = self._ctx.Process(
+            proc = fork.Process(
                 target=_worker_main,
                 args=(rank, cmd_q, writer, _SocketLink(rank, self.connect_timeout)),
                 daemon=True,
@@ -490,9 +481,7 @@ class MultiprocessBackend(BaseBackend):
     # ----------------------------------------------------------- streaming
     def _apply_ingest(self, batch) -> int:
         """Ship one drained batch to its worker as an incremental segment."""
-        seg, desc = pack_array_block(
-            [batch.X, batch.F, batch.Z, batch.indices], untrack=self._untrack
-        )
+        seg, desc = pack_array_block([batch.X, batch.F, batch.Z, batch.indices])
         try:
             self._send(batch.machine, "ingest", desc)
             self._collect("ingested", [batch.machine])
@@ -514,9 +503,7 @@ class MultiprocessBackend(BaseBackend):
         old_ranks = list(self._ranks)
         try:
             self._start_worker(p)
-            segments, descs = pack_shards(
-                [self.dataplane.shards[p]], untrack=self._untrack
-            )
+            segments, descs = pack_shards([self.dataplane.shards[p]])
             self._segments.extend(segments)
             self._topology = self._topology.with_machine(p, after=after)
             self._replan()

@@ -541,7 +541,7 @@ class _SocketLink:
     ``join_mesh`` / ``join_handshake`` link a machine joining mid-fit.
     Retirement announcements (and, on ``tcp``, streamed rows) arrive as
     encoded control frames and are validated here. Constructed
-    socket-free, so it pickles into a ``spawn``-started worker.
+    socket-free: a worker opens its own sockets after the fork.
     """
 
     def __init__(self, rank: int, connect_timeout: float):

@@ -37,32 +37,12 @@ def unlink_segments(segments) -> None:
             pass
 
 
-def _maybe_untrack(seg, desc) -> None:
-    """Unregister an attached segment from a spawned worker's tracker.
-
-    Attaching registers the segment with the resource tracker (it cannot
-    tell an attach from a create). Under fork the tracker process is
-    shared with the coordinator, whose unlink() already unregisters the
-    (deduplicated) entry — nothing to do. A spawned worker has its *own*
-    tracker, which would warn about a "leaked" segment it does not own
-    at exit, so untrack there.
-    """
-    if desc.get("untrack"):
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(seg._name, "shared_memory")
-        except Exception:
-            pass
-
-
-def pack_array_block(arrays, *, untrack: bool = False) -> tuple:
+def pack_array_block(arrays) -> tuple:
     """Pack a flat list of arrays into one shared-memory segment.
 
     Returns ``(segment, descriptor)`` where the descriptor rebuilds the
     arrays as zero-copy views in the receiving process
-    (:func:`attach_array_block`). ``untrack`` marks the descriptor for a
-    receiver started with a non-fork method (see :func:`_maybe_untrack`).
+    (:func:`attach_array_block`).
     """
     arrays = [np.ascontiguousarray(a) for a in arrays]
     total = sum(a.nbytes for a in arrays)
@@ -81,13 +61,12 @@ def pack_array_block(arrays, *, untrack: bool = False) -> tuple:
         seg.close()
         seg.unlink()
         raise
-    return seg, {"name": seg.name, "fields": fields, "untrack": untrack}
+    return seg, {"name": seg.name, "fields": fields}
 
 
 def attach_array_block(desc):
     """Rebuild the arrays of one :func:`pack_array_block` descriptor."""
     seg = shared_memory.SharedMemory(name=desc["name"])
-    _maybe_untrack(seg, desc)
     arrays = [
         np.ndarray(shape, dtype=dtype, buffer=seg.buf, offset=offset)
         for dtype, shape, offset in desc["fields"]
@@ -95,7 +74,7 @@ def attach_array_block(desc):
     return seg, arrays
 
 
-def pack_shards(shards, *, untrack: bool = False) -> tuple[list, list]:
+def pack_shards(shards) -> tuple[list, list]:
     """Copy each shard's arrays into one shared-memory segment.
 
     Returns ``(segments, descriptors)``; descriptor i tells worker i how
@@ -129,7 +108,7 @@ def pack_shards(shards, *, untrack: bool = False) -> tuple[list, list]:
                     arrays.extend(v)
                 else:
                     values[f.name] = v
-            seg, desc = pack_array_block(arrays, untrack=untrack)
+            seg, desc = pack_array_block(arrays)
             segments.append(seg)
             descs.append({**desc, "cls": type(shard), "slots": slots, "values": values})
     except Exception:

@@ -7,25 +7,15 @@ linear least-squares regressors (SGD and closed form), plus the step-size
 schedules and minibatch machinery they share.
 """
 
-from repro.optim.schedules import (
-    BottouSchedule,
-    ConstantSchedule,
-    InverseSchedule,
-    RobbinsMonroSchedule,
-    is_robbins_monro,
-    tune_eta0,
-)
+from repro.optim.schedules import BottouSchedule, InverseSchedule, RobbinsMonroSchedule
 from repro.optim.sgd import SGDState, minibatch_indices, sgd_epoch
 from repro.optim.svm import LinearSVM, hinge_loss, svm_objective
 from repro.optim.linreg import LinearRegression, squared_loss
 
 __all__ = [
     "BottouSchedule",
-    "ConstantSchedule",
     "InverseSchedule",
     "RobbinsMonroSchedule",
-    "is_robbins_monro",
-    "tune_eta0",
     "SGDState",
     "minibatch_indices",
     "sgd_epoch",

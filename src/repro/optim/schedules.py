@@ -5,43 +5,21 @@ Bousquet (2008), whose schedule is ``eta_t = eta0 / (1 + lambda * eta0 * t)``
 with ``eta0`` tuned automatically by probing the first 1000 data points
 (paper section 8.1). ParMAC's convergence argument (section 6) requires
 Robbins–Monro conditions: ``eta_t -> 0``, ``sum eta_t = inf``,
-``sum eta_t^2 < inf``. Both are provided here, along with the machinery to
-verify the conditions symbolically for power-law schedules.
+``sum eta_t^2 < inf``; both schedules here meet them (the power-law one
+for ``0.5 < power <= 1``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.utils.validation import check_positive
 
 __all__ = [
-    "ConstantSchedule",
     "BottouSchedule",
     "InverseSchedule",
     "RobbinsMonroSchedule",
-    "is_robbins_monro",
-    "tune_eta0",
 ]
-
-
-@dataclass(frozen=True)
-class ConstantSchedule:
-    """Fixed step size ``eta_t = eta0``.
-
-    Not Robbins–Monro; useful for short runs and for the exact-gradient
-    ablation where convergence is governed by the penalty method instead.
-    """
-
-    eta0: float = 0.01
-
-    def __post_init__(self):
-        check_positive(self.eta0, name="eta0")
-
-    def rate(self, t: int) -> float:
-        return self.eta0
 
 
 @dataclass(frozen=True)
@@ -84,55 +62,3 @@ class InverseSchedule:
 # Robbins–Monro requires sum eta_t = inf (power <= 1) and
 # sum eta_t^2 < inf (2 * power > 1).
 RobbinsMonroSchedule = InverseSchedule
-
-
-def is_robbins_monro(schedule) -> bool:
-    """Check Robbins–Monro conditions for the schedules defined here.
-
-    Returns True when ``lim eta_t = 0``, ``sum eta_t = inf`` and
-    ``sum eta_t^2 < inf`` hold. For power-law schedules that is exactly
-    ``0.5 < power <= 1``; Bottou's schedule is the ``power = 1`` case.
-    Unknown schedule types raise ``TypeError`` rather than guessing.
-    """
-    if isinstance(schedule, ConstantSchedule):
-        return False
-    if isinstance(schedule, BottouSchedule):
-        return True
-    if isinstance(schedule, InverseSchedule):
-        return 0.5 < schedule.power <= 1.0
-    raise TypeError(f"unknown schedule type {type(schedule)!r}")
-
-
-def tune_eta0(
-    probe_loss,
-    candidates=None,
-) -> float:
-    """Pick ``eta0`` by probing, following Bottou's SVMSGD heuristic.
-
-    Parameters
-    ----------
-    probe_loss : callable
-        ``probe_loss(eta0) -> float`` runs a short SGD pass (the paper uses
-        the first 1000 points) with the candidate step size and returns the
-        resulting loss. Non-finite losses are treated as +inf (divergence).
-    candidates : array-like of float, optional
-        Geometric grid to try; defaults to ``2.0 ** arange(-10, 5)``.
-
-    Returns
-    -------
-    float
-        The candidate achieving the smallest probe loss.
-    """
-    if candidates is None:
-        candidates = 2.0 ** np.arange(-10, 5, dtype=np.float64)
-    candidates = np.asarray(list(candidates), dtype=np.float64)
-    if candidates.size == 0:
-        raise ValueError("candidates must be non-empty")
-    losses = []
-    for eta0 in candidates:
-        loss = probe_loss(float(eta0))
-        losses.append(loss if np.isfinite(loss) else np.inf)
-    losses = np.asarray(losses)
-    if not np.isfinite(losses).any():
-        raise RuntimeError("all candidate step sizes diverged during probing")
-    return float(candidates[int(np.argmin(losses))])

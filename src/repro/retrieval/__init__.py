@@ -8,20 +8,13 @@ truncated-PCA initialisation / baseline and ITQ (Gong et al., 2013), the
 established method the BA is compared against.
 """
 
-from repro.retrieval.hamming import (
-    hamming_cdist,
-    hamming_knn,
-    pack_bits,
-    popcount,
-    unpack_bits,
-)
+from repro.retrieval.hamming import hamming_cdist, hamming_knn, pack_bits, popcount
 from repro.retrieval.groundtruth import euclidean_cdist, euclidean_knn
 from repro.retrieval.metrics import precision_at_k, recall_at_R, recall_curve
 from repro.retrieval.baselines import ITQHash, TruncatedPCAHash
 
 __all__ = [
     "pack_bits",
-    "unpack_bits",
     "popcount",
     "hamming_cdist",
     "hamming_knn",

@@ -23,7 +23,6 @@ from repro.utils.validation import check_binary_codes
 __all__ = [
     "HAS_BITWISE_COUNT",
     "pack_bits",
-    "unpack_bits",
     "popcount",
     "hamming_cdist",
     "hamming_knn",
@@ -87,20 +86,6 @@ def pack_bits(Z: np.ndarray) -> np.ndarray:
     words = np.ascontiguousarray(b).view("<u8")
     # No-op on little-endian hosts; byteswapping copy on big-endian ones.
     return np.ascontiguousarray(words.astype(np.uint64, copy=False))
-
-
-def unpack_bits(packed: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`; returns an (n, n_bits) uint8 matrix."""
-    packed = np.asarray(packed, dtype=np.uint64)
-    if packed.ndim != 2:
-        raise ValueError(f"packed must be 2-dimensional, got shape {packed.shape}")
-    n, n_words = packed.shape
-    if n_bits > n_words * 64:
-        raise ValueError(f"n_bits={n_bits} exceeds capacity {n_words * 64}")
-    b = np.ascontiguousarray(packed).astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(
-        np.ascontiguousarray(b), axis=1, count=n_bits, bitorder="little"
-    )
 
 
 def hamming_cdist(A: np.ndarray, B: np.ndarray, *, chunk: int = 1024) -> np.ndarray:

@@ -6,9 +6,8 @@ packed-code index with a tiled streaming top-k scan kernel (never the
 ``n_q x n_base`` distance matrix), optional sharding across worker
 threads or processes with an exact heap merge, a dynamically micro-
 batching front end that coalesces concurrent queries into one stacked
-encode GEMM plus one shared scan, and an open-loop Poisson load
-generator with p50/p95/p99 + rows/s accounting. See
-``python3 bench/run.py --trace`` for the measured rungs and
+encode GEMM plus one shared scan. The bench drives it with its own load
+generator; see ``python3 bench/run.py --trace`` for the measured rungs and
 ``docs/architecture.md`` ("Serving") for the contracts.
 """
 
@@ -17,12 +16,6 @@ from repro.serve.index import (
     ShardedHammingIndex,
     hamming_topk,
     merge_topk,
-)
-from repro.serve.loadgen import (
-    LatencyStats,
-    ThroughputStats,
-    poisson_arrivals,
-    run_open_loop,
 )
 from repro.serve.service import RetrievalService, ServiceStats
 
@@ -33,8 +26,4 @@ __all__ = [
     "ShardedHammingIndex",
     "RetrievalService",
     "ServiceStats",
-    "LatencyStats",
-    "ThroughputStats",
-    "poisson_arrivals",
-    "run_open_loop",
 ]

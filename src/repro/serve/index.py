@@ -494,7 +494,6 @@ class ShardedHammingIndex:
         n_shards: int,
         *,
         mode: str = "thread",
-        ctx_method: str = "fork",
         scan_timeout_s: float | None = None,
     ):
         if mode not in ("thread", "process"):
@@ -537,13 +536,13 @@ class ShardedHammingIndex:
                 max_workers=self.n_shards, thread_name_prefix="hamming-shard"
             )
         else:
-            self._start_workers(packed, parts, ctx_method)
+            self._start_workers(packed, parts)
 
     # ----------------------------------------------------------- process mode
-    def _start_workers(self, packed, parts, ctx_method) -> None:
+    def _start_workers(self, packed, parts) -> None:
         import multiprocessing as mp
 
-        self._ctx = mp.get_context(ctx_method)
+        self._ctx = mp.get_context("fork")
         self._segments, self._task_qs, self._pipes, self._procs = [], [], [], []
         # Retained for degraded-mode recovery: the shard descriptors
         # (the shm segments stay mapped until close(), so a replacement
@@ -553,9 +552,7 @@ class ShardedHammingIndex:
         self._tail_blocks: list = []
         try:
             for idx in parts:
-                seg, desc = pack_array_block(
-                    [packed[idx[0] : idx[-1] + 1]], untrack=ctx_method != "fork"
-                )
+                seg, desc = pack_array_block([packed[idx[0] : idx[-1] + 1]])
                 self._segments.append(seg)
                 self._descs.append(desc)
                 task_q, reader, proc = self._launch_shard(desc, int(idx[0]))

@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from repro.autoencoder.init import init_codes_pca, init_codes_random
+from repro.autoencoder.init import init_codes_pca
 
 
 class TestPCAInit:
@@ -22,20 +21,3 @@ class TestPCAInit:
         # PCA bits should not be constant on clustered data.
         Z, _ = init_codes_pca(small_cloud, 3, rng=0)
         assert (Z.mean(axis=0) > 0.02).all() and (Z.mean(axis=0) < 0.98).all()
-
-
-class TestRandomInit:
-    def test_shape(self):
-        Z = init_codes_random(30, 7, rng=0)
-        assert Z.shape == (30, 7) and Z.dtype == np.uint8
-
-    def test_roughly_balanced(self):
-        Z = init_codes_random(5000, 4, rng=0)
-        assert abs(Z.mean() - 0.5) < 0.05
-
-    def test_reproducible(self):
-        assert np.array_equal(init_codes_random(10, 3, rng=5), init_codes_random(10, 3, rng=5))
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            init_codes_random(0, 3)

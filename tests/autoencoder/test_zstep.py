@@ -19,13 +19,16 @@ from repro.autoencoder.zstep import (
     _ENUM_SCRATCH_BYTES,
     _METHODS,
     MAX_ENUM_BITS,
+    _code_bits,
+    _enum_tables,
+    _enum_tile,
     _enumerate,
-    _enumerate_dense,
+    _minplus,
+    _solver_dtype,
+    _tile_terms,
     zstep,
     zstep_alternate,
     zstep_enumerate,
-    zstep_objective,
-    zstep_relaxed,
 )
 from repro.core.penalty import GeometricSchedule
 from repro.data.synthetic import make_gist_like
@@ -43,6 +46,37 @@ def random_problem(n=20, D=6, L=4, mu=1.0, seed=0):
     c = rng.normal(size=D)
     H = rng.integers(0, 2, size=(n, L)).astype(np.uint8)
     return X, B, c, H, mu
+
+
+def zstep_objective(X, B, c, H, mu, Z):
+    """Per-point Z-step objective values (n,) for codes ``Z``, in the
+    solvers' compute precision."""
+    cd = _solver_dtype(B)
+    Zf = np.asarray(Z, dtype=cd)
+    R = np.asarray(X, dtype=cd) - Zf @ B.T - np.asarray(c, dtype=cd)
+    dzh = Zf - np.asarray(H, dtype=cd)
+    return (R * R).sum(axis=1) + mu * (dzh * dzh).sum(axis=1)
+
+
+def zstep_relaxed(X, B, c, H, mu):
+    """The truncated [0,1]-relaxed solution, through the dispatcher."""
+    return zstep(X, B, c, H, mu, method="relaxed")
+
+
+def enumerate_dense(XcB, B, H, mu):
+    """Every row through the min-plus kernel (``_minplus``), one row tile
+    at a time: all 2^L codes scored. The kernel ``_enumerate`` must return
+    the same codes bit for bit."""
+    Q, Clo, Chi, _ = _enum_tables(B, mu)
+    n, L, tile = len(XcB), B.shape[1], _enum_tile(Q)
+    H = np.asarray(H)
+    M, T = np.empty((2, min(tile, n), Q.shape[1]), dtype=Q.dtype)
+    Z = np.empty((n, L), dtype=np.uint8)
+    for start in range(0, n, tile):
+        rows = slice(start, start + tile)
+        _, U, V = _tile_terms(XcB[rows], H[rows], mu, Clo, Chi)
+        Z[rows] = _code_bits(_minplus(Q, U, V, M, T), L)
+    return Z
 
 
 def brute_force(X, B, c, H, mu):
@@ -439,7 +473,7 @@ class TestDominance:
         unit, extra = rows
         n = (block_rows(L, dtype) if unit == "block" else unit * tile_rows(L, dtype)) + extra
         XcB, B, H = parity_problem(seed, dtype, n, D, L, inputs)
-        assert np.array_equal(_enumerate(XcB, B, H, mu), _enumerate_dense(XcB, B, H, mu))
+        assert np.array_equal(_enumerate(XcB, B, H, mu), enumerate_dense(XcB, B, H, mu))
 
     # (_BRANCH_BITS, _ROW_NODES, _LEVEL_NODES, _ENUM_BLOCK_ROWS): trees deep
     # enough at any L for a level's node budget to cut a block mid-way and
@@ -465,14 +499,14 @@ class TestDominance:
             n = {"tile": tile, "block": block}.get(unit, unit) + extra
             XcB, B, H = parity_problem(seed, dtype, n, D, L, inputs)
             Z = _enumerate(XcB, B, H, mu)
-        assert np.array_equal(Z, _enumerate_dense(XcB, B, H, mu))
+        assert np.array_equal(Z, enumerate_dense(XcB, B, H, mu))
 
     def test_without_numpy_2_popcount(self, monkeypatch):
         # The kernel runs on NumPy < 2.0, which has no ``bitwise_count``.
         monkeypatch.delattr(np, "bitwise_count", raising=False)
         X, B, c, H, mu = random_problem(n=300, D=24, L=16, mu=1e-3, seed=17)
         XcB = (X - c) @ B
-        assert np.array_equal(_enumerate(XcB, B, H, mu), _enumerate_dense(XcB, B, H, mu))
+        assert np.array_equal(_enumerate(XcB, B, H, mu), enumerate_dense(XcB, B, H, mu))
 
     def test_numpy_mu_on_a_float32_model(self):
         # A float64 scalar mu lifts float32 U, V to float64; the kernel
@@ -481,7 +515,7 @@ class TestDominance:
         B32 = B.astype(np.float32)
         XcB = ((X - c) @ B).astype(np.float32)
         mu = np.float64(0.7)
-        assert np.array_equal(_enumerate(XcB, B32, H, mu), _enumerate_dense(XcB, B32, H, mu))
+        assert np.array_equal(_enumerate(XcB, B32, H, mu), enumerate_dense(XcB, B32, H, mu))
 
     def test_huge_mu_never_goes_dense(self, dense_rows):
         # mu = 1e3 outweighs every reconstruction term: dominance fixes
@@ -497,7 +531,7 @@ class TestDominance:
         Z = zstep_enumerate(X, B, c, H, mu)
         assert sum(dense_rows) > 0
         XcB = (X - c) @ B
-        assert np.array_equal(Z, _enumerate_dense(XcB, B, H, mu))
+        assert np.array_equal(Z, enumerate_dense(XcB, B, H, mu))
 
 
 def fit_digests(n=600, seed=0):
@@ -527,7 +561,7 @@ class TestBranching:
 
         def checked(XcB, B, H, mu):
             Z = real(XcB, B, H, mu)
-            calls.append(np.array_equal(Z, _enumerate_dense(XcB, B, H, mu)))
+            calls.append(np.array_equal(Z, enumerate_dense(XcB, B, H, mu)))
             return Z
 
         monkeypatch.setattr(zmod, "_enumerate", checked)
@@ -608,7 +642,6 @@ class TestStackedParity:
     def test_no_kernel_knob(self):
         # Every solver has one kernel, so none takes an ``impl``.
         assert list(inspect.signature(zstep_enumerate).parameters) == list("XBcH") + ["mu"]
-        assert list(inspect.signature(zstep_relaxed).parameters) == list("XBcH") + ["mu"]
         assert list(inspect.signature(zstep_alternate).parameters) == (
             list("XBcH") + ["mu", "Z0", "max_sweeps"]
         )

@@ -1,55 +1,6 @@
-import numpy as np
 import pytest
 
-from repro.core.convergence import (
-    EarlyStopping,
-    constraints_satisfied,
-    lagrange_multiplier_estimates,
-    z_fixed_point,
-)
-
-
-class TestConstraints:
-    def test_satisfied(self):
-        Z = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-        assert constraints_satisfied(Z, Z.copy())
-
-    def test_violated(self):
-        Z = np.array([[0, 1]], dtype=np.uint8)
-        assert not constraints_satisfied(Z, 1 - Z)
-
-
-class TestZFixedPoint:
-    def test_stop_condition(self):
-        Z = np.array([[0, 1], [1, 1]], dtype=np.uint8)
-        assert z_fixed_point(Z, Z.copy(), Z.copy())
-
-    def test_changed_codes_do_not_stop(self):
-        Z_old = np.array([[0, 1]], dtype=np.uint8)
-        Z_new = np.array([[1, 1]], dtype=np.uint8)
-        assert not z_fixed_point(Z_new, Z_old, Z_new.copy())
-
-    def test_unsatisfied_constraints_do_not_stop(self):
-        Z = np.array([[0, 1]], dtype=np.uint8)
-        H = np.array([[1, 1]], dtype=np.uint8)
-        assert not z_fixed_point(Z, Z.copy(), H)
-
-
-class TestMultipliers:
-    def test_formula(self):
-        Z = np.array([[1, 0]], dtype=np.uint8)
-        H = np.array([[0, 0]], dtype=np.uint8)
-        lam = lagrange_multiplier_estimates(Z, H, mu=3.0)
-        assert np.allclose(lam, [[-3.0, 0.0]])
-
-    def test_zero_at_constraints(self):
-        Z = np.array([[1, 1]], dtype=np.uint8)
-        assert np.allclose(lagrange_multiplier_estimates(Z, Z, 10.0), 0.0)
-
-    def test_rejects_negative_mu(self):
-        Z = np.zeros((1, 2), dtype=np.uint8)
-        with pytest.raises(ValueError):
-            lagrange_multiplier_estimates(Z, Z, -1.0)
+from repro.core.convergence import EarlyStopping
 
 
 class TestEarlyStopping:

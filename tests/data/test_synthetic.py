@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.data.synthetic import (
-    cifar_like,
-    make_clustered,
-    make_gist_like,
-    make_sift_like,
-    sift_10k,
-    sift_1b_scaled,
-    sift_1m_scaled,
-)
+from repro.data.synthetic import make_clustered, make_gist_like, make_sift_like
 
 
 class TestMakeClustered:
@@ -57,21 +49,3 @@ class TestSiftLike:
     def test_gist_like_is_centred_ish(self):
         X = make_gist_like(500, 32, rng=0)
         assert abs(X.mean()) < 3.0
-
-
-class TestNamedWorkloads:
-    def test_sift10k_sizes(self):
-        tr, te = sift_10k(n_train=500, n_test=20, rng=0)
-        assert tr.shape == (500, 128) and te.shape == (20, 128)
-
-    def test_cifar_like_dim(self):
-        tr, te = cifar_like(n_train=100, n_test=10, rng=0)
-        assert tr.shape[1] == 320
-
-    def test_sift1m_scaling(self):
-        tr, te = sift_1m_scaled(scale=0.001, rng=0)
-        assert len(tr) == 1000 and len(te) == 10
-
-    def test_sift1b_minimums(self):
-        tr, te = sift_1b_scaled(scale=1e-9, rng=0)
-        assert len(tr) >= 1000 and len(te) >= 100

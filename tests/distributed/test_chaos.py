@@ -131,6 +131,30 @@ class TestChaosConfig:
         full = PartitionWindow(0.0, 2.0)  # links=None cuts everything
         assert full.holds(4, 7, 1.5) == pytest.approx(0.5)
 
+    def test_straggler_factor_defaults_to_full_speed(self):
+        cfg = ChaosConfig(stragglers={2: 3.0, 0: 1.5})
+        assert cfg.stragglers == ((0, 1.5), (2, 3.0))
+        assert cfg.straggler_factor(2) == 3.0
+        assert cfg.straggler_factor(0) == 1.5
+        assert cfg.straggler_factor(1) == 1.0
+
+    def test_crash_point_matches_machine_and_iteration(self):
+        cfg = ChaosConfig(crashes=[(1, 2, "z"), (3, 0)])
+        assert cfg.crash_point(1, 2) == "z"
+        assert cfg.crash_point(3, 0) == "w"
+        assert cfg.crash_point(1, 0) is None
+        assert cfg.crash_point(2, 2) is None
+
+    def test_a_w_crash_wins_over_a_z_crash(self):
+        cfg = ChaosConfig(crashes=[(1, 4, "z"), (1, 4, "w")])
+        assert cfg.crash_point(1, 4) == "w"
+
+    def test_crash_event_validation(self):
+        with pytest.raises(ValueError, match="iteration"):
+            ChaosConfig(crashes=[(0, -1)])
+        with pytest.raises(ValueError, match="crash point"):
+            ChaosConfig(crashes=[(0, 1, "x")])
+
 
 class TestLinkSampler:
     def test_link_streams_are_seeded_per_link(self):

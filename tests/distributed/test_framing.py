@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.distributed.framing import (
     FRAME_MAGIC,
     KIND_BATCH,
+    KIND_HEARTBEAT,
     KIND_HELLO,
     KIND_INGEST,
     KIND_JOIN,
@@ -23,6 +24,7 @@ from repro.distributed.framing import (
     FrameDecoder,
     ProtocolError,
     decode_batch,
+    decode_heartbeat,
     decode_hello,
     decode_ingest,
     decode_join,
@@ -30,6 +32,7 @@ from repro.distributed.framing import (
     decode_welcome,
     encode_batch,
     encode_frame,
+    encode_heartbeat,
     encode_hello,
     encode_ingest,
     encode_join,
@@ -333,3 +336,56 @@ class TestJoinWelcomeFrames:
         for orig, back in zip(finals, got):
             assert back.spec.sid == orig.spec.sid
             assert np.array_equal(back.theta, orig.theta)
+
+
+class TestHeartbeatFrames:
+    """The health plane's beats share the response pipe with replies."""
+
+    @given(
+        rank=st.integers(0, 2**32 - 1),
+        seq=st.integers(0, 2**64 - 1),
+        progress=st.integers(0, 2**64 - 1),
+        phase=st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", max_size=16),
+    )
+    def test_heartbeat_roundtrip(self, rank, seq, progress, phase):
+        kind, payload = unwrap(encode_heartbeat(rank, seq, progress, phase))
+        assert kind == KIND_HEARTBEAT
+        assert decode_heartbeat(payload) == (rank, seq, progress, phase)
+
+    def test_default_phase_is_idle(self):
+        _, payload = unwrap(encode_heartbeat(1, 2, 3))
+        assert decode_heartbeat(payload) == (1, 2, 3, "idle")
+
+    def test_overlong_phase_tag_rejected(self):
+        with pytest.raises(ProtocolError, match="phase tag"):
+            encode_heartbeat(0, 1, 1, "w" * 256)
+
+    @pytest.mark.parametrize("cut", [1, 5, 21])
+    def test_truncated_heartbeat_raises(self, cut):
+        _, payload = unwrap(encode_heartbeat(3, 9, 4, "z"))
+        with pytest.raises(ProtocolError):
+            decode_heartbeat(payload[:-cut])
+
+    def test_trailing_bytes_raise(self):
+        _, payload = unwrap(encode_heartbeat(3, 9, 4, "z"))
+        with pytest.raises(ProtocolError, match="phase tag"):
+            decode_heartbeat(payload + b"x")
+
+    def test_non_ascii_phase_tag_raises(self):
+        _, payload = unwrap(encode_heartbeat(3, 9, 4, "w"))
+        with pytest.raises(ProtocolError, match="undecodable"):
+            decode_heartbeat(payload[:-1] + b"\xff")
+
+
+def test_wire_state_round_trips_through_from_wire():
+    spec = SubmodelSpec(sid=4, kind="w", index=None)
+    msg = SubmodelMessage(
+        spec=spec,
+        theta=np.arange(3.0),
+        sgd_state=SGDState(t=11, n_updates=7),
+        counter=5,
+        epochs_left=2,
+    )
+    back = SubmodelMessage.from_wire(spec, msg.theta, *msg.wire_state())
+    assert back.wire_state() == (5, 2, 11, 7)
+    assert back.spec is spec and back.theta is msg.theta

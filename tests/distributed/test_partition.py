@@ -46,6 +46,8 @@ class TestPartitionIndices:
             partition_indices(10, 2, alphas=[1.0])
         with pytest.raises(ValueError):
             partition_indices(10, 2, alphas=[1.0, -1.0])
+        with pytest.raises(ValueError):
+            partition_indices(10, 2, alphas=[1.0, 0.0])
 
     def test_no_shuffle_contiguous(self):
         parts = partition_indices(10, 2, shuffle=False)

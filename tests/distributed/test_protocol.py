@@ -66,6 +66,23 @@ class TestCounterSemantics:
         assert all(proto.train_passes(c) == 1 for c in (1, 2, 3))
         assert not proto.should_forward(3)
 
+    @pytest.mark.parametrize("P", [2, 3])
+    @pytest.mark.parametrize("e", [2, 3])
+    @pytest.mark.parametrize("scheme", ["rounds", "tworound"])
+    def test_hop_epoch_follows_the_laps(self, scheme, e, P):
+        # The paper's laps, written out: "rounds" (section 4.1) makes e
+        # training laps of P visits, each on its own epoch's ring, then
+        # a broadcast lap on ring e; "tworound" (section 4.2) makes one
+        # training lap on ring 0 and broadcasts on ring 1. The hop after
+        # visit c delivers visit c + 1, so it rides that visit's lap's
+        # ring: min(c // P, e) and min(c // P, 1) respectively.
+        laps = list(range(e + 1)) if scheme == "rounds" else [0, 1]
+        ring_of_visit = [lap for lap in laps for _ in range(P)]  # visit v at [v - 1]
+        proto = WStepProtocol(P, e, scheme)
+        for c in range(1, proto.total_visits):
+            assert proto.hop_epoch(c) == ring_of_visit[c], (c, ring_of_visit)
+        assert proto.n_rings == len(laps)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             WStepProtocol(0, 1)
@@ -108,6 +125,19 @@ class TestRoutePlan:
         proto = WStepProtocol(3, 1)
         with pytest.raises(ValueError, match="same machines"):
             RoutePlan([RingTopology.identity(3), RingTopology([0, 1, 4])], proto)
+
+    @pytest.mark.parametrize("scheme", ["rounds", "tworound"])
+    def test_orders_round_trip_the_plan(self, scheme):
+        # What the coordinator ships to workers each iteration: plain
+        # per-epoch orders, rebuilt against the protocol the worker holds.
+        proto = WStepProtocol(5, 3, scheme=scheme)
+        plan = RoutePlan.shuffled(range(5), proto, rng=4)
+        orders = plan.to_orders()
+        assert len(orders) == proto.n_rings
+        assert all(isinstance(m, int) for order in orders for m in order)
+        back = RoutePlan.from_orders(orders, proto)
+        assert back.to_orders() == orders
+        assert all(back.path(h) == plan.path(h) for h in range(5))
 
 
 class TestHomeAssignment:

@@ -67,6 +67,25 @@ class TestWithinMachineStreaming:
         idx = np.concatenate([s.indices for s in cluster.shards.values()])
         assert len(np.unique(idx)) == len(idx)
 
+    def test_streamed_rows_take_the_next_indices(self, X, X_new):
+        # Shards holding ids 0..n-1: arrivals are numbered n, n+1, ... in
+        # arrival order, whichever machine they land on.
+        from repro.distributed.dataplane import DataPlane
+
+        cluster, adapter = build_cluster(X, P=3)
+        n = len(X)
+        held = np.concatenate([s.indices for s in cluster.shards.values()])
+        assert sorted(held.tolist()) == list(range(n))
+        plane = DataPlane(adapter, list(cluster.shards.values()))
+        assert plane.allocate_indices(3).tolist() == [n, n + 1, n + 2]
+        assert plane.allocate_indices(2).tolist() == [n + 3, n + 4]
+        k = len(X_new)
+        cluster.ingest(2, X_new)
+        cluster.ingest(0, X_new)
+        cluster.drain_ingests()
+        assert cluster.shards[2].indices[-k:].tolist() == list(range(n, n + k))
+        assert cluster.shards[0].indices[-k:].tolist() == list(range(n + k, n + 2 * k))
+
     def test_add_to_unknown_machine_raises(self, X, X_new):
         cluster, _ = build_cluster(X, P=2)
         with pytest.raises(KeyError):

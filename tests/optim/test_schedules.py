@@ -3,26 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.optim.schedules import (
-    BottouSchedule,
-    ConstantSchedule,
-    InverseSchedule,
-    is_robbins_monro,
-    tune_eta0,
-)
-
-
-class TestConstant:
-    def test_rate_constant(self):
-        s = ConstantSchedule(0.3)
-        assert s.rate(0) == s.rate(1000) == 0.3
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ConstantSchedule(0.0)
-
-    def test_not_robbins_monro(self):
-        assert not is_robbins_monro(ConstantSchedule(0.1))
+from repro.optim.schedules import BottouSchedule, InverseSchedule
 
 
 class TestBottou:
@@ -40,9 +21,6 @@ class TestBottou:
         lo, hi = min(t1, t2), max(t1, t2)
         assert s.rate(hi) <= s.rate(lo)
 
-    def test_is_robbins_monro(self):
-        assert is_robbins_monro(BottouSchedule())
-
     def test_asymptotics_one_over_lambda_t(self):
         # For large t, eta_t ~ 1/(lam t): the optimal strongly convex rate.
         s = BottouSchedule(eta0=1.0, lam=0.1)
@@ -51,20 +29,6 @@ class TestBottou:
 
 
 class TestInverse:
-    def test_power_one_is_rm(self):
-        assert is_robbins_monro(InverseSchedule(power=1.0))
-
-    def test_power_between_half_and_one_is_rm(self):
-        assert is_robbins_monro(InverseSchedule(power=0.75))
-
-    def test_power_half_not_rm(self):
-        # sum eta^2 = sum 1/(1+t) diverges at power = 0.5.
-        assert not is_robbins_monro(InverseSchedule(power=0.5))
-
-    def test_rejects_unknown_schedule(self):
-        with pytest.raises(TypeError):
-            is_robbins_monro(object())
-
     @given(st.floats(0.65, 1.0))
     def test_rm_conditions_numerically(self, power):
         # Partial sums: sum eta grows without bound, sum eta^2 converges.
@@ -75,28 +39,3 @@ class TestInverse:
         tail = (etas[50_000:] ** 2).sum()
         head = (etas[:50_000] ** 2).sum()
         assert tail < 0.30 * head + 1e-6  # square-summable tail
-
-
-class TestTuneEta0:
-    def test_picks_argmin(self):
-        # Quadratic probe with minimum at eta0 = 0.25.
-        best = tune_eta0(lambda e: (e - 0.25) ** 2, candidates=[0.1, 0.25, 0.5, 1.0])
-        assert best == 0.25
-
-    def test_skips_divergent(self):
-        best = tune_eta0(
-            lambda e: np.inf if e > 0.3 else e, candidates=[0.1, 0.2, 0.5]
-        )
-        assert best == 0.1
-
-    def test_all_divergent_raises(self):
-        with pytest.raises(RuntimeError):
-            tune_eta0(lambda e: np.nan, candidates=[0.1, 0.2])
-
-    def test_empty_candidates_raises(self):
-        with pytest.raises(ValueError):
-            tune_eta0(lambda e: e, candidates=[])
-
-    def test_default_grid(self):
-        best = tune_eta0(lambda e: abs(np.log2(e) + 3))
-        assert best == pytest.approx(2.0**-3)

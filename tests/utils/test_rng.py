@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import check_random_state, spawn_rngs
+from repro.utils.rng import check_random_state, seed_entropy, spawn_rngs
 
 
 class TestCheckRandomState:
@@ -54,3 +54,35 @@ class TestSpawnRngs:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, 0)
+
+
+class TestSeedEntropy:
+    def test_none_stays_none(self):
+        assert seed_entropy(None) is None
+
+    def test_int_and_seedsequence_pass_through(self):
+        assert seed_entropy(np.int64(17)) == 17
+        assert seed_entropy(np.random.SeedSequence(99)) == 99
+
+    def test_generator_digest_draws_nothing(self):
+        g = np.random.default_rng(5)
+        twin = np.random.default_rng(5)
+        assert seed_entropy(g) == seed_entropy(twin)
+        assert np.array_equal(g.integers(0, 10**9, 6), twin.integers(0, 10**9, 6))
+
+    def test_generator_digest_follows_its_state(self):
+        g = np.random.default_rng(5)
+        before = seed_entropy(g)
+        g.random()
+        assert seed_entropy(g) != before
+        assert seed_entropy(np.random.default_rng(6)) != seed_entropy(
+            np.random.default_rng(5)
+        )
+
+    def test_digest_seeds_a_sequence(self):
+        ent = seed_entropy(np.random.default_rng(1))
+        assert isinstance(np.random.SeedSequence(entropy=ent).generate_state(1), np.ndarray)
+
+    def test_rejects_bad_type(self):
+        with pytest.raises(TypeError):
+            seed_entropy(1.5)

@@ -4,6 +4,7 @@ import pytest
 from repro.utils.validation import (
     check_array,
     check_binary_codes,
+    check_float_dtype,
     check_positive,
     check_positive_int,
 )
@@ -77,3 +78,17 @@ class TestScalars:
     def test_int_rejects_float(self):
         with pytest.raises(TypeError):
             check_positive_int(2.0, name="n")
+
+
+class TestCheckFloatDtype:
+    def test_none_is_float64(self):
+        assert check_float_dtype(None) == np.float64
+
+    @pytest.mark.parametrize("spec", [np.float32, "float16", "<f8"])
+    def test_float_specs_pass_as_dtypes(self, spec):
+        assert check_float_dtype(spec) == np.dtype(spec)
+
+    @pytest.mark.parametrize("spec", [np.int32, "u1", bool, object])
+    def test_non_float_rejected_by_name(self, spec):
+        with pytest.raises(ValueError, match="message_dtype must be a float"):
+            check_float_dtype(spec, name="message_dtype")
