@@ -411,9 +411,9 @@ class BAAdapter:
 
     # ------------------------------------------------------------- Z step
     def _encode_features(self, F: np.ndarray) -> np.ndarray:
-        """Codes from precomputed encoder features (shard.F)."""
-        enc = self.model.encoder
-        return (F @ enc.A.T + enc.a >= 0.0).astype(np.uint8)
+        """Codes from precomputed encoder features (shard.F): the encoder's
+        blocked threshold, with no feature map applied to ``F``."""
+        return self.model.encoder._threshold(F, np.asarray)
 
     def z_update(self, shard, mu: float) -> ZStepResult:
         """Exact/alternating Z step on one shard, with the shard's

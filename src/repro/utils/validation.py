@@ -47,14 +47,24 @@ def check_array(X, *, name: str = "X", ndim: int = 2, dtype=np.float64) -> np.nd
 def check_binary_codes(Z, *, name: str = "Z") -> np.ndarray:
     """Validate a binary code matrix with entries in {0, 1}.
 
-    Returns a ``uint8`` copy with shape ``(n_points, n_bits)``.
+    Returns a ``uint8`` copy with shape ``(n_points, n_bits)``. The check
+    is one pass over the codes: ``bool`` needs none, unsigned integers
+    need ``max() <= 1``, and every other dtype (signed, float, where
+    -0.0 counts as 0 and NaN as neither) needs each entry equal to 0 or
+    1. Only a refusal sorts, to name up to five offending values.
     """
     Z = np.asarray(Z)
     if Z.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {Z.shape}")
-    vals = np.unique(Z)
-    if not np.isin(vals, (0, 1)).all():
-        raise ValueError(f"{name} must contain only 0/1 entries, found values {vals[:5]}")
+    if Z.dtype.kind == "b":
+        ok = True
+    elif Z.dtype.kind == "u":
+        ok = Z.size == 0 or Z.max() <= 1
+    else:
+        ok = ((Z == 0) | (Z == 1)).all()
+    if not ok:
+        bad = np.unique(Z[(Z != 0) & (Z != 1)])
+        raise ValueError(f"{name} must contain only 0/1 entries, found values {bad[:5]}")
     return Z.astype(np.uint8, copy=True)
 
 

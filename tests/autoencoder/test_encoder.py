@@ -1,8 +1,41 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.autoencoder.encoder import LinearEncoder, RBFEncoder, gaussian_kernel_features
 from repro.optim.sgd import SGDState
+
+emod = importlib.import_module("repro.autoencoder.encoder")
+
+
+def encode_oracle(enc, X):
+    """The unblocked threshold the blocked encode must equal."""
+    return (enc.features(X) @ enc.A.T + enc.a >= 0).astype(np.uint8)
+
+
+def dyadic(rng, size, scale=2):
+    """Small multiples of ``1/scale``: every sum and product of a few is
+    exact, so no GEMM blocking can move a score (ties at 0 included)."""
+    return rng.integers(-4, 5, size=size) / scale
+
+
+def parity_encoder(kind, dtype, seed):
+    """An encoder and an input maker whose scores are exact in any row
+    grouping. The RBF one has two centres and power-of-two weights:
+    each kernel value times its weight is exact, and two terms sum with
+    one rounding in either order."""
+    rng = np.random.default_rng(seed)
+    if kind == "linear":
+        enc = LinearEncoder(6, 5, dtype=dtype)
+        enc.A[:] = dyadic(rng, enc.A.shape)
+        enc.a[:] = dyadic(rng, enc.a.shape, scale=4)
+        return enc, lambda n: dyadic(rng, (n, 6)).astype(np.float32)
+    enc = RBFEncoder(dyadic(rng, (2, 3)), 1.5, 5, dtype=dtype)
+    enc.A[:] = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=enc.A.shape)
+    enc.a[:] = dyadic(rng, enc.a.shape, scale=4)
+    return enc, lambda n: dyadic(rng, (n, 3))
 
 
 class TestGaussianKernelFeatures:
@@ -77,6 +110,47 @@ class TestLinearEncoder:
         cp = enc.copy()
         cp.A[0, 0] = 99.0
         assert enc.A[0, 0] == 0.0
+
+
+class TestBlockedEncode:
+    @pytest.mark.parametrize("block", [None, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_parity_with_unblocked_oracle(self, kind, dtype, block):
+        # Every row count around the block size, with the real constant
+        # and with it patched small so a few rows cross many blocks.
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(emod, "_ENCODE_BLOCK_ROWS", block)
+            B = emod._ENCODE_BLOCK_ROWS
+            enc, inputs = parity_encoder(kind, dtype, seed=B)
+            for n in (0, 1, B - 1, B, B + 1, 2 * B + 1, 10 * B + 3):
+                X = inputs(n)
+                Z = enc.encode(X)
+                assert Z.dtype == np.uint8 and Z.shape == (n, 5)
+                assert np.array_equal(Z, encode_oracle(enc, X))
+
+    def test_memory_is_one_block(self):
+        # Beyond its (n, L) output the encode holds one block's features
+        # and scores, however many rows it is given: eight blocks peak
+        # where one does.
+        rng = np.random.default_rng(0)
+        enc = LinearEncoder(64, 16)
+        enc.A[:] = rng.normal(size=enc.A.shape)
+        extra = []
+        for n in (emod._ENCODE_BLOCK_ROWS, 8 * emod._ENCODE_BLOCK_ROWS):
+            X = rng.standard_normal((n, 64), dtype=np.float32)
+            tracemalloc.start()
+            try:
+                Z = enc.encode(X)
+                extra.append(tracemalloc.get_traced_memory()[1] - Z.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert extra[1] <= 1.10 * extra[0]
+
+    def test_rejects_1d(self):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            LinearEncoder(3, 2).encode(np.zeros(3))
 
 
 class TestRBFEncoder:

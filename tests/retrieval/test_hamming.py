@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from repro.retrieval.hamming import (
     pack_bits,
     popcount,
 )
+from tests.utils.test_validation import check_binary_codes_unique, code_candidates, refusal
 
 
 def unpack_bits(packed, n_bits):
@@ -57,6 +60,20 @@ class TestPacking:
         for l in range(L):
             ref[:, l // 64] |= Z[:, l].astype(np.uint64) << np.uint64(l % 64)
         assert np.array_equal(pack_bits(Z), ref)
+
+    @given(code_candidates(max_bits=130))
+    def test_bytes_equal_under_sorting_check(self, Z):
+        # The one-pass code check changes no refusal and no packed byte:
+        # pack with the sorting oracle in its place, then with the check.
+        with mock.patch("repro.retrieval.hamming.check_binary_codes",
+                        check_binary_codes_unique):
+            want = refusal(pack_bits, Z)
+            ref = None if want else pack_bits(Z)
+        assert (refusal(pack_bits, Z) is None) == (want is None)
+        if ref is not None:
+            got = pack_bits(Z)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestPopcount:
