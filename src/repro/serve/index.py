@@ -9,7 +9,7 @@ codes)`` segments — an index buffer is one, a shard plus its streamed
 (two (n_q, k) arrays kept sorted by the total order below).
 :func:`hamming_topk` is the one-segment case.
 
-**Three sizes**, module constants because each wants a different value:
+**Two sizes**, module constants because each wants a different value:
 
 * *XOR/popcount call*: ``_XOR_ELEMS`` (128 Ki) uint64 elements shaped
   ``g`` queries x ``t = clamp(_XOR_ELEMS // n_q, 4096, 32768)`` rows:
@@ -20,27 +20,33 @@ codes)`` segments — an index buffer is one, a shard plus its streamed
   old whole-block kernel, flat index / 2 thread shards: 32 Ki per call
   1.35x / **0.71x**, 128 Ki 1.32x / 1.00x, 256 Ki 1.09x / 1.14x.
 * *Select step*: a distance pane + mask of ``_PANE_ELEMS`` (1 Mi)
-  elements, ``_PANE_ELEMS // n_q`` rows per compare/count/merge round
-  trip. uint8 (``bitwise_count``'s native output) when ``64 * n_words
-  <= 254``, else uint16; the dtype's max is the sentinel, above every
-  distance. Results are uint16 either way.
-* *Step growth*: a step takes ``min(pane rows, max(t, rows scanned so
-  far), rows left in the segment)``. The first is small (always dense:
-  every row beats the empty heap), later ones double, so hits per step
-  stay near ``k ln 2`` per query and a 1M-row scan does 7-20 merges.
+  elements, ``_PANE_ELEMS // n_q`` rows per step, every step a full pane
+  (one step for one query over 1M codes). uint8 (``bitwise_count``'s
+  native output) when ``64 * n_words <= 254``, else uint16; the dtype's
+  max is the sentinel, above every distance. Results are uint16 either way.
+
+**Selection counts; it does not sort.** Distances are small integers, so
+a pane's candidates are found by counting. A row enters the heap only by
+strictly beating its query's kth-best distance: ids only grow along a
+scan (hence id-ascending segments), so an equal-distance row never
+displaces an earlier id. A per-query ``min`` over the pane says which
+queries have such a row; only those get a compare, a count and a
+``flatnonzero``. A query with more than k hits in a step (the scan's
+first step, or a run of duplicated codes) is cut by the radius rule:
+r is the smallest distance with at least k rows at or below it, and the
+step's candidates are every row with d < r plus the lowest ids at d = r,
+so no query carries more than k candidates into the merge. r is counted,
+not sorted for. Seen as up to 64 strips, a row's columns are groups of
+one row per strip; the kth-smallest group min bounds r from above and is
+nearly always r itself, so every row below it lies in fewer than k
+groups, and only ties at r need the whole row. Wide (uint16) ranges are
+counted by galloping and bisection: O(log) counts, not one per value.
 
 Queries beyond ``_PANE_ELEMS // 4096`` = 256 are scanned in chunks, so
 peak scratch (:meth:`HammingIndex.memory_bound`, held to ``tracemalloc``
 in the tests) depends on neither ``n_base`` nor ``n_q``: XOR words
-(1 MiB) + pane, mask and one partition copy (3-5 MiB) + ``O(256 k)``
+(<= 1 MiB) + pane and mask (2-3 MiB) + one row's cut + ``O(256 k)``
 merge keys.
-
-A pane row enters the heap only by strictly beating the current kth-best
-distance: ids only grow along a scan — hence id-ascending segments — so
-an equal-distance candidate never displaces an earlier id. Dense steps
-are first tightened by a per-row partition at the step's own kth
-(boundary ties kept); a step still dense after that (duplicated codes)
-is folded pane-at-a-time. Both are exactness paths, not optimisations.
 
 **Total order / tie contract.** Every path — ``hamming_cdist`` + argsort,
 :func:`hamming_topk`, and the sharded merge — ranks by the lexicographic
@@ -63,6 +69,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
+from contextlib import suppress
 
 import numpy as np
 
@@ -84,8 +91,6 @@ _XOR_ELEMS = 128 * 1024
 _TILE_ROWS_MIN, _TILE_ROWS_MAX = 4096, 32768
 #: Distance-pane (and mask) elements per select step.
 _PANE_ELEMS = 1 << 20
-#: Candidate elements per fold of the tie-explosion path.
-_FOLD_ELEMS = 16 * 1024
 
 
 def _check_packed(arr, *, name: str) -> np.ndarray:
@@ -136,67 +141,105 @@ def _take_topk(cand_d, cand_i, k_eff: int, stride):
     return cand_d[r, sel], cand_i[r, sel]
 
 
-def _select_rows(best_d, best_i, rows, cand_d, cand_i, stride) -> None:
-    """Fold per-row candidates into the heap rows ``rows``."""
-    cand_d = np.concatenate([best_d[rows], cand_d], axis=1)
-    cand_i = np.concatenate([best_i[rows], cand_i], axis=1)
-    best_d[rows], best_i[rows] = _take_topk(cand_d, cand_i, best_d.shape[1], stride)
+def _radius(d, lo: int, hi: int, k: int, step: int) -> tuple[int, int, int]:
+    """Count for r, the smallest distance with at least k entries of ``d``
+    at or below it, given count(d <= lo) < k and r <= hi, where hi may
+    instead be the heap's bound (then r may not exist below it). Probes
+    start at lo + step and gallop up while they fail, then bisect, so a
+    wide uint16 range costs O(log) counts, not one per value. Returns
+    (r or the bound, r - 1, count(d <= r - 1))."""
+    n_lo = 0
+    while hi - lo > 1:
+        v = min(lo + step, hi - 1)
+        c = np.count_nonzero(d <= v)
+        if c >= k:
+            hi, step = v, max(1, (v - lo) // 2)
+        else:
+            lo, n_lo, step = v, c, 2 * step
+    return hi, lo, n_lo
 
 
-def _admit(best_d, best_i, D, mask, first_id: int, stride, sentinel) -> None:
-    """Fold one select step (``D[:, c]`` is id ``first_id + c``) into the heap."""
-    n_q, rows = D.shape
-    k_eff = best_d.shape[1]
+def _walk(m, n: int) -> np.ndarray:
+    """The first ``n`` set columns of ``m``. ``argmax`` jumps to the next
+    one (it stops at the first hit), and ``flatnonzero`` reads on from it
+    over 64 columns per column still wanted, so sparse and dense rows
+    both take few calls and bounded scratch."""
+    parts, p = [], 0
+    while n:
+        p += int(m[p:].argmax())
+        parts.append(np.flatnonzero(m[p : p + 64 * n])[:n] + p)
+        n, p = n - len(parts[-1]), int(parts[-1][-1]) + 1
+    return np.concatenate(parts)
+
+
+def _cut(d, bound: int, k: int, m) -> np.ndarray:
+    """Columns of pane row ``d`` that can enter a heap whose kth-best
+    distance is ``bound``, by the radius rule: r is the smallest distance
+    with at least k entries at or below it, and the columns are every
+    d < r plus the lowest at d = r (every d < bound if fewer than k are).
+
+    Column j of ``d`` seen as an (S, c) array, S <= 64, is group j. The
+    kth-smallest group min u has k entries at or below it, so r <= u,
+    and every d < u lies in the fewer than k groups whose min is below u
+    or in the tail of fewer than S entries past S * c. Those entries are
+    all that is counted; only ties at r = u need the whole row, in one
+    compare and a walk. ``m`` is the row's mask scratch."""
+    bound, S = int(bound), max(1, min(64, len(d) // (4 * k)))
+    d2, tail = d[: len(d) // S * S].reshape(S, -1), d[len(d) // S * S :]
+    g = d2.min(axis=0)
+    lo = int(tail.min(initial=g.min())) - 1
+    u = _radius(g, lo, bound, k, 1)[0]
+    G = np.flatnonzero(g < u)
+    sub = np.concatenate([d2[:, G].ravel(), tail])
+    ids = np.concatenate([(np.arange(S, dtype=np.intp)[:, None] * d2.shape[1] + G).ravel(),
+                          np.arange(d2.size, len(d), dtype=np.intp)])  # ascending
+    r, lo, n_lo = _radius(sub, lo, u, k, u - lo - 1)
+    cols = ids[sub <= lo]
+    if r == bound:
+        return cols
+    ties = ids[sub == r] if r < u else _walk(np.equal(d, r, out=m), k - n_lo)
+    return np.concatenate([cols, ties[: k - n_lo]])
+
+
+def _admit(best_d, best_i, D, mask, first_id: int, stride) -> None:
+    """Fold one pane (``D[:, c]`` is id ``first_id + c``) into the heap."""
+    rows, k = D.shape[1], best_d.shape[1]
     # A row enters only by strictly beating the kth-best distance
     # (sentinel until the heap fills). Ties lose by construction: every
-    # id in this step exceeds every id already held. count_nonzero is
-    # ~100x cheaper than nonzero: a steady-state step is compare + count.
-    kth = best_d[:, -1:]
-    np.less(D, kth, out=mask)
-    n_hits = int(np.count_nonzero(mask))
-    if n_hits == 0:
+    # id in this pane exceeds every id already held. A per-query min says
+    # which queries have such a row; only theirs are compared.
+    hit = np.flatnonzero(D.min(axis=1) < best_d[:, -1])
+    if (n := len(hit)) == 0:
         return
-    if n_hits > n_q * k_eff and rows > k_eff:
-        # Dense step (always a scan's first, rarely later ones): tighten
-        # to d <= kth-of-step before paying the per-hit gather. Boundary
-        # ties survive, so the (distance, id) selection stays exact.
-        vk = np.partition(D, k_eff - 1, axis=1)[:, k_eff - 1 : k_eff]
-        np.less(D, np.minimum(vk + 1, kth), out=mask)
-        n_hits = int(np.count_nonzero(mask))
-    cap = max(64, 4 * k_eff)
-    if n_hits <= n_q * cap:
-        # flatnonzero + divmod beats 2-d nonzero ~7x at these shapes.
+    for j, q in enumerate(hit.tolist()):
+        if j != q:
+            D[j] = D[q]  # compact the hit rows in place, in order
+    D, mask, kth, top = D[:n], mask[:n], best_d[hit, -1], np.iinfo(D.dtype).max
+    flat, dense = np.empty(0, dtype=np.intp), range(n)
+    # A heap still holding sentinels makes the pane dense: no compare.
+    if kth.max() < top and np.count_nonzero(np.less(D, kth[:, None], out=mask)) <= n * k:
+        # Sparse: flatnonzero + divmod beats 2-d nonzero ~7x at these
+        # shapes. Only a query with more than k hits needs the cut.
         flat = np.flatnonzero(mask)
-        rr = flat // rows
-        counts = np.bincount(rr, minlength=n_q)
-        m = int(counts.max())
-        if m <= cap:
-            hit = np.flatnonzero(counts)
-            slot = np.arange(len(flat), dtype=np.int64) - (np.cumsum(counts) - counts)[rr]
-            pos = np.searchsorted(hit, rr)
-            cand_d = np.full((len(hit), m), sentinel, dtype=D.dtype)
-            cand_i = np.zeros((len(hit), m), dtype=np.int64)
-            cand_d[pos, slot] = D.reshape(-1)[flat]
-            cand_i[pos, slot] = flat - rr * rows + first_id
-            _select_rows(best_d, best_i, hit, cand_d, cand_i, stride)
-            return
-    # Tie explosion (e.g. a run of duplicated codes): even the tightened
-    # mask is dense — fold the whole pane for the rows it touches, a
-    # bounded slab of columns at a time.
-    hit = np.flatnonzero(mask.any(axis=1))
-    slab = max(1, _FOLD_ELEMS // len(hit))
-    for c0 in range(0, rows, slab):
-        c1 = min(rows, c0 + slab)
-        ids = np.arange(first_id + c0, first_id + c1, dtype=np.int64)
-        _select_rows(
-            best_d, best_i, hit, D[hit, c0:c1],
-            np.broadcast_to(ids, (len(hit), c1 - c0)), stride,
-        )
+        counts = np.bincount(flat // rows, minlength=n)
+        dense = np.flatnonzero(counts > k).tolist()
+        flat = flat[counts[flat // rows] <= k]
+    # Heap rows, then at most k candidates per query: the merge is small.
+    cand_d = np.concatenate([best_d[hit], np.full((n, k), top, dtype=D.dtype)], axis=1)
+    cand_i = np.concatenate([best_i[hit], np.zeros((n, k), dtype=np.int64)], axis=1)
+    rr = flat // rows
+    slot = k + np.arange(len(flat), dtype=np.intp) - np.searchsorted(rr, rr)
+    cand_d[rr, slot] = D.reshape(-1)[flat]
+    cand_i[rr, slot] = flat - rr * rows + first_id
+    for j in dense:
+        cols = _cut(D[j], kth[j], k, mask[j])
+        cand_d[j, k : k + len(cols)], cand_i[j, k : k + len(cols)] = D[j, cols], cols + first_id
+    best_d[hit], best_i[hit] = _take_topk(cand_d, cand_i, k, stride)
 
 
 def _scan_chunk(Q, segments, k_eff: int, stride) -> tuple[np.ndarray, np.ndarray]:
     """One heap for ``Q`` (at most ``_PANE_ELEMS // _TILE_ROWS_MIN`` queries)
-    carried across every segment."""
+    carried across every segment, one full pane per select step."""
     n_q, n_words = Q.shape
     dtype = _dist_dtype(n_words)
     pane_rows = _PANE_ELEMS // n_q
@@ -209,20 +252,14 @@ def _scan_chunk(Q, segments, k_eff: int, stride) -> tuple[np.ndarray, np.ndarray
     dflat = np.empty(n_q * pane_rows, dtype=dtype)
     mflat = np.empty(n_q * pane_rows, dtype=bool)
     Qw = np.ascontiguousarray(Q.T)
-    sentinel = np.iinfo(dtype).max
-    best_d = np.full((n_q, k_eff), sentinel, dtype=dtype)
+    best_d = np.full((n_q, k_eff), np.iinfo(dtype).max, dtype=dtype)
     best_i = np.zeros((n_q, k_eff), dtype=np.int64)
-    scanned = 0
     for offset, codes in segments:
-        start = 0
-        while start < len(codes):
-            rows = min(pane_rows, max(t, scanned), len(codes) - start)
+        for start in range(0, len(codes), pane_rows):
+            rows = min(pane_rows, len(codes) - start)
             D = dflat[: n_q * rows].reshape(n_q, rows)
             _pane_dists(Qw, codes[start : start + rows], D, xflat, cflat, g, t)
-            mask = mflat[: n_q * rows].reshape(n_q, rows)
-            _admit(best_d, best_i, D, mask, offset + start, stride, sentinel)
-            start += rows
-            scanned += rows
+            _admit(best_d, best_i, D, mflat[: D.size].reshape(D.shape), offset + start, stride)
     return best_i, best_d.astype(np.uint16)
 
 
@@ -355,11 +392,13 @@ class HammingIndex:
         ``n``; beyond one query chunk only the result grows with n_queries."""
         item = _dist_dtype(self.n_words).itemsize
         q = min(n_queries, _PANE_ELEMS // _TILE_ROWS_MIN)
-        # XOR words + word counts; pane + its one partition copy + mask.
-        tiles = _XOR_ELEMS * (8 + item) + _PANE_ELEMS * (2 * item + 1)
-        # <= 96 bytes per candidate in flight (ids, keys, argpartition, gathers).
-        merge = (q * (k + max(64, 4 * k)) + _FOLD_ELEMS) * 96
-        return tiles + merge + 2 * n_queries * k * (8 + 2)
+        # XOR words + word counts of one call; the pane and its mask.
+        tiles = min(_XOR_ELEMS, q * _TILE_ROWS_MAX) * (8 + item) + _PANE_ELEMS * (item + 1)
+        # One row's cut: group mins, <= 64 k gathered entries and their ids.
+        cut = (_PANE_ELEMS // q // 64 + 64 * k) * 24
+        # <= 128 bytes per heap slot in a merge (candidates, keys, orders),
+        # NumPy's iterator buffers, and the result.
+        return tiles + cut + q * k * 128 + (96 << 10) + 2 * n_queries * k * (8 + 2)
 
     def add(self, codes) -> np.ndarray:
         """Append codes (packed or 0/1 bits); returns the assigned ids."""
@@ -591,10 +630,8 @@ class ShardedHammingIndex:
             # would then burn its whole timeout on every search.
             proc.kill()
         proc.join(timeout=5.0)
-        try:
+        with suppress(ValueError, OSError):
             self._task_qs[rank].close()
-        except (ValueError, OSError):
-            pass
         self._pipes[rank].close()
         task_q, reader, new_proc = self._launch_shard(
             self._descs[rank], self._offsets[rank]
@@ -695,12 +732,8 @@ class ShardedHammingIndex:
             parts, missed = [], []
             for rank, f in enumerate(futures):
                 try:
-                    if deadline is None:
-                        parts.append((rank, f.result()))
-                    else:
-                        parts.append((rank, f.result(
-                            timeout=max(0.0, deadline - time.monotonic())
-                        )))
+                    wait = None if deadline is None else max(0.0, deadline - time.monotonic())
+                    parts.append((rank, f.result(timeout=wait)))
                 except _FutureTimeout:
                     # The scan keeps running on its pool thread (threads
                     # cannot be killed); its shard just misses this
@@ -712,7 +745,6 @@ class ShardedHammingIndex:
             for task_q in self._task_qs:
                 task_q.put(("scan", queries, k))
             parts, missed = self._collect(deadline)
-        if self.mode == "process":
             for rank in missed:
                 self._respawn_worker(rank)
         if parts:
@@ -735,10 +767,8 @@ class ShardedHammingIndex:
             self._pool.shutdown(wait=True)
             return
         for task_q in getattr(self, "_task_qs", []):
-            try:
+            with suppress(ValueError, OSError):
                 task_q.put(None)
-            except (ValueError, OSError):
-                pass
         for proc in getattr(self, "_procs", []):
             proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - hygiene only
@@ -757,7 +787,5 @@ class ShardedHammingIndex:
         self.close()
 
     def __del__(self):  # pragma: no cover - best-effort hygiene
-        try:
+        with suppress(Exception):
             self.close()
-        except Exception:
-            pass

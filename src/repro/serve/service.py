@@ -65,6 +65,9 @@ __all__ = [
     "Overloaded",
 ]
 
+#: Base rows per encode + pack step of :meth:`RetrievalService.from_data`.
+_BUILD_ROWS = 4096
+
 
 class ServiceClosed(RuntimeError):
     """The service was closed; new submissions are rejected immediately.
@@ -274,18 +277,21 @@ class RetrievalService:
         *,
         n_shards: int = 1,
         shard_mode: str = "thread",
-        encode_batch: int = 4096,
         scan_timeout_s: float | None = None,
         **kwargs,
     ) -> "RetrievalService":
-        """Encode a base set in batches and stand up a service over it."""
+        """Encode and pack a base set, chunk by chunk into one array, and
+        stand up a service over it. An empty base is refused."""
         X_base = np.asarray(X_base)
-        code_blocks = [
-            model.encode(X_base[start : start + encode_batch])
-            for start in range(0, len(X_base), encode_batch)
-        ]
-        n_bits = code_blocks[0].shape[1]
-        packed = np.concatenate([pack_bits(blk) for blk in code_blocks])
+        if len(X_base) == 0:
+            raise ValueError("cannot build a retrieval service over an empty base (0 rows)")
+        packed = None
+        for start in range(0, len(X_base), _BUILD_ROWS):
+            codes = model.encode(X_base[start : start + _BUILD_ROWS])
+            if packed is None:
+                n_bits = codes.shape[1]
+                packed = np.empty((len(X_base), (n_bits + 63) // 64), dtype=np.uint64)
+            packed[start : start + len(codes)] = pack_bits(codes)
         if n_shards == 1:
             index = HammingIndex.from_codes(packed, n_bits)
         else:

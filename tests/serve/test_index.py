@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.serve.index as index_mod
@@ -25,15 +25,13 @@ from repro.serve import (
 
 def shrink_kernel(monkeypatch, tile, *, xor_tiles=8, pane_tiles=32):
     """Shrink the kernel's scratch constants so a few hundred rows cross
-    every tile, query-group, pane, step-growth and query-chunk boundary:
-    XOR calls of ``xor_tiles * tile`` elements and ``tile..4*tile`` rows,
-    a pane of ``pane_tiles * tile`` elements (so ``pane_tiles`` queries
-    per chunk), tie-explosion folds of ``2 * tile`` candidates."""
+    every tile, query-group, pane and query-chunk boundary: XOR calls of
+    ``xor_tiles * tile`` elements and ``tile..4*tile`` rows, a pane of
+    ``pane_tiles * tile`` elements (so ``pane_tiles`` queries per chunk)."""
     monkeypatch.setattr(index_mod, "_TILE_ROWS_MIN", tile)
     monkeypatch.setattr(index_mod, "_TILE_ROWS_MAX", 4 * tile)
     monkeypatch.setattr(index_mod, "_XOR_ELEMS", xor_tiles * tile)
     monkeypatch.setattr(index_mod, "_PANE_ELEMS", pane_tiles * tile)
-    monkeypatch.setattr(index_mod, "_FOLD_ELEMS", 2 * tile)
 
 
 def ref_topk_ids(Q, B, ids, k):
@@ -97,9 +95,9 @@ class TestHammingTopk:
         assert np.array_equal(ds, rd)
 
     @pytest.mark.parametrize("tile", [None, 8])
-    def test_tie_explosion_folds_exactly(self, monkeypatch, tile):
-        # One code repeated: every row ties at every query's kth, so the
-        # tightened mask stays dense and the pane-at-a-time fold runs.
+    def test_duplicate_runs_cut_exactly(self, monkeypatch, tile):
+        # One code repeated: every row ties at every query's kth, so each
+        # step is cut at the radius and only the lowest tying ids enter.
         if tile is not None:
             shrink_kernel(monkeypatch, tile, pane_tiles=512)
         rng = np.random.default_rng(14)
@@ -112,7 +110,7 @@ class TestHammingTopk:
 
     def test_adversarial_descending_distances(self, monkeypatch):
         # Base sorted worst-to-best: every step improves every query,
-        # exercising the dense tighten/fallback paths.
+        # so every step takes the radius cut.
         shrink_kernel(monkeypatch, 64)
         Zq = np.zeros((4, 64), dtype=np.uint8)
         Zb = np.zeros((2000, 64), dtype=np.uint8)
@@ -220,25 +218,43 @@ class TestHammingIndex:
         with pytest.raises(ValueError):
             index.codes[0, 0] = 0  # read-only view
 
+    @staticmethod
+    def scan_peak(index, queries, k):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index.search(queries, k)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("n_q", [1, 64, 1000])
     def test_memory_bound_holds_and_ignores_index_size(self, n_q):
         # The documented contract: scan scratch is bounded by
-        # memory_bound() and does not grow with the number of codes.
+        # memory_bound(), tightly, and does not grow with the number of codes.
         rng = np.random.default_rng(n_q)
         codes = rng.integers(0, 2**63, size=(400_000, 1), dtype=np.uint64)
         queries = rng.integers(0, 2**63, size=(n_q, 1), dtype=np.uint64)
         peaks = []
         for n in (50_000, 400_000):
             index = HammingIndex.from_codes(codes[:n], 64)
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                index.search(queries, 10)
-                peaks.append(tracemalloc.get_traced_memory()[1] - before)
-            finally:
-                tracemalloc.stop()
-            assert peaks[-1] <= index.memory_bound(n_q, 10)
+            peaks.append(self.scan_peak(index, queries, 10))
+            assert index.memory_bound(n_q, 10) / 2 <= peaks[-1] <= index.memory_bound(n_q, 10)
         assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+
+    @pytest.mark.parametrize("n_q,n", [(1, 400_000), (64, 50_000), (1000, 50_000)])
+    def test_memory_bound_is_tight_where_the_merge_dominates(self, n_q, n):
+        # At k = 1000 the per-query merge term is most of the bound, so a
+        # bound that overstated it (say twice over) would fall below half
+        # the measured peak at 64 and 1000 queries. One query needs rows
+        # enough for a full cut (64 groups of k) to fill its bound.
+        rng = np.random.default_rng(n_q)
+        index = HammingIndex.from_codes(
+            rng.integers(0, 2**63, size=(n, 1), dtype=np.uint64), 64
+        )
+        queries = rng.integers(0, 2**63, size=(n_q, 1), dtype=np.uint64)
+        peak = self.scan_peak(index, queries, 1000)
+        assert index.memory_bound(n_q, 1000) / 2 <= peak <= index.memory_bound(n_q, 1000)
 
     def test_errors(self):
         index = HammingIndex(16)
@@ -344,6 +360,18 @@ class TestShardedHammingIndex:
 def make_base(rng, kind, n_b, L):
     if kind == "random":
         return random_codes(rng, n_b, L)
+    if kind == "ties":
+        # Three codes at interleaved ids: a few nearest rows (the zero
+        # code), a tying middle (the top bit) and the far upper half.
+        # Every query (zero past its first quarter) ranks them in that
+        # order, so unless k is below the few nearest, the radius lands
+        # on the middle, whose ties cross every step boundary: only the
+        # lowest ids at the radius may enter.
+        Zb = np.zeros((n_b, L), dtype=np.uint8)
+        which = rng.choice(3, size=n_b, p=[0.005, 0.6, 0.395])
+        Zb[which == 1, L - 1] = 1
+        Zb[which == 2, L // 2 :] = 1
+        return Zb
     # Worst to best, so every step improves every query; "duplicates" in
     # a few long runs of one code each, so such a step is all ties.
     levels = n_b if kind == "sorted" else int(rng.integers(1, 5))
@@ -356,19 +384,18 @@ def make_base(rng, kind, n_b, L):
 @st.composite
 def scan_cases(draw):
     tile = draw(st.sampled_from([1, 2, 5, 8]))
-    kind = draw(st.sampled_from(["random", "duplicates", "sorted"]))
+    kind = draw(st.sampled_from(["random", "duplicates", "sorted", "ties"]))
     return dict(
         tile=tile,
         xor_tiles=draw(st.sampled_from([1, 8, 64])),
         pane_tiles=draw(st.sampled_from([4, 32, 512])),
         n_q=draw(st.sampled_from([1, 2, 3, 64, 65, 300])),
-        # Sizes straddle the tile, pane and doubling-step boundaries.
-        # A duplicated base must outgrow the tie-explosion cap (64 rows
-        # of one step at small k) to matter.
-        n_b=draw(st.integers(1, 1500 if kind == "duplicates" else 60 * tile)),
+        # Sizes straddle the tile and pane boundaries; a duplicated or
+        # tying base must span many steps to matter.
+        n_b=draw(st.integers(1, {"duplicates": 1500, "ties": 400}.get(kind, 60 * tile))),
         L=draw(st.sampled_from([7, 64, 65, 192, 254, 255, 256, 320])),
         # Above a first segment, above a whole base.
-        k=draw(st.integers(1, 12 if kind == "duplicates" else 90)),
+        k=draw(st.integers(1, 90 if kind in ("random", "sorted") else 12)),
         kind=kind,
         native_popcount=draw(st.booleans()),
         n_segments=draw(st.integers(1, 60)),
@@ -411,9 +438,32 @@ def sharded_with_adds(case, mode, n_shards, n_adds):
     return got, ref_topk(Zq, Zb, k)
 
 
+def kernel_case(**fields):
+    case = dict(tile=8, xor_tiles=8, pane_tiles=32, n_q=2, n_b=1000, L=64, k=12,
+                kind="random", native_popcount=True, n_segments=1, offset=0, seed=0)
+    return {**case, **fields}
+
+
+# Example budgets relative to the loaded hypothesis profile: 150 and 40 by
+# default, ten times that under HYPOTHESIS_PROFILE=nightly.
+_BUDGET = settings().max_examples
+
+
 class TestKernelGenerated:
     @given(scan_cases())
-    @settings(max_examples=150, deadline=None)
+    # Ties at the radius across step boundaries (128-row steps).
+    @example(kernel_case(kind="ties"))
+    @example(kernel_case(kind="ties", n_segments=7, offset=10**6, seed=1))
+    # k at or above the rows of the first step (2-row steps).
+    @example(kernel_case(tile=1, pane_tiles=4, n_b=50, L=7, k=9))
+    @example(kernel_case(tile=1, pane_tiles=4, n_b=50, k=50, kind="ties"))
+    # Multi-word codes in a uint16 pane over a wide distance range.
+    @example(kernel_case(tile=5, n_q=3, n_b=400, L=320, k=20, kind="sorted"))
+    @example(kernel_case(tile=5, n_q=65, n_b=300, L=255, k=7, kind="duplicates"))
+    # The popcount fallback for NumPy < 2.0.
+    @example(kernel_case(L=65, kind="duplicates", native_popcount=False))
+    @example(kernel_case(n_q=3, L=320, kind="ties", native_popcount=False))
+    @settings(max_examples=_BUDGET * 3 // 2, deadline=None)
     def test_segments_equal_flat_equal_bruteforce(self, case):
         rng, Zq, Zb = case_arrays(case)
         n_b, k = case["n_b"], case["k"]
@@ -441,12 +491,12 @@ class TestKernelGenerated:
         assert np.array_equal(flat[0], np.searchsorted(ids, want[0]) + case["offset"])
 
     @given(scan_cases(), st.integers(1, 4), st.integers(0, 5))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=_BUDGET * 2 // 5, deadline=None)
     def test_thread_shards_equal_bruteforce(self, case, n_shards, n_adds):
         got, want = sharded_with_adds(case, "thread", n_shards, n_adds)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
-    @pytest.mark.parametrize("kind", ["random", "duplicates", "sorted"])
+    @pytest.mark.parametrize("kind", ["random", "duplicates", "sorted", "ties"])
     @pytest.mark.parametrize("n_adds", [0, 4])
     def test_process_shards_equal_bruteforce(self, kind, n_adds):
         case = dict(tile=5, xor_tiles=8, pane_tiles=32, n_q=65, n_b=700, L=65,

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import repro.serve.service as service_mod
 from repro.retrieval.hamming import hamming_cdist, pack_bits
 from repro.serve import HammingIndex, RetrievalService, ShardedHammingIndex
 
@@ -349,3 +350,32 @@ class TestRetrievalService:
             with pytest.raises(ValueError):
                 svc.submit(np.array(["a"] * X_base.shape[1]))
             assert svc.stats.snapshot()["n_queries"] == 0
+
+
+class TestFromData:
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_empty_base_is_refused(self, n_shards):
+        from repro.autoencoder import BinaryAutoencoder
+
+        model = BinaryAutoencoder.linear(8, 4)
+        with pytest.raises(ValueError, match="empty base"):
+            RetrievalService.from_data(model, np.zeros((0, 8)), n_shards=n_shards)
+
+    def test_packed_base_equals_one_block_per_chunk(self, setup):
+        # Chunks packed into one preallocated array hold the same bytes as
+        # packing each chunk and concatenating (the older build).
+        model, _, _ = setup
+        X_base = np.random.default_rng(3).standard_normal((2 * service_mod._BUILD_ROWS + 123, 24))
+        want = np.concatenate([
+            pack_bits(model.encode(X_base[s : s + 4096])) for s in range(0, len(X_base), 4096)
+        ])
+        calls = model.encode_calls
+        with RetrievalService.from_data(model, X_base, k=3) as svc:
+            assert model.encode_calls - calls == 3
+            assert svc.index.codes.dtype == np.uint64
+            assert svc.index.codes.tobytes() == want.tobytes()
+
+    def test_encode_batch_keyword_is_gone(self, setup):
+        model, X_base, _ = setup
+        with pytest.raises(TypeError):
+            RetrievalService.from_data(model, X_base, encode_batch=64)
