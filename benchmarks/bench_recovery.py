@@ -92,7 +92,7 @@ def degraded_serve():
 
         timed_search()  # warm the workers
         healthy = min(timed_search()[0] for _ in range(5))
-        proc = idx._procs[1]
+        proc = idx._workers.procs[1]
         os.kill(proc.pid, signal.SIGKILL)
         proc.join(timeout=5.0)
         partial_s, partial = timed_search()

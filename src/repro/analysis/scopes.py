@@ -50,6 +50,7 @@ _CONCURRENCY = (
     "repro/distributed/backends/tcp.py",
     "repro/distributed/backends/worker.py",
     "repro/distributed/backends/ring.py",
+    "repro/distributed/pool.py",
     "repro/distributed/health.py",
 )
 

@@ -6,20 +6,24 @@ fig. 6 exactly; termination inside a W step is deterministic because
 every worker knows in advance how many ring messages it will receive
 (:func:`~repro.distributed.protocol.expected_receives`).
 
-This module is the coordinator of both wall-clock engines: pool
-lifecycle, shared-memory shard shipping, the mesh and join choreography,
-the gather, and recovery. The worker half — the command loop, the setup
-message, the iteration — lives in
-:mod:`repro.distributed.backends.worker`, and the ring the workers talk
-over — framed stream sockets, one transport and one worker-side link —
-in :mod:`repro.distributed.backends.ring`. ``multiprocess`` workers bind
-that ring to AF_UNIX listeners at abstract names this coordinator picks;
-the TCP backend (:mod:`repro.distributed.backends.tcp`) subclasses the
-coordinator only to bind ``(host, port)`` instead.
+This module is the coordinator of both wall-clock engines: shared-memory
+shard shipping, the mesh and join choreography, and the policies on top
+of the gather — survivable abort rounds, the stall check, the
+``worker_timeout`` error, recovery. The processes themselves — the fork
+site, the command loop, the response pipes and the one gather — are
+:mod:`repro.distributed.pool`, which the serving tier's process shards
+run on too. The training handlers, the setup message and the iteration
+live in :mod:`repro.distributed.backends.worker`, and the ring the
+workers talk over — framed stream sockets, one transport and one
+worker-side link — in :mod:`repro.distributed.backends.ring`.
+``multiprocess`` workers bind that ring to AF_UNIX listeners at abstract
+names this coordinator picks; the TCP backend
+(:mod:`repro.distributed.backends.tcp`) subclasses the coordinator only
+to bind ``(host, port)`` instead.
 
-What the pool provides:
+What the engine provides:
 
-* **a persistent worker pool** — workers are spawned once and survive
+* **a persistent worker pool** — workers are forked once and survive
   across ``fit()`` calls; each ``setup`` re-ships the adapter and shards
   to the standing pool instead of forking P fresh processes per fit;
 * **shared-memory shard shipping** — shard arrays are placed in
@@ -64,12 +68,9 @@ from __future__ import annotations
 
 import copy
 import itertools
-import multiprocessing as mp
 import os
-import pickle
-import struct
 import time
-from multiprocessing import connection as mp_connection
+from contextlib import suppress
 
 from repro.distributed.backends.base import (
     BaseBackend,
@@ -77,17 +78,14 @@ from repro.distributed.backends.base import (
     IterationStats,
     register_backend,
 )
-from repro.distributed.backends.ring import (
-    _LIVENESS_POLL_S,
-    _decode_control_blob,
-    _SocketLink,
-)
-from repro.distributed.backends.worker import WorkerSetup, _worker_main
+from repro.distributed.backends.ring import _decode_control_blob, _SocketLink
+from repro.distributed.backends.worker import WorkerSetup, _Worker
 from repro.distributed.dataplane import ClusterState, DataPlane
 from repro.distributed.framing import KIND_HEARTBEAT, encode_shard_retired
 from repro.distributed.health import HealthMonitor
 from repro.distributed.interfaces import ZStepResult, set_params_many
 from repro.distributed.messages import ShardRetired
+from repro.distributed.pool import _LIVENESS_POLL_S, WorkerPool
 from repro.distributed.protocol import (
     RoutePlan,
     expected_receives,
@@ -121,95 +119,6 @@ class _WorkersLost(Exception):
         super().__init__(f"worker(s) {dead} died mid-iteration")
         self.dead = dead
         self.payloads = payloads
-
-
-# -------------------------------------------------------------- responses
-class _ResponseChannel:
-    """One worker's response stream, read without ever blocking.
-
-    Replaces the old *shared* result queue, which had a wedge: a
-    worker SIGKILLed while its feeder held the queue's cross-process
-    write lock left that semaphore held forever, stranding every
-    survivor's responses — under ``drop_shard`` the recovery could then
-    only end in a worker-timeout teardown. With one pipe per worker and
-    a single writer per pipe there is no shared lock to leak.
-
-    The coordinator side parses :class:`multiprocessing.Connection`'s
-    length-prefixed wire format itself from *nonblocking* reads, so a
-    worker killed mid-message can never block the coordinator either:
-    the partial frame just sits in the buffer and the death surfaces
-    through the liveness poll. Workers keep using plain
-    ``Connection.send``.
-    """
-
-    _HEADER = struct.Struct("!i")
-    _LONG = struct.Struct("!Q")
-
-    def __init__(self, reader):
-        self._conn = reader
-        os.set_blocking(reader.fileno(), False)
-        self._buf = bytearray()
-
-    def fileno(self) -> int:
-        """File descriptor, so ``multiprocessing.connection.wait`` can
-        multiplex channels directly."""
-        return self._conn.fileno()
-
-    def drain(self) -> list:
-        """Every complete message currently in the pipe (possibly none)."""
-        try:
-            while True:
-                chunk = os.read(self._conn.fileno(), 1 << 16)
-                if not chunk:
-                    break  # EOF: writer gone; any partial stays unparsed
-                self._buf.extend(chunk)
-        except BlockingIOError:
-            pass
-        except OSError:
-            pass
-        out = []
-        while True:
-            if len(self._buf) < self._HEADER.size:
-                break
-            (n,) = self._HEADER.unpack_from(self._buf)
-            if n == -1:  # extended header for >= 2**31 - 1 byte payloads
-                header = self._HEADER.size + self._LONG.size
-                if len(self._buf) < header:
-                    break
-                (n,) = self._LONG.unpack_from(self._buf, self._HEADER.size)
-            else:
-                header = self._HEADER.size
-            if len(self._buf) < header + n:
-                break
-            payload = bytes(self._buf[header : header + n])
-            del self._buf[: header + n]
-            out.append(pickle.loads(payload))
-        return out
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-
-
-def _release_queue(cmd_q) -> None:
-    """Let go of a command queue whose reader is joined or killed.
-
-    Anything unsent to a gone process is garbage. Without this, a feeder
-    thread blocked writing (say) a > 64 KiB setup message into a pipe
-    nobody reads is joined by ``multiprocessing``'s exit handler, and
-    the interpreter never exits. Closing our copy of the read end is
-    CPython's own cure for the same wedge in ``ProcessPoolExecutor``
-    (gh-94777): once the last reader is gone the blocked write fails
-    with EPIPE and the feeder ends (quietly: ``_start_worker`` set
-    ``_ignore_epipe``, as the executor does). It comes first, so the
-    feeder — which closes the reader itself on the ``close()`` sentinel
-    — cannot be closing it at the same moment.
-    """
-    cmd_q._reader.close()
-    cmd_q.close()
-    cmd_q.cancel_join_thread()
 
 
 # ------------------------------------------------------------- coordinator
@@ -261,10 +170,8 @@ class MultiprocessBackend(BaseBackend):
         self.worker_timeout = worker_timeout
         self.pin_workers = bool(pin_workers)
         self._worker_cpusets: dict[int, list[int]] = {}
-        self._procs: dict[int, object] = {}
-        self._cmd_qs: dict = {}
+        self._pool = WorkerPool()
         self._addr_map: dict = {}
-        self._res_chans: dict[int, _ResponseChannel] = {}
         self._segments: list = []
         self._ranks: list[int] = []
         self._monitor: HealthMonitor | None = None
@@ -322,7 +229,7 @@ class MultiprocessBackend(BaseBackend):
         SGD stream (``None``: the fresh seed-derived one).
         """
         live = sorted(members)
-        if not (keep_pool and sorted(self._procs) == live):
+        if not (keep_pool and sorted(self._pool.procs) == live):
             self._close_pool(force=force)
             self._spawn(live)
         self._ranks = live
@@ -357,10 +264,6 @@ class MultiprocessBackend(BaseBackend):
             chunk = cpus[(i * len(cpus)) // n : ((i + 1) * len(cpus)) // n]
             out[rank] = chunk if chunk else cpus
         return out
-
-    def _send(self, rank: int, op: str, *args) -> None:
-        """Queue one command for ``rank``'s worker loop."""
-        self._cmd_qs[rank].put((op, *args))
 
     def _setup_message(self, rank: int, desc, rng_state) -> WorkerSetup:
         """The setup message for ``rank`` — the only construction site.
@@ -408,7 +311,7 @@ class MultiprocessBackend(BaseBackend):
         """
         ranks = sorted(descs)
         for rank in ranks:
-            self._send(
+            self._pool.send(
                 rank, "setup",
                 self._setup_message(rank, descs[rank], rng_states.get(rank)),
             )
@@ -425,20 +328,10 @@ class MultiprocessBackend(BaseBackend):
         gather."""
         self._addr_map = self._collect("bound", ranks)
         for rank in ranks:
-            self._send(rank, "connect", self._addr_map)
+            self._pool.send(rank, "connect", self._addr_map)
 
     def _spawn(self, ranks) -> None:
         """Start worker processes for ``ranks``."""
-        # Start the parent's resource tracker *before* forking so workers
-        # inherit it; otherwise the first pool's workers lazily spawn
-        # private trackers on shared-memory attach, which then warn about
-        # "leaked" segments the coordinator already unlinked.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:
-            pass
         for rank in ranks:
             self._start_worker(int(rank))
         # A fresh pool gets a fresh monitor: stale DEAD classifications
@@ -453,37 +346,16 @@ class MultiprocessBackend(BaseBackend):
             self._monitor.adopt_counters(counters)
 
     def _start_worker(self, rank: int) -> None:
-        """Fork one pool worker at ``rank`` with its own command queue,
-        private response pipe and (socket-free) ring link; the parent's
-        copy of the pipe's write end is closed right after the fork.
-
-        Fork is the one start method: workers inherit the coordinator's
-        resource tracker (see :meth:`_spawn`), and the abstract-socket
-        ring they bind is Linux-only anyway."""
-        fork = mp.get_context("fork")
-        cmd_q = self._cmd_qs[rank] = fork.Queue()
-        # A write to a worker that is gone is the gather's to report, not
-        # a feeder-thread traceback on stderr (see _release_queue).
-        cmd_q._ignore_epipe = True
-        reader, writer = fork.Pipe(duplex=False)
-        self._res_chans[rank] = _ResponseChannel(reader)
-        try:
-            proc = fork.Process(
-                target=_worker_main,
-                args=(rank, cmd_q, writer, _SocketLink(rank, self.connect_timeout)),
-                daemon=True,
-            )
-            proc.start()
-        finally:
-            writer.close()
-        self._procs[rank] = proc
+        """Fork one pool worker at ``rank``, serving the training handlers
+        over its (socket-free) ring link."""
+        self._pool.start(rank, _Worker, rank, _SocketLink(rank, self.connect_timeout))
 
     # ----------------------------------------------------------- streaming
     def _apply_ingest(self, batch) -> int:
         """Ship one drained batch to its worker as an incremental segment."""
         seg, desc = pack_array_block([batch.X, batch.F, batch.Z, batch.indices])
         try:
-            self._send(batch.machine, "ingest", desc)
+            self._pool.send(batch.machine, "ingest", desc)
             self._collect("ingested", [batch.machine])
         finally:
             unlink_segments([seg])
@@ -498,7 +370,7 @@ class MultiprocessBackend(BaseBackend):
         tears the fit down (like a failed ``setup``) rather than leaving
         a half-joined ring behind.
         """
-        if not self._procs:
+        if not self._pool.procs:
             raise RuntimeError("add_machine() requires an active fit")
         old_ranks = list(self._ranks)
         try:
@@ -525,12 +397,12 @@ class MultiprocessBackend(BaseBackend):
         WELCOME + framed BATCH: the joining machine "receives the
         current submodels" (§4.3) exactly as they travel the ring.
         """
-        self._send(p, "setup", self._setup_message(p, desc, None))
+        self._pool.send(p, "setup", self._setup_message(p, desc, None))
         addr = self._collect("bound", [p])[p]
         donor = old_ranks[0]
         for rank in old_ranks:
-            self._send(rank, "join_mesh", p, addr, rank == donor)
-        self._send(
+            self._pool.send(rank, "join_mesh", p, addr, rank == donor)
+        self._pool.send(
             p, "join_handshake", {r: self._addr_map[r] for r in old_ranks},
             donor, len(self._specs),
         )
@@ -543,12 +415,12 @@ class MultiprocessBackend(BaseBackend):
     def _collect_worker_pool_state(self) -> dict:
         """{rank: {"shard": ..., "rng_state": ...}} from every live worker."""
         for rank in self._ranks:
-            self._send(rank, "checkpoint")
+            self._pool.send(rank, "checkpoint")
         return self._collect("checkpoint")
 
     # ----------------------------------------------------------- iteration
     def run_iteration(self, mu: float) -> IterationStats:
-        if not self._procs:
+        if not self._pool.procs:
             raise RuntimeError("setup() must run before run_iteration()")
         mu = float(mu)
         added, replan_s = self.drain_joins()
@@ -630,7 +502,7 @@ class MultiprocessBackend(BaseBackend):
                     break
                 if recovered:
                     continue
-                if respawn and not self._procs:
+                if respawn and not self._pool.procs:
                     # Failed rebuilds exhausted the budget and closed the
                     # pool: no survivors to degrade onto — the end of the
                     # respawn -> drop_shard -> fail_fast escalation chain.
@@ -657,7 +529,7 @@ class MultiprocessBackend(BaseBackend):
                     payloads = loss.payloads
                     if model_rank not in payloads:
                         model_rank = self._ranks[0]
-                        self._send(model_rank, "model")
+                        self._pool.send(model_rank, "model")
                         fetched = self._collect("model", [model_rank])
                         payloads[model_rank]["model"] = fetched[model_rank]
                     break
@@ -722,7 +594,7 @@ class MultiprocessBackend(BaseBackend):
         if self._monitor is not None:
             self._monitor.begin_phase(self._ranks)
         for rank in self._ranks:
-            self._send(
+            self._pool.send(
                 rank, "iter", mu, orders, expected[rank], model_rank,
                 crashes.get(rank),
             )
@@ -759,28 +631,6 @@ class MultiprocessBackend(BaseBackend):
         )
         self._route_rng.bit_generator.state = copy.deepcopy(boundary["route_rng"])
 
-    def _recv_available(self, ranks, timeout: float) -> list:
-        """Every response currently deliverable from ``ranks``.
-
-        Waits up to ``timeout`` for the first readable channel, then
-        drains all of them; returns ``(rank, kind, payload)`` tuples.
-        Never blocks beyond the timeout — a worker killed mid-message
-        leaves a partial frame in its own channel and nothing else.
-        """
-        chans = [self._res_chans[r] for r in ranks if r in self._res_chans]
-        if not chans:
-            return []
-        out = []
-        for chan in mp_connection.wait(chans, timeout=timeout):
-            for msg in chan.drain():
-                # Heartbeats ride the same response channel as replies;
-                # feed them to the monitor and keep them out of gathers.
-                if msg[1] == "beat":
-                    self._observe_beat(msg[2])
-                else:
-                    out.append(msg)
-        return out
-
     def _observe_beat(self, payload: bytes) -> None:
         """Decode a framed HEARTBEAT (workers beat with the same bytes a
         coordinator socket would carry) and feed the monitor."""
@@ -814,15 +664,8 @@ class MultiprocessBackend(BaseBackend):
             raise RuntimeError("every worker died; pool torn down")
         retired = []
         for rank in sorted(dead):
-            proc = self._procs.pop(rank)
-            chan = self._res_chans.pop(rank, None)
-            if chan is not None:
-                chan.close()
+            self._pool.kill(rank)
             self._worker_cpusets.pop(rank, None)
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5)
-            _release_queue(self._cmd_qs.pop(rank))
             rows = self.dataplane.retire(rank, lost=True)
             retired.append(ShardRetired(machine=rank, rows_lost=rows))
             # Reconnect predecessor -> successor, preserving the cycle
@@ -838,7 +681,7 @@ class MultiprocessBackend(BaseBackend):
         """Rebuild the socket mesh over the survivor set (fresh listen
         sockets and HELLO handshakes — no stale frames survive)."""
         for rank in self._ranks:
-            self._send(rank, "rebind", self._address_for(rank))
+            self._pool.send(rank, "rebind", self._address_for(rank))
         self._connect_mesh(self._ranks)
         self._collect("ready")
 
@@ -849,13 +692,13 @@ class MultiprocessBackend(BaseBackend):
         ranks = list(self._ranks) if ranks is None else list(ranks)
         announcement = b"".join(encode_shard_retired(m) for m in retired)
         for rank in ranks:
-            self._send(rank, "replan", self._protocol, self._homes, announcement)
+            self._pool.send(rank, "replan", self._protocol, self._homes, announcement)
         self._collect("replanned", ranks)
 
     # ----------------------------------------------------------- gathering
     def _collect(self, expect: str, ranks=None, *, survivable: bool = False) -> dict:
         """Gather one ``expect`` response per rank (default: every live
-        worker) — the one poll → liveness → stall → deadline loop.
+        worker): the pool's gather, under this engine's policy.
 
         Any worker ``error``, a stall (heartbeats but no progress) or
         the ``worker_timeout`` deadline tears the pool down with a
@@ -869,74 +712,50 @@ class MultiprocessBackend(BaseBackend):
           ``respawn``: the gather turns into an abort round — the
           survivors' responses (results or ``aborted`` acks) are
           drained, and :class:`_WorkersLost` reports the dead set to
-          ``run_iteration`` for recovery.
+          ``run_iteration`` for recovery. No wake-up is needed: the
+          survivors observe the dead peer's sockets reset (or an
+          aborting peer's mesh teardown) and self-abort.
         """
         ranks = list(self._ranks) if ranks is None else list(ranks)
         survivable = survivable and self.fault_policy is not FaultPolicy.FAIL_FAST
         if self._monitor is not None:
             self._monitor.begin_phase(ranks)
-        deadline = (
-            None
-            if self.worker_timeout is None
-            else time.monotonic() + self.worker_timeout
-        )
-        pending = set(ranks)
-        payloads: dict[int, object] = {}
-        aborted: set[int] = set()
-        dead: set[int] = set()
-        while pending:
-            msgs = self._recv_available(pending, _LIVENESS_POLL_S)
-            if not msgs:
-                newly_dead = {r for r in pending if not self._procs[r].is_alive()}
-                if newly_dead:
-                    # A worker may have completed its part — response
-                    # already in its pipe — before dying; pick that up
-                    # before writing the rank off.
-                    msgs = self._recv_available(newly_dead, 0)
-                    newly_dead -= {m[0] for m in msgs}
-                if newly_dead:
-                    if self._monitor is not None:
-                        for r in newly_dead:
-                            self._monitor.note_dead(r)
-                    if not survivable:
-                        self.close(force=True)
-                        raise RuntimeError(
-                            f"worker(s) {sorted(newly_dead)} died mid-{expect}; "
-                            "pool torn down"
-                        ) from None
-                    # No wake-up needed: survivors observe the dead
-                    # peer's sockets reset (or an aborting peer's mesh
-                    # teardown) and self-abort.
-                    pending -= newly_dead
-                    dead |= newly_dead
-                if not msgs:
-                    self._check_stalled(pending)
-                    if deadline is not None and time.monotonic() > deadline:
-                        self.close(force=True)
-                        raise RuntimeError(
-                            f"timed out after {self.worker_timeout}s waiting "
-                            f"for {expect!r} from worker(s) {sorted(pending)}, "
-                            "which are alive but unresponsive (stalled, not "
-                            "dead — a dead worker is detected within "
-                            f"{_LIVENESS_POLL_S}s and handled by the fault "
-                            "policy); pool torn down"
-                        ) from None
-                    continue
-            for rank, kind, payload in msgs:
-                if kind == "error":
-                    self.close(force=True)
-                    raise RuntimeError(f"worker {rank} failed:\n{payload}")
-                if kind == expect:
-                    payloads[rank] = payload
-                    pending.discard(rank)
-                elif kind == "aborted" and survivable:
-                    aborted.add(rank)
-                    pending.discard(rank)
+        timeout = self.worker_timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
+        try:
+            replies, dead, late = self._pool.gather(
+                ranks, (expect, "aborted") if survivable else (expect,),
+                deadline=deadline, stop_on_death=not survivable,
+                on_idle=self._check_stalled, on_beat=self._observe_beat,
+            )
+        except RuntimeError:
+            self.close(force=True)
+            raise
+        if self._monitor is not None:
+            for r in dead:
+                self._monitor.note_dead(r)
+        if dead and not survivable:
+            self.close(force=True)
+            raise RuntimeError(
+                f"worker(s) {sorted(dead)} died mid-{expect}; pool torn down"
+            )
+        if late:
+            self.close(force=True)
+            raise RuntimeError(
+                f"timed out after {self.worker_timeout}s waiting "
+                f"for {expect!r} from worker(s) {sorted(late)}, "
+                "which are alive but unresponsive (stalled, not "
+                "dead — a dead worker is detected within "
+                f"{_LIVENESS_POLL_S}s and handled by the fault "
+                "policy); pool torn down"
+            )
+        payloads = {r: p for r, (kind, p) in replies.items() if kind == expect}
+        aborted = set(replies) - set(payloads)
         if dead or aborted:
             # An abort is always downstream of a death; find any not yet
             # caught by the liveness poll (e.g. sockets reset before the
             # first poll fired).
-            dead |= {r for r in ranks if not self._procs[r].is_alive()}
+            dead |= {r for r in ranks if not self._pool.procs[r].is_alive()}
             if not dead:
                 self.close(force=True)
                 raise RuntimeError(
@@ -948,7 +767,7 @@ class MultiprocessBackend(BaseBackend):
 
     # ------------------------------------------------------- checkpointing
     def _collect_machine_state(self) -> tuple[dict, dict]:
-        if not self._procs:
+        if not self._pool.procs:
             raise RuntimeError("checkpoint() requires an active pool")
         collected = self._collect_worker_pool_state()
         return (
@@ -998,27 +817,8 @@ class MultiprocessBackend(BaseBackend):
         """Stop the worker processes and release their queues and pipes,
         leaving fit state (data plane, topology, segments) in place —
         the process half of :meth:`close`, reused by pool rebuilds."""
-        if self._procs:
-            if not force:
-                for rank in self._cmd_qs:
-                    try:
-                        self._send(rank, "stop")
-                    except Exception:
-                        pass
-            for proc in self._procs.values():
-                if not force:
-                    proc.join(timeout=30)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5)
-        self._procs = {}
-        for cmd_q in self._cmd_qs.values():
-            _release_queue(cmd_q)
-        self._cmd_qs = {}
+        self._pool.close(force=force)
         self._addr_map = {}
-        for chan in self._res_chans.values():
-            chan.close()
-        self._res_chans = {}
 
     def close(self, *, force: bool = False) -> None:
         """Stop the worker pool and release every resource.
@@ -1035,10 +835,8 @@ class MultiprocessBackend(BaseBackend):
     @property
     def worker_pids(self) -> list[int]:
         """PIDs of the live pool (diagnostics; stable across fits)."""
-        return [p.pid for p in self._procs.values() if p.is_alive()]
+        return [p.pid for p in self._pool.procs.values() if p.is_alive()]
 
     def __del__(self):
-        try:
+        with suppress(Exception):
             self.close()
-        except Exception:
-            pass

@@ -85,12 +85,8 @@ from repro.distributed.framing import (
 )
 from repro.distributed.interfaces import get_params_many, set_params_many
 from repro.distributed.messages import SubmodelMessage
+from repro.distributed.pool import _LIVENESS_POLL_S
 from repro.distributed.shm import attach_array_block
-
-#: How often a blocked party (the coordinator waiting on results, a
-#: worker waiting on a ring receive) wakes to check on its peers; bounds
-#: how long a dead worker can go unnoticed.
-_LIVENESS_POLL_S = 0.5
 
 
 # --------------------------------------------------------------- transport

@@ -87,6 +87,6 @@ class TCPBackend(MultiprocessBackend):
 
     def _apply_ingest(self, batch) -> int:
         """Ship one drained batch to its worker as an INGEST frame."""
-        self._send(batch.machine, "ingest", encode_ingest(batch))
+        self._pool.send(batch.machine, "ingest", encode_ingest(batch))
         self._collect("ingested", [batch.machine])
         return self.dataplane.apply(batch)

@@ -1,4 +1,4 @@
-"""The wall-clock worker runtime: one command loop, on either engine.
+"""The wall-clock training worker: the handlers, on either engine.
 
 A ParMAC worker does the same thing wherever its ring sockets are bound:
 train the submodels that arrive, pass them on, then solve its Z step
@@ -7,12 +7,15 @@ train the submodels that arrive, pass them on, then solve its Z step
 * :class:`WorkerSetup`, the one typed setup message a coordinator ships;
 * :class:`_WorkerState`, what a worker derives from it for one fit;
 * :func:`_run_worker_iteration`, one W step + Z step over a transport;
-* :func:`_worker_main`, the table-dispatched command loop.
+* :class:`_Worker`, the handler table the pool's command loop serves.
 
-The ring itself — the transport an iteration sends and receives on, and
-the worker-side link that builds, rebuilds and tears down the socket
-mesh around iterations — lives in :mod:`repro.distributed.backends.ring`;
-the loop is handed a link and never looks inside it.
+The process around it — the fork site, the command loop, the response
+pipe and the gather — is :mod:`repro.distributed.pool`, which the
+serving tier's process shards run on too. The ring itself — the
+transport an iteration sends and receives on, and the worker-side link
+that builds, rebuilds and tears down the socket mesh around iterations —
+lives in :mod:`repro.distributed.backends.ring`; the handlers are handed
+a link and never look inside it.
 
 The full command table (op, who handles it, reply kind) and the setup
 message fields are listed in ``docs/architecture.md``; every reply is
@@ -25,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import signal
-import threading
 import time
 import traceback
 
@@ -309,24 +311,20 @@ def _run_worker_iteration(state: _WorkerState, mu, plan, n_expected, transport,
 
 
 class _Worker:
-    """One pool worker: the command handlers and their dispatch table.
+    """One training worker: the command handlers the pool's loop serves.
 
     Handlers return the ``(kind, payload)`` to reply with; ``link`` is
     the worker end of the ring and contributes the mesh ops.
     """
 
-    def __init__(self, rank: int, res, link):
+    def __init__(self, reply, rank: int, link):
         self.rank = rank
         self.link = link
+        self.reply = reply
         self.state: _WorkerState | None = None
-        self._res = res
         self._pulse = WorkerPulse()
         self._beat: HeartbeatSender | None = None
-        # The heartbeat thread shares the response connection with the
-        # command loop; Connection.send is not safe under concurrent
-        # writers.
-        self._send_lock = threading.Lock()
-        self._handlers = {
+        self.handlers = {
             "setup": self.setup,
             "checkpoint": lambda: ("checkpoint", self.state.checkpoint()),
             "ingest": self.ingest,
@@ -336,27 +334,8 @@ class _Worker:
             **link.ops(),
         }
 
-    def reply(self, kind: str, payload) -> None:
-        with self._send_lock:
-            self._res.send((self.rank, kind, payload))
-
-    def serve(self, cmd_q) -> None:
-        """Serve commands until told to stop."""
-        while True:
-            op, *args = cmd_q.get()
-            if op == "stop":
-                break
-            try:
-                handler = self._handlers.get(op)
-                if handler is None:
-                    # Reply rather than drop: a silent worker would leave
-                    # the coordinator's gather waiting out worker_timeout.
-                    raise ValueError(
-                        f"unknown worker op {op!r}; known: {sorted(self._handlers)}"
-                    )
-                self.reply(*handler(*args))
-            except Exception:
-                self.reply("error", traceback.format_exc())
+    def close(self) -> None:
+        """On ``stop``: stop beats, close the link and the shard mapping."""
         if self._beat is not None:
             self._beat.stop()
         self.link.close()
@@ -414,7 +393,3 @@ class _Worker:
             return "aborted", traceback.format_exc()
         return "result", payload
 
-
-def _worker_main(rank, cmd_q, res, link) -> None:
-    """Pool worker entry point, for either wall-clock engine."""
-    _Worker(rank, res, link).serve(cmd_q)

@@ -60,8 +60,13 @@ order — to one flat scan.
 
 :class:`HammingIndex` wraps the kernel with an amortised-doubling code
 buffer (``add()`` without per-add copies). :class:`ShardedHammingIndex`
-partitions the base across worker threads or processes (process shards
-get their codes through shared memory), scans in parallel, merges exactly.
+partitions the base across worker threads or processes, scans in
+parallel, merges exactly. Process shards get their codes through shared
+memory and run on the training engines' runtime
+(:mod:`repro.distributed.pool`): its fork site, command loop and gather,
+with ``scan`` and ``append`` as their handler table. The index keeps
+only its policy: a shard that misses the deadline or dies costs a
+``partial`` result, then a respawn with the tail's add blocks replayed.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ from contextlib import suppress
 import numpy as np
 
 from repro.distributed.partition import partition_indices
+from repro.distributed.pool import WorkerPool
 from repro.distributed.shm import attach_array_block, pack_array_block, unlink_segments
 from repro.retrieval.hamming import HAS_BITWISE_COUNT, pack_bits, popcount
 
@@ -483,28 +489,25 @@ class ScanResult(tuple):
         return self[1]
 
 
-def _shard_worker(desc, offset, task_q, res_conn):
-    """Process-shard loop: attach the shm codes, serve scans until None."""
-    seg, (codes,) = attach_array_block(desc)
-    scanner = _ShardScanner(codes, offset)
-    try:
-        while True:
-            item = task_q.get()
-            if item is None:
-                break
-            try:
-                if item[0] == "add":
-                    _, codes_new, off_new = item
-                    scanner.append(codes_new, off_new)
-                    res_conn.send(("ok", None))
-                else:
-                    _, queries, k = item
-                    res_conn.send(("ok", scanner.scan(queries, k)))
-            except Exception as exc:  # pragma: no cover - surfaced to caller
-                res_conn.send(("error", repr(exc)))
-    finally:
-        res_conn.close()
-        seg.close()
+class _ShardProcess:
+    """A process shard's handlers for the pool's command loop: ``scan``
+    and ``append`` over its attached shared-memory codes."""
+
+    def __init__(self, reply, desc, offset: int):
+        self._seg, (codes,) = attach_array_block(desc)
+        self._scanner = _ShardScanner(codes, offset)
+        self.handlers = {"scan": self.scan, "append": self.append}
+
+    def scan(self, queries, k: int) -> tuple:
+        return "scanned", self._scanner.scan(queries, k)
+
+    def append(self, blocks) -> tuple:
+        for codes, offset in blocks:
+            self._scanner.append(codes, offset)
+        return "appended", None
+
+    def close(self) -> None:
+        self._seg.close()
 
 
 class ShardedHammingIndex:
@@ -550,10 +553,12 @@ class ShardedHammingIndex:
         #: misses it is reported through ``ScanResult.partial`` /
         #: ``coverage`` instead of stalling the search; in process mode
         #: its worker is respawned from the retained shared-memory
-        #: segment so the *next* search is full-coverage again.
+        #: segment so the *next* search is full-coverage again. In
+        #: process mode an ``add`` gets the same deadline: a tail worker
+        #: that misses it is respawned and takes the block.
         self.scan_timeout_s = scan_timeout_s
         #: Shard workers automatically respawned after a deadline miss
-        #: or mid-scan death (process mode; diagnostics).
+        #: or a death (process mode; diagnostics).
         self.shard_respawns = 0
         packed = _as_packed_codes(codes, self.n_words, n_bits=self.n_bits, name="codes")
         packed = np.ascontiguousarray(packed)
@@ -579,100 +584,58 @@ class ShardedHammingIndex:
 
     # ----------------------------------------------------------- process mode
     def _start_workers(self, packed, parts) -> None:
-        import multiprocessing as mp
-
-        self._ctx = mp.get_context("fork")
-        self._segments, self._task_qs, self._pipes, self._procs = [], [], [], []
+        self._workers = WorkerPool()
         # Retained for degraded-mode recovery: the shard descriptors
         # (the shm segments stay mapped until close(), so a replacement
         # worker re-attaches the same bytes) and the tail shard's
         # streamed add blocks, replayed into a respawned tail worker.
-        self._descs: list = []
-        self._tail_blocks: list = []
+        self._segments, self._descs, self._tail_blocks = [], [], []
         try:
-            for idx in parts:
+            for rank, idx in enumerate(parts):
                 seg, desc = pack_array_block([packed[idx[0] : idx[-1] + 1]])
                 self._segments.append(seg)
                 self._descs.append(desc)
-                task_q, reader, proc = self._launch_shard(desc, int(idx[0]))
-                self._task_qs.append(task_q)
-                self._pipes.append(reader)
-                self._procs.append(proc)
+                self._workers.start(rank, _ShardProcess, desc, self._offsets[rank])
         except Exception:
             self.close()
             raise
 
-    def _launch_shard(self, desc, offset: int):
-        task_q = self._ctx.Queue()
-        reader, writer = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_shard_worker,
-            args=(desc, offset, task_q, writer),
-            daemon=True,
-        )
-        proc.start()
-        writer.close()
-        return task_q, reader, proc
+    def _deadline(self) -> float | None:
+        timeout = self.scan_timeout_s
+        return None if timeout is None else time.monotonic() + timeout
 
-    def _respawn_worker(self, rank: int) -> None:
-        """Replace one shard worker from its retained shm descriptor.
+    def _append(self, rank: int, blocks, deadline: float | None) -> bool:
+        """Ship add blocks to ``rank``'s worker; whether it acknowledged
+        them by ``deadline`` (a dead or late worker did not)."""
+        self._workers.send(rank, "append", blocks)
+        return rank in self._workers.gather([rank], ("appended",), deadline=deadline)[0]
 
-        Called after the worker missed a scan deadline (it may be slow,
-        wedged, or dead — all get the same cure) or its pipe reported
-        EOF. The old process is killed so a late result can never leak
-        into a later search, and the tail shard's streamed add blocks
-        are replayed so the replacement serves the full id range.
+    def _respawn_worker(self, rank: int, blocks=()) -> bool:
+        """Replace one shard worker from its retained shm descriptor;
+        whether the replacement serves the shard's rows.
+
+        Called after the worker missed a deadline (it may be slow,
+        wedged, or dead — all get the same cure) or died. The old
+        process is SIGKILLed, so a late reply can never leak into a
+        later command. A replacement tail worker is given the blocks the
+        old one acknowledged, plus ``blocks``, and waited for without a
+        deadline: it is fresh, so only its death stops the replay (under
+        a deadline, ``scan_timeout_s=0`` would never get a tail back).
+        One that dies, or fails the replay, is released at once, so no
+        live worker holds a block the index has not recorded; its rank
+        stays empty until the next ``search`` or ``add`` respawns it.
         """
-        proc = self._procs[rank]
-        if proc.is_alive():
-            # SIGKILL, not SIGTERM: a *stopped* (SIGSTOPped, ptraced)
-            # worker leaves SIGTERM pending forever, and the join below
-            # would then burn its whole timeout on every search.
-            proc.kill()
-        proc.join(timeout=5.0)
-        with suppress(ValueError, OSError):
-            self._task_qs[rank].close()
-        self._pipes[rank].close()
-        task_q, reader, new_proc = self._launch_shard(
-            self._descs[rank], self._offsets[rank]
-        )
-        self._task_qs[rank] = task_q
-        self._pipes[rank] = reader
-        self._procs[rank] = new_proc
+        self._workers.kill(rank)
+        self._workers.start(rank, _ShardProcess, self._descs[rank], self._offsets[rank])
         self.shard_respawns += 1
-        if rank == self.n_shards - 1:
-            for codes, off in self._tail_blocks:
-                task_q.put(("add", codes, off))
-                status, payload = reader.recv()
-                if status != "ok":
-                    raise RuntimeError(
-                        f"tail shard replay failed after respawn: {payload}"
-                    )
-
-    def _collect(self, deadline: float | None):
-        """Gather per-shard scan results; returns ``(parts, missed)``.
-
-        ``parts`` is ``[(rank, payload), ...]`` for the shards that
-        answered; ``missed`` lists shards that blew the deadline or whose
-        worker died mid-scan. A shard *error* (bad input, scan bug) still
-        raises — that is deterministic breakage, not degradation.
-        """
-        parts, missed = [], []
-        for rank, pipe in enumerate(self._pipes):
-            try:
-                if deadline is not None and not pipe.poll(
-                    max(0.0, deadline - time.monotonic())
-                ):
-                    missed.append(rank)
-                    continue
-                status, payload = pipe.recv()
-            except (EOFError, OSError):
-                missed.append(rank)
-                continue
-            if status != "ok":
-                raise RuntimeError(f"shard {rank} failed: {payload}")
-            parts.append((rank, payload))
-        return parts, missed
+        blocks = self._tail_blocks + list(blocks) if rank == self.n_shards - 1 else []
+        took = False
+        try:
+            took = not blocks or self._append(rank, blocks, None)
+        finally:
+            if not took:
+                self._workers.kill(rank)
+        return took
 
     # ------------------------------------------------------------------- API
     @property
@@ -686,17 +649,19 @@ class ShardedHammingIndex:
         if len(packed) == 0:
             # Nothing to scan, ship or replay: no block, no IPC round trip.
             return ids
-        block = np.ascontiguousarray(packed)
+        block = (np.ascontiguousarray(packed), self._n)
         if self.mode == "thread":
-            self._scanners[-1].append(block, self._n)
+            self._scanners[-1].append(*block)
         else:
-            self._task_qs[-1].put(("add", block, self._n))
-            status, payload = self._pipes[-1].recv()
-            if status != "ok":
-                raise RuntimeError(f"tail shard ingest failed: {payload}")
-            # Recorded *after* the ack so a respawned tail worker replays
-            # exactly the blocks the dead one had acknowledged.
-            self._tail_blocks.append((block, self._n))
+            # The scan's deadline rule: a tail that misses it, or dies,
+            # is SIGKILLed and respawned, and the replacement takes the
+            # block. Recorded only once acknowledged, so a respawn
+            # replays exactly the blocks the tail holds.
+            tail = self.n_shards - 1
+            took = tail in self._workers.procs and self._append(tail, [block], self._deadline())
+            if not (took or self._respawn_worker(tail, [block])):
+                raise RuntimeError(f"tail shard {tail} died taking the add block after a respawn")
+            self._tail_blocks.append(block)
         self._shard_rows[-1] += len(packed)
         self._n += len(packed)
         return ids
@@ -719,11 +684,7 @@ class ShardedHammingIndex:
         queries = _as_packed_codes(
             queries, self.n_words, n_bits=self.n_bits, name="queries"
         )
-        deadline = (
-            None
-            if self.scan_timeout_s is None
-            else time.monotonic() + self.scan_timeout_s
-        )
+        deadline = self._deadline()
         if self.mode == "thread":
             futures = [
                 self._pool.submit(scanner.scan, queries, k)
@@ -742,9 +703,23 @@ class ShardedHammingIndex:
                     f.cancel()
                     missed.append(rank)
         else:
-            for task_q in self._task_qs:
-                task_q.put(("scan", queries, k))
-            parts, missed = self._collect(deadline)
+            ranks = range(self.n_shards)
+            # A rank left empty by a failed replay is respawned first.
+            live = [r for r in ranks if r in self._workers.procs or self._respawn_worker(r)]
+            for rank in live:
+                self._workers.send(rank, "scan", queries, k)
+            try:
+                replies, _, _ = self._workers.gather(live, ("scanned",), deadline=deadline)
+            except RuntimeError:
+                # A shard failed. The others' replies still in flight
+                # answer this search, not the next: replace every shard,
+                # then raise the shard's error.
+                for rank in ranks:
+                    with suppress(RuntimeError):
+                        self._respawn_worker(rank)
+                raise
+            parts = [(r, replies[r][1]) for r in sorted(replies)]
+            missed = [r for r in ranks if r not in replies]
             for rank in missed:
                 self._respawn_worker(rank)
         if parts:
@@ -766,19 +741,8 @@ class ShardedHammingIndex:
         if self.mode == "thread":
             self._pool.shutdown(wait=True)
             return
-        for task_q in getattr(self, "_task_qs", []):
-            with suppress(ValueError, OSError):
-                task_q.put(None)
-        for proc in getattr(self, "_procs", []):
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - hygiene only
-                proc.kill()  # a stopped worker would sit on a SIGTERM
-                proc.join(timeout=1.0)
-        for task_q in getattr(self, "_task_qs", []):
-            task_q.close()
-        for pipe in getattr(self, "_pipes", []):
-            pipe.close()
-        unlink_segments(getattr(self, "_segments", []))
+        self._workers.close(wait=5.0)  # per shard, then it is killed
+        unlink_segments(self._segments)
 
     def __enter__(self) -> "ShardedHammingIndex":
         return self

@@ -44,6 +44,7 @@ def test_file_and_project_rules_are_disjoint_checks():
         ("src/repro/optim/svm.py", False, True, False),
         ("src/repro/serve/index.py", False, True, True),
         ("src/repro/distributed/backends/mp.py", False, False, True),
+        ("src/repro/distributed/pool.py", False, False, True),
         ("tests/optim/test_svm.py", False, False, False),
         ("benchmarks/bench_fig07_sift10k_curves.py", False, False, False),
     ],

@@ -12,7 +12,9 @@ newly registered engine is pulled into the parity contract automatically
 — registering a backend *is* opting into the suite.
 """
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -531,6 +533,27 @@ class TestWorkerPools:
             trainer.close()
         assert trainer.backend.worker_pids == []
 
+    def test_dropped_backend_is_freed_and_stops_its_pool(self, X, name):
+        """A backend dropped without ``close`` is in no reference cycle:
+        it is freed the moment it is unreferenced, and its ``__del__``
+        stops the workers. Kept alive until a cyclic collection instead,
+        it would hold its fit's arrays, which every worker forked in the
+        meantime inherits."""
+        adapter, shards = ba_setup(X)
+        backend = get_backend(name)(seed=0)
+        backend.setup(adapter, shards)
+        procs = list(backend._pool.procs.values())
+        ref = weakref.ref(backend)
+        gc.disable()
+        try:
+            del backend
+            assert ref() is None
+        finally:
+            gc.enable()
+        for proc in procs:
+            proc.join(timeout=10.0)
+            assert not proc.is_alive()
+
     def test_pool_respawns_on_machine_count_change(self, X, name):
         adapter, shards = ba_setup(X, P=3)
         trainer = ParMACTrainer(
@@ -551,7 +574,7 @@ class TestWorkerPools:
         backend.setup(adapter, shards)
         try:
             # (op, mu, ring orders, n_expected, gen, model_rank, crash)
-            backend._cmd_qs[0].put(("iter", "not-a-mu", [[0, 1, 2]], 0, 1, 0, None))
+            backend._pool.send(0, "iter", "not-a-mu", [[0, 1, 2]], 0, 1, 0, None)
             with pytest.raises(RuntimeError, match="worker 0 failed"):
                 backend._collect("result")
         finally:
@@ -568,7 +591,7 @@ class TestWorkerPools:
         backend.setup(adapter, shards)
         try:
             t0 = time.monotonic()
-            backend._cmd_qs[1].put(("itr", 1e-3))
+            backend._pool.send(1, "itr", 1e-3)
             with pytest.raises(RuntimeError, match="worker 1 failed(.|\n)*unknown worker op 'itr'"):
                 backend._collect("result")
             assert time.monotonic() - t0 < 5.0

@@ -13,11 +13,14 @@ recovered index must be bit-identical to a never-degraded one.
 
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import repro.serve.index as index_mod
 from repro.retrieval.hamming import hamming_cdist, pack_bits
 from repro.serve import HammingIndex, ShardedHammingIndex
 from repro.serve.index import ScanResult
@@ -52,7 +55,7 @@ def problem():
 
 
 def kill_shard(idx, rank):
-    proc = idx._procs[rank]
+    proc = idx._workers.procs[rank]
     os.kill(proc.pid, signal.SIGKILL)
     proc.join(timeout=5.0)
 
@@ -134,7 +137,7 @@ class TestShardDeath:
         try:
             ids = idx.add(pack_bits(Z_new))
             assert list(ids) == list(range(len(Zb), len(Zb) + 40))
-            tail = len(idx._procs) - 1
+            tail = len(idx._workers.procs) - 1
             kill_shard(idx, tail)
             res = idx.search(Q, K)
             assert res.partial is True and tail in res.shards_missed
@@ -193,7 +196,7 @@ class TestScanDeadline:
         idx = ShardedHammingIndex(
             packed, N_BITS, 3, mode="process", scan_timeout_s=1.5
         )
-        wedged = idx._procs[1]
+        wedged = idx._workers.procs[1]
         try:
             os.kill(wedged.pid, signal.SIGSTOP)
             t0 = time.monotonic()
@@ -214,10 +217,11 @@ class TestScanDeadline:
         finally:
             if wedged.is_alive():
                 os.kill(wedged.pid, signal.SIGCONT)
+            procs = list(idx._workers.procs.values())
             idx.close()
             wedged.join(timeout=5.0)
         assert not wedged.is_alive()
-        assert not any(p.is_alive() for p in idx._procs)
+        assert not any(p.is_alive() for p in procs)
 
     def test_blocked_scanner_misses_deadline_thread(self, problem):
         """Thread mode's forced miss: one scanner blocks on an event the
@@ -265,6 +269,238 @@ class TestScanDeadline:
             assert np.array_equal(res.dists, fd)
         finally:
             idx.close()
+
+
+#: A query that makes :class:`_PoisonedScan` shards fail.
+POISON = pack_bits(np.ones((1, N_BITS), dtype=np.uint8))
+
+
+class _PoisonedScan(index_mod._ShardProcess):
+    """A shard worker that fails a scan of :data:`POISON`, except shard 0,
+    which answers it late: its reply is still in flight when the error
+    reaches the caller."""
+
+    def scan(self, queries, k):
+        if np.array_equal(queries, POISON):
+            if self._scanner.blocks[0][0] > 0:
+                raise ValueError("injected scan failure")
+            time.sleep(0.3)
+        return super().scan(queries, k)
+
+
+class TestShardError:
+    def test_error_raises_and_leaves_no_stale_reply(self, problem, monkeypatch):
+        """A shard error is breakage, not degradation: ``search`` raises.
+        The replies other shards were still sending to that search must
+        not answer the next one, which equals a flat scan."""
+        packed, Q, Zb, Zq = problem
+        monkeypatch.setattr(index_mod, "_ShardProcess", _PoisonedScan)
+        idx = ShardedHammingIndex(packed, N_BITS, 3, mode="process")
+        try:
+            with pytest.raises(RuntimeError, match="injected scan failure"):
+                idx.search(POISON, K)
+            time.sleep(0.5)  # let a stale reply land, were one still owed
+            res = idx.search(Q[:1], K)
+            rid, rd = ref_topk_masked(Zq[:1], Zb, K)
+            assert res.partial is False
+            assert np.array_equal(res.ids, rid) and np.array_equal(res.dists, rd)
+        finally:
+            idx.close()
+
+
+class _DyingAppend:
+    """A shard worker whose ``append`` kills its process: a replacement
+    that fails too."""
+
+    def __init__(self, reply, desc, offset):
+        self.handlers = {"append": lambda blocks: os._exit(3)}
+
+    def close(self):
+        pass
+
+
+class _SlowAppend(index_mod._ShardProcess):
+    """A shard worker whose ``append`` takes a second."""
+
+    def append(self, blocks):
+        time.sleep(1.0)
+        return super().append(blocks)
+
+
+class TestAddRecovery:
+    """``add`` holds the scan's rules: a tail worker that dies or misses
+    the deadline is respawned, and the replacement takes the block."""
+
+    def check_healed(self, idx, problem, Z_new):
+        packed, Q, Zb, Zq = problem
+        res = idx.search(Q, K)
+        assert res.partial is False and res.coverage == 1.0
+        rebuilt = HammingIndex.from_codes(pack_bits(np.concatenate([Zb, Z_new])), N_BITS)
+        want = rebuilt.search(Q, K)
+        assert np.array_equal(res.ids, want[0]) and np.array_equal(res.dists, want[1])
+
+    @pytest.mark.parametrize("scan_timeout_s", [None, 5.0])
+    def test_add_to_killed_tail_respawns_it(self, problem, scan_timeout_s):
+        """SIGKILL the tail, then ``add``: the tail is respawned with the
+        blocks it had acknowledged, the new block lands on the
+        replacement, and the next search equals a rebuild."""
+        packed, Q, Zb, Zq = problem
+        rng = np.random.default_rng(12)
+        Z_old, Z_new = random_codes(rng, 30), random_codes(rng, 10)
+        idx = ShardedHammingIndex(
+            packed, N_BITS, 3, mode="process", scan_timeout_s=scan_timeout_s
+        )
+        try:
+            idx.add(pack_bits(Z_old))
+            kill_shard(idx, 2)
+            ids = idx.add(pack_bits(Z_new))
+            assert list(ids) == list(range(len(Zb) + 30, len(Zb) + 40))
+            assert idx.shard_respawns == 1
+            self.check_healed(idx, problem, np.concatenate([Z_old, Z_new]))
+        finally:
+            idx.close()
+
+    def test_add_to_stopped_tail_meets_the_deadline(self, problem):
+        """A SIGSTOPped tail cannot ack; ``add`` must not wait past the
+        deadline for it (every search would stall behind the service's
+        index lock), but SIGKILL it, respawn it and apply the block."""
+        packed, Q, Zb, Zq = problem
+        Z_new = random_codes(np.random.default_rng(13), 10)
+        idx = ShardedHammingIndex(
+            packed, N_BITS, 3, mode="process", scan_timeout_s=1.0
+        )
+        wedged = idx._workers.procs[2]
+        try:
+            os.kill(wedged.pid, signal.SIGSTOP)
+            t0 = time.monotonic()
+            idx.add(pack_bits(Z_new))
+            elapsed = time.monotonic() - t0
+            assert elapsed < 4.0, f"add waited on the stopped tail ({elapsed:.1f}s)"
+            assert not wedged.is_alive() and idx.shard_respawns == 1
+            self.check_healed(idx, problem, Z_new)
+        finally:
+            if wedged.is_alive():
+                os.kill(wedged.pid, signal.SIGCONT)
+            idx.close()
+
+    def test_failed_replacement_names_the_tail(self, problem, monkeypatch):
+        """Only when the replacement fails too does ``add`` raise, naming
+        the tail shard; the rows are not added, and the next search
+        respawns the tail and equals a flat scan of the old rows."""
+        packed, Q, Zb, Zq = problem
+        idx = ShardedHammingIndex(packed, N_BITS, 3, mode="process")
+        try:
+            kill_shard(idx, 2)
+            monkeypatch.setattr(index_mod, "_ShardProcess", _DyingAppend)
+            with pytest.raises(RuntimeError, match="tail shard 2"):
+                idx.add(packed[:10])
+            assert idx.n == len(packed)
+            monkeypatch.undo()
+            self.check_healed(idx, problem, Zb[:0])
+        finally:
+            idx.close()
+
+    def test_slow_replacement_is_waited_for(self, problem, monkeypatch):
+        """A replacement slower than the deadline is still fresh: its
+        replay is waited for, never abandoned to a worker that goes on
+        to hold rows the index did not add. Its late ack must not answer
+        the next ``add``, which misses the deadline on the slow worker
+        and heals the same way."""
+        packed, Q, Zb, Zq = problem
+        rng = np.random.default_rng(15)
+        Z1, Z2 = random_codes(rng, 10), random_codes(rng, 10)
+        idx = ShardedHammingIndex(packed, N_BITS, 3, mode="process", scan_timeout_s=0.3)
+        try:
+            kill_shard(idx, 2)
+            monkeypatch.setattr(index_mod, "_ShardProcess", _SlowAppend)
+            assert list(idx.add(pack_bits(Z1))) == list(range(len(Zb), len(Zb) + 10))
+            assert list(idx.add(pack_bits(Z2))) == list(range(len(Zb) + 10, len(Zb) + 20))
+            assert idx.n == len(Zb) + 20 and idx.shard_respawns == 2
+            monkeypatch.undo()
+            idx.scan_timeout_s = None
+            self.check_healed(idx, problem, np.concatenate([Z1, Z2]))
+        finally:
+            idx.close()
+
+    def test_zero_deadline_add_and_search(self, problem):
+        """``scan_timeout_s=0`` misses every worker: ``add`` still lands
+        its block on a replacement and ``search`` returns a partial
+        result instead of raising; with the deadline lifted the index
+        equals a rebuild."""
+        packed, Q, Zb, Zq = problem
+        Z_new = random_codes(np.random.default_rng(16), 10)
+        idx = ShardedHammingIndex(packed, N_BITS, 3, mode="process", scan_timeout_s=0)
+        try:
+            assert list(idx.add(pack_bits(Z_new))) == list(range(len(Zb), len(Zb) + 10))
+            assert isinstance(idx.search(Q, K), ScanResult)
+            idx.scan_timeout_s = None
+            self.check_healed(idx, problem, Z_new)
+        finally:
+            idx.close()
+
+    def test_blocked_feeder_ends_although_a_later_worker_forked(self, problem):
+        """The command-queue feeder blocked writing a big block to a dead
+        tail must end when the tail is killed, also when a worker forked
+        after the tail's queue was made (a respawned shard 0) inherited
+        that queue's read end."""
+        packed, Q, *_ = problem
+        idx = ShardedHammingIndex(packed, N_BITS, 3, mode="process")
+        try:
+            idx.search(Q, K)
+            kill_shard(idx, 0)
+            assert idx.search(Q, K).partial  # respawns shard 0
+            kill_shard(idx, 2)
+            tail_q = idx._workers._cmd_qs[2]
+            rng = np.random.default_rng(14)
+            idx.add(rng.integers(0, 2**32, size=(200_000, 1), dtype=np.uint64))
+            tail_q._thread.join(timeout=5.0)
+            assert not tail_q._thread.is_alive()
+        finally:
+            idx.close()
+
+    def test_interpreter_exits_after_add_to_dead_tail(self):
+        """An ``add`` block bigger than the pipe buffer, sent to a dead
+        tail, blocks the command queue's feeder thread on a pipe nobody
+        reads; unless the index lets go of that queue, the interpreter's
+        exit handler joins the feeder forever. The add must succeed on a
+        replacement, and after ``close`` no feeder may be left."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", EXIT_AFTER_ADD_TO_DEAD_TAIL],
+            env=env, timeout=30, capture_output=True, text=True,
+        )
+        assert done.returncode == 7, done.stderr
+        assert "Traceback" not in done.stderr
+
+
+#: Exits 7 when the add went through, the close left no queue feeder
+#: behind, and ``main`` returned.
+EXIT_AFTER_ADD_TO_DEAD_TAIL = """
+import os, signal, sys, threading, time
+import numpy as np
+from repro.serve import ShardedHammingIndex
+
+def main():
+    rng = np.random.default_rng(0)
+    codes = rng.integers(0, 2**63, size=(600, 1), dtype=np.uint64)
+    idx = ShardedHammingIndex(codes, 64, 3, mode="process")
+    tail = idx._workers.procs[2]
+    os.kill(tail.pid, signal.SIGKILL)
+    tail.join(timeout=5.0)
+    block = rng.integers(0, 2**63, size=(200_000, 1), dtype=np.uint64)
+    ids = idx.add(block)
+    if ids[0] != 600 or len(ids) != 200_000:
+        return 1
+    idx.close()
+    deadline = time.monotonic() + 5.0
+    while any(t.name == "QueueFeederThread" for t in threading.enumerate()):
+        if time.monotonic() > deadline:
+            return 8
+        time.sleep(0.05)
+    return 7
+
+sys.exit(main())
+"""
 
 
 # ------------------------------------------------------------------ service

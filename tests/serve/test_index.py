@@ -6,6 +6,7 @@ order — because that total order is what makes sharded merges
 associative and batched serving bit-identical to offline retrieval.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -385,15 +386,28 @@ def make_base(rng, kind, n_b, L):
 def scan_cases(draw):
     tile = draw(st.sampled_from([1, 2, 5, 8]))
     kind = draw(st.sampled_from(["random", "duplicates", "sorted", "ties"]))
+    xor_tiles = draw(st.sampled_from([1, 8, 64]))
+    pane_tiles = draw(st.sampled_from([4, 32, 512]))
+    n_q = draw(st.sampled_from([1, 2, 3, 64, 65, 300]))
+    L = draw(st.sampled_from([7, 64, 65, 192, 254, 255, 256, 320]))
+    # Sizes straddle the tile and pane boundaries; a duplicated or
+    # tying base must span many steps to matter.
+    n_b = {"duplicates": 1500, "ties": 400}.get(kind, 60 * tile)
+    if not _NIGHTLY:
+        # The default profile bounds a draw's distance matrix, its select
+        # steps (at most two a row per query chunk) and its XOR calls
+        # (about one per XOR scratch of query-row words): an n_q = 300
+        # draw over a 4-element pane took ~32k steps. Nightly does not.
+        words = (L + 63) // 64
+        n_b = max(1, min(n_b, 6000 // n_q, 500 // -(-n_q // pane_tiles),
+                         10_000 * xor_tiles * tile // (n_q * words)))
     return dict(
         tile=tile,
-        xor_tiles=draw(st.sampled_from([1, 8, 64])),
-        pane_tiles=draw(st.sampled_from([4, 32, 512])),
-        n_q=draw(st.sampled_from([1, 2, 3, 64, 65, 300])),
-        # Sizes straddle the tile and pane boundaries; a duplicated or
-        # tying base must span many steps to matter.
-        n_b=draw(st.integers(1, {"duplicates": 1500, "ties": 400}.get(kind, 60 * tile))),
-        L=draw(st.sampled_from([7, 64, 65, 192, 254, 255, 256, 320])),
+        xor_tiles=xor_tiles,
+        pane_tiles=pane_tiles,
+        n_q=n_q,
+        n_b=draw(st.integers(1, n_b)),
+        L=L,
         # Above a first segment, above a whole base.
         k=draw(st.integers(1, 90 if kind in ("random", "sorted") else 12)),
         kind=kind,
@@ -402,6 +416,9 @@ def scan_cases(draw):
         offset=draw(st.sampled_from([0, 1, 10**6])),
         seed=draw(st.integers(0, 2**31)),
     )
+
+
+_NIGHTLY = os.environ.get("HYPOTHESIS_PROFILE") == "nightly"
 
 
 def case_arrays(case):
