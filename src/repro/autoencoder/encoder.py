@@ -102,10 +102,9 @@ class LinearEncoder:
         (n, n_bits).
 
         Computed a block of at most ``_ENCODE_BLOCK_ROWS`` rows at a time:
-        per block one feature map, one GEMM, the bias added in place and
-        ``>= 0`` written straight into the output, so the temporaries are
-        a block's, not the input's, and the codes are those of one
-        whole-input threshold.
+        per block one feature map, one GEMM and ``>= -a`` written straight
+        into the output, so the temporaries are a block's, not the
+        input's, and the codes are those of one whole-input threshold.
         """
         return self._threshold(X, self.features)
 
@@ -124,10 +123,10 @@ class LinearEncoder:
         n_blocks = max(1, -(-n // _ENCODE_BLOCK_ROWS))
         for i in range(n_blocks):
             lo, hi = i * n // n_blocks, (i + 1) * n // n_blocks
-            S = features(X[lo:hi]) @ self.A.T
-            S += self.a
-            np.greater_equal(S, 0.0, out=flags[lo:hi])
-            del S  # freed before the next block's features exist
+            # step(s + a) without the add: for a finite bias, the rounded
+            # sum fl(s + a) >= 0 exactly when s >= -a (ties, signed zeros,
+            # subnormals and sums that overflow included).
+            np.greater_equal(features(X[lo:hi]) @ self.A.T, -self.a, out=flags[lo:hi])
         return out
 
     # ------------------------------------------------------------ training

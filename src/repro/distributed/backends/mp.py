@@ -10,7 +10,7 @@ This module is the coordinator of both wall-clock engines: shared-memory
 shard shipping, the mesh and join choreography, and the policies on top
 of the gather — survivable abort rounds, the stall check, the
 ``worker_timeout`` error, recovery. The processes themselves — the fork
-site, the command loop, the response pipes and the one gather — are
+site, the command loop, each worker's one channel and the one gather — are
 :mod:`repro.distributed.pool`, which the serving tier's process shards
 run on too. The training handlers, the setup message and the iteration
 live in :mod:`repro.distributed.backends.worker`, and the ring the
@@ -814,7 +814,7 @@ class MultiprocessBackend(BaseBackend):
         self._segments = []
 
     def _close_pool(self, *, force: bool = False) -> None:
-        """Stop the worker processes and release their queues and pipes,
+        """Stop the worker processes and close their channels,
         leaving fit state (data plane, topology, segments) in place —
         the process half of :meth:`close`, reused by pool rebuilds."""
         self._pool.close(force=force)

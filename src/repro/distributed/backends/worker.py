@@ -146,7 +146,7 @@ class _WorkerState:
     def checkpoint(self) -> dict:
         """This worker's resumable state: its (private) shard and SGD stream.
 
-        The shard arrays pickle by value through the response channel,
+        The shard arrays pickle by value through the worker's channel,
         so the coordinator's snapshot is decoupled from further training
         even when the arrays are still zero-copy views over a
         shared-memory segment.
@@ -347,7 +347,7 @@ class _Worker:
             self.state.close()
         self.state = _WorkerState(self.rank, setup, self._pulse)
         if setup.health is not None and self._beat is None:
-            # Beats ride the response channel as HEARTBEAT control
+            # Beats ride the worker's channel as HEARTBEAT control
             # frames — the same bytes a multi-host deployment would send
             # down a coordinator socket.
             self._beat = HeartbeatSender(

@@ -24,7 +24,7 @@ heartbeat plane:
 
 Workers on both wall-clock engines beat with encoded
 :func:`~repro.distributed.framing.encode_heartbeat` control frames over
-their response pipe; the per-iteration ``health_*`` counters surface
+their channel to the coordinator; the per-iteration ``health_*`` counters surface
 identically through ``IterationStats.extra`` on all four engines.
 
 The monitor itself is single-threaded (the coordinator's gather loop is
@@ -135,11 +135,11 @@ class HeartbeatSender:
     """One worker's beat thread.
 
     ``emit(seq, phase, progress)`` is the send — the wall-clock workers
-    write an encoded HEARTBEAT frame to their response pipe — and must
-    be safe to call concurrently with the main thread's replies (the
-    workers wrap the response channel in a send lock). Emit errors end
-    the thread quietly: if the response channel is gone the coordinator
-    is tearing us down anyway.
+    write an encoded HEARTBEAT frame to their channel — and must be
+    safe to call concurrently with the main thread's replies (the
+    workers wrap the channel in a send lock). Emit errors end the
+    thread quietly: if the channel is gone the coordinator is tearing
+    us down anyway.
     """
 
     def __init__(self, emit, interval_s: float, pulse: WorkerPulse):

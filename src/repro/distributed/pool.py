@@ -1,16 +1,19 @@
 """The process runtime both tiers run on: one pool of forked workers.
 
-A pool worker is a forked process that serves commands from its own
-queue and replies on its own pipe. The wall-clock training engines'
-machines (:mod:`repro.distributed.backends.worker`) and the serving
-tier's process shards (:class:`repro.serve.ShardedHammingIndex`) differ
-only in the handler table the worker's loop serves — GraphLab's split of
-update function from engine. This module is the engine, written once:
+A pool worker is a forked process with one duplex channel to its
+coordinator (a socketpair): commands, replies and heartbeats all ride
+it. The coordinator's writes never block — what the socket does not
+take at once, the next gather flushes — and a worker leaves its loop
+when the coordinator's end closes, so none outlives its coordinator.
+The wall-clock training engines' machines
+(:mod:`repro.distributed.backends.worker`) and the serving tier's
+process shards (:class:`repro.serve.ShardedHammingIndex`) differ only in
+the handler table the worker's loop serves — GraphLab's split of update
+function from engine. This module is the engine, written once:
 
 * :class:`WorkerPool`, the coordinator end: the one fork site (the
-  resource tracker started first), each worker's command queue and
-  private response pipe, ``send``, a SIGKILL-and-release ``kill``,
-  ``close``, and one ``gather``;
+  resource tracker started first), each worker's channel, ``send``, a
+  SIGKILL-and-close ``kill``, ``close``, and one ``gather``;
 * :func:`_serve`, the worker end: the one command loop.
 
 Policy stays with the callers. ``gather`` reports what arrived, who died
@@ -31,6 +34,7 @@ import threading
 import time
 import traceback
 from contextlib import suppress
+from multiprocessing.reduction import ForkingPickler
 
 __all__ = ["WorkerPool"]
 
@@ -43,50 +47,63 @@ _LIVENESS_POLL_S = 0.5
 _STOP_WAIT_S = 30.0
 
 
-class _ResponseChannel:
-    """One worker's response stream, read without ever blocking.
+class _Channel:
+    """The coordinator end of one worker's duplex channel (a socketpair),
+    which never blocks.
 
-    One pipe per worker, with a single writer each, so there is no
-    shared cross-process lock for a SIGKILLed worker to leave held (a
-    shared result queue strands every survivor's replies that way).
+    One channel per worker carries its commands, replies and heartbeats,
+    with a single writer at each end, so there is no shared
+    cross-process lock for a SIGKILLed worker to leave held (a shared
+    result queue strands every survivor's replies that way).
 
-    The coordinator side parses :class:`multiprocessing.Connection`'s
-    length-prefixed wire format itself from *nonblocking* reads, so a
-    worker killed mid-message can never block the coordinator either:
-    the partial frame just sits in the buffer and the death surfaces
-    through the liveness poll. Workers keep using plain
-    ``Connection.send``.
+    Reads parse :class:`multiprocessing.Connection`'s length-prefixed
+    wire format from nonblocking reads, so a worker killed mid-message
+    can never block the coordinator: the partial frame just sits in the
+    buffer and the death surfaces through the liveness poll. ``send``
+    writes the same format into ``out`` and hands the socket what it
+    takes now; the gather flushes the rest as the socket drains, so no
+    send blocks and every write is bounded by the gather's deadline.
+    The worker end is a plain blocking ``Connection``.
     """
 
-    _HEADER = struct.Struct("!i")
-    _LONG = struct.Struct("!Q")
+    def __init__(self, conn):
+        self._conn, self.fd = conn, conn.fileno()
+        os.set_blocking(self.fd, False)
+        self._buf, self.out = bytearray(), bytearray()
 
-    def __init__(self, reader):
-        self._conn = reader
-        os.set_blocking(reader.fileno(), False)
-        self._buf = bytearray()
+    def send(self, obj) -> None:
+        """Frame ``obj`` as ``Connection.send`` does (past 2**31 - 1
+        bytes, a -1 and then an 8-byte length) and write what fits."""
+        payload = ForkingPickler.dumps(obj)
+        n = len(payload)
+        self.out += struct.pack("!i", n) if n < 2**31 else struct.pack("!iQ", -1, n)
+        self.out += payload
+        self.flush()
 
-    def fileno(self) -> int:
-        """File descriptor, so a poll can multiplex channels directly."""
-        return self._conn.fileno()
+    def flush(self) -> None:
+        """Write what the socket takes now; a gone worker's bytes are
+        dropped (the gather reports its death)."""
+        try:
+            while self.out:
+                del self.out[: os.write(self.fd, self.out)]
+        except OSError as exc:
+            if not isinstance(exc, BlockingIOError):
+                self.out.clear()
 
     def drain(self) -> list:
-        """Every complete message currently in the pipe (possibly none)."""
-        with suppress(OSError):  # BlockingIOError included: the pipe is empty
-            while True:
-                chunk = os.read(self._conn.fileno(), 1 << 16)
-                self._buf.extend(chunk)
-                if len(chunk) < 1 << 16:
-                    break  # drained for now, or EOF (any partial stays unparsed)
+        """Every complete message currently in the socket (possibly none)."""
+        with suppress(OSError):  # BlockingIOError included: read to the end
+            while chunk := os.read(self.fd, 1 << 16):  # b"" at EOF
+                self._buf += chunk  # (a dead worker's partial stays unparsed)
         out = []
-        while len(self._buf) >= self._HEADER.size:
-            (n,) = self._HEADER.unpack_from(self._buf)
-            header = self._HEADER.size
-            if n == -1:  # extended header for >= 2**31 - 1 byte payloads
-                header += self._LONG.size
+        while len(self._buf) >= 4:
+            (n,) = struct.unpack_from("!i", self._buf)
+            header = 4
+            if n == -1:  # the extended header
+                header = 12
                 if len(self._buf) < header:
                     break
-                (n,) = self._LONG.unpack_from(self._buf, self._HEADER.size)
+                (n,) = struct.unpack_from("!Q", self._buf, 4)
             if len(self._buf) < header + n:
                 break
             payload = bytes(self._buf[header : header + n])
@@ -95,27 +112,8 @@ class _ResponseChannel:
         return out
 
     def close(self) -> None:
-        with suppress(OSError):
-            self._conn.close()
-
-
-def _release_queue(cmd_q) -> None:
-    """Let go of a command queue whose reader is joined or killed.
-
-    Anything unsent to a gone process is garbage. Without this, a feeder
-    thread blocked writing (say) a > 64 KiB message into a pipe nobody
-    reads is joined by ``multiprocessing``'s exit handler, and the
-    interpreter never exits. Closing our copy of the read end is
-    CPython's own cure for the same wedge in ``ProcessPoolExecutor``
-    (gh-94777): once the last reader is gone the blocked write fails
-    with EPIPE and the feeder ends (quietly: :meth:`WorkerPool.start`
-    set ``_ignore_epipe``, as the executor does). It comes first, so the
-    feeder — which closes the reader itself on the ``close()`` sentinel
-    — cannot be closing it at the same moment.
-    """
-    cmd_q._reader.close()
-    cmd_q.close()
-    cmd_q.cancel_join_thread()
+        """Close this end; the worker reads EOF, and unsent bytes are dropped."""
+        self._conn.close()
 
 
 class WorkerPool:
@@ -129,8 +127,7 @@ class WorkerPool:
 
     def __init__(self):
         self.procs: dict[int, object] = {}
-        self._cmd_qs: dict = {}
-        self._chans: dict[int, _ResponseChannel] = {}
+        self._chans: dict[int, _Channel] = {}
 
     def start(self, rank: int, make_worker, *args) -> None:
         """Fork the worker at ``rank``: it builds ``make_worker(reply,
@@ -141,52 +138,44 @@ class WorkerPool:
         workers inherit it instead of lazily spawning private trackers on
         a shared-memory attach, which would then warn about "leaked"
         segments the coordinator already unlinked. The parent's copy of
-        the response pipe's write end is closed right after the fork, so
-        a worker's death reads as EOF.
+        the worker's end is closed right after the fork, so a worker's
+        death reads as EOF; the child closes its copies of the pool's
+        coordinator ends, its own and the other workers', so the
+        coordinator's death reads as EOF in every worker.
         """
         with suppress(Exception):
             from multiprocessing import resource_tracker
 
             resource_tracker.ensure_running()
         fork = mp.get_context("fork")
-        # The child closes its copies of the other queues' read ends: held
-        # open there, they would keep _release_queue from ever freeing a
-        # feeder blocked writing to one of those workers.
-        others = [q._reader for q in self._cmd_qs.values()]
-        cmd_q = self._cmd_qs[rank] = fork.Queue()
-        # A write to a worker that is gone is the gather's to report, not
-        # a feeder-thread traceback on stderr (see _release_queue).
-        cmd_q._ignore_epipe = True
-        reader, writer = fork.Pipe(duplex=False)
-        self._chans[rank] = _ResponseChannel(reader)
+        mine, theirs = fork.Pipe(duplex=True)
+        self._chans[rank] = _Channel(mine)
         try:
-            proc = fork.Process(
-                target=_serve, args=(rank, cmd_q, writer, make_worker, args, others),
-                daemon=True,
-            )
+            proc = fork.Process(target=_serve, daemon=True, args=(
+                rank, theirs, make_worker, args, list(self._chans.values())))
             proc.start()
         finally:
-            writer.close()
+            theirs.close()
         self.procs[rank] = proc
 
     def send(self, rank: int, op: str, *args) -> None:
-        """Queue one command for ``rank``'s loop."""
-        self._cmd_qs[rank].put((op, *args))
+        """Send one command to ``rank``'s loop without blocking: what its
+        socket does not take now, the next ``gather`` writes."""
+        self._chans[rank].send((op, *args))
 
     def kill(self, rank: int) -> None:
-        """SIGKILL ``rank``'s worker and release its queue and pipe.
+        """SIGKILL ``rank``'s worker and close its channel, unsent bytes
+        and all.
 
         SIGKILL, not SIGTERM: a *stopped* (SIGSTOPped, ptraced) worker
         leaves SIGTERM pending forever, and the join would then burn its
         whole timeout.
         """
-        if rank not in self._cmd_qs:
+        if rank not in self._chans:
             return  # already killed
         proc = self.procs.pop(rank)
-        if proc.is_alive():
-            proc.kill()
+        proc.kill()  # a no-op on a process already gone
         proc.join(timeout=5)
-        _release_queue(self._cmd_qs.pop(rank))
         self._chans.pop(rank).close()
 
     def close(self, *, force: bool = False, wait: float = _STOP_WAIT_S) -> None:
@@ -194,12 +183,11 @@ class WorkerPool:
         each is sent ``stop`` and given up to ``wait`` seconds to exit;
         whatever is left is killed."""
         if not force:
-            for rank in self.procs:
-                with suppress(Exception):
-                    self.send(rank, "stop")
+            for chan in self._chans.values():
+                chan.send(("stop",))
             for proc in self.procs.values():
                 proc.join(timeout=wait)
-        for rank in list(self._cmd_qs):
+        for rank in list(self._chans):
             self.kill(rank)
 
     def gather(self, ranks, kinds, *, deadline: float | None = None,
@@ -207,16 +195,17 @@ class WorkerPool:
         """Wait for one reply of a kind in ``kinds`` from each of
         ``ranks`` — the one poll → liveness → deadline loop.
 
-        It waits on the response pipes, waking at least every
+        It waits on the channels — reading replies, and writing what
+        ``send`` left unsent — waking at least every
         :data:`_LIVENESS_POLL_S` to check liveness; a worker found dead
-        is written off only after the reply it may have left in its pipe
-        is picked up. It stops when every rank has replied or died, at
-        the monotonic ``deadline`` (the silent ranks are late), or, under
-        ``stop_on_death``, at the first death. ``on_idle(pending)`` runs
-        on every quiet wake-up, and ``on_beat(payload)`` takes every
-        heartbeat (``beat``), which is not a reply. An ``error`` reply
-        raises a ``RuntimeError`` carrying the worker's traceback;
-        replies of other kinds are dropped.
+        is written off only after the reply it may have left in its
+        channel is picked up. It stops when every rank has replied or
+        died, at the monotonic ``deadline`` (the silent ranks are late),
+        or, under ``stop_on_death``, at the first death.
+        ``on_idle(pending)`` runs on every quiet wake-up, and
+        ``on_beat(payload)`` takes every heartbeat (``beat``), which is
+        not a reply. An ``error`` reply raises a ``RuntimeError`` carrying
+        the worker's traceback; replies of other kinds are dropped.
 
         Returns ``(replies, dead, late)`` for the caller's policy: rank ->
         ``(kind, payload)`` of each reply, the ranks found dead without
@@ -250,62 +239,70 @@ class WorkerPool:
 
     def _recv(self, ranks, timeout: float, on_beat) -> list:
         """Every reply now deliverable from ``ranks``, as ``(rank, kind,
-        payload)``: waits up to ``timeout`` for the first readable pipe,
-        then drains the ready ones. Heartbeats go to ``on_beat``.
+        payload)``: waits up to ``timeout`` for the first ready channel,
+        then drains the readable ones of ``ranks`` and flushes the
+        writable ones of any rank. Heartbeats go to ``on_beat``.
 
         A plain poll object: ``multiprocessing.connection.wait`` builds a
         selector per call, which cost a two-shard gather about 35 us on a
-        2-vCPU VM. It polls before it reads: a nonblocking read of every
-        pipe first costs a one-query search about 20 us more coordinator
-        CPU, since right after ``send`` each read hands the GIL to a
-        queue's feeder thread and waits to get it back.
+        2-vCPU VM.
         """
-        chans, poller, out = [self._chans[r] for r in ranks], select.poll(), []
-        for chan in chans:
-            poller.register(chan, select.POLLIN)
-        ready = {fd for fd, _ in poller.poll(timeout * 1000)}
-        for chan in (c for c in chans if c.fileno() in ready):
-            for msg in chan.drain():
-                if msg[1] != "beat":
-                    out.append(msg)
-                elif on_beat is not None:
-                    on_beat(msg[2])
+        poller, out = select.poll(), []
+        for rank, chan in self._chans.items():
+            mask = (select.POLLIN if rank in ranks else 0) | (select.POLLOUT if chan.out else 0)
+            if mask:
+                poller.register(chan.fd, mask)
+        ready = dict(poller.poll(timeout * 1000))
+        for rank, chan in self._chans.items():
+            event = ready.get(chan.fd, 0)
+            if event:
+                chan.flush()
+            if event & ~select.POLLOUT and rank in ranks:
+                for msg in chan.drain():
+                    if msg[1] != "beat":
+                        out.append(msg)
+                    elif on_beat is not None:
+                        on_beat(msg[2])
         return out
 
 
-def _serve(rank: int, cmd_q, res, make_worker, args, others) -> None:
+def _serve(rank: int, conn, make_worker, args, coordinator_ends) -> None:
     """The one command loop, in every pool worker.
 
     ``make_worker(reply, *args)`` builds the worker: an object with a
     ``handlers`` table (op -> callable returning the ``(kind, payload)``
-    to reply with) and a ``close()``. Commands are served until
-    ``stop``. An unknown op or a handler exception replies ``error`` with
-    the traceback instead of going silent, which would leave the gather
-    waiting out its deadline. ``reply`` is locked: a heartbeat thread may
-    share the pipe with the loop, and ``Connection.send`` is not safe
-    under concurrent writers. ``others`` are the inherited read ends of
-    the other workers' command queues, closed first.
+    to reply with) and a ``close()``. Commands are read from ``conn``,
+    the worker's end of its channel, and served until ``stop`` or until
+    the coordinator's end is gone (EOF, or a reset: the coordinator
+    closed it or died), so a worker never outlives its coordinator. An unknown op or a handler exception
+    replies ``error`` with the traceback instead of going silent, which
+    would leave the gather waiting out its deadline. Replies and
+    heartbeats share ``conn``, so ``reply`` is locked:
+    ``Connection.send`` is not safe under concurrent writers.
+    ``coordinator_ends`` are the inherited copies of the coordinator's
+    channel ends, closed first.
     """
-    for reader in others:
-        reader.close()
+    for chan in coordinator_ends:
+        chan.close()
     lock = threading.Lock()
 
     def reply(kind: str, payload) -> None:
         with lock:
-            res.send((rank, kind, payload))
+            conn.send((rank, kind, payload))
 
     worker = make_worker(reply, *args)
-    while True:
-        op, *cmd = cmd_q.get()
-        if op == "stop":
-            break
-        try:
-            handler = worker.handlers.get(op)
-            if handler is None:
-                raise ValueError(
-                    f"unknown worker op {op!r}; known: {sorted(worker.handlers)}"
-                )
-            reply(*handler(*cmd))
-        except Exception:
-            reply("error", traceback.format_exc())
+    with suppress(EOFError, OSError):  # the coordinator's end is gone
+        while True:
+            op, *cmd = conn.recv()
+            if op == "stop":
+                break
+            try:
+                handler = worker.handlers.get(op)
+                if handler is None:
+                    raise ValueError(
+                        f"unknown worker op {op!r}; known: {sorted(worker.handlers)}"
+                    )
+                reply(*handler(*cmd))
+            except Exception:
+                reply("error", traceback.format_exc())
     worker.close()

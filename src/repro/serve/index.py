@@ -4,9 +4,9 @@ The serving hot path never builds the ``n_q x n_base`` distance matrix
 that ``hamming_cdist`` does (128 GB at n_base = 10^9, n_q = 64). **A scan
 owns one k-heap from its first row to its last, whatever the rows are
 stored in**: :func:`_scan_segments` walks id-ascending ``(offset,
-codes)`` segments — an index buffer is one, a shard plus its streamed
-``add`` blocks is many — and folds them into one per-query top-k "heap"
-(two (n_q, k) arrays kept sorted by the total order below).
+codes)`` segments — an index buffer is one, a shard and the buffer its
+streamed ``add`` rows go to are two — and folds them into one per-query
+top-k "heap" (two (n_q, k) arrays kept sorted by the total order below).
 :func:`hamming_topk` is the one-segment case.
 
 **Two sizes**, module constants because each wants a different value:
@@ -360,6 +360,19 @@ def _as_packed_codes(codes, n_words: int, *, n_bits: int, name: str) -> np.ndarr
     )
 
 
+def _append_rows(buf: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
+    """``buf`` (its first ``n`` rows in use) with ``rows`` written after
+    them, in a buffer of doubled capacity when they do not fit. Rows
+    below ``n`` are never written, so a reader of ``buf[:n]`` is safe."""
+    need = n + len(rows)
+    if need > len(buf):
+        grown = np.empty((max(need, 2 * len(buf), 1024), buf.shape[1]), dtype=np.uint64)
+        grown[:n] = buf[:n]
+        buf = grown
+    buf[n:need] = rows
+    return buf
+
+
 class HammingIndex:
     """Growable packed-code index scanned with :func:`hamming_topk`.
 
@@ -409,16 +422,9 @@ class HammingIndex:
     def add(self, codes) -> np.ndarray:
         """Append codes (packed or 0/1 bits); returns the assigned ids."""
         packed = _as_packed_codes(codes, self.n_words, n_bits=self.n_bits, name="codes")
-        n_new = len(packed)
-        need = self._n + n_new
-        if need > len(self._buf):
-            cap = max(need, 2 * len(self._buf), 1024)
-            buf = np.empty((cap, self.n_words), dtype=np.uint64)
-            buf[: self._n] = self._buf[: self._n]
-            self._buf = buf
-        self._buf[self._n : need] = packed
-        ids = np.arange(self._n, need, dtype=np.int64)
-        self._n = need
+        ids = np.arange(self._n, self._n + len(packed), dtype=np.int64)
+        self._buf = _append_rows(self._buf, self._n, packed)
+        self._n += len(packed)
         return ids
 
     def search(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -434,23 +440,29 @@ class HammingIndex:
 
 
 class _ShardScanner:
-    """One shard's codes as id-ascending blocks, scanned exactly.
+    """One shard's codes as at most two id-ascending segments, scanned
+    exactly in one kernel entry: one heap, no per-segment merge.
 
     The shard starts as one contiguous slice ``[offset, offset + n)`` of
-    the global id space; streamed ``append()`` blocks carry later id
-    ranges. A scan hands the whole block list to the kernel: one heap,
-    one kernel entry, no per-block merge.
+    the global id space, kept as given (a view); streamed ``append()``
+    rows take the ids after it and go into one amortised-doubling tail
+    buffer, so a scan pays for one more segment however many blocks
+    were added.
     """
 
     def __init__(self, codes: np.ndarray, offset: int):
-        self.blocks: list[tuple[int, np.ndarray]] = [(int(offset), codes)]
+        self._base = (int(offset), codes)
+        # (first id, buffer, rows in use), replaced whole on every append
+        self._tail = (int(offset) + len(codes), codes[:0], 0)
 
-    def append(self, codes: np.ndarray, offset: int) -> None:
-        self.blocks.append((int(offset), codes))
+    def append(self, codes: np.ndarray) -> None:
+        start, buf, n = self._tail
+        self._tail = (start, _append_rows(buf, n, codes), n + len(codes))
 
     def scan(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         # Read once: an append racing this scan is seen whole or not at all.
-        return _scan_segments(queries, list(self.blocks), k)
+        start, buf, n = self._tail
+        return _scan_segments(queries, [self._base, (start, buf[:n])], k)
 
 
 class ScanResult(tuple):
@@ -502,8 +514,8 @@ class _ShardProcess:
         return "scanned", self._scanner.scan(queries, k)
 
     def append(self, blocks) -> tuple:
-        for codes, offset in blocks:
-            self._scanner.append(codes, offset)
+        for codes in blocks:
+            self._scanner.append(codes)
         return "appended", None
 
     def close(self) -> None:
@@ -649,9 +661,9 @@ class ShardedHammingIndex:
         if len(packed) == 0:
             # Nothing to scan, ship or replay: no block, no IPC round trip.
             return ids
-        block = (np.ascontiguousarray(packed), self._n)
+        block = np.ascontiguousarray(packed)
         if self.mode == "thread":
-            self._scanners[-1].append(*block)
+            self._scanners[-1].append(block)
         else:
             # The scan's deadline rule: a tail that misses it, or dies,
             # is SIGKILLed and respawned, and the replacement takes the

@@ -153,6 +153,68 @@ class TestBlockedEncode:
             LinearEncoder(3, 2).encode(np.zeros(3))
 
 
+class _Scores:
+    """Stands in for a block's features: its product with ``A^T`` *is*
+    the block's scores, so a test picks every score ``encode`` compares."""
+
+    def __init__(self, S):
+        self.S = S
+
+    def __matmul__(self, _):
+        return self.S.copy()
+
+
+def threshold_by_adding(S, a):
+    """The formula ``encode`` used to run: the bias added in place, then ``>= 0``."""
+    S = S.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        S += a
+    return (S >= 0).astype(np.uint8)
+
+
+class TestBiasFoldedIntoTheCompare:
+    """``encode`` writes ``s >= -a`` where it used to add the bias and
+    compare with 0. Under round-to-nearest with gradual underflow,
+    ``fl(s + a) >= 0`` exactly when ``s >= -a`` for every finite ``a``:
+    the two must agree bit for bit."""
+
+    @staticmethod
+    def threshold(S, a):
+        enc = LinearEncoder(1, S.shape[1], dtype=S.dtype)
+        enc.a[:] = a
+        return enc._threshold(S, _Scores)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_scores(self, dtype):
+        fi = np.finfo(dtype)
+        tiny, big = fi.smallest_subnormal, fi.max
+        finite = np.array(
+            [0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, fi.tiny, -fi.tiny,
+             fi.eps, -fi.eps, 1.0, -1.0, 0.5 * big, -0.5 * big, big, -big],
+            dtype=dtype,
+        )
+        scores = np.concatenate([finite, np.array([np.inf, -np.inf], dtype=dtype)])
+        # Every (score, bias) pair: exact ties s = -a, both signed zeros,
+        # subnormal sums and differences, sums that overflow to +-inf.
+        S = np.repeat(scores[:, None], len(finite), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflowed = np.isinf(S + finite) & np.isfinite(S)
+        assert (S == -finite).any() and overflowed.any()
+        assert np.array_equal(self.threshold(S, finite), threshold_by_adding(S, finite))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_blocks(self, dtype):
+        rng = np.random.default_rng(5)
+        n, L = 3 * emod._ENCODE_BLOCK_ROWS + 7, 64
+        # Magnitudes from subnormal to huge, and a tie planted in every row.
+        exp = rng.integers(np.finfo(dtype).minexp - 20, np.finfo(dtype).maxexp - 4, size=(n, L))
+        S = (rng.standard_normal((n, L)) * np.exp2(exp)).astype(dtype)
+        a = (rng.standard_normal(L) * np.exp2(rng.integers(-30, 30, size=L))).astype(dtype)
+        cols = rng.integers(0, L, size=n)
+        S[np.arange(n), cols] = -a[cols]
+        assert np.array_equal(self.threshold(S, a), threshold_by_adding(S, a))
+
+
 class TestRBFEncoder:
     def test_from_data_centres_subset(self):
         X = np.random.default_rng(0).normal(size=(50, 4))

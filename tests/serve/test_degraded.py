@@ -282,7 +282,7 @@ class _PoisonedScan(index_mod._ShardProcess):
 
     def scan(self, queries, k):
         if np.array_equal(queries, POISON):
-            if self._scanner.blocks[0][0] > 0:
+            if self._scanner._base[0] > 0:
                 raise ValueError("injected scan failure")
             time.sleep(0.3)
         return super().scan(queries, k)
@@ -438,24 +438,27 @@ class TestAddRecovery:
         finally:
             idx.close()
 
-    def test_blocked_feeder_ends_although_a_later_worker_forked(self, problem):
-        """The command-queue feeder blocked writing a big block to a dead
-        tail must end when the tail is killed, also when a worker forked
-        after the tail's queue was made (a respawned shard 0) inherited
-        that queue's read end."""
-        packed, Q, *_ = problem
-        idx = ShardedHammingIndex(packed, N_BITS, 3, mode="process")
+    def test_big_add_to_stopped_tail_meets_the_deadline(self, problem):
+        """A 1.6 MB add block is far more than a SIGSTOPped tail's socket
+        takes: the send must not block on it, the ``add`` must still
+        return within the deadline's bound on a replacement, and the next
+        search must equal a rebuild."""
+        packed, Q, Zb, Zq = problem
+        Z_new = random_codes(np.random.default_rng(14), 200_000)
+        assert pack_bits(Z_new).nbytes == 1_600_000
+        idx = ShardedHammingIndex(packed, N_BITS, 3, mode="process", scan_timeout_s=1.0)
+        wedged = idx._workers.procs[2]
         try:
-            idx.search(Q, K)
-            kill_shard(idx, 0)
-            assert idx.search(Q, K).partial  # respawns shard 0
-            kill_shard(idx, 2)
-            tail_q = idx._workers._cmd_qs[2]
-            rng = np.random.default_rng(14)
-            idx.add(rng.integers(0, 2**32, size=(200_000, 1), dtype=np.uint64))
-            tail_q._thread.join(timeout=5.0)
-            assert not tail_q._thread.is_alive()
+            os.kill(wedged.pid, signal.SIGSTOP)
+            t0 = time.monotonic()
+            idx.add(pack_bits(Z_new))
+            elapsed = time.monotonic() - t0
+            assert elapsed < 4.0, f"add waited on the stopped tail ({elapsed:.1f}s)"
+            assert not wedged.is_alive() and idx.shard_respawns == 1
+            self.check_healed(idx, problem, Z_new)
         finally:
+            if wedged.is_alive():
+                os.kill(wedged.pid, signal.SIGCONT)
             idx.close()
 
     def test_interpreter_exits_after_add_to_dead_tail(self):

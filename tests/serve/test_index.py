@@ -338,7 +338,7 @@ class TestShardedHammingIndex:
                 assert ids.dtype == np.int64 and len(ids) == 0
             assert sharded.n == 90
             if mode == "thread":
-                assert len(sharded._scanners[-1].blocks) == 1
+                assert sharded._scanners[-1]._tail[2] == 0
             else:
                 assert sharded._tail_blocks == []
             got = sharded.search(pack_bits(Zq), 7)
@@ -534,7 +534,7 @@ class TestKernelGenerated:
         Q, B = pack_bits(Zq), pack_bits(Zb)
         scanner = index_mod._ShardScanner(B[:300], 7000)
         for lo in range(300, 1300, 20):  # 50 appended blocks
-            scanner.append(B[lo : lo + 20], 7000 + lo)
+            scanner.append(B[lo : lo + 20])
         entries = []
         kernel = index_mod._scan_segments
 
@@ -548,6 +548,60 @@ class TestKernelGenerated:
         monkeypatch.setattr(index_mod, "_scan_segments", counting)
         monkeypatch.setattr(index_mod, "merge_topk", no_merge)
         ids, ds = scanner.scan(Q, 12)
-        assert entries == [51]
+        assert entries == [2]  # the shard's slice and its one tail buffer
         rid, rd = ref_topk(Zq, Zb, 12)
         assert np.array_equal(ids, rid + 7000) and np.array_equal(ds, rd)
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_tail_stays_one_segment(self, monkeypatch, mode):
+        """300 add blocks later a shard scan still reads at most two
+        segments — its slice and one tail buffer — and the sharded search
+        equals a flat scan."""
+        rng = np.random.default_rng(17)
+        Zq, Zb = random_codes(rng, 5, 40), random_codes(rng, 1500, 40)
+        Q, B = pack_bits(Zq), pack_bits(Zb)
+        kernel = index_mod._scan_segments
+
+        def at_most_two(queries, segments, k):
+            if len(segments) > 2:
+                raise AssertionError(f"a scan read {len(segments)} segments")
+            return kernel(queries, segments, k)
+
+        # Forked shard workers inherit the patch; their AssertionError
+        # comes back as the search's RuntimeError.
+        monkeypatch.setattr(index_mod, "_scan_segments", at_most_two)
+        with ShardedHammingIndex(B[:300], 40, 2, mode=mode) as sharded:
+            for lo in range(300, 1500, 4):  # 300 blocks
+                sharded.add(B[lo : lo + 4])
+            got = sharded.search(Q, 13)
+        want = hamming_topk(Q, B, 13)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_append_racing_a_scan_is_seen_whole_or_not_at_all(self, monkeypatch):
+        """A scan that runs inside an append — its rows already written,
+        in place or into a grown buffer, but not yet published — sees none
+        of them; once the append returns, the next scan sees all."""
+        rng = np.random.default_rng(18)
+        Zq, Zb = random_codes(rng, 4, 64), random_codes(rng, 4000, 64)
+        Q, B = pack_bits(Zq), pack_bits(Zb)
+        scanner = index_mod._ShardScanner(B[:1000], 0)
+        append_rows, mid = index_mod._append_rows, []
+
+        def scan_midway(buf, n, rows):
+            grown = append_rows(buf, n, rows)
+            mid.append(scanner.scan(Q, 20))
+            return grown
+
+        monkeypatch.setattr(index_mod, "_append_rows", scan_midway)
+        end = 1000
+        # A first buffer of 1024 rows, filled exactly in place, then grown
+        # twice (to 2048 and 4096 rows) and written in place in between.
+        for size in (10, 1014, 1, 500, 530, 945):
+            scanner.append(B[end : end + size])
+            before = hamming_topk(Q, B[:end], 20)
+            assert np.array_equal(mid[-1][0], before[0]) and np.array_equal(mid[-1][1], before[1])
+            end += size
+            after = hamming_topk(Q, B[:end], 20)
+            got = scanner.scan(Q, 20)
+            assert np.array_equal(got[0], after[0]) and np.array_equal(got[1], after[1])
+        assert scanner._tail[1].shape[0] == 4096
