@@ -8,7 +8,7 @@ two observable costs, both measured here where they matter:
   so a healthy iteration pays a steady overhead vs ``fail_fast``;
 * **kill-to-recovery latency** — a scheduled mid-iteration SIGKILL
   (:class:`~repro.distributed.chaos.CrashEvent`) turns one iteration
-  into detect + backoff + full pool rebuild + boundary re-ship + retry;
+  into detect + full pool rebuild + boundary re-ship + retry;
   the crash iteration's wall time against its healthy neighbours is the
   honest price of not losing the shard;
 * **degraded-serve latency** — a sharded index with a scan deadline
@@ -64,7 +64,7 @@ def recovery_latency(name, X, Z):
     chaos = ChaosConfig(crashes=(CrashEvent(machine=1, iteration=1),))
     with get_backend(name)(
         epochs=1, seed=0, shuffle_within=False,
-        fault_policy="respawn", respawn_backoff=0.0, chaos=chaos,
+        fault_policy="respawn", chaos=chaos,
     ) as backend:
         backend.setup(adapter, shards)
         healthy = backend.run_iteration(1e-3).wall_time
@@ -129,7 +129,7 @@ def test_recovery_cost(benchmark, report):
            "iteration so a death can rewind bit-identically.")
 
     report()
-    report("Kill-to-recovery latency (scheduled mid-W SIGKILL, zero backoff)")
+    report("Kill-to-recovery latency (scheduled mid-W SIGKILL)")
     rows = [
         [name, f"{h * 1e3:.0f}", f"{c * 1e3:.0f}", f"{w * 1e3:.0f}",
          f"{p * 1e3:.0f}", f"{c / h:.2f}x"]

@@ -59,10 +59,9 @@ class ParMACTrainer:
         the survivors, paper section 4.3), or ``"respawn"`` (the pool is
         rebuilt from the last iteration boundary and the iteration
         retried bit-identically — zero rows lost, same final model as an
-        uninterrupted run; bounded by the backend's ``respawn_budget``
-        with exponential ``respawn_backoff``, escalating to drop_shard
-        once the budget is spent and to fail_fast once no pool
-        survives).
+        uninterrupted run; bounded by the backend's ``respawn_budget``,
+        escalating to drop_shard once the budget is spent and to
+        fail_fast once no pool survives).
     chaos : ChaosConfig or dict, optional
         Network fault injection (:mod:`repro.distributed.chaos`): seeded
         packet loss, delay/jitter, reordering, bandwidth caps, partition

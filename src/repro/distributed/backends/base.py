@@ -76,10 +76,9 @@ class FaultPolicy(str, enum.Enum):
         replacement workers, re-ships every shard and RNG state, and
         retries the iteration — zero shards lost and a final model
         bit-identical to an uninterrupted run. Bounded by a per-fit
-        respawn budget with exponential backoff; on exhaustion the
-        policy escalates to ``DROP_SHARD`` semantics (excise the dead
-        machine, keep the survivors), and when no survivors remain it
-        fails fast. Only meaningful on the wall-clock engines — the
+        respawn budget; on exhaustion the policy escalates to
+        ``DROP_SHARD`` semantics (excise the dead machine, keep the
+        survivors), and when no survivors remain it fails fast. Only meaningful on the wall-clock engines — the
         simulated engines have no process to lose, so an injected fault
         under ``RESPAWN`` is simply absorbed (counted, numerics
         untouched).
@@ -213,10 +212,6 @@ class BaseBackend:
     respawn_budget : int
         Worker-pool rebuilds allowed per fit under ``"respawn"`` before
         the policy escalates to ``drop_shard`` semantics (default 3).
-    respawn_backoff : float
-        Base of the exponential backoff slept before each respawn:
-        rebuild ``n`` (0-based) waits ``respawn_backoff * 2**n`` seconds
-        (default 0.5).
     batch_units : bool
         Run co-resident compatible submodels' W updates as one stacked
         pass (one GEMM per minibatch) instead of per-unit Python loops
@@ -229,16 +224,6 @@ class BaseBackend:
         round-trips the parameters through this dtype, shrinking wire
         bytes by the itemsize ratio, on simulated *and* wall-clock
         engines alike. None (default) keeps full-precision messages.
-    overlap_send : bool
-        Pipeline ring sends with compute (default False). Wall-clock
-        engines hand just-trained submodels to a double-buffered
-        background sender so the next convoy trains while the previous
-        one is on the wire; simulated engines model the same overlap in
-        their virtual clocks. Timing only — message contents, ordering
-        and therefore numerics are unchanged on every engine, and the
-        knob is deliberately absent from checkpoint compatibility checks.
-        Off by default because the paper's timing model (section 5.1)
-        charges the sender serially for each hop.
     chaos : ChaosConfig, dict or None
         Chaos-grade network fault injection (default None — no chaos):
         seeded per-link packet loss (charged as retransmits), delay +
@@ -248,11 +233,11 @@ class BaseBackend:
         engines inject the degradations as real latency between framing
         and the wire; simulated engines charge the identical seeded
         event stream to their virtual clocks. Delivery stays
-        deterministic, so — like ``overlap_send`` — chaos changes when
-        messages travel and what iterations cost, never what is
-        computed, and the knob is likewise absent from checkpoint
-        compatibility checks. Per-iteration injected-event counts
-        surface as ``chaos_*`` keys in ``IterationStats.extra``.
+        deterministic, so chaos changes when messages travel and what
+        iterations cost, never what is computed, and the knob is absent
+        from checkpoint compatibility checks. Per-iteration
+        injected-event counts surface as ``chaos_*`` keys in
+        ``IterationStats.extra``.
         Scheduled ``crashes`` are the one exception to "timing only":
         they SIGKILL real worker processes on the wall-clock engines
         (the simulated ones retire the machine, with the same outcome)
@@ -284,10 +269,8 @@ class BaseBackend:
         cost=None,
         fault_policy: FaultPolicy | str = FaultPolicy.FAIL_FAST,
         respawn_budget: int = 3,
-        respawn_backoff: float = 0.5,
         batch_units: bool = True,
         message_dtype=None,
-        overlap_send: bool = False,
         chaos=None,
         health=None,
         seed=None,
@@ -307,7 +290,6 @@ class BaseBackend:
             if message_dtype is None
             else check_float_dtype(message_dtype, name="message_dtype")
         )
-        self.overlap_send = bool(overlap_send)
         self.chaos = ChaosConfig.coerce(chaos)
         self.health = HealthConfig.coerce(health)
         self.cost = cost
@@ -320,10 +302,7 @@ class BaseBackend:
             ) from None
         if respawn_budget < 0:
             raise ValueError(f"respawn_budget must be >= 0, got {respawn_budget}")
-        if respawn_backoff < 0:
-            raise ValueError(f"respawn_backoff must be >= 0, got {respawn_backoff}")
         self.respawn_budget = int(respawn_budget)
-        self.respawn_backoff = float(respawn_backoff)
         self.seed = seed
         self.adapter = None
         self.dataplane: DataPlane | None = None
@@ -370,7 +349,6 @@ class BaseBackend:
                 None if self.message_dtype is None else str(self.message_dtype)
             ),
             "batched_w": self.units_batched(),
-            "overlap_send": self.overlap_send,
         }
 
     # ----------------------------------------------------------- streaming

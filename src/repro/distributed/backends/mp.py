@@ -34,12 +34,6 @@ What the engine provides:
   shuffled per-epoch :class:`~repro.distributed.protocol.RoutePlan`
   every iteration (section 4.3), routed per-message over the all-pairs
   socket mesh;
-* **overlapped ring sends** — under ``overlap_send=True`` each worker
-  hands encoded frames to a double-buffered background sender
-  (:class:`~repro.distributed.backends.ring._AsyncSender`) and returns
-  to training the next convoy while the previous one is still on the
-  wire; the wire cast and byte accounting stay on the training thread,
-  so overlap changes timing, never bits;
 * **streaming ingestion** — ``ingest`` queues arriving rows with the
   shared :class:`~repro.distributed.dataplane.DataPlane`; at the next
   iteration boundary each drained batch is coded by the current nested
@@ -142,15 +136,6 @@ class MultiprocessBackend(BaseBackend):
         the dead shard and continues on the survivors. A timeout is
         reported as a stall (live-but-unresponsive workers), distinct
         from a fault (dead workers).
-    pin_workers : bool
-        Pin each worker process to a contiguous slice of the
-        coordinator's CPU affinity set (``os.sched_setaffinity``), so the
-        P "machines" of a single-host benchmark stop migrating onto each
-        other's cores. Best-effort and opt-in: silently inactive on
-        platforms without ``sched_setaffinity``; a mid-fit joiner gets
-        its slice from a recomputed partition while standing workers keep
-        theirs. The cpusets actually applied (each worker reports its own
-        affinity back) appear in ``IterationStats.extra["cpusets"]``.
 
     The adapter must be picklable; each worker gets its own copy at
     ``setup`` while the shard *data* travels through shared memory.
@@ -162,14 +147,9 @@ class MultiprocessBackend(BaseBackend):
     #: deployment setting on ``tcp``; between local processes, a constant).
     connect_timeout = 10.0
 
-    def __init__(
-        self, *, worker_timeout: float | None = 300.0, pin_workers: bool = False,
-        **kwargs
-    ):
+    def __init__(self, *, worker_timeout: float | None = 300.0, **kwargs):
         super().__init__(**kwargs)
         self.worker_timeout = worker_timeout
-        self.pin_workers = bool(pin_workers)
-        self._worker_cpusets: dict[int, list[int]] = {}
         self._pool = WorkerPool()
         self._addr_map: dict = {}
         self._segments: list = []
@@ -247,31 +227,8 @@ class MultiprocessBackend(BaseBackend):
             self.close(force=True)
             raise
 
-    def _cpusets(self, ranks) -> dict:
-        """Contiguous partition of the coordinator's CPU set over ``ranks``.
-
-        Empty when pinning is off or the platform has no
-        ``sched_setaffinity``. With more workers than CPUs the tail ranks
-        share the full set rather than getting an empty (illegal) mask.
-        """
-        if not self.pin_workers or not hasattr(os, "sched_setaffinity"):
-            return {}
-        cpus = sorted(os.sched_getaffinity(0))
-        ranks = sorted(ranks)
-        n = len(ranks)
-        out = {}
-        for i, rank in enumerate(ranks):
-            chunk = cpus[(i * len(cpus)) // n : ((i + 1) * len(cpus)) // n]
-            out[rank] = chunk if chunk else cpus
-        return out
-
     def _setup_message(self, rank: int, desc, rng_state) -> WorkerSetup:
-        """The setup message for ``rank`` — the only construction site.
-
-        The cpuset is this rank's slice of a partition over the current
-        rank set, so a mid-fit joiner gets its slice from a recomputed
-        partition while standing workers keep theirs.
-        """
+        """The setup message for ``rank`` — the only construction site."""
         return WorkerSetup(
             adapter=self.adapter,
             desc=desc,
@@ -283,9 +240,7 @@ class MultiprocessBackend(BaseBackend):
             rng_state=rng_state,
             message_dtype=self.message_dtype,
             batch_units=self.batch_units,
-            overlap_send=self.overlap_send,
             chaos=self.chaos,
-            cpuset=self._cpusets(self._ranks).get(rank),
             health=self.health,
             address=self._address_for(rank),
             # Abort and await recovery on a peer death, instead of
@@ -316,10 +271,7 @@ class MultiprocessBackend(BaseBackend):
                 self._setup_message(rank, descs[rank], rng_states.get(rank)),
             )
         self._connect_mesh(ranks)
-        ready = self._collect("ready", ranks)
-        self._worker_cpusets = {
-            r: cs for r, cs in ready.items() if cs is not None
-        }
+        self._collect("ready", ranks)
 
     def _connect_mesh(self, ranks) -> None:
         """Exchange bound addresses and build the all-pairs socket mesh:
@@ -408,9 +360,7 @@ class MultiprocessBackend(BaseBackend):
         )
         self._collect("joined", old_ranks)
         self._addr_map[p] = addr
-        ready = self._collect("ready", [p])
-        if ready[p] is not None:
-            self._worker_cpusets[p] = ready[p]
+        self._collect("ready", [p])
 
     def _collect_worker_pool_state(self) -> dict:
         """{rank: {"shard": ..., "rng_state": ...}} from every live worker."""
@@ -556,11 +506,6 @@ class MultiprocessBackend(BaseBackend):
             extra["respawn_wait_s"] = respawn_wait_s
         if self._monitor is not None:
             extra.update(self._monitor.counters())
-        if self._worker_cpusets:
-            extra["cpusets"] = {
-                r: list(self._worker_cpusets[r])
-                for r in sorted(self._worker_cpusets)
-            }
         self._iterations_done += 1
         z = ZStepResult.total({r: payloads[r]["z"] for r in ranks})
         return IterationStats(
@@ -613,18 +558,15 @@ class MultiprocessBackend(BaseBackend):
         The dead worker's post-death shard state is unrecoverable and the
         survivors are not reusable as-is (aborted ones consumed SGD
         draws, completed ones advanced their Z codes), so recovery
-        replaces *every* process: backoff, tear the pool down, respawn
-        the full rank set, re-ship the boundary shards and SGD streams,
-        and rewind the route RNG so the retried plan is the one the dead
-        attempt ran. One budget unit is consumed up front — a kill that
-        lands during the rebuild itself surfaces as a ``RuntimeError``
-        from the setup gather and the caller retries from the same
-        (untouched) boundary, budget permitting.
+        replaces *every* process: tear the pool down, respawn the full
+        rank set, re-ship the boundary shards and SGD streams, and rewind
+        the route RNG so the retried plan is the one the dead attempt
+        ran. One budget unit is consumed up front — a kill that lands
+        during the rebuild itself surfaces as a ``RuntimeError`` from the
+        setup gather and the caller retries from the same (untouched)
+        boundary, budget permitting.
         """
-        wait = self.respawn_backoff * (2 ** self._respawns_done)
         self._respawns_done += 1
-        if wait > 0:
-            time.sleep(wait)
         self._rebuild_pool(
             {r: (c["shard"], c["rng_state"]) for r, c in boundary["pool"].items()},
             force=True,
@@ -665,7 +607,6 @@ class MultiprocessBackend(BaseBackend):
         retired = []
         for rank in sorted(dead):
             self._pool.kill(rank)
-            self._worker_cpusets.pop(rank, None)
             rows = self.dataplane.retire(rank, lost=True)
             retired.append(ShardRetired(machine=rank, rows_lost=rows))
             # Reconnect predecessor -> successor, preserving the cycle

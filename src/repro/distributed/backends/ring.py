@@ -8,13 +8,11 @@ the only thing the link is parameterised by, and the socket family is
 derived from it. Everything else is shared:
 
 * :class:`_SocketRingTransport` — what one iteration sends and receives
-  over the established mesh (``send``/``flush``/``recv``/``drain``/
-  ``wire_stats``), with per-destination frame coalescing and
-  backpressure-safe writes;
+  over the established mesh (``send``/``flush``/``recv``/``wire_stats``),
+  with per-destination frame coalescing and backpressure-safe writes;
 * :class:`_SocketLink` — the worker end of the ring around iterations:
   the listening socket, the mesh, its rebuild after a fault, the
   mid-fit join handshake, and the framed control plane;
-* :class:`_AsyncSender` — the background sender behind ``overlap_send``;
 * the socket helpers (:func:`_bind_listen_socket`,
   :func:`_connect_with_retry`, :func:`_read_frames`).
 
@@ -53,10 +51,8 @@ aborted attempt.
 from __future__ import annotations
 
 import contextlib
-import queue as queue_mod
 import selectors
 import socket
-import threading
 import time
 
 import numpy as np
@@ -90,96 +86,18 @@ from repro.distributed.shm import attach_array_block
 
 
 # --------------------------------------------------------------- transport
-class _AsyncSender:
-    """Double-buffered background sender for overlapped ring hops.
-
-    One daemon thread drains a bounded queue of transmit items, so the
-    worker's main thread hands a just-trained submodel batch off and
-    returns to training the next convoy while the previous one is still
-    on the wire. A *single* sender thread per transport preserves the
-    per-destination FIFO order the counter protocol relies on; the queue
-    depth of two is the double buffer — one send in flight, one staged —
-    which bounds how far the pipeline can run ahead of the NIC.
-
-    Failure handling: a transmit error is recorded, not raised in the
-    thread — the loop keeps consuming (and skipping) items so that
-    ``Queue.join`` always terminates and a producer blocked on a full
-    queue cannot deadlock; the original exception re-raises on the main
-    thread at the next ``submit``/``drain``/``check``, keeping its type
-    (the worker's fault handling keys on ``ProtocolError``).
-    """
-
-    _STOP = object()
-
-    def __init__(self, transmit, *, depth: int = 2):
-        self._transmit = transmit
-        self._q: queue_mod.Queue = queue_mod.Queue(maxsize=depth)
-        self._exc: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="ring-sender", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            item = self._q.get()
-            try:
-                if item is self._STOP:
-                    return
-                if self._exc is None:
-                    self._transmit(*item)
-            except BaseException as exc:  # noqa: BLE001 - surfaced via check()
-                self._exc = exc
-            finally:
-                self._q.task_done()
-
-    def check(self) -> None:
-        """Re-raise a background transmit failure on the caller's thread."""
-        if self._exc is not None:
-            raise self._exc
-
-    def submit(self, *item) -> None:
-        """Queue one transmit, blocking while both buffers are full.
-
-        The wait is chopped into short timed puts so a send failure
-        surfaces here instead of deadlocking the producer against a
-        queue that will never drain normally.
-        """
-        while True:
-            self.check()
-            try:
-                self._q.put(item, timeout=0.1)
-                return
-            except queue_mod.Full:
-                continue
-
-    def drain(self) -> None:
-        """Block until every queued transmit has left, then re-check."""
-        self.check()
-        self._q.join()
-        self.check()
-
-    def close(self) -> None:
-        """Stop the thread after in-flight items (no new work accepted)."""
-        try:
-            self._q.put(self._STOP, timeout=1.0)
-        except queue_mod.Full:
-            pass  # wedged transmit; the daemon thread is abandoned
-        self._thread.join(timeout=5.0)
-
-
 class _SocketRingTransport:
     """Ring transport over the established socket mesh, with coalescing.
 
     The interface the worker iteration runs against: ``send(dest, msg)``
     buffers per destination, ``flush()`` forces buffered messages out,
-    ``recv()`` returns the next incoming message, ``drain()`` waits for
-    background sends, and ``wire_stats()`` reports what the iteration
-    cost on the wire. ``recv`` flushes all buffers before blocking (so
-    no worker ever sleeps on a receive while holding messages a peer is
-    waiting for — the protocol-level no-deadlock invariant) and then
-    multiplexes the incoming connections, feeding each socket's bytes
-    through its own frame decoder.
+    ``recv()`` returns the next incoming message, and ``wire_stats()``
+    reports what the iteration cost on the wire. ``recv`` flushes all
+    buffers before blocking (so no worker ever sleeps on a receive while
+    holding messages a peer is waiting for — the protocol-level
+    no-deadlock invariant) and then multiplexes the incoming
+    connections, feeding each socket's bytes through its own frame
+    decoder.
 
     Transport-level deadlock is prevented too: outgoing sockets are
     non-blocking, and a send that fills the kernel buffer *keeps reading
@@ -187,23 +105,10 @@ class _SocketRingTransport:
     larger than the in-flight socket capacity could wedge the whole ring
     — every worker blocked in ``sendall`` to a peer that cannot read
     because it is itself blocked sending.
-
-    ``overlap=True`` moves the socket writes to a double-buffered
-    background :class:`_AsyncSender`: the worker's training thread
-    encodes the frame (numerics and wire accounting unchanged) and hands
-    the bytes off, so the next convoy trains while the previous one is
-    on the wire. The sender thread then owns every outgoing socket
-    exclusively — it uses plain blocking ``sendall`` and **never**
-    touches the inbound sockets (the inbox and frame decoders stay
-    main-thread-only). That cannot deadlock the ring: backpressure
-    blocks only the sender thread, while every machine's main thread
-    always returns to its receive loop and keeps draining inbound
-    frames.
     """
 
     def __init__(self, rank, out_conns, in_conns, spec_by_sid, senders, *,
-                 wire_dtype=None, compute_dtype=None, overlap=False,
-                 chaos_shim=None):
+                 wire_dtype=None, compute_dtype=None, chaos_shim=None):
         self.rank = rank
         self._out = out_conns
         self._in = in_conns
@@ -223,9 +128,7 @@ class _SocketRingTransport:
         # the per-link RNG consumption matches the simulated engines, hop
         # for hop, regardless of how messages coalesce into frames) and
         # accumulated per destination; the summed delay is served as one
-        # sleep when the frame actually transmits — on the sender thread
-        # under overlap_send, so overlap hides injected latency exactly
-        # as it hides real latency.
+        # sleep when the frame actually transmits.
         self._chaos = chaos_shim
         self._chaos_delay: dict[int, float] = {}
         self._outbox: dict[int, list] = {}
@@ -234,11 +137,8 @@ class _SocketRingTransport:
         self._selector = selectors.DefaultSelector()
         for peer, conn in in_conns.items():
             self._selector.register(conn, selectors.EVENT_READ, peer)
-        self._sender = _AsyncSender(self._transmit_background) if overlap else None
         for conn in out_conns.values():
-            # Overlap: the sender thread owns the outgoing sockets and
-            # blocks in sendall, so they stay in blocking mode.
-            conn.setblocking(self._sender is not None)
+            conn.setblocking(False)
         self.msgs_sent = 0
         self.frames_sent = 0
         self.bytes_sent = 0
@@ -272,9 +172,6 @@ class _SocketRingTransport:
         self.frames_sent += 1
         self.bytes_sent += len(frame)
         delay = self._chaos_delay.pop(dest, 0.0)
-        if self._sender is not None:
-            self._sender.submit(dest, frame, delay)
-            return
         if delay > 0.0:
             time.sleep(delay)
         conn = self._out[dest]
@@ -286,15 +183,6 @@ class _SocketRingTransport:
                 self._read_while_unwritable(conn)
             except OSError as exc:
                 raise ProtocolError(f"send to machine {dest} failed: {exc}") from exc
-
-    def _transmit_background(self, dest: int, frame, delay: float = 0.0) -> None:
-        """Sender-thread write: blocking sendall, no inbound reads."""
-        if delay > 0.0:
-            time.sleep(delay)
-        try:
-            self._out[dest].sendall(frame)
-        except OSError as exc:
-            raise ProtocolError(f"send to machine {dest} failed: {exc}") from exc
 
     def _read_while_unwritable(self, conn) -> None:
         """Blocked on a full send buffer: drain peers until writable.
@@ -340,13 +228,7 @@ class _SocketRingTransport:
         if not self._inbox:
             self.flush()
             while not self._inbox:
-                events = self._selector.select(timeout=_LIVENESS_POLL_S)
-                if not events and self._sender is not None:
-                    # Nothing inbound: surface a background send failure
-                    # instead of waiting for frames a dead peer will
-                    # never produce.
-                    self._sender.check()
-                for key, _ in events:
+                for key, _ in self._selector.select(timeout=_LIVENESS_POLL_S):
                     self._read_socket(key.fileobj)
         msg = self._inbox.pop(0)
         if self._wire_dtype is not None:
@@ -365,14 +247,7 @@ class _SocketRingTransport:
             stats.update(self._chaos.counters)
         return stats
 
-    def drain(self) -> None:
-        """Wait for background sends to finish (no-op without overlap)."""
-        if self._sender is not None:
-            self._sender.drain()
-
     def close(self) -> None:
-        if self._sender is not None:
-            self._sender.close()
         self._selector.close()
 
 
@@ -622,9 +497,7 @@ class _SocketLink:
     def connect(self, addr_map: dict) -> tuple:
         peers = self._dial(addr_map, encode_hello(self.rank))
         self._accept_hellos(len(peers))
-        # The ack reports the cpuset actually applied (None when pinning
-        # is off or unsupported here).
-        return "ready", self._state.cpuset
+        return "ready", None
 
     def join_mesh(self, new_rank: int, addr, is_donor: bool) -> tuple:
         """An established worker links a machine joining mid-fit into
@@ -678,7 +551,7 @@ class _SocketLink:
             )
         set_params_many(self._state.adapter, [(m.spec, m.theta) for m in finals])
         self._accept_hellos(len(peers))
-        return "ready", self._state.cpuset
+        return "ready", None
 
     # ------------------------------------------------------- loop callbacks
     @contextlib.contextmanager
@@ -717,7 +590,7 @@ class _SocketLink:
         return _SocketRingTransport(
             self.rank, self._out, self._in, state.spec_by_sid, senders,
             wire_dtype=state.wire_dtype, compute_dtype=state.compute_dtype,
-            overlap=state.overlap, chaos_shim=shim,
+            chaos_shim=shim,
         )
 
     def on_abort(self) -> bool:

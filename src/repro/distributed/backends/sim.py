@@ -16,12 +16,10 @@ bytes), and the engines differ only in the clock that replays that
 record into virtual time:
 
 * ``sync`` reads the **tick clock** (fig. 3): a tick costs the slowest
-  machine's work + comm, or its ``max(work, comm)`` under
-  ``overlap_send``.
+  machine's work + comm.
 * ``async`` reads the **event clock** (section 4.1's queues): deliveries
   are heap events, a machine starts a visit at ``max(local clock,
-  arrival)``, and overlapped sends run through an
-  :class:`~repro.distributed.costmodel.OverlapSendTimeline`. This is what
+  arrival)``, and each hop occupies the sender's clock. This is what
   the speedup experiments measure.
 
 Clocks only count. Costs come from a
@@ -62,7 +60,7 @@ from repro.distributed.backends.base import (
     register_backend,
 )
 from repro.distributed.batching import GroupTable, train_message_batch
-from repro.distributed.costmodel import ChaosTimeline, CostModel, OverlapSendTimeline
+from repro.distributed.costmodel import ChaosTimeline, CostModel
 from repro.distributed.dataplane import ClusterState, DataPlane
 from repro.distributed.interfaces import ZStepResult, get_params_many, set_params_many
 from repro.distributed.messages import SubmodelMessage
@@ -707,13 +705,7 @@ class SyncSimBackend(_SimBackend):
                     if p != q:
                         stats.bytes_sent += nbytes
                     stats.n_messages += 1
-                # Overlapped sends: the background sender puts this
-                # tick's messages on the wire while the CPU works, so
-                # the machine's tick costs the slower of the two instead
-                # of their sum (the steady-state pipeline bound).
-                tick_cost[p] = (
-                    max(work_p, comm_p) if self.overlap_send else work_p + comm_p
-                )
+                tick_cost[p] = work_p + comm_p
                 stats.comp_time += work_p
                 stats.comm_time += comm_p
                 stats.per_machine_comp[p] += work_p
@@ -739,7 +731,6 @@ class AsyncSimBackend(_SimBackend):
             per_machine_comp=dict.fromkeys(machines, 0.0),
             per_machine_comm=dict.fromkeys(machines, 0.0),
         )
-        nic = OverlapSendTimeline() if self.overlap_send else None
         clock = dict.fromkeys(machines, 0.0)
         # Every submodel is "delivered" to its home at t = 0 with no comm
         # cost; ties break on a sequence number, first-tick order first.
@@ -760,26 +751,15 @@ class AsyncSimBackend(_SimBackend):
             hop += _chaos_hop(chaos, p, q, nbytes, clock[p])
             stats.comm_time += hop
             stats.per_machine_comm[p] += hop
-            if nic is not None and hop > 0.0:
-                # Overlap: the hop runs on the machine's NIC timeline;
-                # the worker's clock advances only if both send buffers
-                # were full (double-buffer backpressure).
-                clock[p], delivery = nic.submit(p, clock[p], hop)
-            else:
-                # t_wc is time the machine *spends* communicating (section
-                # 5.1: "the time spent by a given machine in first
-                # receiving a submodel and then sending it"), so it
-                # occupies the sender's clock as well as delaying the
-                # delivery.
-                clock[p] += hop
-                delivery = clock[p]
+            # t_wc is time the machine *spends* communicating (section
+            # 5.1: "the time spent by a given machine in first receiving
+            # a submodel and then sending it"), so it occupies the
+            # sender's clock as well as delaying the delivery.
+            clock[p] += hop
             if p != q:
                 stats.bytes_sent += nbytes
             stats.n_messages += 1
-            heapq.heappush(heap, (delivery, seq, sid, k + 1))
+            heapq.heappush(heap, (clock[p], seq, sid, k + 1))
             seq += 1
         stats.sim_time = max(clock.values(), default=0.0)
-        if nic is not None:
-            # The step is not over until the last NIC finishes draining.
-            stats.sim_time = max(stats.sim_time, nic.tail())
         return stats

@@ -9,8 +9,8 @@ train the submodels that arrive, pass them on, then solve its Z step
 * :func:`_run_worker_iteration`, one W step + Z step over a transport;
 * :class:`_Worker`, the handler table the pool's command loop serves.
 
-The process around it — the fork site, the command loop, the response
-pipe and the gather — is :mod:`repro.distributed.pool`, which the
+The process around it — the fork site, the command loop, the worker's
+channel and the gather — is :mod:`repro.distributed.pool`, which the
 serving tier's process shards run on too. The ring itself — the
 transport an iteration sends and receives on, and the worker-side link
 that builds, rebuilds and tears down the socket mesh around iterations —
@@ -57,12 +57,11 @@ class WorkerSetup:
     Built at exactly one site (the coordinator's ``_setup_message``) and
     kept by the worker as the immutable half of its state. ``rng_state``
     restores a checkpointed SGD stream in place of the fresh
-    ``seed``-derived one; ``cpuset`` (from the coordinator's
-    ``pin_workers`` partition) pins the process. ``address`` /
-    ``drop_on_fault`` are ring-link parameters: the link binds its
-    listener at ``address`` (``(host, port)`` on ``tcp``, a unix-socket
-    name on ``multiprocess``) and, under ``drop_on_fault``, answers a
-    peer's death with a clean abort ack instead of an error.
+    ``seed``-derived one. ``address`` / ``drop_on_fault`` are ring-link
+    parameters: the link binds its listener at ``address`` (``(host,
+    port)`` on ``tcp``, a unix-socket name on ``multiprocess``) and,
+    under ``drop_on_fault``, answers a peer's death with a clean abort
+    ack instead of an error.
     """
 
     adapter: object
@@ -75,20 +74,14 @@ class WorkerSetup:
     rng_state: dict | None
     message_dtype: object
     batch_units: bool
-    overlap_send: bool
     chaos: object
-    cpuset: list | None
     health: object
     address: object
     drop_on_fault: bool
 
 
 class _WorkerState:
-    """One worker's per-fit state: the setup message plus what it derives.
-
-    ``cpuset`` records the affinity actually in effect after pinning,
-    which the ready ack reports.
-    """
+    """One worker's per-fit state: the setup message plus what it derives."""
 
     def __init__(self, rank: int, setup: WorkerSetup, pulse: WorkerPulse):
         self.rank = rank
@@ -101,10 +94,6 @@ class _WorkerState:
         self.rng = np.random.default_rng(setup.seed)
         if setup.rng_state is not None:
             self.rng.bit_generator.state = setup.rng_state
-        self.cpuset = None
-        if setup.cpuset is not None and hasattr(os, "sched_setaffinity"):
-            os.sched_setaffinity(0, setup.cpuset)
-            self.cpuset = sorted(os.sched_getaffinity(0))
         self.compute_dtype = np.dtype(
             getattr(self.adapter, "compute_dtype", np.float64)
         )
@@ -121,10 +110,6 @@ class _WorkerState:
         """Reduced-precision wire dtype, when anything travels at all:
         like the simulated engines, a P = 1 ring never serialises."""
         return self.setup.message_dtype if self.protocol.n_machines > 1 else None
-
-    @property
-    def overlap(self) -> bool:
-        return self.setup.overlap_send and self.protocol.n_machines > 1
 
     @property
     def units_batched(self) -> bool:
@@ -294,13 +279,6 @@ def _run_worker_iteration(state: _WorkerState, mu, plan, n_expected, transport,
     if straggle is not None:
         straggle(t_z0)
     t_z = time.perf_counter() - t_z0
-    # Under overlap_send the final-lap forwards may still be in flight —
-    # deliberately: peers sit in their receive loops while this worker's
-    # Z step runs, so those sends overlap the Z compute too. They must be
-    # delivered before the iteration is reported complete, though: the
-    # next iteration opens a fresh transport whose frames must not
-    # interleave with a still-draining sender.
-    transport.drain()
     return {
         "z": z_result,
         "w_time": t_w,

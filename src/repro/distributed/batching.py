@@ -36,16 +36,6 @@ make that possible:
   reductions differently, so batched-vs-unbatched parity is *numerical*
   (machine precision), while batched runs are bit-identical across
   engines — see docs/architecture.md.
-
-Convoys are also what makes **overlapped ring sends** (``overlap_send``)
-pay off: a completed convoy forwards all its members at once, which is
-exactly the burst the wall-clock transports hand to their double-buffered
-background sender — the next convoy's stacked pass trains while the
-previous convoy's batch frame is still on the wire. Because group
-composition is protocol-determined and the sender preserves per-
-destination FIFO order, overlap changes only *when* a convoy travels,
-never which messages train together — the cross-engine bit-parity
-contract above survives pipelining untouched.
 """
 
 from __future__ import annotations

@@ -11,12 +11,11 @@ The one rule is **deterministic delivery**: chaos perturbs *when* a
 message travels and *what it costs*, never what is computed. A "lost"
 frame is charged a retransmit and still arrives exactly once; a
 "reordered" frame is charged a hold-back and still arrives in order; a
-partitioned link holds its frames until the window heals. That is the
-same contract ``overlap_send`` established (timing only, bit-identical
-numerics), and it is what lets the conformance suite assert that a
-seeded chaos scenario produces bit-identical models on the simulated
-engines and the wall-clock ones — while the *virtual* clock and the
-*wall* clock both show the degradation.
+partitioned link holds its frames until the window heals. That contract
+(timing only, bit-identical numerics) is what lets the conformance suite
+assert that a seeded chaos scenario produces bit-identical models on the
+simulated engines and the wall-clock ones — while the *virtual* clock
+and the *wall* clock both show the degradation.
 
 Each link (sender ``p`` -> receiver ``q``) owns a private RNG stream
 seeded by ``(seed, p, q)`` and draws one verdict per submodel hop. The
@@ -339,9 +338,7 @@ class ChaosShim(_ChaosState):
     transport asks :meth:`send_delay` for each outgoing submodel
     message (one draw per hop, aligning the link streams with the
     simulators), accumulates the answer per destination, and sleeps it
-    off immediately before the frame's socket write — on the
-    background sender thread under ``overlap_send``, so overlap hides
-    injected latency exactly as it hides real latency.
+    off immediately before the frame's socket write.
 
     ``now`` for partition windows is wall seconds since the shim was
     created (= since the iteration's transport came up).

@@ -12,14 +12,12 @@ configurations (fig. 13's shared-memory vs distributed contrast comes from
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-
 
 from repro.distributed.chaos import ChaosConfig, _ChaosState
 from repro.utils.validation import check_positive
 
-__all__ = ["CostModel", "OverlapSendTimeline", "ChaosTimeline"]
+__all__ = ["CostModel", "ChaosTimeline"]
 
 
 @dataclass
@@ -85,53 +83,6 @@ class CostModel:
     def z_work(self, p: int, n_points: int, n_submodels: int) -> float:
         """Z-step time on machine p: ``M * n_p * t_zr`` (eq. 7)."""
         return n_submodels * n_points * self.t_zr / self.speed(p)
-
-
-class OverlapSendTimeline:
-    """Per-machine NIC timeline for overlapped (pipelined) ring sends.
-
-    Models what the wall-clock engines' background sender does to the
-    virtual clock: under ``overlap_send`` a machine hands an outgoing
-    submodel to a double-buffered sender and keeps computing, so the hop
-    cost ``t_wc`` stops occupying the worker's clock — except when both
-    send buffers are already full, in which case the worker blocks until
-    the oldest in-flight send completes (exactly the backpressure of a
-    ``Queue(maxsize=depth)``). The NIC itself is serial: queued sends
-    leave one after another.
-
-    ``submit`` returns ``(resume, delivery)``: when the *worker* may
-    continue, and when the message reaches the receiving machine. The
-    discrete-event engine schedules the delivery event at ``delivery``
-    and advances the sender's clock only to ``resume``.
-    """
-
-    def __init__(self, depth: int = 2):
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        self.depth = int(depth)
-        self._pending: dict[int, deque] = {}
-
-    def submit(self, p: int, now: float, hop: float) -> tuple[float, float]:
-        """Hand one send of duration ``hop`` to machine ``p``'s NIC at
-        ``now``; returns ``(resume, delivery)`` virtual times."""
-        q = self._pending.setdefault(p, deque())
-        while q and q[0] <= now:
-            q.popleft()
-        resume = now
-        if len(q) >= self.depth:
-            # Both buffers full: block until the oldest send frees one.
-            resume = q[0]
-            while q and q[0] <= resume:
-                q.popleft()
-        start = max(resume, q[-1]) if q else resume
-        delivery = start + hop
-        q.append(delivery)
-        return resume, delivery
-
-    def tail(self) -> float:
-        """Latest in-flight send completion across all machines — the
-        NIC drain the step's makespan must cover."""
-        return max((q[-1] for q in self._pending.values() if q), default=0.0)
 
 
 class ChaosTimeline(_ChaosState):

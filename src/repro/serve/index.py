@@ -584,8 +584,10 @@ class ShardedHammingIndex:
         self._shard_rows = [len(idx) for idx in parts]
         self._closed = False
         if mode == "thread":
+            # Each shard scans its own copy, as a process shard scans its
+            # own shm segment: the caller may reuse its array.
             self._scanners = [
-                _ShardScanner(packed[idx[0] : idx[-1] + 1], idx[0])
+                _ShardScanner(packed[idx[0] : idx[-1] + 1].copy(), idx[0])
                 for idx in parts
             ]
             self._pool = ThreadPoolExecutor(
@@ -656,19 +658,22 @@ class ShardedHammingIndex:
 
     def add(self, codes) -> np.ndarray:
         """Append codes to the tail shard; returns the assigned global ids."""
+        if self._closed:
+            raise RuntimeError("index is closed")
         packed = _as_packed_codes(codes, self.n_words, n_bits=self.n_bits, name="codes")
         ids = np.arange(self._n, self._n + len(packed), dtype=np.int64)
         if len(packed) == 0:
             # Nothing to scan, ship or replay: no block, no IPC round trip.
             return ids
-        block = np.ascontiguousarray(packed)
         if self.mode == "thread":
-            self._scanners[-1].append(block)
+            self._scanners[-1].append(packed)  # copied into the tail buffer
         else:
             # The scan's deadline rule: a tail that misses it, or dies,
             # is SIGKILLed and respawned, and the replacement takes the
             # block. Recorded only once acknowledged, so a respawn
-            # replays exactly the blocks the tail holds.
+            # replays exactly the blocks the tail holds: the index's own
+            # copy, since the caller may refill its array.
+            block = np.array(packed, order="C")
             tail = self.n_shards - 1
             took = tail in self._workers.procs and self._append(tail, [block], self._deadline())
             if not (took or self._respawn_worker(tail, [block])):
@@ -746,12 +751,14 @@ class ShardedHammingIndex:
         )
 
     def close(self) -> None:
-        """Stop shard workers and release shared-memory segments."""
+        """Stop shard workers and release the codes: shared-memory
+        segments in process mode, the base and tail copies in thread mode."""
         if self._closed:
             return
         self._closed = True
         if self.mode == "thread":
             self._pool.shutdown(wait=True)
+            self._scanners = []  # the index's copies of the codes
             return
         self._workers.close(wait=5.0)  # per shard, then it is killed
         unlink_segments(self._segments)

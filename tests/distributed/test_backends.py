@@ -13,7 +13,6 @@ newly registered engine is pulled into the parity contract automatically
 """
 
 import gc
-import os
 import weakref
 
 import numpy as np
@@ -157,6 +156,13 @@ class TestConformanceBA:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_iteration_counts_match(self, run, name):
         assert len(run(name)[0]) == len(run(REFERENCE)[0])
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_stats_carry_no_removed_knobs(self, run, name):
+        # Sends are serial and workers unpinned on every engine, so no
+        # iteration reports an overlap flag or a cpuset.
+        for rec in run(name)[0].records:
+            assert not {"overlap_send", "cpusets"} & set(rec.extra)
 
 
 class CountingAdapter(BAAdapter):
@@ -435,84 +441,28 @@ class TestTCPWire:
         assert history.records[-1].e_q < history.records[0].e_q
 
 
-class TestOverlapSend:
-    """``overlap_send`` pipelines ring sends behind compute — on the
-    wall-clock engines via a background sender thread, on the simulated
-    engines via the virtual NIC timeline. It may change *when* messages
-    travel, never *what* is computed: every engine with overlap on must
-    stay bit-identical to the serial-send sync reference."""
-
-    @pytest.fixture(scope="class")
-    def run(self, X):
-        cache = {}
-
-        def _run(name, overlap):
-            key = (name, overlap)
-            if key not in cache:
-                adapter, shards = ba_setup(X)
-                with ParMACTrainer(
-                    adapter, GeometricSchedule(1e-2, 2.0, 3), backend=name,
-                    epochs=2, shuffle_within=False, seed=0,
-                    backend_options={"overlap_send": overlap},
-                ) as trainer:
-                    history = trainer.fit(shards)
-                cache[key] = (history, final_params(adapter))
-            return cache[key]
-
-        return _run
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_overlap_bit_identical_to_serial_reference(self, run, name):
-        ref = run(REFERENCE, False)[1]
-        params = run(name, True)[1]
-        assert set(params) == set(ref)
-        for sid in ref:
-            assert np.array_equal(params[sid], ref[sid]), (name, sid)
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_flag_surfaced_in_stats(self, run, name):
-        for overlap in (True, False):
-            rec = run(name, overlap)[0].records[-1]
-            assert rec.extra["overlap_send"] is overlap
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_iteration_counts_match(self, run, name):
-        # Pipelining must not add or drop protocol rounds anywhere.
-        assert len(run(name, True)[0]) == len(run(REFERENCE, False)[0])
+#: Options that no engine takes any more, with a value each once took.
+REMOVED_KNOBS = {"overlap_send": True, "pin_workers": True, "respawn_backoff": 0.0}
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS"
-)
-@pytest.mark.parametrize("name", WALLCLOCK_BACKENDS)
-class TestWorkerPinning:
-    """Opt-in ``pin_workers``: each worker gets a disjoint (or, with
-    fewer CPUs than workers, shared-tail) slice of the parent's cpuset,
-    the applied sets surface in the iteration stats, and pinning — a
-    placement decision — never changes the trained bits."""
+@pytest.mark.parametrize("knob", sorted(REMOVED_KNOBS))
+@pytest.mark.parametrize("name", BACKENDS)
+class TestRemovedKnobs:
+    """Ring sends are serial, workers run wherever the OS puts them and a
+    respawn rebuilds at once: no engine accepts the options that changed
+    that, whether built directly or through ``backend_options``."""
 
-    def test_cpusets_recorded_and_bits_unchanged(self, X, name):
-        finals = {}
-        for pin in (True, False):
-            adapter, shards = ba_setup(X)
-            with ParMACTrainer(
-                adapter, GeometricSchedule(1e-2, 2.0, 2), backend=name,
-                epochs=2, shuffle_within=False, seed=0,
-                backend_options={"pin_workers": pin},
-            ) as trainer:
-                history = trainer.fit(shards)
-            rec = history.records[-1]
-            if pin:
-                cpusets = rec.extra["cpusets"]
-                assert set(cpusets) == {0, 1, 2}
-                parent = os.sched_getaffinity(0)
-                for cpus in cpusets.values():
-                    assert cpus and set(cpus) <= parent
-            else:
-                assert "cpusets" not in rec.extra
-            finals[pin] = final_params(adapter)
-        for sid in finals[True]:
-            assert np.array_equal(finals[True][sid], finals[False][sid])
+    def test_constructor_rejects(self, name, knob):
+        with pytest.raises(TypeError, match=knob):
+            get_backend(name)(**{knob: REMOVED_KNOBS[knob]})
+
+    def test_trainer_rejects(self, X, name, knob):
+        adapter, _ = ba_setup(X)
+        with pytest.raises(TypeError, match=knob):
+            ParMACTrainer(
+                adapter, GeometricSchedule(1e-2, 2.0, 1), backend=name,
+                backend_options={knob: REMOVED_KNOBS[knob]},
+            )
 
 
 @pytest.mark.parametrize("name", WALLCLOCK_BACKENDS)

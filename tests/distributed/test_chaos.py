@@ -11,8 +11,6 @@ holds every registered engine to it:
   RNG streams are engine-invariant);
 * chaos changes the reported time, not the bits, relative to a
   chaos-free run;
-* ``overlap_send`` hides injected link latency exactly as it hides real
-  latency — same bits, smaller clock;
 * partitions hold frames until the window heals; stragglers inflate
   exactly the slow machine's compute;
 * chaos composes with the fault machinery: drop_shard recovery and
@@ -71,7 +69,7 @@ def ba_setup(X, P=3, n_bits=4, seed=0):
     return adapter, make_shards(X, adapter.features(X), Z, parts)
 
 
-def run_fit(X, backend, chaos, *, overlap_send=False, n_iters=2, P=3):
+def run_fit(X, backend, chaos, *, n_iters=2, P=3):
     adapter, shards = ba_setup(X, P=P)
     with ParMACTrainer(
         adapter,
@@ -81,7 +79,6 @@ def run_fit(X, backend, chaos, *, overlap_send=False, n_iters=2, P=3):
         shuffle_within=False,
         seed=0,
         chaos=chaos,
-        backend_options={"overlap_send": overlap_send},
     ) as trainer:
         history = trainer.fit(shards)
     params = {s.sid: adapter.get_params(s).copy() for s in adapter.submodel_specs()}
@@ -300,23 +297,6 @@ class TestKnobs:
         chaos = ChaosConfig(bandwidth_mbps=1.0)
         history, _ = run_fit(X, REFERENCE, chaos)
         assert history.records[0].extra["chaos_throttle_s"] > 0
-
-    def test_overlap_send_hides_injected_latency(self, X):
-        """The straggler/delay scenario the ISSUE names: overlapped
-        sends hide injected link latency — same bits, smaller clock —
-        on the discrete-event engine that models the NIC timeline."""
-        chaos = ChaosConfig(delay_ms=40.0, stragglers={1: 1.3}, seed=5)
-        blocking_history, blocking_params = run_fit(
-            X, "async", chaos, overlap_send=False
-        )
-        overlap_history, overlap_params = run_fit(
-            X, "async", chaos, overlap_send=True
-        )
-        for sid in blocking_params:
-            assert np.array_equal(overlap_params[sid], blocking_params[sid])
-        assert (
-            overlap_history.records[0].time < blocking_history.records[0].time
-        )
 
     def test_seed_changes_the_event_sequence(self, X):
         a, _ = run_fit(X, REFERENCE, ChaosConfig(packet_loss_rate=0.3, seed=1))

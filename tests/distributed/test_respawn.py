@@ -71,7 +71,6 @@ def run_fit(
     chaos = ChaosConfig(crashes=tuple(crashes)) if crashes else None
     if backend in WALLCLOCK_BACKENDS:
         backend_options.setdefault("worker_timeout", TIMEOUT_S)
-        backend_options.setdefault("respawn_backoff", 0.0)
     with ParMACTrainer(
         adapter,
         GeometricSchedule(1e-3, 2.0, n_iters),
@@ -194,7 +193,6 @@ class TestRespawnEscalation:
         backend = get_backend(name)(
             seed=0,
             fault_policy="respawn",
-            respawn_backoff=0.0,
             worker_timeout=TIMEOUT_S,
         )
         try:

@@ -3,7 +3,7 @@ time, pinned.
 
 ``sync`` and ``async`` run every W step through the same tick executor
 and differ only in the clock that replays its record. On a grid of
-``scheme`` x ``shuffle_within`` x ``shuffle_ring`` x ``overlap_send`` x
+``scheme`` x ``shuffle_within`` x ``shuffle_ring`` x
 {no chaos, delay + jitter + partition + straggler} at P in {1, 4}, this
 module holds both engines to digests recorded from the two-executor
 simulator they replaced:
@@ -40,73 +40,41 @@ CHAOS = ChaosConfig(
     partitions=[PartitionWindow(100.0, 400.0)], seed=7,
 )
 
-#: (scheme, shuffle_within, shuffle_ring, overlap_send, chaos, P) ->
+#: (scheme, shuffle_within, shuffle_ring, chaos, P) ->
 #: (sync numerics, sync timing, async timing) digests.
 PINNED = {
-    ('rounds', False, False, False, False, 1): ('70652e904072bd34', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', False, False, False, False, 4): ('1c36f610b5c8feaf', '2bb389d0f9ff1a27', '0badb2892de30d5a'),
-    ('rounds', False, False, False, True, 1): ('70652e904072bd34', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', False, False, False, True, 4): ('1c36f610b5c8feaf', '172d6ea39bb2be2c', '7ea03247b8874f5d'),
-    ('rounds', False, False, True, False, 1): ('70652e904072bd34', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', False, False, True, False, 4): ('1c36f610b5c8feaf', '2045301bf0abe432', '2eab6e2243b1ec81'),
-    ('rounds', False, False, True, True, 1): ('70652e904072bd34', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', False, False, True, True, 4): ('1c36f610b5c8feaf', '81ef6517cf77e62a', 'e58c6d3dff48b448'),
-    ('rounds', False, True, False, False, 1): ('70652e904072bd34', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', False, True, False, False, 4): ('92c44449178e0f9e', '2bb389d0f9ff1a27', '4d94268762f84f95'),
-    ('rounds', False, True, False, True, 1): ('70652e904072bd34', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', False, True, False, True, 4): ('92c44449178e0f9e', 'b40e9c04e4544d49', '32f0d404641bf6e2'),
-    ('rounds', False, True, True, False, 1): ('70652e904072bd34', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', False, True, True, False, 4): ('92c44449178e0f9e', '2045301bf0abe432', '2ae8efb8d7d6a27b'),
-    ('rounds', False, True, True, True, 1): ('70652e904072bd34', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', False, True, True, True, 4): ('92c44449178e0f9e', 'b9665518cd340442', '47b327d26bef1a85'),
-    ('rounds', True, False, False, False, 1): ('479241977be5710d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', True, False, False, False, 4): ('cbc2b379fb3a5450', '2bb389d0f9ff1a27', '0badb2892de30d5a'),
-    ('rounds', True, False, False, True, 1): ('479241977be5710d', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', True, False, False, True, 4): ('cbc2b379fb3a5450', '172d6ea39bb2be2c', '7ea03247b8874f5d'),
-    ('rounds', True, False, True, False, 1): ('479241977be5710d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', True, False, True, False, 4): ('cbc2b379fb3a5450', '2045301bf0abe432', '2eab6e2243b1ec81'),
-    ('rounds', True, False, True, True, 1): ('479241977be5710d', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', True, False, True, True, 4): ('cbc2b379fb3a5450', '81ef6517cf77e62a', 'e58c6d3dff48b448'),
-    ('rounds', True, True, False, False, 1): ('479241977be5710d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', True, True, False, False, 4): ('783c68636ac0fcaf', '2bb389d0f9ff1a27', '4d94268762f84f95'),
-    ('rounds', True, True, False, True, 1): ('479241977be5710d', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', True, True, False, True, 4): ('783c68636ac0fcaf', 'b40e9c04e4544d49', '32f0d404641bf6e2'),
-    ('rounds', True, True, True, False, 1): ('479241977be5710d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
-    ('rounds', True, True, True, False, 4): ('783c68636ac0fcaf', '2045301bf0abe432', '2ae8efb8d7d6a27b'),
-    ('rounds', True, True, True, True, 1): ('479241977be5710d', '0b1b375180db004e', '6c2dd5cb666cca82'),
-    ('rounds', True, True, True, True, 4): ('783c68636ac0fcaf', 'b9665518cd340442', '47b327d26bef1a85'),
-    ('tworound', False, False, False, False, 1): ('70652e904072bd34', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', False, False, False, False, 4): ('41d444bc8e348290', 'bc08ac0ce9b8deb0', '65248d8fbc3a76f3'),
-    ('tworound', False, False, False, True, 1): ('70652e904072bd34', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', False, False, False, True, 4): ('41d444bc8e348290', '4beaa282fa81b530', 'e24b8ea31ca28d9f'),
-    ('tworound', False, False, True, False, 1): ('70652e904072bd34', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', False, False, True, False, 4): ('41d444bc8e348290', '1aa5eced94a54289', 'aa1daeeed8e9db8f'),
-    ('tworound', False, False, True, True, 1): ('70652e904072bd34', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', False, False, True, True, 4): ('41d444bc8e348290', '57d3b4c51f3565ed', '1635eb9f6feedb3b'),
-    ('tworound', False, True, False, False, 1): ('70652e904072bd34', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', False, True, False, False, 4): ('9f1fe32eab006e8d', 'bc08ac0ce9b8deb0', '0ae441a5f998ede0'),
-    ('tworound', False, True, False, True, 1): ('70652e904072bd34', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', False, True, False, True, 4): ('9f1fe32eab006e8d', 'ab3d03b60dc01688', 'b8bdf3486a603fef'),
-    ('tworound', False, True, True, False, 1): ('70652e904072bd34', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', False, True, True, False, 4): ('9f1fe32eab006e8d', '1aa5eced94a54289', 'f6212fe2a6273447'),
-    ('tworound', False, True, True, True, 1): ('70652e904072bd34', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', False, True, True, True, 4): ('9f1fe32eab006e8d', 'd43e961f8a326049', '24f3c196817edc72'),
-    ('tworound', True, False, False, False, 1): ('23d0fe85fdf6447e', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', True, False, False, False, 4): ('0e4409d5a4bb6a89', 'bc08ac0ce9b8deb0', '65248d8fbc3a76f3'),
-    ('tworound', True, False, False, True, 1): ('23d0fe85fdf6447e', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', True, False, False, True, 4): ('0e4409d5a4bb6a89', '4beaa282fa81b530', 'e24b8ea31ca28d9f'),
-    ('tworound', True, False, True, False, 1): ('23d0fe85fdf6447e', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', True, False, True, False, 4): ('0e4409d5a4bb6a89', '1aa5eced94a54289', 'aa1daeeed8e9db8f'),
-    ('tworound', True, False, True, True, 1): ('23d0fe85fdf6447e', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', True, False, True, True, 4): ('0e4409d5a4bb6a89', '57d3b4c51f3565ed', '1635eb9f6feedb3b'),
-    ('tworound', True, True, False, False, 1): ('23d0fe85fdf6447e', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', True, True, False, False, 4): ('0340ae13d61e9d29', 'bc08ac0ce9b8deb0', '0ae441a5f998ede0'),
-    ('tworound', True, True, False, True, 1): ('23d0fe85fdf6447e', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', True, True, False, True, 4): ('0340ae13d61e9d29', 'ab3d03b60dc01688', 'b8bdf3486a603fef'),
-    ('tworound', True, True, True, False, 1): ('23d0fe85fdf6447e', '5f9778f0149a1680', '345cb27249ab8ace'),
-    ('tworound', True, True, True, False, 4): ('0340ae13d61e9d29', '1aa5eced94a54289', 'f6212fe2a6273447'),
-    ('tworound', True, True, True, True, 1): ('23d0fe85fdf6447e', '818a342d328e8322', '7b612c27ee340ae7'),
-    ('tworound', True, True, True, True, 4): ('0340ae13d61e9d29', 'd43e961f8a326049', '24f3c196817edc72'),
+    ('rounds', False, False, False, 1): ('70652e904072bd34', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', False, False, False, 4): ('1c36f610b5c8feaf', '2bb389d0f9ff1a27', '0badb2892de30d5a'),
+    ('rounds', False, False, True, 1): ('70652e904072bd34', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', False, False, True, 4): ('1c36f610b5c8feaf', '172d6ea39bb2be2c', '7ea03247b8874f5d'),
+    ('rounds', False, True, False, 1): ('70652e904072bd34', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', False, True, False, 4): ('92c44449178e0f9e', '2bb389d0f9ff1a27', '4d94268762f84f95'),
+    ('rounds', False, True, True, 1): ('70652e904072bd34', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', False, True, True, 4): ('92c44449178e0f9e', 'b40e9c04e4544d49', '32f0d404641bf6e2'),
+    ('rounds', True, False, False, 1): ('479241977be5710d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', True, False, False, 4): ('cbc2b379fb3a5450', '2bb389d0f9ff1a27', '0badb2892de30d5a'),
+    ('rounds', True, False, True, 1): ('479241977be5710d', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', True, False, True, 4): ('cbc2b379fb3a5450', '172d6ea39bb2be2c', '7ea03247b8874f5d'),
+    ('rounds', True, True, False, 1): ('479241977be5710d', '23cdea19de9b9de6', 'ac54e7870e169cc9'),
+    ('rounds', True, True, False, 4): ('783c68636ac0fcaf', '2bb389d0f9ff1a27', '4d94268762f84f95'),
+    ('rounds', True, True, True, 1): ('479241977be5710d', '0b1b375180db004e', '6c2dd5cb666cca82'),
+    ('rounds', True, True, True, 4): ('783c68636ac0fcaf', 'b40e9c04e4544d49', '32f0d404641bf6e2'),
+    ('tworound', False, False, False, 1): ('70652e904072bd34', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', False, False, False, 4): ('41d444bc8e348290', 'bc08ac0ce9b8deb0', '65248d8fbc3a76f3'),
+    ('tworound', False, False, True, 1): ('70652e904072bd34', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', False, False, True, 4): ('41d444bc8e348290', '4beaa282fa81b530', 'e24b8ea31ca28d9f'),
+    ('tworound', False, True, False, 1): ('70652e904072bd34', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', False, True, False, 4): ('9f1fe32eab006e8d', 'bc08ac0ce9b8deb0', '0ae441a5f998ede0'),
+    ('tworound', False, True, True, 1): ('70652e904072bd34', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', False, True, True, 4): ('9f1fe32eab006e8d', 'ab3d03b60dc01688', 'b8bdf3486a603fef'),
+    ('tworound', True, False, False, 1): ('23d0fe85fdf6447e', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', True, False, False, 4): ('0e4409d5a4bb6a89', 'bc08ac0ce9b8deb0', '65248d8fbc3a76f3'),
+    ('tworound', True, False, True, 1): ('23d0fe85fdf6447e', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', True, False, True, 4): ('0e4409d5a4bb6a89', '4beaa282fa81b530', 'e24b8ea31ca28d9f'),
+    ('tworound', True, True, False, 1): ('23d0fe85fdf6447e', '5f9778f0149a1680', '345cb27249ab8ace'),
+    ('tworound', True, True, False, 4): ('0340ae13d61e9d29', 'bc08ac0ce9b8deb0', '0ae441a5f998ede0'),
+    ('tworound', True, True, True, 1): ('23d0fe85fdf6447e', '818a342d328e8322', '7b612c27ee340ae7'),
+    ('tworound', True, True, True, 4): ('0340ae13d61e9d29', 'ab3d03b60dc01688', 'b8bdf3486a603fef'),
 }
 
 
@@ -135,14 +103,14 @@ def flat(d: dict) -> list:
     return [x for k in sorted(d) for x in (k, d[k])]
 
 
-def run(X, engine, scheme, within, ring, overlap, chaos, P):
+def run(X, engine, scheme, within, ring, chaos, P):
     """Two iterations at e = 2 under ``CostModel(t_wc=50, speeds={1: 0.5})``;
     returns the (numerics, timing) digests."""
     adapter = BAAdapter(BinaryAutoencoder.linear(X.shape[1], 4))
     backend = sim(
         adapter, build_ba_shards(adapter, X, n_machines=P, seed=0), engine,
         epochs=2, scheme=scheme, batch_size=16, shuffle_within=within,
-        shuffle_ring=ring, overlap_send=overlap, chaos=CHAOS if chaos else None,
+        shuffle_ring=ring, chaos=CHAOS if chaos else None,
         cost=CostModel(t_wc=50.0, speeds={1: 0.5}), seed=0,
     )
     steps = []  # every WStepStats / ZStepStats, in order
@@ -194,6 +162,6 @@ def test_one_executor_two_clocks(X, config):
 def test_grid_is_complete():
     grid = itertools.product(
         ("rounds", "tworound"), (False, True), (False, True), (False, True),
-        (False, True), (1, 4),
+        (1, 4),
     )
     assert set(grid) == set(PINNED)

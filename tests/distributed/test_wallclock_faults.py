@@ -394,25 +394,12 @@ class TestDropShard:
         assert [r.extra["n_machines"] for r in history.records] == [3, 2, 2, 2]
         assert all(np.isfinite(r.e_q) for r in history.records)
 
-    @pytest.mark.parametrize("send_in_flight", [False, True])
-    def test_model_holder_death_after_last_send(self, X, name, send_in_flight):
+    def test_model_holder_death_after_last_send(self, X, name):
         """When the model-holding rank (lowest) dies after its last ring
         send, the completed attempt must still be accepted — the model is
         fetched from a survivor (every worker holds the final copies).
-
-        ``send_in_flight``: the same death at Z-step entry, but with the
-        last send possibly still leaving. Under ``overlap_send`` the
-        final-lap frames are written by a background thread while the Z
-        step starts, and a 32769-float encoder submodel (256 KiB) does
-        not fit a socket buffer, so the kill can land mid-``sendall``.
-        Then a survivor reads a truncated frame, aborts, and the attempt
-        is retried on the rebuilt mesh instead of kept — either way the
-        fit must come out the same shape, and nothing may wedge.
         """
         options = {"worker_timeout": FAULT_DETECTION_TIMEOUT_S * 3}
-        if send_in_flight:
-            X = np.random.default_rng(4).normal(size=(60, 1 << 15))
-            options["overlap_send"] = True
         adapter, shards = killable_setup(X, P=3, kills={0: 2e-3}, kill_in_z=True)
         with ParMACTrainer(
             adapter, GeometricSchedule(1e-3, 2.0, 4), backend=name, seed=0,

@@ -339,6 +339,22 @@ class TestAddRecovery:
         want = rebuilt.search(Q, K)
         assert np.array_equal(res.ids, want[0]) and np.array_equal(res.dists, want[1])
 
+    def test_replay_is_the_block_added_not_the_callers_array(self, problem):
+        """A caller that refills its block after ``add`` must not change
+        what a respawned tail replays: the index records its own copy."""
+        packed, Q, Zb, Zq = problem
+        Z_new = Zq.copy()  # each query's nearest row, at distance 0
+        block = pack_bits(Z_new)
+        idx = ShardedHammingIndex(packed, N_BITS, 3, mode="process")
+        try:
+            idx.add(block)
+            block[:] = 0
+            kill_shard(idx, 2)
+            assert idx.search(Q, K).partial is True
+            self.check_healed(idx, problem, Z_new)
+        finally:
+            idx.close()
+
     @pytest.mark.parametrize("scan_timeout_s", [None, 5.0])
     def test_add_to_killed_tail_respawns_it(self, problem, scan_timeout_s):
         """SIGKILL the tail, then ``add``: the tail is respawned with the

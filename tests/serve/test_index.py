@@ -356,6 +356,43 @@ class TestShardedHammingIndex:
         with pytest.raises(RuntimeError):
             sharded.search(pack_bits(Zb[:1]), 2)
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_add_after_close_raises(self, mode):
+        Zb = random_codes(np.random.default_rng(16), 10, 16)
+        sharded = ShardedHammingIndex(pack_bits(Zb), 16, 2, mode=mode)
+        sharded.close()
+        with pytest.raises(RuntimeError, match="index is closed"):
+            sharded.add(pack_bits(Zb[:3]))
+        assert sharded.n == 10 and sharded.shard_respawns == 0
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_shards_own_their_base(self, mode):
+        # The caller reusing its array after construction must not move
+        # a result: each thread shard scans its own copy, as a process
+        # shard scans its own shm segment.
+        rng = np.random.default_rng(17)
+        base, q = pack_bits(random_codes(rng, 300, 32)), pack_bits(random_codes(rng, 3, 32))
+        with ShardedHammingIndex(base, 32, 2, mode=mode) as sharded:
+            before = sharded.search(q, 5)
+            base[:] = 0
+            after = sharded.search(q, 5)
+        assert np.array_equal(after.ids, before.ids)
+        assert np.array_equal(after.dists, before.dists)
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_add_keeps_its_own_block(self, mode):
+        # Each query's nearest row is added at distance 0; zeroing the
+        # caller's block afterwards must leave those hits where they are.
+        rng = np.random.default_rng(18)
+        Zb, Zq = random_codes(rng, 200, 32), random_codes(rng, 3, 32)
+        block = pack_bits(Zq)
+        with ShardedHammingIndex(pack_bits(Zb), 32, 2, mode=mode) as sharded:
+            added = sharded.add(block)
+            block[:] = 0
+            res = sharded.search(pack_bits(Zq), 1)
+        assert np.array_equal(res.ids[:, 0], added)
+        assert np.array_equal(res.dists[:, 0], np.zeros(3))
+
 
 # ------------------------------------------------- generated kernel cases
 def make_base(rng, kind, n_b, L):

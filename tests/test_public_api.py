@@ -15,10 +15,20 @@ attribute) to each in code that is not a test:
 
 A name with no such reference fails the test unless ``ALLOWED`` lists
 it with the reason it has no call site to find.
+
+The knob census pins the constructor parameters of every registered
+backend and of ``ParMACTrainer``, so a new option shows up as a diff to
+``KNOBS``.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+import pytest
+
+from repro.core.trainer import ParMACTrainer
+from repro.distributed.backends import available_backends, get_backend
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
@@ -97,3 +107,48 @@ def test_every_public_name_has_a_non_test_caller():
 def test_allow_list_entries_are_still_needed():
     found = _unreferenced()
     assert found >= ALLOWED.keys(), sorted(ALLOWED.keys() - found)
+
+
+_BASE_KNOBS = (
+    "batch_size", "batch_units", "chaos", "cost", "epochs", "fault_policy",
+    "health", "message_dtype", "respawn_budget", "scheme", "seed",
+    "shuffle_ring", "shuffle_within",
+)
+
+#: Constructor parameter names, base classes' included, per registered
+#: backend and for the trainer.
+KNOBS = {
+    "sync": (*_BASE_KNOBS, "execute_updates"),
+    "async": (*_BASE_KNOBS, "execute_updates"),
+    "multiprocess": (*_BASE_KNOBS, "worker_timeout"),
+    "tcp": (*_BASE_KNOBS, "worker_timeout", "host", "ports", "connect_timeout"),
+    "ParMACTrainer": (
+        "adapter", "schedule", "backend", "epochs", "scheme", "batch_size",
+        "shuffle_within", "shuffle_ring", "cost", "fault_policy", "chaos",
+        "seed", "evaluator", "stop_on_fixed_point", "early_stopping",
+        "backend_options",
+    ),
+}
+
+
+def _knobs(cls):
+    """Named ``__init__`` parameters along ``cls``'s MRO (``**kwargs``
+    chains to the base, so each class adds only its own)."""
+    names = set()
+    for klass in cls.__mro__:
+        if "__init__" not in vars(klass) or klass is object:
+            continue
+        for param in inspect.signature(klass.__init__).parameters.values():
+            if param.name != "self" and param.kind is not param.VAR_KEYWORD:
+                names.add(param.name)
+    return names
+
+
+def test_knob_census_covers_every_backend():
+    assert set(KNOBS) == {*available_backends(), "ParMACTrainer"}
+
+
+@pytest.mark.parametrize("name", sorted(KNOBS))
+def test_knob_census(name):
+    cls = ParMACTrainer if name == "ParMACTrainer" else get_backend(name)
+    assert _knobs(cls) == set(KNOBS[name])
