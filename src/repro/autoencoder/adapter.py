@@ -26,7 +26,8 @@ from repro.autoencoder.zstep import (
     MAX_ENUM_BITS,
     _centre,
     _check_options,
-    _linear_term,
+    _finite_term,
+    _solver_dtype,
     _zstep,
 )
 from repro.distributed.interfaces import SubmodelSpec, ZStepResult
@@ -39,10 +40,11 @@ from repro.utils.validation import check_array, check_binary_codes
 
 __all__ = ["BAAdapter", "build_ba_shards"]
 
-# Rows per block of the standalone statistics' centred data: 256 x 960
-# float64 is 1.9 MB, which stays in L2/L3 (128 and 512 measured within
-# 5 % of it).
-_STATS_BLOCK_ROWS = 256
+# Centred data per block of the Z step's linear term: about 2 MB, which
+# stays in L2/L3. Blocks are near-equal and never under 256 rows: BLAS
+# may take another kernel for a small block, and so move XcB's bits.
+_BLOCK_BYTES = 2 << 20
+_BLOCK_MIN_ROWS = 256
 
 
 def _sum_sq(A: np.ndarray) -> float:
@@ -51,6 +53,24 @@ def _sum_sq(A: np.ndarray) -> float:
     if A.dtype == np.float64:
         return float(np.vdot(A, A))
     return float(np.einsum("ij,ij->", A, A, dtype=np.float64))
+
+
+def _linear_stats(X, c, B) -> tuple[np.ndarray, float]:
+    """The Z step's linear term ``XcB = (X - c) B`` and ``sum ||x - c||^2``,
+    built one block of centred rows at a time, so no (n, D) temporary
+    exists. A shard of one block takes the whole-array path."""
+    n, D = X.shape
+    cd = _solver_dtype(B)
+    n_blocks = max(1, min(-(-n * D * cd.itemsize // _BLOCK_BYTES), n // _BLOCK_MIN_ROWS))
+    XcB = np.empty((n, B.shape[1]), dtype=cd)
+    sq = 0.0
+    with np.errstate(invalid="ignore", over="ignore"):  # checked whole below
+        for i in range(n_blocks):
+            blk = slice(n * i // n_blocks, n * (i + 1) // n_blocks)
+            Xc = _centre(X[blk], c, B)
+            np.matmul(Xc, B, out=XcB[blk])
+            sq += _sum_sq(Xc)
+    return _finite_term(XcB), sq
 
 
 def _statistics(sq: float, XcB, B, Z, H, mu: float) -> tuple[float, float, int]:
@@ -81,18 +101,26 @@ def _statistics(sq: float, XcB, B, Z, H, mu: float) -> tuple[float, float, int]:
 def _take_columns(X: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Columns ``cols`` of ``X``: a zero-copy view when they are one
     ascending run (decoder groups are contiguous row blocks), a gather
-    of the same numbers otherwise."""
+    of the same numbers otherwise. Both are row-major, so a GEMM on
+    either takes the same BLAS path and gives the same bits."""
     lo = int(cols[0]) if len(cols) else 0
     if np.array_equal(cols, np.arange(lo, lo + len(cols), dtype=np.intp)):
         return X[:, lo : lo + len(cols)]
-    return X[:, cols]
+    return np.take(X, cols, axis=1)
 
 
-def _step_sizes(schedule, states, dtype) -> np.ndarray:
-    """Per-state step sizes, one ``schedule.rate`` call per distinct step
-    counter (a convoy's members usually share theirs)."""
-    rate_of = {t: schedule.rate(t) for t in {st.t for st in states}}
-    return np.array([rate_of[st.t] for st in states]).astype(dtype)
+def _visit_plan(schedule, states, n: int, batch_size: int, dtype):
+    """A convoy visit's minibatch slices and its (n_batches, len(states))
+    step-size table: row k holds each state's rate at its counter plus k,
+    one ``schedule.rate`` call per distinct counter. The states advance
+    here, once for the whole visit."""
+    starts = range(0, n, batch_size)
+    t = np.add.outer(np.arange(len(starts), dtype=np.int64), [st.t for st in states])
+    ts, inverse = np.unique(t.ravel(), return_inverse=True)
+    rates = np.array([schedule.rate(int(u)) for u in ts], dtype=np.float64)[inverse]
+    for st in states:
+        st.advance(n, steps=len(starts))
+    return [slice(a, min(a + batch_size, n)) for a in starts], rates.reshape(t.shape).astype(dtype)
 
 
 class BAAdapter:
@@ -302,12 +330,13 @@ class BAAdapter:
     def _w_update_batch_enc(self, specs, thetas, states, shard, batch_size):
         """Stacked SVMSGD: all bits' hinge subgradients from two GEMMs.
 
-        Every minibatch works in buffers allocated once per visit; the
-        operation order is the per-bit update's, so the bits are too.
+        Every minibatch works in buffers allocated once per visit. With
+        ``Ya`` the hinge-masked labels, per minibatch: ``gb = sum Ya``,
+        ``Ya *= eta / m`` per bit, ``G = Ya^T Fs``, then two passes over
+        ``W``: ``W *= 1 - eta lam``, ``W += G``; and ``b += gb eta / m``.
         """
         enc = self.model.encoder
         cd = self.compute_dtype
-        lam = enc.lam
         F = np.asarray(shard.F, dtype=cd)
         bits = np.fromiter((spec.index for spec in specs), dtype=np.intp)
         Yt = 2.0 * shard.Z[:, bits].astype(cd) - 1.0  # (n, m) in {-1, +1}
@@ -319,16 +348,17 @@ class BAAdapter:
         W = np.ascontiguousarray(Theta[:, :-1])
         b = np.ascontiguousarray(Theta[:, -1])
         n = shard.n
+        slices, etas = _visit_plan(enc.schedule, states, n, batch_size, cd)
+        rows = np.array([sl.stop - sl.start for sl in slices], dtype=cd)
+        steps = etas / rows[:, None]  # eta / m per minibatch and bit
+        decays = 1.0 - enc.lam * etas
         S_buf = np.empty((min(batch_size, n), len(specs)), dtype=cd)
         mask_buf = np.empty(S_buf.shape, dtype=bool)
         G = np.empty(W.shape, dtype=cd)
-        scratch = np.empty(W.shape, dtype=cd)
         gb = np.empty(len(specs), dtype=cd)
-        for start in range(0, n, batch_size):
-            sl = slice(start, min(start + batch_size, n))
-            m_b = sl.stop - sl.start
-            etas = _step_sizes(enc.schedule, states, cd)
-            Fs, Ys, S, mask = F[sl], Yt[sl], S_buf[:m_b], mask_buf[:m_b]
+        for sl, step, decay in zip(slices, steps, decays):
+            Fs, Ys = F[sl], Yt[sl]
+            S, mask = S_buf[: len(Fs)], mask_buf[: len(Fs)]
             np.matmul(Fs, W.T, out=S)  # scores (m_b, m)
             S += b
             # Hinge-active mask per bit; inactive terms contribute exact
@@ -336,78 +366,66 @@ class BAAdapter:
             np.multiply(Ys, S, out=S)
             np.less(S, 1.0, out=mask)
             np.multiply(Ys, mask, out=S)
-            np.matmul(S.T, Fs, out=G)
-            G /= m_b
-            np.multiply(lam, W, out=scratch)
-            scratch -= G
-            scratch *= etas[:, None]
-            W -= scratch
-            # The bias subgradient is -mean(Ya): b -= eta * (-mean) exactly.
             np.sum(S, axis=0, out=gb)
-            gb /= m_b
-            gb *= etas
+            S *= step
+            np.matmul(S.T, Fs, out=G)
+            W *= decay[:, None]
+            W += G
+            gb *= step
             b += gb
-            for st in states:
-                st.advance(m_b)
         return [np.concatenate([W[i], b[i : i + 1]]) for i in range(len(specs))]
 
     def _w_update_batch_dec(self, specs, thetas, states, shard, batch_size):
-        """Stacked least-squares SGD over concatenated decoder row groups.
+        """Stacked least-squares SGD over concatenated decoder row groups,
+        in Gram form.
 
-        Same buffer discipline as the encoder kernel; the targets are a
-        view of the shard when the groups are one run of columns (always,
-        for a convoy: a home's contiguous sid block).
+        ``Theta = [W | c]^T`` ((L+1) x R) regresses the targets ``T`` on
+        ``A = [Z, 1]``, so a minibatch's gradient needs only its
+        statistics ``K = As^T As`` (``Zs^T Zs``, ``Zs^T 1`` and m, all
+        exact) and ``P = As^T Ts`` (``Zs^T Ts`` over ``Ts^T 1``): ``G = (K
+        Theta - P) * 2 eta / m`` per column, then ``Theta -= G``. No (m, R)
+        residual exists, and every product is row-major. The targets are
+        a view of the shard when the groups are one run of columns
+        (always, for a convoy: a home's contiguous sid block).
         """
         dec = self.model.decoder
         cd = self.compute_dtype
         L = self.model.n_bits
         groups = [np.asarray(spec.index, dtype=np.intp) for spec in specs]
         sizes = [len(rows) for rows in groups]
-        Z = shard.Z.astype(cd)
+        n = shard.n
+        A = np.hstack([shard.Z, np.ones((n, 1), dtype=np.uint8)]).astype(cd)
         T = np.asarray(_take_columns(shard.X, np.concatenate(groups)), dtype=cd)
-        W_blocks, c_blocks = [], []
-        for spec, theta, rows in zip(specs, thetas, groups):
+        blocks = []
+        for spec, theta, size in zip(specs, thetas, sizes):
             theta = np.asarray(theta, dtype=cd).ravel()
-            kk = len(rows) * L
-            if theta.shape != (kk + len(rows),):
+            if theta.shape != (size * (L + 1),):
                 raise ValueError(
-                    f"expected {kk + len(rows)} params for decoder group "
+                    f"expected {size * (L + 1)} params for decoder group "
                     f"{spec.sid}, got {theta.shape}"
                 )
-            W_blocks.append(theta[:kk].reshape(len(rows), L))
-            c_blocks.append(theta[kk:])
-        W = np.ascontiguousarray(np.vstack(W_blocks))
-        c = np.concatenate(c_blocks)
-        # Each row's step size comes from its group's carried schedule.
+            blocks.append(np.vstack([theta[: size * L].reshape(size, L).T, theta[size * L :]]))
+        Theta = np.hstack(blocks)
+        # Each column's step size comes from its group's carried schedule.
         group_of_row = np.repeat(np.arange(len(specs), dtype=np.intp), sizes)
-        n = shard.n
-        resid_buf = np.empty((min(batch_size, n), len(c)), dtype=cd)
-        G = np.empty(W.shape, dtype=cd)
-        g = np.empty(len(c), dtype=cd)
-        for start in range(0, n, batch_size):
-            sl = slice(start, min(start + batch_size, n))
-            m_b = sl.stop - sl.start
-            eta_rows = _step_sizes(dec.schedule, states, cd)[group_of_row]
-            Zs, resid = Z[sl], resid_buf[:m_b]
-            np.matmul(Zs, W.T, out=resid)  # (m_b, total_rows)
-            resid += c
-            resid -= T[sl]
-            np.matmul(resid.T, Zs, out=G)
-            G *= 2.0 / m_b
-            G *= eta_rows[:, None]
-            W -= G
-            np.sum(resid, axis=0, out=g)
-            g *= 2.0 / m_b
-            g *= eta_rows
-            c -= g
-            for st in states:
-                st.advance(m_b)
-        out, offset = [], 0
-        for size in sizes:
-            rows = slice(offset, offset + size)
-            out.append(np.concatenate([W[rows].ravel(), c[rows]]))
-            offset += size
-        return out
+        slices, etas = _visit_plan(dec.schedule, states, n, batch_size, cd)
+        scale = np.array([2.0 / (sl.stop - sl.start) for sl in slices], dtype=cd)
+        coefs = etas[:, group_of_row] * scale[:, None]  # 2 eta / m per column
+        K = np.empty((L + 1, L + 1), dtype=cd)
+        P = np.empty(Theta.shape, dtype=cd)
+        G = np.empty(Theta.shape, dtype=cd)
+        for sl, coef in zip(slices, coefs):
+            As = A[sl]
+            np.matmul(As.T, As, out=K)
+            np.matmul(As.T, T[sl], out=P)
+            np.matmul(K, Theta, out=G)
+            G -= P
+            G *= coef
+            Theta -= G
+        return [
+            np.concatenate([block[:L].T.ravel(), block[L]])
+            for block in np.split(Theta, np.cumsum(sizes)[:-1], axis=1)
+        ]
 
     # ------------------------------------------------------------- Z step
     def _encode_features(self, F: np.ndarray) -> np.ndarray:
@@ -419,16 +437,13 @@ class BAAdapter:
         """Exact/alternating Z step on one shard, with the shard's
         statistics under the new codes.
 
-        One encode ``H`` and one linear term ``(X - c) B`` serve the
-        solver and the statistics (:func:`_statistics`); ``sum ||x -
-        c||^2`` is read off the centred data before it is dropped.
+        One encode ``H`` and one :func:`_linear_stats` serve the solver
+        and the statistics (:func:`_statistics`), which therefore equal
+        :meth:`shard_stats`' under the new codes bit for bit.
         """
         dec = self.model.decoder
         H = self._encode_features(shard.F)
-        Xc = _centre(shard.X, dec.c, dec.B)
-        XcB = _linear_term(Xc, dec.B)
-        sq = _sum_sq(Xc)
-        del Xc
+        XcB, sq = _linear_stats(shard.X, dec.c, dec.B)
         Z_new = _zstep(
             XcB,
             dec.B,
@@ -447,19 +462,11 @@ class BAAdapter:
     # --------------------------------------------------------- objectives
     def shard_stats(self, shard, mu: float) -> tuple[float, float, int]:
         """Shard contributions ``(E_Q, E_BA, violations)`` of the current
-        codes: :func:`_statistics`, as :meth:`z_update` reports them.
-
-        The linear term is built one block of rows at a time, so no (n, D)
-        temporary exists.
+        codes: :func:`_statistics` on :func:`_linear_stats`, as
+        :meth:`z_update` reports them.
         """
         dec = self.model.decoder
-        XcB = np.empty((shard.n, self.model.n_bits), dtype=dec.B.dtype)
-        sq = 0.0
-        for start in range(0, shard.n, _STATS_BLOCK_ROWS):
-            blk = slice(start, start + _STATS_BLOCK_ROWS)
-            Xc = _centre(shard.X[blk], dec.c, dec.B)
-            np.matmul(Xc, dec.B, out=XcB[blk])
-            sq += _sum_sq(Xc)
+        XcB, sq = _linear_stats(shard.X, dec.c, dec.B)
         H = self._encode_features(shard.F)
         return _statistics(sq, XcB, dec.B, shard.Z, H, mu)
 

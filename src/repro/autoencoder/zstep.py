@@ -114,11 +114,15 @@ def _centre(X, c, B: np.ndarray) -> np.ndarray:
 
 def _linear_term(Xc: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``Xc @ B`` for centred data ``Xc = X - c``, shape (n, L): the
-    data-dependent linear term every solver starts from. Refuses
-    non-finite values: ``argmin`` and ``delta <= 0`` would turn them into
-    a silent all-zero code."""
+    data-dependent linear term every solver starts from, checked by
+    :func:`_finite_term`."""
     with np.errstate(invalid="ignore", over="ignore"):  # checked just below
-        XcB = Xc @ B
+        return _finite_term(Xc @ B)
+
+
+def _finite_term(XcB: np.ndarray) -> np.ndarray:
+    """``XcB``, or an error naming its first non-finite row: ``argmin``
+    and ``delta <= 0`` would turn one into a silent all-zero code."""
     if not np.isfinite(XcB).all():
         row = np.flatnonzero(~np.isfinite(XcB).all(axis=1))[0]
         raise ValueError(
@@ -513,20 +517,28 @@ def _alternate(
     # bit l of some rows moves G by a rank-1 update with row l of B^T B.
     G = XcB - Z @ BtB
     mu_term = mu * (1.0 - 2.0 * np.asarray(H, dtype=cd))
+    # Rows are independent problems, and a row that a whole sweep left
+    # alone is at a fixed point: later sweeps work on the moving rows
+    # (``live``) only, which gives every row the full sweeps' bits.
+    out, live = Z, np.arange(len(Z), dtype=np.intp)
     for _ in range(max_sweeps):
-        changed = False
+        moved = np.zeros(len(live), dtype=bool)
         for l in range(L):
             delta = b_norms[l] - 2.0 * (G[:, l] + Z[:, l] * b_norms[l]) + mu_term[:, l]
             new_zl = (delta <= 0.0).astype(cd)
             diff = new_zl - Z[:, l]
             rows = np.flatnonzero(diff)
             if rows.size:
-                changed = True
+                moved[rows] = True
                 G[rows] -= diff[rows, None] * BtB[l][None, :]
                 Z[rows, l] = new_zl[rows]
-        if not changed:
-            break
-    return Z.astype(np.uint8)
+        if not moved.all():
+            out[live[~moved]] = Z[~moved]
+            live, G, Z, mu_term = live[moved], G[moved], Z[moved], mu_term[moved]
+            if not live.size:
+                break
+    out[live] = Z
+    return out.astype(np.uint8)
 
 
 def zstep(

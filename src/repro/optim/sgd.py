@@ -35,8 +35,9 @@ class SGDState:
     t: int = 0
     n_updates: int = 0
 
-    def advance(self, batch_size: int) -> None:
-        self.t += 1
+    def advance(self, batch_size: int, steps: int = 1) -> None:
+        """Record ``steps`` minibatches of ``batch_size`` points in total."""
+        self.t += int(steps)
         self.n_updates += int(batch_size)
 
     def copy(self) -> "SGDState":

@@ -379,6 +379,7 @@ class HammingIndex:
     ``add()`` appends codes into an amortised-doubling uint64 buffer
     (streaming ingest is O(1) amortised per row, no per-add reallocation),
     assigning ids in arrival order — the id space every tie is broken on.
+    ``close()`` drops the buffer; ``add`` and ``search`` then raise.
     """
 
     def __init__(self, n_bits: int):
@@ -402,7 +403,7 @@ class HammingIndex:
     @property
     def codes(self) -> np.ndarray:
         """The packed codes currently indexed (read-only view)."""
-        view = self._buf[: self._n]
+        view = self._open_buffer()[: self._n]
         view.flags.writeable = False
         return view
 
@@ -421,14 +422,16 @@ class HammingIndex:
 
     def add(self, codes) -> np.ndarray:
         """Append codes (packed or 0/1 bits); returns the assigned ids."""
+        buf = self._open_buffer()
         packed = _as_packed_codes(codes, self.n_words, n_bits=self.n_bits, name="codes")
         ids = np.arange(self._n, self._n + len(packed), dtype=np.int64)
-        self._buf = _append_rows(self._buf, self._n, packed)
+        self._buf = _append_rows(buf, self._n, packed)
         self._n += len(packed)
         return ids
 
     def search(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(ids, dists) of the k nearest codes, in (distance, id) order."""
+        buf = self._open_buffer()
         if self._n == 0:
             raise ValueError("cannot search an empty index")
         if k > self._n:
@@ -436,7 +439,16 @@ class HammingIndex:
         queries = _as_packed_codes(
             queries, self.n_words, n_bits=self.n_bits, name="queries"
         )
-        return _scan_segments(queries, [(0, self._buf[: self._n])], k)
+        return _scan_segments(queries, [(0, buf[: self._n])], k)
+
+    def close(self) -> None:
+        """Release the codes (idempotent)."""
+        self._buf = None
+
+    def _open_buffer(self) -> np.ndarray:
+        if self._buf is None:
+            raise RuntimeError("index is closed")
+        return self._buf
 
 
 class _ShardScanner:

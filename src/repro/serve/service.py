@@ -214,7 +214,8 @@ class RetrievalService:
     index : HammingIndex | ShardedHammingIndex
         The packed-code index to scan. Built by the caller (see
         :meth:`from_data` for the one-liner) so the sharding mode and
-        ingest history stay under the caller's control.
+        ingest history stay under the caller's control. :meth:`close`
+        closes a sharded one; a flat one stays the caller's.
     k : int
         Default neighbours per query (overridable per request).
     max_wait_ms : float
@@ -254,6 +255,9 @@ class RetrievalService:
         self.model = model
         self._dtype = getattr(model, "compute_dtype", np.float64)
         self.index = index
+        # Released by close(): a sharded index always, a flat one only
+        # when from_data built it (a caller may search its own after).
+        self._owns_index = isinstance(index, ShardedHammingIndex)
         self.k = int(k)
         self.max_batch = int(max_batch)
         self.max_pending = None if max_pending is None else int(max_pending)
@@ -299,7 +303,9 @@ class RetrievalService:
                 packed, n_bits, n_shards, mode=shard_mode,
                 scan_timeout_s=scan_timeout_s,
             )
-        return cls(model, index, **kwargs)
+        service = cls(model, index, **kwargs)
+        service._owns_index = True
+        return service
 
     # ------------------------------------------------------------------- API
     def submit(self, x: np.ndarray, k: int | None = None) -> Ticket:
@@ -356,7 +362,8 @@ class RetrievalService:
             return self.index.add(codes)
 
     def close(self, timeout: float = 30.0) -> None:
-        """Drain in-flight requests, stop the batcher, release the index.
+        """Drain in-flight requests, stop the batcher, release the index
+        (a sharded one, or a flat one :meth:`from_data` built).
 
         Raises :class:`TimeoutError` if the batcher fails to drain within
         ``timeout`` seconds, naming how many tickets are still in flight;
@@ -374,7 +381,7 @@ class RetrievalService:
                 f"close() timed out after {timeout:g}s with {n_inflight} "
                 f"in-flight ticket(s) still unserved"
             )
-        if isinstance(self.index, ShardedHammingIndex):
+        if self._owns_index:
             self.index.close()
 
     def __enter__(self) -> "RetrievalService":

@@ -6,9 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.autoencoder import BinaryAutoencoder
-from repro.autoencoder.adapter import BAAdapter, _take_columns
+from repro.autoencoder.adapter import (
+    BAAdapter,
+    _linear_stats,
+    _sum_sq,
+    _take_columns,
+    _visit_plan,
+)
 from repro.autoencoder.init import init_codes_pca
-from repro.autoencoder.zstep import MAX_ENUM_BITS, zstep
+from repro.autoencoder.zstep import MAX_ENUM_BITS, _centre, _linear_term, zstep
 from repro.core.penalty import GeometricSchedule
 from repro.core.trainer import ParMACTrainer
 from repro.data.synthetic import make_gist_like
@@ -186,12 +192,72 @@ class TestZUpdateAndObjectives:
 
 
 # ------------------------------------------------------------------ oracles
-# The expression forms the batched kernels and the shard statistics had
-# before they were rewritten over preallocated buffers and, for the
-# statistics, the Z step's quadratic expansion. The kernels must match
-# them bit for bit; the statistics to rounding (E_Q, E_BA) and exactly
-# (violations).
+# The expression forms of the batched kernels' operation order (the
+# kernels run them over preallocated buffers, and must match them bit
+# for bit), the residual forms the kernels had before the Gram-form and
+# two-pass rewrite (matched to a stated tolerance), and the shard
+# statistics' expression form (matched to rounding for E_Q and E_BA,
+# exactly for violations).
 def oracle_batch_enc(adapter, specs, thetas, states, shard, batch_size):
+    enc = adapter.model.encoder
+    cd = adapter.compute_dtype
+    lam = enc.lam
+    F = np.asarray(shard.F, dtype=cd)
+    bits = np.fromiter((spec.index for spec in specs), dtype=np.intp)
+    Yt = 2.0 * shard.Z[:, bits].astype(cd) - 1.0
+    Theta = np.stack([np.asarray(th, dtype=cd).ravel() for th in thetas])
+    W = np.ascontiguousarray(Theta[:, :-1])
+    b = np.ascontiguousarray(Theta[:, -1])
+    n = shard.n
+    for start in range(0, n, batch_size):
+        sl = slice(start, min(start + batch_size, n))
+        m_b = sl.stop - sl.start
+        etas = np.array([enc.schedule.rate(st.t) for st in states]).astype(cd)
+        scores = F[sl] @ W.T + b
+        Ya = Yt[sl] * ((Yt[sl] * scores) < 1.0)
+        gb = Ya.sum(axis=0)
+        Ya = Ya * (etas / m_b)
+        W *= (1.0 - lam * etas)[:, None]
+        W += Ya.T @ F[sl]
+        b += gb * (etas / m_b)
+        for st in states:
+            st.advance(m_b)
+    return [np.concatenate([W[i], b[i : i + 1]]) for i in range(len(specs))]
+
+
+def oracle_batch_dec(adapter, specs, thetas, states, shard, batch_size):
+    dec = adapter.model.decoder
+    cd = adapter.compute_dtype
+    L = adapter.model.n_bits
+    groups = [np.asarray(spec.index, dtype=np.intp) for spec in specs]
+    sizes = [len(rows) for rows in groups]
+    A = np.hstack([shard.Z, np.ones((shard.n, 1))]).astype(cd)
+    # Row-major, as the kernel's targets: the GEMM's bits follow layout.
+    T = np.take(np.asarray(shard.X, dtype=cd), np.concatenate(groups), axis=1)
+    Theta = np.hstack([  # [W | c]^T, (L + 1) x R
+        np.vstack([th[: len(rows) * L].reshape(len(rows), L).T, th[None, len(rows) * L :]])
+        for th, rows in zip((np.asarray(t, dtype=cd).ravel() for t in thetas), groups)
+    ])
+    group_of_row = np.repeat(np.arange(len(specs), dtype=np.intp), sizes)
+    n = shard.n
+    for start in range(0, n, batch_size):
+        sl = slice(start, min(start + batch_size, n))
+        m_b = sl.stop - sl.start
+        etas = np.array([dec.schedule.rate(st.t) for st in states]).astype(cd)
+        As, Ts = A[sl], T[sl]
+        coef = etas[group_of_row] * (2.0 / m_b)
+        Theta -= ((As.T @ As) @ Theta - As.T @ Ts) * coef
+        for st in states:
+            st.advance(m_b)
+    out, offset = [], 0
+    for size in sizes:
+        block = Theta[:, offset : offset + size]
+        out.append(np.concatenate([block[:L].T.ravel(), block[L]]))
+        offset += size
+    return out
+
+
+def residual_batch_enc(adapter, specs, thetas, states, shard, batch_size):
     enc = adapter.model.encoder
     cd = adapter.compute_dtype
     lam = enc.lam
@@ -215,7 +281,7 @@ def oracle_batch_enc(adapter, specs, thetas, states, shard, batch_size):
     return [np.concatenate([W[i], b[i : i + 1]]) for i in range(len(specs))]
 
 
-def oracle_batch_dec(adapter, specs, thetas, states, shard, batch_size):
+def residual_batch_dec(adapter, specs, thetas, states, shard, batch_size):
     dec = adapter.model.decoder
     cd = adapter.compute_dtype
     L = adapter.model.n_bits
@@ -252,6 +318,20 @@ def oracle_batch_dec(adapter, specs, thetas, states, shard, batch_size):
 
 
 ORACLE_KERNEL = {"enc": oracle_batch_enc, "dec": oracle_batch_dec}
+RESIDUAL_KERNEL = {"enc": residual_batch_enc, "dec": residual_batch_dec}
+
+
+def per_minibatch_plan(schedule, states, n, batch_size, dtype):
+    """The step sizes and state advances as the kernels made them before
+    a visit planned them once: a dict, a list and an array per minibatch,
+    and every state advanced after each one."""
+    rows = []
+    for start in range(0, n, batch_size):
+        rate_of = {t: schedule.rate(t) for t in {st.t for st in states}}
+        rows.append(np.array([rate_of[st.t] for st in states]).astype(dtype))
+        for st in states:
+            st.advance(min(start + batch_size, n) - start)
+    return rows
 
 
 def oracle_stats(adapter, shard, mu):
@@ -397,6 +477,23 @@ class TestBatchedKernelsMatchExpressionForm:
             )
             assert np.array_equal(got, reg.get_params())
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [0, 37, 100, 130])
+    def test_the_visit_plan_is_the_per_minibatch_bookkeeping(self, n, dtype):
+        adapter, _ = random_problem(1, 24, 6)
+        schedule = adapter.model.decoder.schedule
+        ts = [0, 7, 7, 200, 3, 8]
+        old = [SGDState(t=t, n_updates=3 * t) for t in ts]
+        new = [st.copy() for st in old]
+        want = per_minibatch_plan(schedule, old, n, 50, dtype)
+        slices, table = _visit_plan(schedule, new, n, 50, dtype)
+        assert new == old
+        assert [(sl.start, sl.stop) for sl in slices] == [
+            (a, min(a + 50, n)) for a in range(0, n, 50)
+        ]
+        assert table.dtype == dtype and table.shape == (len(want), len(ts))
+        assert all(np.array_equal(row, w) for row, w in zip(table, want))
+
     def test_sync_fit_is_bit_identical_to_the_expression_forms(self, monkeypatch):
         """The bench's train_w32_tcp shape, shrunk: P = 2, two epochs,
         batched W, alternating Z."""
@@ -435,6 +532,52 @@ class TestBatchedKernelsMatchExpressionForm:
         assert [(r.z_changes, r.violations) for r in new_history.records] == [
             (r.z_changes, r.violations) for r in old_history.records
         ]
+
+
+class TestKernelsAgreeWithTheResidualForm:
+    """The Gram-form decoder and two-pass encoder against the residual
+    forms the kernels replaced, to ``RTOL`` of the parameters' largest
+    magnitude after two chained passes."""
+
+    RTOL = {np.float64: 1e-12, np.float32: 5e-5}
+
+    # Derandomised: a hinge score within rounding of the margin flips one
+    # encoder step, which no tolerance covers, so the draws are fixed.
+    @given(
+        n=st.integers(0, 70),
+        D=st.integers(2, 20),
+        L=st.integers(1, 6),
+        batch_size=st.integers(1, 40),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        kind=st.sampled_from(["enc", "dec"]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_generated(self, n, D, L, batch_size, dtype, kind, seed):
+        adapter, shard = random_problem(n, D, L, dtype, seed)
+        rng = np.random.default_rng(seed)
+        specs = of_kind(adapter, kind)
+        # A random subset in random order (non-contiguous decoder groups),
+        # with differing counters; n = 0 is the empty shard.
+        pick = rng.permutation(len(specs))[: rng.integers(1, len(specs) + 1)]
+        specs = [specs[i] for i in pick]
+        ts = [int(t) for t in rng.integers(0, 50, size=len(specs))]
+
+        def kernel(adapter, specs, thetas, states, shard, batch_size):
+            return adapter.w_update_batch(
+                specs, thetas, states, shard, 1.0,
+                batch_size=batch_size, shuffle=False, rng=None,
+            )
+
+        got, got_states = chained_passes(kernel, adapter, specs, shard, batch_size, ts)
+        want, want_states = chained_passes(
+            RESIDUAL_KERNEL[kind], adapter, specs, shard, batch_size, ts
+        )
+        assert got_states == want_states
+        got, want = np.concatenate(got), np.concatenate(want)
+        assert got.dtype == want.dtype == dtype
+        scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+        assert float(np.abs(got - want).max(initial=0.0)) <= self.RTOL[dtype] * scale
 
 
 class TestShardStats:
@@ -519,8 +662,8 @@ class TestShardStats:
 
 class TestZStepReportsTheStatistics:
     """``z_update`` solves with the public solver's bits and reports the
-    shard's statistics under the new codes: the expression form's to
-    rounding, violations exactly."""
+    shard's statistics under the new codes: :meth:`shard_stats`', bit for
+    bit (and so the expression form's to rounding)."""
 
     @given(
         method=st.sampled_from(["auto", "enumerate", "alternate", "relaxed"]),
@@ -542,11 +685,38 @@ class TestZStepReportsTheStatistics:
         result = adapter.z_update(s, mu)
         assert np.array_equal(s.Z, want_Z)
         assert result.z_changes == int((want_Z != Z0).sum())
-        want_q, want_ba, want_v = oracle_stats(adapter, s, mu)
-        rel = 1e-12 if dtype is np.float64 else 1e-5
-        assert isinstance(result.violations, int) and result.violations == want_v
-        assert result.e_q == pytest.approx(want_q, rel=rel)
-        assert result.e_ba == pytest.approx(want_ba, rel=rel)
-        e_q, e_ba, violations = adapter.shard_stats(s, mu)
-        assert violations == result.violations
-        assert (e_q, e_ba) == pytest.approx((result.e_q, result.e_ba), rel=rel)
+        assert isinstance(result.violations, int)
+        assert tuple(result[1:]) == adapter.shard_stats(s, mu)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 2000, 2050])
+    def test_blocked_codes_are_the_whole_arrays(self, n):
+        # At the W-bound bench shape (D = 960, L = 32: 273-row blocks of
+        # 2 MB), every block's GEMM takes the whole array's BLAS path, so
+        # the linear term, and with it the codes, keep their bits.
+        adapter, s = random_problem(n, 960, 32, seed=n)
+        dec = adapter.model.decoder
+        whole = _linear_term(_centre(s.X, dec.c, dec.B), dec.B)
+        XcB, _ = _linear_stats(s.X, dec.c, dec.B)
+        assert np.array_equal(XcB, whole)
+        H = adapter._encode_features(s.F)
+        want_Z = zstep(s.X, dec.B, dec.c, H, 0.5, method="alternate", Z0=s.Z.copy())
+        adapter.z_update(s, 0.5)
+        assert np.array_equal(s.Z, want_Z)
+
+    @pytest.mark.parametrize("n, D", [(1000, 128), (0, 960), (300, 960)])
+    def test_a_shard_of_one_block_takes_the_whole_array_path(self, n, D):
+        # train_z16_mp's shard (1,000 x 128 is 1 MB), an empty shard, and
+        # one under two minimum blocks.
+        adapter, s = random_problem(n, D, 16, seed=1)
+        dec = adapter.model.decoder
+        Xc = _centre(s.X, dec.c, dec.B)
+        XcB, sq = _linear_stats(s.X, dec.c, dec.B)
+        assert np.array_equal(XcB, _linear_term(Xc, dec.B))
+        assert sq == _sum_sq(Xc)
+
+    def test_non_finite_rows_are_named_across_blocks(self):
+        adapter, s = random_problem(2000, 960, 8)
+        s.X[1500, 3] = np.nan
+        dec = adapter.model.decoder
+        with pytest.raises(ValueError, match="row 1500"):
+            _linear_stats(s.X, dec.c, dec.B)

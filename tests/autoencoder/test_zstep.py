@@ -19,12 +19,14 @@ from repro.autoencoder.zstep import (
     _ENUM_SCRATCH_BYTES,
     _METHODS,
     MAX_ENUM_BITS,
+    _alternate,
     _code_bits,
     _enum_tables,
     _enum_tile,
     _enumerate,
     _minplus,
     _solver_dtype,
+    _relaxed,
     _tile_terms,
     zstep,
     zstep_alternate,
@@ -132,6 +134,33 @@ def alternate_oracle(X, B, c, H, mu, Z0=None, max_sweeps=20):
                 changed = True
                 R -= np.outer(diff, b_l)
                 Z[:, l] = new_zl
+        if not changed:
+            break
+    return Z.astype(np.uint8)
+
+
+def full_sweep_oracle(XcB, B, H, mu, Z0, max_sweeps):
+    """The stacked ``G = R B`` kernel as it ran before it dropped settled
+    rows: every sweep visits all n rows, until a sweep flips nothing or
+    ``max_sweeps`` is spent. Kept here as the reference ``_alternate``
+    must equal bit for bit."""
+    cd = _solver_dtype(B)
+    Z = np.asarray(Z0).astype(cd)
+    b_norms = (B * B).sum(axis=0)
+    BtB = B.T @ B
+    G = XcB - Z @ BtB
+    mu_term = mu * (1.0 - 2.0 * np.asarray(H, dtype=cd))
+    for _ in range(max_sweeps):
+        changed = False
+        for l in range(B.shape[1]):
+            delta = b_norms[l] - 2.0 * (G[:, l] + Z[:, l] * b_norms[l]) + mu_term[:, l]
+            new_zl = (delta <= 0.0).astype(cd)
+            diff = new_zl - Z[:, l]
+            rows = np.flatnonzero(diff)
+            if rows.size:
+                changed = True
+                G[rows] -= diff[rows, None] * BtB[l][None, :]
+                Z[rows, l] = new_zl[rows]
         if not changed:
             break
     return Z.astype(np.uint8)
@@ -638,6 +667,32 @@ class TestStackedParity:
         oracle = alternate_oracle(X, B, c, H, mu, Z0.astype(np.uint8))
         stacked = zstep_alternate(X, B, c, H, mu, Z0.astype(np.uint8))
         assert np.array_equal(oracle, stacked)
+
+    @given(
+        n=st.integers(0, 60),
+        L=st.integers(1, 10),
+        mu=st.sampled_from([0.0, 0.3, 5.0]),
+        max_sweeps=st.integers(1, 6),
+        relaxed_start=st.booleans(),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sweeping_only_moving_rows_is_the_full_sweep(
+        self, n, L, mu, max_sweeps, relaxed_start, dtype, seed
+    ):
+        # Random starts keep rows moving for several sweeps, so small caps
+        # stop some rows mid-descent and the live set shrinks unevenly.
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(8, L)).astype(dtype)
+        XcB = (rng.normal(size=(n, 8)) @ B).astype(dtype)
+        H = rng.integers(0, 2, size=(n, L)).astype(np.uint8)
+        Z0 = rng.integers(0, 2, size=(n, L)).astype(np.uint8)
+        if relaxed_start:
+            Z0 = _relaxed(XcB, B, H, mu)
+        want = full_sweep_oracle(XcB, B, H, mu, Z0, max_sweeps)
+        got = _alternate(XcB, B, H, mu, Z0.copy(), max_sweeps=max_sweeps)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_no_kernel_knob(self):
         # Every solver has one kernel, so none takes an ``impl``.

@@ -13,6 +13,11 @@ class TestSGDState:
         s.advance(5)
         assert s.t == 2 and s.n_updates == 15
 
+    def test_advance_many_steps_at_once(self):
+        s = SGDState(t=4, n_updates=7)
+        s.advance(130, steps=3)
+        assert s == SGDState(t=7, n_updates=137)
+
     def test_copy_independent(self):
         s = SGDState(t=3, n_updates=30)
         c = s.copy()

@@ -257,6 +257,21 @@ class TestHammingIndex:
         peak = self.scan_peak(index, queries, 1000)
         assert index.memory_bound(n_q, 1000) / 2 <= peak <= index.memory_bound(n_q, 1000)
 
+    def test_close_drops_the_codes_and_refuses_use(self):
+        Zb = random_codes(np.random.default_rng(9), 10, 16)
+        index = HammingIndex.from_codes(pack_bits(Zb), 16)
+        index.close()
+        index.close()  # idempotent
+        assert index._buf is None
+        for use in (
+            lambda: index.search(pack_bits(Zb[:1]), 2),
+            lambda: index.add(pack_bits(Zb[:3])),
+            lambda: index.codes,
+        ):
+            with pytest.raises(RuntimeError, match="index is closed"):
+                use()
+        assert index.n == 10
+
     def test_errors(self):
         index = HammingIndex(16)
         with pytest.raises(ValueError):

@@ -353,6 +353,25 @@ class TestRetrievalService:
 
 
 class TestFromData:
+    def test_close_releases_the_flat_index_it_built(self, setup):
+        model, X_base, X_query = setup
+        svc = RetrievalService.from_data(model, X_base, k=3)
+        index = svc.index
+        svc.query(X_query[0])
+        svc.close()
+        with pytest.raises(RuntimeError, match="index is closed"):
+            index.search(pack_bits(model.encode(X_query[:1])), 3)
+
+    def test_close_leaves_a_flat_index_the_caller_built(self, setup):
+        # The caller may go on searching its own index, as the bench's
+        # batcher-overhead rung does.
+        model, X_base, X_query = setup
+        index = HammingIndex.from_codes(pack_bits(model.encode(X_base)), 32)
+        with RetrievalService(model, index, k=3) as svc:
+            want = svc.query(X_query[0])
+        got = index.search(pack_bits(model.encode(X_query[:1])), 3)
+        assert np.array_equal(got[0][0], want[0]) and np.array_equal(got[1][0], want[1])
+
     @pytest.mark.parametrize("n_shards", [1, 2])
     def test_empty_base_is_refused(self, n_shards):
         from repro.autoencoder import BinaryAutoencoder
