@@ -8,7 +8,7 @@ Three ways that breaks statically:
 * **DET001** — a global-state RNG call (``np.random.rand``, bare
   ``random.shuffle``): draws from interpreter-global streams that any
   other import can perturb. Use ``np.random.default_rng(seed)`` /
-  ``repro.utils.rng.spawn_rngs`` instead.
+  ``repro.utils.rng.keyed_rng`` instead.
 * **DET002** — a wall-clock read (``time.time``/``monotonic``/
   ``perf_counter``, ``datetime.now``): host-dependent. Wall-clock users
   must take an injected ``clock`` callable so replay/tests can pin it.
@@ -98,7 +98,7 @@ def check_det(sf: SourceFile) -> list[Finding]:
                         node,
                         f"global-state RNG call {culprit}() in a "
                         "protocol-deterministic module; use a seeded "
-                        "np.random.Generator (repro.utils.rng.spawn_rngs)",
+                        "np.random.Generator (repro.utils.rng.keyed_rng)",
                     )
                 )
             elif resolved in _WALL_CLOCK:

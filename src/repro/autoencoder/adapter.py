@@ -33,7 +33,7 @@ from repro.autoencoder.zstep import (
 from repro.distributed.interfaces import SubmodelSpec, ZStepResult
 from repro.distributed.partition import make_shards, partition_indices
 from repro.optim.linreg import LinearRegression
-from repro.optim.sgd import SGDState
+from repro.optim.sgd import SGDState, _visit_plan
 from repro.optim.svm import LinearSVM
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_array, check_binary_codes
@@ -107,20 +107,6 @@ def _take_columns(X: np.ndarray, cols: np.ndarray) -> np.ndarray:
     if np.array_equal(cols, np.arange(lo, lo + len(cols), dtype=np.intp)):
         return X[:, lo : lo + len(cols)]
     return np.take(X, cols, axis=1)
-
-
-def _visit_plan(schedule, states, n: int, batch_size: int, dtype):
-    """A convoy visit's minibatch slices and its (n_batches, len(states))
-    step-size table: row k holds each state's rate at its counter plus k,
-    one ``schedule.rate`` call per distinct counter. The states advance
-    here, once for the whole visit."""
-    starts = range(0, n, batch_size)
-    t = np.add.outer(np.arange(len(starts), dtype=np.int64), [st.t for st in states])
-    ts, inverse = np.unique(t.ravel(), return_inverse=True)
-    rates = np.array([schedule.rate(int(u)) for u in ts], dtype=np.float64)[inverse]
-    for st in states:
-        st.advance(n, steps=len(starts))
-    return [slice(a, min(a + batch_size, n)) for a in starts], rates.reshape(t.shape).astype(dtype)
 
 
 class BAAdapter:
@@ -288,23 +274,20 @@ class BAAdapter:
 
         Encoder bits stack into one multi-column SVM pass (scores and the
         hinge-masked gradient are single GEMMs over all bits); decoder row
-        groups stack into one multi-output regression pass. The shared
-        sequential draw order is what ``shuffle_within=False`` guarantees;
-        per-submodel schedules are preserved through each carried
-        ``SGDState``.
+        groups stack into one multi-output regression pass. The members
+        share one minibatch order: sequential, or under ``shuffle``
+        ``rng.permutation(n)`` — the order :meth:`w_update` draws from
+        the same ``rng``. Per-submodel schedules are preserved through
+        each carried ``SGDState``.
         """
-        if shuffle:
-            raise ValueError(
-                "batched W updates share one draw order; per-unit shuffling "
-                "(shuffle_within=True) requires the per-unit w_update path"
-            )
+        order = rng.permutation(shard.n) if shuffle else None
         kinds = {spec.kind for spec in specs}
         if kinds == {"enc"}:
-            return self._w_update_batch_enc(specs, thetas, states, shard, batch_size)
+            return self._w_update_batch_enc(specs, thetas, states, shard, batch_size, order)
         if kinds == {"dec"} and self.decoder_exact:
             return [self._decoder_lstsq(shard, np.asarray(s.index)) for s in specs]
         if kinds == {"dec"}:
-            return self._w_update_batch_dec(specs, thetas, states, shard, batch_size)
+            return self._w_update_batch_dec(specs, thetas, states, shard, batch_size, order)
         raise ValueError(
             f"a BA batch must be all-encoder or all-decoder, got kinds {sorted(kinds)}"
         )
@@ -327,13 +310,14 @@ class BAAdapter:
         W, c = solved[2], solved[3]
         return np.concatenate([W[rows].ravel(), c[rows]])
 
-    def _w_update_batch_enc(self, specs, thetas, states, shard, batch_size):
+    def _w_update_batch_enc(self, specs, thetas, states, shard, batch_size, order):
         """Stacked SVMSGD: all bits' hinge subgradients from two GEMMs.
 
         Every minibatch works in buffers allocated once per visit. With
         ``Ya`` the hinge-masked labels, per minibatch: ``gb = sum Ya``,
         ``Ya *= eta / m`` per bit, ``G = Ya^T Fs``, then two passes over
         ``W``: ``W *= 1 - eta lam``, ``W += G``; and ``b += gb eta / m``.
+        Under an ``order`` each minibatch gathers only its own rows.
         """
         enc = self.model.encoder
         cd = self.compute_dtype
@@ -348,16 +332,16 @@ class BAAdapter:
         W = np.ascontiguousarray(Theta[:, :-1])
         b = np.ascontiguousarray(Theta[:, -1])
         n = shard.n
-        slices, etas = _visit_plan(enc.schedule, states, n, batch_size, cd)
-        rows = np.array([sl.stop - sl.start for sl in slices], dtype=cd)
-        steps = etas / rows[:, None]  # eta / m per minibatch and bit
+        batches, rows, rates = _visit_plan(enc.schedule, states, n, batch_size, order)
+        etas = rates.astype(cd)
+        steps = etas / rows.astype(cd)[:, None]  # eta / m per minibatch and bit
         decays = 1.0 - enc.lam * etas
         S_buf = np.empty((min(batch_size, n), len(specs)), dtype=cd)
         mask_buf = np.empty(S_buf.shape, dtype=bool)
         G = np.empty(W.shape, dtype=cd)
         gb = np.empty(len(specs), dtype=cd)
-        for sl, step, decay in zip(slices, steps, decays):
-            Fs, Ys = F[sl], Yt[sl]
+        for idx, step, decay in zip(batches, steps, decays):
+            Fs, Ys = F[idx], Yt[idx]
             S, mask = S_buf[: len(Fs)], mask_buf[: len(Fs)]
             np.matmul(Fs, W.T, out=S)  # scores (m_b, m)
             S += b
@@ -375,7 +359,7 @@ class BAAdapter:
             b += gb
         return [np.concatenate([W[i], b[i : i + 1]]) for i in range(len(specs))]
 
-    def _w_update_batch_dec(self, specs, thetas, states, shard, batch_size):
+    def _w_update_batch_dec(self, specs, thetas, states, shard, batch_size, order):
         """Stacked least-squares SGD over concatenated decoder row groups,
         in Gram form.
 
@@ -386,7 +370,8 @@ class BAAdapter:
         Theta - P) * 2 eta / m`` per column, then ``Theta -= G``. No (m, R)
         residual exists, and every product is row-major. The targets are
         a view of the shard when the groups are one run of columns
-        (always, for a convoy: a home's contiguous sid block).
+        (always, for a convoy: a home's contiguous sid block); under an
+        ``order`` each minibatch gathers only its own rows.
         """
         dec = self.model.decoder
         cd = self.compute_dtype
@@ -408,16 +393,16 @@ class BAAdapter:
         Theta = np.hstack(blocks)
         # Each column's step size comes from its group's carried schedule.
         group_of_row = np.repeat(np.arange(len(specs), dtype=np.intp), sizes)
-        slices, etas = _visit_plan(dec.schedule, states, n, batch_size, cd)
-        scale = np.array([2.0 / (sl.stop - sl.start) for sl in slices], dtype=cd)
-        coefs = etas[:, group_of_row] * scale[:, None]  # 2 eta / m per column
+        batches, rows, rates = _visit_plan(dec.schedule, states, n, batch_size, order)
+        scale = (2.0 / rows).astype(cd)
+        coefs = rates.astype(cd)[:, group_of_row] * scale[:, None]  # 2 eta / m per column
         K = np.empty((L + 1, L + 1), dtype=cd)
         P = np.empty(Theta.shape, dtype=cd)
         G = np.empty(Theta.shape, dtype=cd)
-        for sl, coef in zip(slices, coefs):
-            As = A[sl]
+        for idx, coef in zip(batches, coefs):
+            As = A[idx]
             np.matmul(As.T, As, out=K)
-            np.matmul(As.T, T[sl], out=P)
+            np.matmul(As.T, T[idx], out=P)
             np.matmul(K, Theta, out=G)
             G -= P
             G *= coef

@@ -234,7 +234,7 @@ class ParMACTrainer:
 
         ``resume`` continues a checkpointed fit instead of starting one:
         a path written by :meth:`checkpoint` / ``checkpoint_path``, or a
-        :class:`ClusterState`. The snapshot's shards and RNG streams are
+        :class:`ClusterState`. The snapshot's shards and key root are
         restored (``shards`` is ignored and may be None), this trainer's
         adapter receives the snapshot's parameters, and the mu schedule
         picks up at the first un-run iteration — bit-identically to the

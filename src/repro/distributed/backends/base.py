@@ -73,8 +73,8 @@ class FaultPolicy(str, enum.Enum):
     ``RESPAWN``
         Self-healing: the coordinator restores the whole cluster to the
         iteration-start boundary it snapshotted before dispatch, spawns
-        replacement workers, re-ships every shard and RNG state, and
-        retries the iteration — zero shards lost and a final model
+        replacement workers, re-ships every shard, and retries the
+        iteration — zero shards lost and a final model
         bit-identical to an uninterrupted run. Bounded by a per-fit
         respawn budget; on exhaustion the policy escalates to
         ``DROP_SHARD`` semantics (excise the dead machine, keep the
@@ -215,8 +215,7 @@ class BaseBackend:
     batch_units : bool
         Run co-resident compatible submodels' W updates as one stacked
         pass (one GEMM per minibatch) instead of per-unit Python loops
-        (default True). Engages only when ``shuffle_within`` is off —
-        per-unit shuffling demands per-unit draw order — and the adapter
+        (default True), with shuffling on or off, when the adapter
         implements ``w_update_batch``; see
         :mod:`repro.distributed.batching`.
     message_dtype : numpy float dtype or None
@@ -254,6 +253,10 @@ class BaseBackend:
         :class:`~repro.distributed.health.HealthConfig`. Simulated
         engines accept and ignore it.
     seed : int or None
+        The key root of every draw a fit makes: each visit's minibatch
+        order and each shuffled ring plan is keyed on it (and on where
+        the draw happens), identically on every engine. ``None`` draws a
+        fresh root once per fit, which checkpoints record.
     """
 
     name: str = ""
@@ -321,15 +324,13 @@ class BaseBackend:
     def units_batched(self) -> bool:
         """Whether this fit runs the batched co-resident-unit W step.
 
-        True when the knob is on, within-shard shuffling is off (a shared
-        pass shares its draw order), the bound adapter implements the
+        True when the knob is on, the bound adapter implements the
         batched entry points, and the engine actually executes numerics
         (simulated engines expose ``execute_updates``; a timing-only
         sweep runs no W kernels at all, batched or otherwise).
         """
         return (
             self.batch_units
-            and not self.shuffle_within
             and getattr(self, "execute_updates", True)
             and self.adapter is not None
             and supports_unit_batching(self.adapter)
@@ -352,10 +353,14 @@ class BaseBackend:
         }
 
     # ----------------------------------------------------------- streaming
-    def _bind_dataplane(self, dataplane: DataPlane) -> None:
-        """Adopt a fresh fit's data plane, dropping any ingest batches or
-        joins still queued from a previous fit (they belong to its
-        shards)."""
+    def _bind_dataplane(self, dataplane: DataPlane, key_root=None) -> None:
+        """Adopt a fresh fit's data plane and key root (a restore passes
+        the snapshot's; otherwise ``seed``, or a fresh draw without one),
+        dropping any ingest batches or joins still queued from a previous
+        fit (they belong to its shards)."""
+        if key_root is None:
+            key_root = np.random.SeedSequence().entropy if self.seed is None else self.seed
+        self._key_root = int(key_root)
         self.dataplane = dataplane
         self._pending_ingests = []
         self._pending_joins = []
@@ -475,17 +480,14 @@ class BaseBackend:
             s.sid: theta.copy()
             for s, theta in zip(specs, get_params_many(self.adapter, specs))
         }
-        shards, rng_states = self._collect_machine_state()
         return ClusterState(
             backend=self.name,
             iteration=self._iterations_done,
             ring_order=self._ring_order(),
             params=params,
-            shards=shards,
+            shards=self._collect_shards(),
             bookkeeping=self.dataplane.bookkeeping(),
-            route_rng_state=self._route_rng_state(),
-            machine_rng_states=rng_states,
-            join_entropy=self._join_entropy_value(),
+            key_root=self._key_root,
             pending_ingests=[(p, X.copy()) for p, X in self._pending_ingests],
             adapter=self.adapter,
             meta={
@@ -509,7 +511,7 @@ class BaseBackend:
         ``adapter`` supplies the model object to train (its parameters
         are overwritten from the snapshot); when omitted, the snapshot's
         own pickled adapter is used. Training then continues
-        bit-identically from ``state.iteration``.
+        bit-identically from ``state.iteration``, on any engine.
         """
         raise NotImplementedError
 
@@ -550,13 +552,10 @@ class BaseBackend:
         """Refuse a snapshot whose recorded training configuration
         differs from this backend's — resuming under a different
         protocol cannot be bit-identical, so a mismatch is an error, not
-        a silent divergence. A different *engine* (same config) only
-        warns: snapshots are same-backend artefacts in general, but with
-        both shuffles off the RNG states are inert and cross-engine
-        restores are legitimately useful.
+        a silent divergence. The engine may differ: every draw is keyed
+        on the snapshot's key root and iteration, so a snapshot resumes
+        bit-identically on any engine.
         """
-        import warnings
-
         mine = {
             "epochs": self.epochs,
             "scheme": self.scheme,
@@ -584,15 +583,6 @@ class BaseBackend:
                 f"({detail}); construct the backend with the snapshot's "
                 "settings to resume bit-identically"
             )
-        if state.backend and self.name and state.backend != self.name:
-            warnings.warn(
-                f"restoring a {state.backend!r} checkpoint on the "
-                f"{self.name!r} backend: machine RNG streams are keyed "
-                "differently, so the resumed fit is only bit-identical "
-                "when shuffle_within and shuffle_ring are off",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
     def _restore_pending_ingests(self, state: ClusterState) -> None:
         self._pending_ingests = [
@@ -602,21 +592,13 @@ class BaseBackend:
         self._iterations_done = int(state.iteration)
 
     # Engine hooks for the checkpoint template ---------------------------
-    def _collect_machine_state(self) -> tuple[dict, dict]:
-        """({machine: shard snapshot}, {machine: RNG state})."""
+    def _collect_shards(self) -> dict:
+        """{machine: shard snapshot}, decoupled from further training."""
         raise NotImplementedError
 
     def _ring_order(self) -> list[int]:
         """Current ring order (machine ids in cycle order)."""
         raise NotImplementedError
-
-    def _route_rng_state(self):
-        """Route RNG state dict, or None when the engine has no route RNG."""
-        return None
-
-    def _join_entropy_value(self):
-        """Entropy of the join-stream lineage, when the engine keeps one."""
-        return None
 
     def teardown(self) -> None:
         self._pending_ingests = []

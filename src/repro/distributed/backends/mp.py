@@ -30,10 +30,10 @@ What the engine provides:
   ``multiprocessing.shared_memory`` segments and mapped zero-copy by the
   workers, instead of pickling a private copy of the data through each
   process boundary;
-* **cross-machine shuffling** — ``shuffle_ring`` builds a freshly
-  shuffled per-epoch :class:`~repro.distributed.protocol.RoutePlan`
-  every iteration (section 4.3), routed per-message over the all-pairs
-  socket mesh;
+* **cross-machine shuffling** — ``shuffle_ring`` builds a shuffled
+  per-epoch :class:`~repro.distributed.protocol.RoutePlan` every
+  iteration (section 4.3), keyed on (seed, iteration, epoch) as on
+  every engine, routed per-message over the all-pairs socket mesh;
 * **streaming ingestion** — ``ingest`` queues arriving rows with the
   shared :class:`~repro.distributed.dataplane.DataPlane`; at the next
   iteration boundary each drained batch is coded by the current nested
@@ -60,7 +60,6 @@ invariant: after the W step every machine holds the full final model).
 
 from __future__ import annotations
 
-import copy
 import itertools
 import os
 import time
@@ -88,7 +87,6 @@ from repro.distributed.protocol import (
 )
 from repro.distributed.shm import pack_array_block, pack_shards, unlink_segments
 from repro.distributed.topology import RingTopology
-from repro.utils.rng import check_random_state
 
 __all__ = ["MultiprocessBackend", "home_assignment"]
 
@@ -173,19 +171,17 @@ class MultiprocessBackend(BaseBackend):
         # machine-count change. (A tracked member that silently *died*
         # between fits is deliberately kept: shipping setup to it makes
         # the death surface as an error, not a quiet respawn.)
-        self._rebuild_pool(
-            {r: (shard, None) for r, shard in enumerate(shards)}, keep_pool=True
-        )
+        self._rebuild_pool(dict(enumerate(shards)), keep_pool=True)
 
-    def _bind_fit(self, adapter, dataplane: DataPlane, topology: RingTopology) -> None:
+    def _bind_fit(self, adapter, dataplane: DataPlane, topology: RingTopology,
+                  key_root=None) -> None:
         """Fit-level coordinator state, common to ``setup`` and ``restore``."""
         self.adapter = adapter
-        self._bind_dataplane(dataplane)
+        self._bind_dataplane(dataplane, key_root)
         self._specs = adapter.submodel_specs()
         self._spec_by_sid = {s.sid: s for s in self._specs}
         self._topology = topology
         self._replan()
-        self._route_rng = check_random_state(self.seed)
         self._respawns_done = 0
         self._boundary = None
 
@@ -198,15 +194,14 @@ class MultiprocessBackend(BaseBackend):
 
     def _rebuild_pool(self, members: dict, *, keep_pool: bool = False,
                       force: bool = False) -> None:
-        """Make the pool hold exactly ``members``: {rank: (shard, rng_state)}.
+        """Make the pool hold exactly ``members``: {rank: shard}.
 
         The one path by which shards reach workers wholesale — a fresh
         fit, a restore, a respawn. A standing pool is reused only under
         ``keep_pool`` and only when its ranks already match; otherwise
         it is stopped (``force`` skips the cooperative stop, for a pool
         with dead or wedged members) and respawned. Every shard is then
-        re-shipped through fresh shared-memory segments, with the given
-        SGD stream (``None``: the fresh seed-derived one).
+        re-shipped through fresh shared-memory segments.
         """
         live = sorted(members)
         if not (keep_pool and sorted(self._pool.procs) == live):
@@ -219,15 +214,13 @@ class MultiprocessBackend(BaseBackend):
         # segments: tear the fit down (close releases the segments) and
         # re-raise.
         try:
-            self._segments, descs = pack_shards([members[r][0] for r in live])
-            self._ship_setup(
-                dict(zip(live, descs)), {r: members[r][1] for r in live}
-            )
+            self._segments, descs = pack_shards([members[r] for r in live])
+            self._ship_setup(dict(zip(live, descs)))
         except Exception:
             self.close(force=True)
             raise
 
-    def _setup_message(self, rank: int, desc, rng_state) -> WorkerSetup:
+    def _setup_message(self, rank: int, desc) -> WorkerSetup:
         """The setup message for ``rank`` — the only construction site."""
         return WorkerSetup(
             adapter=self.adapter,
@@ -236,8 +229,7 @@ class MultiprocessBackend(BaseBackend):
             homes=self._homes,
             batch_size=self.batch_size,
             shuffle_within=self.shuffle_within,
-            seed=(0 if self.seed is None else int(self.seed)) + rank,
-            rng_state=rng_state,
+            seed=self._key_root,
             message_dtype=self.message_dtype,
             batch_units=self.batch_units,
             chaos=self.chaos,
@@ -257,19 +249,15 @@ class MultiprocessBackend(BaseBackend):
         """
         return f"\0parmac-{os.getpid()}-{next(_BIND_SEQ)}-{rank}"
 
-    def _ship_setup(self, descs: dict, rng_states: dict) -> None:
+    def _ship_setup(self, descs: dict) -> None:
         """Send per-worker setup commands and wait for every ack.
 
         ``descs`` maps rank -> shard descriptor (ranks need not be
-        contiguous after a restore); ``rng_states`` maps rank -> SGD
-        stream to restore, or None.
+        contiguous after a restore).
         """
         ranks = sorted(descs)
         for rank in ranks:
-            self._pool.send(
-                rank, "setup",
-                self._setup_message(rank, descs[rank], rng_states.get(rank)),
-            )
+            self._pool.send(rank, "setup", self._setup_message(rank, descs[rank]))
         self._connect_mesh(ranks)
         self._collect("ready", ranks)
 
@@ -349,7 +337,7 @@ class MultiprocessBackend(BaseBackend):
         WELCOME + framed BATCH: the joining machine "receives the
         current submodels" (§4.3) exactly as they travel the ring.
         """
-        self._pool.send(p, "setup", self._setup_message(p, desc, None))
+        self._pool.send(p, "setup", self._setup_message(p, desc))
         addr = self._collect("bound", [p])[p]
         donor = old_ranks[0]
         for rank in old_ranks:
@@ -363,7 +351,7 @@ class MultiprocessBackend(BaseBackend):
         self._collect("ready", [p])
 
     def _collect_worker_pool_state(self) -> dict:
-        """{rank: {"shard": ..., "rng_state": ...}} from every live worker."""
+        """{rank: shard} from every live worker."""
         for rank in self._ranks:
             self._pool.send(rank, "checkpoint")
         return self._collect("checkpoint")
@@ -379,11 +367,12 @@ class MultiprocessBackend(BaseBackend):
         boundary = None
         if respawn:
             # The respawn tax: hold a whole-cluster iteration-boundary
-            # snapshot — every worker's shard + SGD stream plus the
-            # route RNG — so a mid-iteration death can rewind the fit to
-            # exactly here and retry bit-identically. (Survivors are
-            # *not* reusable as-is: aborted ones consumed SGD draws,
-            # completed ones advanced their Z codes.) The snapshot is
+            # snapshot — every worker's shard — so a mid-iteration death
+            # can rewind the fit to exactly here and retry
+            # bit-identically. (Survivors are *not* reusable as-is:
+            # completed ones advanced their Z codes; every minibatch order
+            # and ring plan is keyed on the iteration, so a retry redraws
+            # them.) The snapshot is
             # normally the one refreshed at the end of the previous
             # iteration — taken while the pool had just proved itself
             # alive — so a worker SIGKILLed while *idle* surfaces inside
@@ -412,7 +401,8 @@ class MultiprocessBackend(BaseBackend):
         while True:
             if self.shuffle_ring:
                 plan = RoutePlan.shuffled(
-                    self._topology.machines, self._protocol, self._route_rng
+                    self._topology.machines, self._protocol,
+                    self._key_root, self._iterations_done,
                 )
             else:
                 plan = RoutePlan.fixed(self._topology, self._protocol)
@@ -531,7 +521,8 @@ class MultiprocessBackend(BaseBackend):
         """Send one iteration command to every live worker.
 
         The plan travels as its ring orders (plain lists of ints); each
-        worker rebuilds it against the protocol it already holds.
+        worker rebuilds it against the protocol it already holds. The
+        iteration count keys the workers' minibatch orders.
         ``crashes`` maps rank -> scheduled chaos kill point ("w"/"z") for
         this attempt; absent ranks run normally.
         """
@@ -540,38 +531,32 @@ class MultiprocessBackend(BaseBackend):
             self._monitor.begin_phase(self._ranks)
         for rank in self._ranks:
             self._pool.send(
-                rank, "iter", mu, orders, expected[rank], model_rank,
-                crashes.get(rank),
+                rank, "iter", mu, self._iterations_done, orders, expected[rank],
+                model_rank, crashes.get(rank),
             )
 
     # ------------------------------------------------------------ recovery
     def _snapshot_boundary(self) -> dict:
-        """Whole-cluster iteration-boundary state for bit-identical retry."""
-        return {
-            "pool": self._collect_worker_pool_state(),
-            "route_rng": copy.deepcopy(self._route_rng.bit_generator.state),
-        }
+        """Whole-cluster iteration-boundary state for bit-identical retry:
+        every worker's shard."""
+        return self._collect_worker_pool_state()
 
     def _respawn_from(self, boundary) -> None:
         """Rebuild the whole pool at the iteration-start boundary.
 
         The dead worker's post-death shard state is unrecoverable and the
-        survivors are not reusable as-is (aborted ones consumed SGD
-        draws, completed ones advanced their Z codes), so recovery
-        replaces *every* process: tear the pool down, respawn the full
-        rank set, re-ship the boundary shards and SGD streams, and rewind
-        the route RNG so the retried plan is the one the dead attempt
-        ran. One budget unit is consumed up front — a kill that lands
+        survivors are not reusable as-is (completed ones advanced their Z
+        codes), so recovery replaces *every* process: tear the pool down,
+        respawn the full rank set and re-ship the boundary shards. The
+        retried plan and minibatch orders are keyed on the iteration, so
+        they are the ones the dead attempt drew. One budget unit is
+        consumed up front — a kill that lands
         during the rebuild itself surfaces as a ``RuntimeError`` from the
         setup gather and the caller retries from the same (untouched)
         boundary, budget permitting.
         """
         self._respawns_done += 1
-        self._rebuild_pool(
-            {r: (c["shard"], c["rng_state"]) for r, c in boundary["pool"].items()},
-            force=True,
-        )
-        self._route_rng.bit_generator.state = copy.deepcopy(boundary["route_rng"])
+        self._rebuild_pool(boundary, force=True)
 
     def _observe_beat(self, payload: bytes) -> None:
         """Decode a framed HEARTBEAT (workers beat with the same bytes a
@@ -707,25 +692,18 @@ class MultiprocessBackend(BaseBackend):
         return payloads
 
     # ------------------------------------------------------- checkpointing
-    def _collect_machine_state(self) -> tuple[dict, dict]:
+    def _collect_shards(self) -> dict:
         if not self._pool.procs:
             raise RuntimeError("checkpoint() requires an active pool")
-        collected = self._collect_worker_pool_state()
-        return (
-            {r: c["shard"] for r, c in collected.items()},
-            {r: c["rng_state"] for r, c in collected.items()},
-        )
+        return self._collect_worker_pool_state()
 
     def _ring_order(self) -> list[int]:
         return self._topology.machines
 
-    def _route_rng_state(self):
-        return copy.deepcopy(self._route_rng.bit_generator.state)
-
     def restore(self, state: ClusterState, adapter=None) -> None:
         """Rebind a fit from a snapshot: fresh pool, shards re-shipped
-        via shared memory, worker SGD streams and the route stream
-        restored — training continues bit-identically."""
+        via shared memory, the snapshot's key root adopted — training
+        continues bit-identically, whichever engine took the snapshot."""
         adapter = self._restore_common(state, adapter)
         shards = {int(p): s for p, s in state.shards.items()}
         ring_order = [int(p) for p in state.ring_order]
@@ -736,13 +714,10 @@ class MultiprocessBackend(BaseBackend):
             )
         dataplane = DataPlane(adapter, shards, own_data=False)
         dataplane.restore_bookkeeping(state.bookkeeping)
-        self._bind_fit(adapter, dataplane, RingTopology(ring_order))
-        if state.route_rng_state is not None:
-            self._route_rng.bit_generator.state = state.route_rng_state
+        self._bind_fit(adapter, dataplane, RingTopology(ring_order), state.key_root)
         # The restored membership rarely matches a standing pool's ranks
         # (gaps from retirements, extras from joins); start clean.
-        rng_states = {int(p): st for p, st in state.machine_rng_states.items()}
-        self._rebuild_pool({r: (shards[r], rng_states.get(r)) for r in shards})
+        self._rebuild_pool(shards)
         self._restore_pending_ingests(state)
 
     def teardown(self) -> None:

@@ -3,7 +3,7 @@
 ``sync`` and ``async`` run the full ParMAC protocol of paper section 4 —
 travelling submodels on a (possibly per-epoch reshuffled) ring, a final
 broadcast lap, and a communication-free Z step — over in-process
-"machines", each with a private shard, its own RNG stream and a local
+"machines", each with a private shard and a local
 store of the latest submodel copies that passed through it (the
 redundancy fault recovery relies on, section 4.3).
 
@@ -59,15 +59,14 @@ from repro.distributed.backends.base import (
     IterationStats,
     register_backend,
 )
-from repro.distributed.batching import GroupTable, train_message_batch
+from repro.distributed.batching import GroupTable, train_message, train_message_batch
 from repro.distributed.costmodel import ChaosTimeline, CostModel
 from repro.distributed.dataplane import ClusterState, DataPlane
 from repro.distributed.interfaces import ZStepResult, get_params_many, set_params_many
 from repro.distributed.messages import SubmodelMessage
-from repro.distributed.protocol import home_assignment
+from repro.distributed.protocol import RoutePlan, WStepProtocol, home_assignment
 from repro.distributed.topology import RingTopology
 from repro.optim.sgd import SGDState
-from repro.utils.rng import check_random_state, seed_entropy, spawn_rngs
 
 __all__ = ["SyncSimBackend", "AsyncSimBackend", "WStepStats", "ZStepStats", "FaultEvent"]
 
@@ -161,25 +160,14 @@ class _SimBackend(BaseBackend):
     def setup(self, adapter, shards) -> None:
         self._bind(adapter, DataPlane(adapter, shards))
 
-    def _bind(self, adapter, dataplane: DataPlane) -> None:
-        """Start a fit over ``dataplane``'s machines: ring, RNG streams,
+    def _bind(self, adapter, dataplane: DataPlane, key_root=None) -> None:
+        """Start a fit over ``dataplane``'s machines: ring, key root,
         empty stores. The one builder behind ``setup`` and ``restore``."""
         self.adapter = adapter
-        self._bind_dataplane(dataplane)
+        self._bind_dataplane(dataplane, key_root)
         self._pending_fault = None
         machines = dataplane.machines
         self.topology = RingTopology(machines)
-        self._route_rng = check_random_state(self.seed)
-        self._machine_rngs = dict(
-            zip(machines, spawn_rngs(self._route_rng, len(machines)))
-        )
-        # Joining machines draw their RNG streams from a side lineage
-        # keyed by machine id — independent of the route stream, so a
-        # join can never perturb the remaining shuffle_ring schedule
-        # (cross-backend bit-parity would silently break otherwise).
-        self._join_entropy = seed_entropy(self.seed)
-        if self._join_entropy is None:
-            self._join_entropy = np.random.SeedSequence().entropy
         # store[p][sid] -> latest copy machine p saw in the current W step.
         self._stores: dict[int, dict[int, SubmodelMessage]] = {p: {} for p in machines}
         # Hop time and bytes scale with the wire itemsize relative to the
@@ -219,11 +207,15 @@ class _SimBackend(BaseBackend):
         return 1 if self.scheme == "rounds" else self.epochs
 
     def _rings(self) -> list[RingTopology]:
-        """One ring per training epoch plus one for the broadcast lap."""
-        n = self._sgd_epochs + 1
+        """One ring per training epoch plus one for the broadcast lap: the
+        keyed plan of :meth:`RoutePlan.shuffled` under ``shuffle_ring``,
+        as on every engine."""
+        protocol = WStepProtocol(self.n_machines, self.epochs, self.scheme)
         if self.shuffle_ring:
-            return [self.topology.rewired(self._route_rng) for _ in range(n)]
-        return [self.topology] * n
+            return RoutePlan.shuffled(
+                self.machines, protocol, self._key_root, self._iterations_done
+            ).rings
+        return [self.topology] * protocol.n_rings
 
     def _successor(self, rings: list[RingTopology], msg: SubmodelMessage, p: int) -> int:
         """Next machine for ``msg`` sitting at ``p`` (epoch-indexed ring)."""
@@ -246,19 +238,21 @@ class _SimBackend(BaseBackend):
             queues[homes[spec.sid]].append(msg)
         return queues
 
+    def _visit_key(self, msg: SubmodelMessage, p: int):
+        """What the minibatch orders of ``msg``'s visit to ``p`` are keyed
+        on — ``msg.counter`` is the visit's index, read before the visit
+        counts it — or None without ``shuffle_within``."""
+        if not self.shuffle_within:
+            return None
+        home = self._homes[msg.spec.sid]
+        return (self._key_root, self._iterations_done, p, msg.counter, home)
+
     def _train_inline(self, msg: SubmodelMessage, p: int, mu: float) -> None:
         """The per-unit SGD pass for one visit of one submodel."""
-        for _ in range(self._passes_per_visit):
-            msg.theta = self.adapter.w_update(
-                msg.spec,
-                msg.theta,
-                msg.sgd_state,
-                self.shards[p],
-                mu,
-                batch_size=self.batch_size,
-                shuffle=self.shuffle_within,
-                rng=self._machine_rngs[p],
-            )
+        train_message(
+            self.adapter, msg, self.shards[p], mu, passes=self._passes_per_visit,
+            batch_size=self.batch_size, key=self._visit_key(msg, p),
+        )
 
     def _process_visit(
         self, msg: SubmodelMessage, p: int, mu: float, *, pretrained: bool = False
@@ -270,7 +264,6 @@ class _SimBackend(BaseBackend):
         local store. Does not route. ``pretrained`` marks visits whose
         numerics already ran through the batched co-resident-unit pass.
         """
-        msg.counter += 1
         work = 0.0
         if not msg.training_done:
             if p in msg.to_visit:
@@ -286,6 +279,7 @@ class _SimBackend(BaseBackend):
                     msg.to_broadcast = set(self.machines) - {p}
         else:
             msg.to_broadcast.discard(p)
+        msg.counter += 1
         # Wire precision applies to storage as well as the wire (the paper
         # "store[s] and communicate[s] reduced-precision values"), so every
         # machine's copy is bit-identical to what travels on. With a single
@@ -371,7 +365,7 @@ class _SimBackend(BaseBackend):
             train_message_batch(
                 self.adapter, msgs, self.shards[p], mu,
                 passes=self._passes_per_visit, batch_size=self.batch_size,
-                rng=self._machine_rngs[p],
+                key=self._visit_key(msgs[0], p),
             )
         for msg in singles:
             self._train_inline(msg, p, mu)
@@ -388,7 +382,7 @@ class _SimBackend(BaseBackend):
         self._stores = {p: {} for p in self.machines}
         rings = self._rings()
         specs = self.adapter.submodel_specs()
-        homes = home_assignment(len(specs), self.machines)
+        homes = self._homes = home_assignment(len(specs), self.machines)
         queues = self._initial_messages(specs, homes)
         table = GroupTable(self.adapter, homes) if self.units_batched() else None
         record: list[dict] = []
@@ -446,9 +440,9 @@ class _SimBackend(BaseBackend):
                 queues[succ].append(revived)
 
     def _retire(self, p: int, *, lost: bool) -> None:
-        """Drop machine ``p``: shard, store, RNG stream, ring position."""
+        """Drop machine ``p``: shard, store, ring position."""
         self.dataplane.retire(p, lost=lost)
-        del self._stores[p], self._machine_rngs[p]
+        del self._stores[p]
         self.topology = self.topology.without_machine(p)
 
     def remove_machine(self, p: int) -> None:
@@ -583,67 +577,33 @@ class _SimBackend(BaseBackend):
 
     # ----------------------------------------------------------- elasticity
     def _apply_join(self, p: int, after: int | None) -> None:
-        """Admit a registered machine: ring insertion, join-stream RNG,
-        and a copy of the current model (in the paper it picks the copies
-        up during the final broadcast lap)."""
+        """Admit a registered machine: ring insertion and a copy of the
+        current model (in the paper it picks the copies up during the
+        final broadcast lap)."""
         self.topology = self.topology.with_machine(p, after=after)
-        self._machine_rngs[p] = self._join_rng(p)
         specs = self.adapter.submodel_specs()
         self._stores[p] = {
             s.sid: SubmodelMessage.final(s, theta)
             for s, theta in zip(specs, get_params_many(self.adapter, specs))
         }
 
-    def _join_rng(self, p: int) -> np.random.Generator:
-        """Machine ``p``'s join-time RNG stream, keyed by id.
-
-        Derived from the side entropy lineage, never from the route RNG:
-        spawning a stream for a join must not advance the route stream,
-        or the join would perturb every subsequent ``shuffle_ring``
-        schedule and break cross-backend bit-parity for the rest of the
-        fit. Keying by machine id (not join order) also makes the stream
-        independent of when the machine joined.
-        """
-        # spawn_key entries must fit in uint32; 0x4A4F494E is "JOIN".
-        ss = np.random.SeedSequence(
-            entropy=self._join_entropy, spawn_key=(0x4A4F494E, int(p))
-        )
-        return np.random.default_rng(ss)
-
     # ------------------------------------------------------- checkpointing
-    def _collect_machine_state(self) -> tuple[dict, dict]:
+    def _collect_shards(self) -> dict:
         # The simulated engines own the shard arrays in-process; deep-copy
         # them so the snapshot is decoupled from further training.
-        shards = {p: copy.deepcopy(s) for p, s in self.dataplane.shards.items()}
-        rngs = {p: copy.deepcopy(r.bit_generator.state) for p, r in self._machine_rngs.items()}
-        return shards, rngs
+        return {p: copy.deepcopy(s) for p, s in self.dataplane.shards.items()}
 
     def _ring_order(self) -> list[int]:
         return self.topology.machines
-
-    def _route_rng_state(self):
-        return copy.deepcopy(self._route_rng.bit_generator.state)
-
-    def _join_entropy_value(self):
-        return self._join_entropy
 
     def restore(self, state: ClusterState, adapter=None) -> None:
         adapter = self._restore_common(state, adapter)
         shards = {int(p): copy.deepcopy(s) for p, s in state.shards.items()}
         dataplane = DataPlane(adapter, shards)
         dataplane.restore_bookkeeping(state.bookkeeping)
-        self._bind(adapter, dataplane)
-        # The snapshot's stochastic state replaces the fresh fit's: ring
-        # order (joins may have inserted mid-cycle), route and machine
-        # RNG streams, and the join-stream lineage.
+        self._bind(adapter, dataplane, state.key_root)
+        # Joins may have inserted machines mid-cycle.
         self.topology = RingTopology(state.ring_order)
-        if state.route_rng_state is not None:
-            self._route_rng.bit_generator.state = state.route_rng_state
-        for p, st in state.machine_rng_states.items():
-            if int(p) in self._machine_rngs:
-                self._machine_rngs[int(p)].bit_generator.state = st
-        if state.join_entropy is not None:
-            self._join_entropy = state.join_entropy
         self._restore_pending_ingests(state)
 
     # -------------------------------------------------------- diagnostics

@@ -37,6 +37,7 @@ from repro.distributed.batching import (
     BatchAccumulator,
     GroupTable,
     supports_unit_batching,
+    train_message,
     train_message_batch,
 )
 from repro.distributed.chaos import ChaosShim
@@ -55,9 +56,10 @@ class WorkerSetup:
     """Everything a worker needs to (re)join a fit — the one setup message.
 
     Built at exactly one site (the coordinator's ``_setup_message``) and
-    kept by the worker as the immutable half of its state. ``rng_state``
-    restores a checkpointed SGD stream in place of the fresh
-    ``seed``-derived one. ``address`` / ``drop_on_fault`` are ring-link
+    kept by the worker as the immutable half of its state. ``seed`` is
+    the fit's key root: under ``shuffle_within`` each visit's minibatch
+    order is keyed on it (:mod:`repro.distributed.batching`), so the
+    worker holds no RNG state. ``address`` / ``drop_on_fault`` are ring-link
     parameters: the link binds its listener at ``address`` (``(host,
     port)`` on ``tcp``, a unix-socket name on ``multiprocess``) and,
     under ``drop_on_fault``, answers a peer's death with a clean abort
@@ -71,7 +73,6 @@ class WorkerSetup:
     batch_size: int
     shuffle_within: bool
     seed: int
-    rng_state: dict | None
     message_dtype: object
     batch_units: bool
     chaos: object
@@ -91,9 +92,6 @@ class _WorkerState:
         self.seg, self.shard = attach_shard(setup.desc)
         self.specs = self.adapter.submodel_specs()
         self.spec_by_sid = {s.sid: s for s in self.specs}
-        self.rng = np.random.default_rng(setup.seed)
-        if setup.rng_state is not None:
-            self.rng.bit_generator.state = setup.rng_state
         self.compute_dtype = np.dtype(
             getattr(self.adapter, "compute_dtype", np.float64)
         )
@@ -114,11 +112,7 @@ class _WorkerState:
     @property
     def units_batched(self) -> bool:
         """Whether this worker runs the batched co-resident-unit W step."""
-        return (
-            self.setup.batch_units
-            and not self.setup.shuffle_within
-            and supports_unit_batching(self.adapter)
-        )
+        return self.setup.batch_units and supports_unit_batching(self.adapter)
 
     def chaos_shim(self) -> ChaosShim | None:
         """A fresh shim per iteration realigns the per-link RNG streams
@@ -128,15 +122,15 @@ class _WorkerState:
             return None
         return ChaosShim(chaos, self.rank, clock=time.monotonic)
 
-    def checkpoint(self) -> dict:
-        """This worker's resumable state: its (private) shard and SGD stream.
+    def checkpoint(self):
+        """This worker's resumable state: its (private) shard.
 
         The shard arrays pickle by value through the worker's channel,
         so the coordinator's snapshot is decoupled from further training
         even when the arrays are still zero-copy views over a
         shared-memory segment.
         """
-        return {"shard": self.shard, "rng_state": self.rng.bit_generator.state}
+        return self.shard
 
     def model(self) -> list:
         """This worker's full model as ``(sid, theta)`` pairs.
@@ -154,9 +148,12 @@ class _WorkerState:
 
 
 # ------------------------------------------------------------------ worker
-def _run_worker_iteration(state: _WorkerState, mu, plan, n_expected, transport,
-                          model_rank=0, chaos_shim=None, crash=None):
+def _run_worker_iteration(state: _WorkerState, mu, iteration, plan, n_expected,
+                          transport, model_rank=0, chaos_shim=None, crash=None):
     """One W step + Z step on this worker's shard; returns the payload.
+
+    ``iteration`` counts the fit's completed iterations; it keys every
+    visit's minibatch order, so a retried attempt redraws the same ones.
 
     ``crash`` is a scheduled chaos kill point ("w"/"z"/None), resolved by
     the coordinator for this iteration's *first* attempt only: the worker
@@ -211,42 +208,32 @@ def _run_worker_iteration(state: _WorkerState, mu, plan, n_expected, transport,
         if protocol.should_forward(msg.counter):
             transport.send(plan.successor(rank, msg.counter), msg)
 
-    def train_inline(msg: SubmodelMessage, passes: int) -> None:
-        t0 = time.perf_counter() if straggle is not None else 0.0
-        for _ in range(passes):
-            msg.theta = adapter.w_update(
-                msg.spec,
-                msg.theta,
-                msg.sgd_state,
-                shard,
-                mu,
-                batch_size=batch_size,
-                shuffle=state.setup.shuffle_within,
-                rng=state.rng,
-            )
-        if straggle is not None:
-            straggle(t0)
+    def visit_key(msg: SubmodelMessage):
+        """What this visit's minibatch orders are keyed on (the counter
+        counts from 0 at the home machine), or None without shuffling."""
+        if not state.setup.shuffle_within:
+            return None
+        home = state.homes[msg.spec.sid]
+        return (state.setup.seed, iteration, rank, msg.counter - 1, home)
 
     def handle(msg: SubmodelMessage) -> None:
         pulse.tick()  # one heartbeat-visible unit of progress per visit
         msg.counter += 1
         passes = protocol.train_passes(msg.counter)
-        if passes and acc is not None and acc.table.batchable(msg.spec.sid):
-            group = acc.add(msg)
-            if group is None:
-                return  # convoy incomplete; numerics wait for the rest
-            t0 = time.perf_counter() if straggle is not None else 0.0
-            train_message_batch(
-                adapter, group, shard, mu, passes=passes,
-                batch_size=batch_size, rng=state.rng,
-            )
-            if straggle is not None:
-                straggle(t0)
-            for member in group:
-                finish_visit(member)
-            return
-        train_inline(msg, passes)
-        finish_visit(msg)
+        batched = passes and acc is not None and acc.table.batchable(msg.spec.sid)
+        group = acc.add(msg) if batched else [msg]
+        if group is None:
+            return  # convoy incomplete; numerics wait for the rest
+        t0 = time.perf_counter() if straggle is not None else 0.0
+        how = dict(passes=passes, batch_size=batch_size, key=visit_key(msg))
+        if batched:
+            train_message_batch(adapter, group, shard, mu, **how)
+        else:
+            train_message(adapter, msg, shard, mu, **how)
+        if straggle is not None:
+            straggle(t0)
+        for member in group:
+            finish_visit(member)
 
     t_w0 = time.perf_counter()
     my_specs = [state.spec_by_sid[sid] for sid in state.my_sids]
@@ -349,7 +336,7 @@ class _Worker:
         self.state.replan(protocol, homes)
         return "replanned", None
 
-    def iter(self, mu, orders, n_expected, model_rank, crash) -> tuple:
+    def iter(self, mu, iteration, orders, n_expected, model_rank, crash) -> tuple:
         state = self.state
         plan = RoutePlan.from_orders(orders, state.protocol)
         shim = state.chaos_shim()
@@ -358,7 +345,7 @@ class _Worker:
         try:
             try:
                 payload = _run_worker_iteration(
-                    state, mu, plan, n_expected, transport, model_rank,
+                    state, mu, iteration, plan, n_expected, transport, model_rank,
                     chaos_shim=shim, crash=crash,
                 )
             finally:

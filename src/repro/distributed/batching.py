@@ -16,11 +16,13 @@ Batching must not change *what* is computed, only how fast — and the
 conformance suite holds every engine to bit-identical results. Two rules
 make that possible:
 
-* **It only engages when ``shuffle_within`` is off.** Per-unit shuffling
-  draws a fresh minibatch order per submodel from the machine's RNG
-  stream; a shared pass would need a shared order, which is a different
-  algorithm. With shuffling off the order is the deterministic sequential
-  one, shared trivially.
+* **Every visit's minibatch order is a keyed draw.** Under
+  ``shuffle_within`` a visit's order is ``keyed_rng(seed, iteration,
+  machine, counter, home, pass).permutation(n)`` (:func:`_visit_rng`):
+  a pure function of where the visit happens, shared by every member of
+  its convoy and drawn identically by the per-unit path. With shuffling
+  off the order is the sequential one. Either way no engine carries RNG
+  state, so batching engages with shuffling on or off.
 
 * **Groups are protocol-deterministic, not timing-dependent.** A batch is
   a *convoy*: the submodels of one home machine's contiguous block (split
@@ -40,10 +42,13 @@ make that possible:
 
 from __future__ import annotations
 
+from repro.utils.rng import keyed_rng
+
 __all__ = [
     "supports_unit_batching",
     "GroupTable",
     "BatchAccumulator",
+    "train_message",
     "train_message_batch",
 ]
 
@@ -109,21 +114,39 @@ class BatchAccumulator:
         return sum(len(bucket) for bucket in self._pending.values())
 
 
-def train_message_batch(adapter, msgs, shard, mu, *, passes, batch_size, rng):
+def _visit_rng(key, k: int):
+    """The generator pass ``k`` of a visit draws its minibatch order from:
+    keyed on ``key + (k,)``, ``key`` being ``(seed, iteration, machine,
+    counter, home)`` (counter 0 at the home machine); None, drawing
+    nothing, when ``key`` is None (``shuffle_within`` off)."""
+    return None if key is None else keyed_rng(*key, k)
+
+
+def train_message(adapter, msg, shard, mu, *, passes, batch_size, key):
+    """Run ``passes`` per-unit SGD passes for one visit of ``msg`` in place."""
+    for k in range(passes):
+        msg.theta = adapter.w_update(
+            msg.spec, msg.theta, msg.sgd_state, shard, mu,
+            batch_size=batch_size, shuffle=key is not None, rng=_visit_rng(key, k),
+        )
+
+
+def train_message_batch(adapter, msgs, shard, mu, *, passes, batch_size, key):
     """Run ``passes`` stacked SGD passes for one completed group in place.
 
     Members are already sid-sorted (stacking order fixes GEMM operand
     layout, so it must be deterministic); each message's theta is replaced
     by its updated parameters and its carried ``SGDState`` advances
-    exactly as the per-unit path would have advanced it.
+    exactly as the per-unit path would have advanced it, in the order
+    :func:`train_message` draws.
     """
     specs = [msg.spec for msg in msgs]
     thetas = [msg.theta for msg in msgs]
     states = [msg.sgd_state for msg in msgs]
-    for _ in range(passes):
+    for k in range(passes):
         thetas = adapter.w_update_batch(
             specs, thetas, states, shard, mu,
-            batch_size=batch_size, shuffle=False, rng=rng,
+            batch_size=batch_size, shuffle=key is not None, rng=_visit_rng(key, k),
         )
     for msg, theta in zip(msgs, thetas):
         msg.theta = theta

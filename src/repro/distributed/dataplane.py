@@ -355,7 +355,7 @@ class DataPlane:
 
 
 #: Format tag written into every checkpoint; bumped on layout changes.
-CLUSTER_STATE_VERSION = 1
+CLUSTER_STATE_VERSION = 2
 
 
 @dataclass
@@ -366,15 +366,12 @@ class ClusterState:
     process kill, in one picklable object (→ one file via :meth:`save`):
     the assembled submodels, every machine's shard (with its evolved Z
     codes and any ingested rows), the DataPlane bookkeeping, the ring
-    order, and the RNG states of the route stream and every machine's
-    SGD stream. ``iteration`` counts *completed* MAC iterations, so a
-    resuming trainer knows where in the mu schedule to pick up.
-
-    Checkpoints are same-backend artefacts: sim and wall-clock engines
-    key their machine RNG streams differently, so restore on the engine
-    that produced the snapshot (the ``backend`` field records it; with
-    ``shuffle_within=False`` and ``shuffle_ring=False`` the RNG states
-    are inert and snapshots are portable in practice).
+    order, and the fit's key root. ``iteration`` counts *completed* MAC
+    iterations, so a resuming trainer knows where in the mu schedule to
+    pick up. No RNG state exists to save: every minibatch order and
+    ring plan is keyed on ``(key_root, iteration, ...)``, so a snapshot
+    resumes bit-identically on any engine (``backend`` records the one
+    that took it).
 
     The file format is a pickle — load checkpoints only from paths you
     trust, like any pickle.
@@ -386,9 +383,7 @@ class ClusterState:
     params: dict  # sid -> final parameter vector
     shards: dict  # machine id -> shard object (arrays by value)
     bookkeeping: dict  # DataPlane.bookkeeping()
-    route_rng_state: dict | None = None
-    machine_rng_states: dict = field(default_factory=dict)
-    join_entropy: object = None
+    key_root: int = 0
     pending_ingests: list = field(default_factory=list)
     adapter: object = None  # optional pickled adapter for standalone restore
     meta: dict = field(default_factory=dict)
@@ -414,9 +409,9 @@ class ClusterState:
             raise TypeError(
                 f"{path} does not contain a ClusterState (got {type(state).__name__})"
             )
-        if state.version > CLUSTER_STATE_VERSION:
+        if state.version != CLUSTER_STATE_VERSION:
             raise ValueError(
-                f"checkpoint version {state.version} is newer than this "
-                f"code understands ({CLUSTER_STATE_VERSION})"
+                f"checkpoint version {state.version} is not the one this "
+                f"code reads ({CLUSTER_STATE_VERSION})"
             )
         return state

@@ -29,8 +29,9 @@ Adapters may additionally implement the **batched W-step** entry points
 * ``w_update_batch(specs, thetas, states, shard, mu, *, batch_size,
   shuffle, rng)`` — one shared SGD pass for a compatible group, collapsing
   the group's per-unit loops into one GEMM per minibatch; returns the new
-  theta per spec. Only called with ``shuffle=False`` (a shared pass shares
-  its draw order).
+  theta per spec. Under ``shuffle`` every member takes the minibatch
+  order ``rng.permutation(n)`` — the order ``w_update`` draws from the
+  same fresh ``rng``, which the engines key on where the visit happens.
 * ``compute_dtype`` — the model's end-to-end float precision; engines,
   the data plane and checkpoints thread it through so reduced-precision
   training (paper section 9) is a model property, not a per-engine hack.
@@ -137,6 +138,8 @@ class ParMACAdapter(Protocol):
     ) -> np.ndarray:
         """One SGD pass of submodel ``spec`` over ``shard``; returns new theta.
 
+        Under ``shuffle`` the minibatch order is ``rng.permutation(n)``,
+        the first draw of the fresh keyed generator the engine passes.
         Must not touch the adapter's model object — during the W step the
         authoritative parameters are the ones travelling in the message.
         """

@@ -13,6 +13,8 @@ Routing (section 4.3, shuffling): the ring may be re-randomised at every
 epoch; a :class:`RoutePlan` holds one ring per epoch (plus one for the
 broadcast lap) and answers "where does this message go next" from the
 message counter — the in-code analogue of the paper's random lookup table.
+A shuffled plan is keyed on (seed, iteration, epoch), never drawn from a
+stream.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 
 from repro.distributed.topology import RingTopology
-from repro.utils.rng import check_random_state
+from repro.utils.rng import keyed_rng
 
 __all__ = [
     "WStepProtocol",
@@ -177,11 +179,15 @@ class RoutePlan:
 
     @classmethod
     def shuffled(
-        cls, machines, protocol: WStepProtocol, rng=None
+        cls, machines, protocol: WStepProtocol, seed: int, iteration: int
     ) -> "RoutePlan":
-        """A fresh random ring per epoch (cross-machine shuffling)."""
-        rng = check_random_state(rng)
-        rings = [RingTopology.random(machines, rng) for _ in range(protocol.n_rings)]
+        """A random ring per epoch (cross-machine shuffling), epoch e's
+        keyed on ``(seed, iteration, e)`` — the same plan on every engine,
+        and again on a retry or after a restore."""
+        rings = [
+            RingTopology.random(machines, keyed_rng(seed, iteration, e))
+            for e in range(protocol.n_rings)
+        ]
         return cls(rings, protocol)
 
     # --------------------------------------------------- wire serialisation

@@ -80,10 +80,6 @@ class RingTopology:
         return p in self._succ
 
     # ------------------------------------------------------- modifications
-    def rewired(self, rng=None) -> "RingTopology":
-        """A new random cycle over the same machines (per-epoch shuffling)."""
-        return RingTopology.random(self._order, rng)
-
     def with_machine(self, p: int, *, after: int | None = None) -> "RingTopology":
         """Insert machine ``p`` after machine ``after`` (default: cycle end).
 

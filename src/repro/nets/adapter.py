@@ -20,7 +20,7 @@ from repro.nets.deepnet import DeepNet
 from repro.nets.layers import ACTIVATIONS
 from repro.nets.mac import e_q, init_coords, z_step
 from repro.optim.schedules import InverseSchedule
-from repro.optim.sgd import SGDState, minibatch_indices
+from repro.optim.sgd import SGDState, _visit_plan, minibatch_indices
 from repro.utils.rng import check_random_state
 
 __all__ = ["NetShard", "NetAdapter", "make_net_shards", "build_net_shards"]
@@ -222,21 +222,15 @@ class NetAdapter:
     ) -> list[np.ndarray]:
         """One shared SGD pass of co-resident units of one layer.
 
-        The whole group draws a single minibatch index order (sequential —
-        per-unit shuffling would demand per-unit draws, which is why the
-        engines fall back to :meth:`w_update` when ``shuffle_within`` is
-        on) and each minibatch becomes one stacked GEMM: the per-unit
-        ``delta`` vectors form an ``(n_batch, m_units)`` matrix and all
-        gradients come from one ``Delta.T @ A_in[idx]`` instead of
-        ``m_units`` Python-level loops. Per-unit step-size schedules are
-        preserved: each unit's carried ``SGDState`` drives its own row of
-        the update.
+        The whole group shares one minibatch order — sequential, or under
+        ``shuffle`` ``rng.permutation(n)``, the order :meth:`w_update`
+        draws from the same ``rng`` — and each minibatch, gathered under
+        an order, becomes one stacked GEMM: the per-unit ``delta``
+        vectors form an ``(n_batch, m_units)`` matrix and all gradients
+        come from one ``Delta.T @ A_in[idx]`` instead of ``m_units``
+        Python-level loops. Per-unit step-size schedules are preserved:
+        each unit's carried ``SGDState`` drives its own row of the update.
         """
-        if shuffle:
-            raise ValueError(
-                "batched W updates share one draw order; per-unit shuffling "
-                "(shuffle_within=True) requires the per-unit w_update path"
-            )
         ks = {spec.index[0] for spec in specs}
         if len(ks) != 1:
             raise ValueError(
@@ -257,26 +251,17 @@ class NetAdapter:
         W = np.ascontiguousarray(Theta[:, :-1])
         b = np.ascontiguousarray(Theta[:, -1])
         f, fprime = ACTIVATIONS[layer.activation]
-        n = shard.n
-        for start in range(0, n, batch_size):
-            sl = slice(start, min(start + batch_size, n))
-            m_b = sl.stop - sl.start
-            # Same scalar rounding as the per-unit path: rate/m in float64,
-            # then one cast into the compute dtype.
-            etas = (
-                np.array(
-                    [self.w_schedule.rate(st.t) for st in states],
-                    dtype=np.float64,
-                )
-                / m_b
-            ).astype(cd)
-            Pre = A_in[sl] @ W.T + b
+        order = rng.permutation(shard.n) if shuffle else None
+        batches, sizes, rates = _visit_plan(self.w_schedule, states, shard.n, batch_size, order)
+        # Same scalar rounding as the per-unit path: rate/m in float64,
+        # then one cast into the compute dtype.
+        for idx, etas in zip(batches, (rates / sizes[:, None]).astype(cd)):
+            A_s = A_in[idx]
+            Pre = A_s @ W.T + b
             A = f(Pre)
-            Delta = (A - T[sl]) * fprime(A)
-            W -= etas[:, None] * (Delta.T @ A_in[sl])
+            Delta = (A - T[idx]) * fprime(A)
+            W -= etas[:, None] * (Delta.T @ A_s)
             b -= etas * Delta.sum(axis=0)
-            for st in states:
-                st.advance(m_b)
         return [np.concatenate([W[i], b[i : i + 1]]) for i in range(len(specs))]
 
     # ------------------------------------------------------------- Z step

@@ -80,6 +80,30 @@ def minibatch_indices(n: int, batch_size: int, *, shuffle: bool = True, rng=None
     return batches()
 
 
+def _visit_plan(schedule, states, n: int, batch_size: int, order=None):
+    """A convoy visit's minibatches, their sizes and its float64
+    ``(n_batches, len(states))`` step-size table, built once per visit.
+
+    Minibatch k is rows ``k * batch_size`` onwards of ``order`` (an index
+    array, gathered) or of the shard itself (``None``, a slice). Row k of
+    the table holds each state's rate at its counter plus k, one
+    ``schedule.rate`` call per distinct counter. The states advance here,
+    once for the whole visit.
+    """
+    starts = np.arange(0, n, batch_size, dtype=np.int64)
+    sizes = np.minimum(starts + batch_size, n) - starts
+    t = np.add.outer(np.arange(len(starts), dtype=np.int64), [st.t for st in states])
+    ts, inverse = np.unique(t.ravel(), return_inverse=True)
+    rates = np.array([schedule.rate(int(u)) for u in ts], dtype=np.float64)[inverse]
+    for st in states:
+        st.advance(n, steps=len(starts))
+    batches = [
+        slice(a, a + m) if order is None else order[a : a + m]
+        for a, m in zip(starts.tolist(), sizes.tolist())
+    ]
+    return batches, sizes, rates.reshape(t.shape)
+
+
 def sgd_epoch(
     update,
     n: int,

@@ -1,6 +1,6 @@
 """Small shared utilities: RNG handling, argument validation, parameter packing."""
 
-from repro.utils.rng import check_random_state, spawn_rngs
+from repro.utils.rng import check_random_state, keyed_rng
 from repro.utils.validation import (
     check_array,
     check_binary_codes,
@@ -10,7 +10,7 @@ from repro.utils.validation import (
 
 __all__ = [
     "check_random_state",
-    "spawn_rngs",
+    "keyed_rng",
     "check_array",
     "check_binary_codes",
     "check_positive",

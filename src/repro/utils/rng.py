@@ -1,15 +1,16 @@
 """Seeded random-number-generator management.
 
 Every stochastic component in the library takes a ``seed`` (or ``rng``)
-argument and routes it through :func:`check_random_state`, so that whole
-training runs — including distributed ones — are bit-reproducible.
+argument and routes it through :func:`check_random_state`; the engines'
+draws come from :func:`keyed_rng`, so that whole training runs —
+including distributed ones — are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_random_state", "spawn_rngs", "seed_entropy"]
+__all__ = ["check_random_state", "keyed_rng"]
 
 
 def check_random_state(seed) -> np.random.Generator:
@@ -37,60 +38,13 @@ def check_random_state(seed) -> np.random.Generator:
     )
 
 
-def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
-    """Create ``n`` independent generators derived from one seed.
+def keyed_rng(*key) -> np.random.Generator:
+    """A generator that is a pure function of ``key``, non-negative ints.
 
-    Used to give each simulated machine its own RNG stream so that results
-    do not depend on the interleaving of machine execution.
+    Protocol-level draws key their stream on where they happen — a W-step
+    visit's minibatch order on ``(seed, iteration, machine, counter,
+    home, pass)``, a ring plan on ``(seed, iteration, epoch)`` — so no
+    engine carries RNG state, and a retry, a respawn or a restore on any
+    engine redraws the same values.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if isinstance(seed, np.random.Generator):
-        # Derive children deterministically from the parent's bit generator.
-        seeds = seed.integers(0, 2**63 - 1, size=n)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
-
-
-def seed_entropy(seed):
-    """Entropy for an *independent* stream derived from ``seed``.
-
-    Returns a value acceptable as ``numpy.random.SeedSequence(entropy=...)``
-    without consuming any random stream: an int/SeedSequence passes its
-    entropy through; a ``Generator`` is reduced to a stable integer digest
-    of its current bit-generator state (read-only — no values are drawn, so
-    the generator's own stream is untouched); ``None`` stays ``None``
-    (the caller gets a nondeterministic stream).
-
-    Used to give side channels — e.g. the per-join RNG streams of a
-    cluster — their own seed lineage, so drawing from them can never
-    perturb the primary (route/machine) streams.
-    """
-    if seed is None:
-        return None
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    if isinstance(seed, np.random.SeedSequence):
-        return seed.entropy
-    if isinstance(seed, np.random.Generator):
-
-        def ints(obj):
-            if isinstance(obj, (bool,)):
-                return
-            if isinstance(obj, (int, np.integer)):
-                yield int(obj)
-            elif isinstance(obj, dict):
-                for v in obj.values():
-                    yield from ints(v)
-            elif isinstance(obj, (list, tuple)):
-                for v in obj:
-                    yield from ints(v)
-
-        digest = 0
-        for v in ints(seed.bit_generator.state):
-            digest = (digest * 1000003 + (v & (2**64 - 1))) % (2**128)
-        return digest
-    raise TypeError(
-        f"seed must be None, an int, a SeedSequence or a Generator, got {type(seed)!r}"
-    )
+    return np.random.default_rng([int(k) for k in key])

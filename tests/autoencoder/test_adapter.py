@@ -11,7 +11,6 @@ from repro.autoencoder.adapter import (
     _linear_stats,
     _sum_sq,
     _take_columns,
-    _visit_plan,
 )
 from repro.autoencoder.init import init_codes_pca
 from repro.autoencoder.zstep import MAX_ENUM_BITS, _centre, _linear_term, zstep
@@ -22,7 +21,7 @@ from repro.distributed.interfaces import ParMACAdapter, ZStepResult
 from repro.distributed.partition import Shard, make_shards, partition_indices
 from repro.nets.adapter import NetAdapter
 from repro.nets.deepnet import DeepNet
-from repro.optim.sgd import SGDState
+from repro.optim.sgd import SGDState, _visit_plan
 
 
 @pytest.fixture()
@@ -486,13 +485,19 @@ class TestBatchedKernelsMatchExpressionForm:
         old = [SGDState(t=t, n_updates=3 * t) for t in ts]
         new = [st.copy() for st in old]
         want = per_minibatch_plan(schedule, old, n, 50, dtype)
-        slices, table = _visit_plan(schedule, new, n, 50, dtype)
+        slices, rows, table = _visit_plan(schedule, new, n, 50)
         assert new == old
-        assert [(sl.start, sl.stop) for sl in slices] == [
-            (a, min(a + 50, n)) for a in range(0, n, 50)
-        ]
-        assert table.dtype == dtype and table.shape == (len(want), len(ts))
-        assert all(np.array_equal(row, w) for row, w in zip(table, want))
+        spans = [(a, min(a + 50, n)) for a in range(0, n, 50)]
+        assert [(sl.start, sl.stop) for sl in slices] == spans
+        assert rows.tolist() == [b - a for a, b in spans]
+        assert table.dtype == np.float64 and table.shape == (len(want), len(ts))
+        assert all(np.array_equal(row.astype(dtype), w) for row, w in zip(table, want))
+        # Under an order, minibatch k gathers the same span of the order.
+        order = np.random.default_rng(n).permutation(n)
+        fresh = [SGDState(t=t, n_updates=3 * t) for t in ts]
+        gathered, _, again = _visit_plan(schedule, fresh, n, 50, order)
+        assert all(np.array_equal(g, order[a:b]) for g, (a, b) in zip(gathered, spans))
+        assert np.array_equal(again, table)
 
     def test_sync_fit_is_bit_identical_to_the_expression_forms(self, monkeypatch):
         """The bench's train_w32_tcp shape, shrunk: P = 2, two epochs,
@@ -519,6 +524,8 @@ class TestBatchedKernelsMatchExpressionForm:
 
         def counted(kernel):
             def run(*args):
+                *args, order = args
+                assert order is None  # shuffle_within=False: sequential
                 visits.append(kernel)
                 return kernel(*args)
             return run

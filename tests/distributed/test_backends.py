@@ -1,10 +1,11 @@
 """Execution-backend layer: registry, cross-backend conformance, pools.
 
-The paper's generality claim, as a test suite: for a fixed seed and no
-within-shard shuffling, the deterministic visit sequence of the counter
-protocol makes **every registered engine** — sync tick simulation,
-discrete-event simulation, real OS processes over unix sockets, real OS
-processes over TCP sockets — produce *bit-identical* final submodels,
+The paper's generality claim, as a test suite: for a fixed seed, the
+deterministic visit sequence of the counter protocol and the keyed
+minibatch orders and ring plans make **every registered engine** — sync
+tick simulation, discrete-event simulation, real OS processes over unix
+sockets, real OS processes over TCP sockets — produce *bit-identical*
+final submodels under any ``shuffle_within`` x ``shuffle_ring`` setting,
 for a binary autoencoder and for a deep net alike.
 
 The conformance classes parametrise over ``available_backends()``, so a
@@ -32,6 +33,7 @@ from repro.distributed.backends import (
     available_backends,
     get_backend,
 )
+from repro.distributed.dataplane import ClusterState
 from repro.distributed.partition import make_shards, partition_indices
 from repro.nets.adapter import NetAdapter, make_net_shards
 from repro.nets.deepnet import DeepNet
@@ -80,7 +82,7 @@ def final_params(adapter):
     return {s.sid: adapter.get_params(s).copy() for s in adapter.submodel_specs()}
 
 
-def caching_runner(make_problem):
+def caching_runner(make_problem, shuffle_within=False, shuffle_ring=False):
     """Run each backend at most once on the same deterministic problem.
 
     ``make_problem()`` returns (adapter, shards, schedule); the runner
@@ -96,7 +98,8 @@ def caching_runner(make_problem):
                 schedule,
                 backend=name,
                 epochs=2,
-                shuffle_within=False,
+                shuffle_within=shuffle_within,
+                shuffle_ring=shuffle_ring,
                 seed=0,
             )
             history = trainer.fit(shards)
@@ -243,6 +246,60 @@ class TestConformanceNet:
             history = trainer.fit(shards)
         assert history.records[-1].e_ba < before
         assert np.isfinite(history.records[-1].e_q)
+
+
+SHUFFLED = [(True, False), (False, True), (True, True)]
+
+
+@pytest.mark.parametrize(
+    "within, ring", SHUFFLED, ids=lambda v: "on" if v else "off"
+)
+class TestShuffledConformance:
+    """The parity contract with shuffles on: every minibatch order and
+    ring plan is keyed on where it is drawn, so engines agree bit for bit
+    and a repeated fit on the same backend reproduces the first."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return {}
+
+    def run(self, runs, X, net_problem, model, within, ring):
+        if (model, within, ring) not in runs:
+            make = {
+                "ba": lambda: (*ba_setup(X), GeometricSchedule(1e-3, 2.0, 3)),
+                "net": lambda: (*net_setup(*net_problem), GeometricSchedule(0.5, 2.0, 3)),
+            }[model]
+            runs[model, within, ring] = caching_runner(make, within, ring)
+        return runs[model, within, ring]
+
+    @pytest.mark.parametrize("model", ["ba", "net"])
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_finals_identical(self, runs, X, net_problem, model, name, within, ring):
+        run = self.run(runs, X, net_problem, model, within, ring)
+        history, params = run(name)
+        ref_history, ref = run(REFERENCE)
+        assert history.records[-1].extra["batched_w"] is True
+        assert history.records[-1].e_q == ref_history.records[-1].e_q
+        for sid in ref:
+            assert np.array_equal(params[sid], ref[sid]), (name, sid)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_repeated_fit_is_identical(self, X, name, within, ring):
+        # Two fits on one backend (one standing pool on the wall-clock
+        # engines), each from a fresh model and shards.
+        finals = []
+        with get_backend(name)(
+            epochs=2, shuffle_within=within, shuffle_ring=ring, seed=0
+        ) as backend:
+            for _ in range(2):
+                adapter, shards = ba_setup(X)
+                backend.setup(adapter, shards)
+                for mu in (1e-3, 2e-3, 4e-3):
+                    backend.run_iteration(mu)
+                backend.teardown()
+                finals.append(final_params(adapter))
+        for sid in finals[0]:
+            assert np.array_equal(finals[0][sid], finals[1][sid]), (name, sid)
 
 
 class TestTransportBackpressure:
@@ -608,12 +665,15 @@ class TestMultiprocessShuffling:
 
     def test_shuffled_route_changes_result(self, X):
         # With shuffling on, the visiting order (hence SGD stream) differs
-        # from the fixed ring — same quality, different bits.
+        # from the fixed ring — same quality, different bits. At P = 3 a
+        # keyed ring is the fixed cycle half the time: at seed 0 both
+        # training laps of iterations 0 and 1 draw it, and iteration 2's
+        # first lap reverses it.
         finals = {}
         for shuffle in (False, True):
             adapter, shards = ba_setup(X)
             with ParMACTrainer(
-                adapter, GeometricSchedule(1e-3, 2.0, 2), backend="multiprocess",
+                adapter, GeometricSchedule(1e-3, 2.0, 3), backend="multiprocess",
                 epochs=2, shuffle_within=False, shuffle_ring=shuffle, seed=0,
             ) as trainer:
                 trainer.fit(shards)
@@ -859,7 +919,7 @@ class TestElasticConformance:
 class TestCheckpointRestore:
     """``checkpoint()`` → kill → ``restore()`` reaches the same final
     model as the uninterrupted run, on every engine (shuffle_within on,
-    so the snapshot's RNG states are load-bearing)."""
+    so the snapshot's key root and iteration are load-bearing)."""
 
     MUS = [1e-3 * 2.0**i for i in range(5)]
     CUT = 2
@@ -895,6 +955,37 @@ class TestCheckpointRestore:
                 backend.run_iteration(mu)
             got = final_params(backend.adapter)
         assert set(got) == set(ref)
+        for sid in ref:
+            assert np.array_equal(got[sid], ref[sid]), (name, sid)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_sync_checkpoint_resumes_on_every_engine(self, name, X, tmp_path):
+        # Snapshots are portable: a fit with both shuffles on,
+        # checkpointed on sync, resumes on any engine to the
+        # uninterrupted sync fit's bits.
+        def engine(which):
+            return get_backend(which)(
+                epochs=2, shuffle_within=True, shuffle_ring=True, seed=0
+            )
+
+        adapter, shards = ba_setup(X)
+        with engine(REFERENCE) as backend:
+            backend.setup(adapter, shards)
+            for mu in self.MUS:
+                backend.run_iteration(mu)
+            ref = final_params(adapter)
+
+        adapter2, shards2 = ba_setup(X)
+        with engine(REFERENCE) as backend:
+            backend.setup(adapter2, shards2)
+            for mu in self.MUS[: self.CUT]:
+                backend.run_iteration(mu)
+            backend.checkpoint().save(tmp_path / "fit.ckpt")
+        with engine(name) as backend:
+            backend.restore(ClusterState.load(tmp_path / "fit.ckpt"))
+            for mu in self.MUS[self.CUT :]:
+                backend.run_iteration(mu)
+            got = final_params(backend.adapter)
         for sid in ref:
             assert np.array_equal(got[sid], ref[sid]), (name, sid)
 

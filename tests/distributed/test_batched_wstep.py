@@ -9,9 +9,10 @@ The contract, as tests:
   differently, so exact bit equality between the two *kernels* is not a
   BLAS guarantee — parity is asserted at float tolerance, plus exact
   agreement of every SGD step count);
-* the knob semantics: ``batch_units`` engages only with
-  ``shuffle_within=False``, falls back silently otherwise, and is
-  surfaced per iteration through ``IterationStats``/history extras.
+* the knob semantics: ``batch_units`` engages with shuffling on or off
+  (every convoy member takes its visit's keyed minibatch order, the one
+  the per-unit path draws), and is surfaced per iteration through
+  ``IterationStats``/history extras.
 """
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.nets.adapter import NetAdapter, make_net_shards
 from repro.nets.deepnet import DeepNet
 from repro.nets.mac import init_coords
 from repro.optim.sgd import SGDState
+from repro.utils.rng import keyed_rng
 
 BACKENDS = available_backends()
 REFERENCE = "sync"
@@ -99,7 +101,9 @@ class TestAdapterKernels:
         X, Y = net_problem
         adapter, shards = net_setup(X, Y, P=1)
         shard = shards[0]
-        specs = [s for s in adapter.submodel_specs() if s.index[0] == 0]
+        # The output layer: the hidden coordinates start at the forward
+        # pass, where layer 0's units have nothing to fit.
+        specs = [s for s in adapter.submodel_specs() if s.index[0] == 1]
         thetas = [adapter.get_params(s) for s in specs]
         per_unit, states_u = [], []
         for spec, theta in zip(specs, thetas):
@@ -114,8 +118,9 @@ class TestAdapterKernels:
             specs, [t.copy() for t in thetas], states_b, shard, 1.0,
             batch_size=32, shuffle=False, rng=None,
         )
-        for a, b in zip(per_unit, batched):
+        for a, b, theta in zip(per_unit, batched, thetas):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+            assert not np.allclose(b, theta)
         # The carried schedules must advance exactly identically.
         assert [s.t for s in states_u] == [s.t for s in states_b]
         assert [s.n_updates for s in states_u] == [s.n_updates for s in states_b]
@@ -138,16 +143,47 @@ class TestAdapterKernels:
         for a, b in zip(per_unit, batched):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
-    def test_shuffle_demands_per_unit_path(self, net_problem):
-        X, Y = net_problem
-        adapter, shards = net_setup(X, Y, P=1)
-        specs = adapter.submodel_specs()[:2]
-        with pytest.raises(ValueError, match="shuffle"):
-            adapter.w_update_batch(
-                specs, [adapter.get_params(s) for s in specs],
-                [SGDState(), SGDState()], shards[0], 1.0,
-                batch_size=32, shuffle=True, rng=np.random.default_rng(0),
+    @pytest.mark.parametrize("kind", ["unit", "enc", "dec"])
+    def test_batched_equals_per_unit_under_one_keyed_order(self, X, net_problem, kind):
+        # Both paths draw the visit's order from a fresh generator on one
+        # key: a ragged last minibatch, two chained passes, and the
+        # parity tolerance of the unshuffled kernels.
+        if kind == "unit":
+            adapter, shards = net_setup(*net_problem, P=1)
+            # The output layer: the hidden coordinates start at the
+            # forward pass, where layer 0's units have nothing to fit.
+            specs = [s for s in adapter.submodel_specs() if s.index[0] == 1]
+        else:
+            adapter, shards = ba_setup(X, P=1)
+            specs = [s for s in adapter.submodel_specs() if s.kind == kind]
+        shard = shards[0]
+        key = (0, 3, 0, 2, 1)
+        per_unit, states_u = [], []
+        for spec in specs:
+            theta, st = adapter.get_params(spec), SGDState()
+            for k in range(2):
+                theta = adapter.w_update(
+                    spec, theta, st, shard, 0.5, batch_size=25,
+                    shuffle=True, rng=keyed_rng(*key, k),
+                )
+            per_unit.append(theta)
+            states_u.append(st)
+        batched = [adapter.get_params(s) for s in specs]
+        states_b = [SGDState() for _ in specs]
+        for k in range(2):
+            batched = adapter.w_update_batch(
+                specs, batched, states_b, shard, 0.5, batch_size=25,
+                shuffle=True, rng=keyed_rng(*key, k),
             )
+        unshuffled = adapter.w_update_batch(
+            specs, [adapter.get_params(s) for s in specs],
+            [SGDState() for _ in specs], shard, 0.5,
+            batch_size=25, shuffle=False, rng=None,
+        )
+        for a, b, c in zip(per_unit, batched, unshuffled):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+            assert not np.allclose(b, c)
+        assert states_u == states_b
 
     def test_mixed_layers_rejected(self, net_problem):
         X, Y = net_problem
@@ -245,16 +281,20 @@ class TestEngineParity:
             )
 
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_shuffle_within_falls_back_to_per_unit(self, X, name):
-        # With per-unit draw order demanded, the knob must change nothing:
-        # batched-on and batched-off runs are bit-identical.
+    def test_shuffle_within_batches_under_keyed_orders(self, X, name):
+        # Shuffled fits batch too: each convoy takes the keyed order its
+        # members' per-unit passes would draw, so the batched fit is the
+        # reference's bits and the per-unit one its to machine precision.
+        ref, _ = run_fit(lambda: ba_setup(X), REFERENCE, batch_units=True,
+                         shuffle_within=True)
         on, history = run_fit(lambda: ba_setup(X), name, batch_units=True,
                               shuffle_within=True)
         off, _ = run_fit(lambda: ba_setup(X), name, batch_units=False,
                          shuffle_within=True)
-        assert history.records[-1].extra["batched_w"] is False
+        assert history.records[-1].extra["batched_w"] is True
         for sid in on:
-            assert np.array_equal(on[sid], off[sid]), (name, sid)
+            assert np.array_equal(on[sid], ref[sid]), (name, sid)
+            np.testing.assert_allclose(on[sid], off[sid], rtol=1e-7, atol=1e-9)
 
     def test_w_time_surfaced_on_sim_engines(self, X):
         _, history = run_fit(lambda: ba_setup(X), "sync", batch_units=True)

@@ -23,6 +23,7 @@ from repro.distributed.partition import (
     make_shards,
     partition_indices,
 )
+from repro.distributed.protocol import RoutePlan, WStepProtocol
 from tests.fits import sim
 
 
@@ -107,15 +108,17 @@ class TestAddMachineValidation:
 
 
 class TestJoinRouteRNGIndependence:
-    """Bugfix 2: a join must not advance the route RNG — the remaining
-    shuffle_ring schedule has to be identical with and without it."""
+    """Bugfix 2: a join must not perturb the remaining shuffle_ring
+    schedule. Every plan is keyed on (seed, iteration, epoch), so no
+    stream exists for a join to advance."""
 
-    def test_route_rng_state_untouched_by_join(self, X):
-        cluster = make_cluster(X, shuffle_ring=True)
+    def test_join_keeps_the_ring_plans_keyed(self, X):
+        cluster = make_cluster(X, epochs=2, shuffle_ring=True)
         cluster.run_iteration(1e-3)
-        state_before = cluster._route_rng.bit_generator.state
         join(cluster, X[:10])
-        assert cluster._route_rng.bit_generator.state == state_before
+        protocol = WStepProtocol(cluster.n_machines, 2)
+        want = RoutePlan.shuffled(cluster.machines, protocol, 0, 1).to_orders()
+        assert [ring.machines for ring in cluster._rings()] == want
 
     def test_schedule_agrees_up_to_the_join(self, X):
         # Two identical shuffle_ring fits; one admits a machine after
@@ -141,22 +144,25 @@ class TestJoinRouteRNGIndependence:
         assert joined[1].machines_added == 1
         assert joined[1].n_machines == plain[1].n_machines + 1
 
-    def test_join_streams_are_distinct_and_id_keyed(self, X):
-        cluster = make_cluster(X)
-        p1 = join(cluster, X[:10])
-        p2 = join(cluster, X[10:20])
-        a = cluster._machine_rngs[p1].integers(0, 2**63, size=4)
-        b = cluster._machine_rngs[p2].integers(0, 2**63, size=4)
-        assert not np.array_equal(a, b)
-        # Same seed, same machine id → same stream, regardless of what
-        # else happened in between (keyed derivation, not a counter).
-        other = make_cluster(X)
-        other.run_iteration(1e-3)
-        q1 = join(other, X[:10])
-        assert q1 == p1
-        assert np.array_equal(
-            other._machine_rngs[q1].integers(0, 2**63, size=4), a
-        )
+    def test_joined_machine_resumes_on_another_engine(self, X):
+        # A joined machine's minibatch orders are keyed by its id, the
+        # iteration and the visit, not drawn from a stream its join
+        # created: a snapshot taken right after the join resumes on the
+        # other simulated engine with the same bits.
+        options = dict(seed=0, shuffle_within=True, shuffle_ring=True)
+        cluster = make_cluster(X, **options)
+        cluster.run_iteration(1e-3)
+        join(cluster, X[:10])
+        state = cluster.checkpoint()
+        cluster.run_iteration(2e-3)
+        other = get_backend("async")(**options)
+        other.restore(state, adapter=ba_setup(X)[0])
+        other.run_iteration(2e-3)
+        assert other.adapter is not cluster.adapter
+        for spec in cluster.adapter.submodel_specs():
+            assert np.array_equal(
+                cluster.adapter.get_params(spec), other.adapter.get_params(spec)
+            )
 
 
 class TestJoinDonorLiveness:
@@ -238,10 +244,7 @@ def _states():
                 "next_machine_id": max(machines) + 1,
                 "next_global_index": 2 * len(machines),
             },
-            machine_rng_states={
-                int(p): np.random.default_rng(p).bit_generator.state
-                for p in machines
-            },
+            key_root=order_seed,
             pending_ingests=[(int(machines[0]), np.zeros((1, 3)))],
         )
 
@@ -273,7 +276,7 @@ def assert_states_equal(a: ClusterState, b: ClusterState) -> None:
                 getattr(a.shards[p], field), getattr(b.shards[p], field)
             )
     assert a.bookkeeping == b.bookkeeping
-    assert a.machine_rng_states == b.machine_rng_states
+    assert a.key_root == b.key_root
     assert len(a.pending_ingests) == len(b.pending_ingests)
     for (pa, Xa), (pb, Xb) in zip(a.pending_ingests, b.pending_ingests):
         assert pa == pb and np.array_equal(Xa, Xb)
@@ -362,15 +365,20 @@ class TestCheckpointGuards:
         with pytest.raises(ValueError, match="scheme"):
             get_backend("sync")(seed=0, epochs=2, scheme="tworound").restore(state)
 
-    def test_cross_engine_restore_warns(self, X):
+    def test_cross_engine_restore_is_silent(self, X):
+        # Snapshots are portable: no RNG state to be keyed differently,
+        # so restoring on another engine warns about nothing.
+        import warnings
+
         adapter, shards = ba_setup(X)
-        backend = get_backend("sync")(seed=0, shuffle_within=False)
+        backend = get_backend("sync")(seed=0, shuffle_ring=True)
         backend.setup(adapter, shards)
         backend.run_iteration(1e-3)
         state = backend.checkpoint()
         backend.close()
-        fresh = get_backend("async")(seed=0, shuffle_within=False)
-        with pytest.warns(RuntimeWarning, match="'sync' checkpoint"):
+        fresh = get_backend("async")(seed=0, shuffle_ring=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fresh.restore(state)
         assert np.isfinite(fresh.run_iteration(2e-3).e_q)
         fresh.close()

@@ -208,6 +208,12 @@ class WedgingAdapter(BAAdapter):
                 time.sleep(1.0)
         return super().w_update(spec, theta, state, shard, mu, **kwargs)
 
+    def w_update_batch(self, specs, thetas, states, shard, mu, **kwargs):
+        if getattr(shard, "stall_forever", False):
+            while True:  # never returns, never dies
+                time.sleep(1.0)
+        return super().w_update_batch(specs, thetas, states, shard, mu, **kwargs)
+
 
 class TestWorkerTimeout:
     def test_finite_default(self):

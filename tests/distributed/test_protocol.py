@@ -10,6 +10,7 @@ from repro.distributed.protocol import (
     home_assignment,
 )
 from repro.distributed.topology import RingTopology
+from repro.utils.rng import keyed_rng
 
 
 class TestCounterSemantics:
@@ -104,7 +105,7 @@ class TestRoutePlan:
 
     def test_shuffled_path_still_covers_every_epoch(self):
         proto = WStepProtocol(6, 3)
-        plan = RoutePlan.shuffled(range(6), proto, rng=0)
+        plan = RoutePlan.shuffled(range(6), proto, 0, 0)
         path = plan.path(home=0)
         for epoch in range(3):
             assert sorted(path[epoch * 6 : (epoch + 1) * 6]) == list(range(6))
@@ -126,12 +127,22 @@ class TestRoutePlan:
         with pytest.raises(ValueError, match="same machines"):
             RoutePlan([RingTopology.identity(3), RingTopology([0, 1, 4])], proto)
 
+    def test_shuffled_plan_is_keyed_on_seed_iteration_and_epoch(self):
+        # Epoch e's ring is RingTopology.random over keyed_rng(seed,
+        # iteration, e): the same plan for the same key, on any engine.
+        proto = WStepProtocol(6, 2)
+        plan = RoutePlan.shuffled(range(6), proto, 7, 3)
+        want = [RingTopology.random(range(6), keyed_rng(7, 3, e)).machines for e in range(3)]
+        assert plan.to_orders() == want
+        assert RoutePlan.shuffled(range(6), proto, 7, 3).to_orders() == want
+        assert RoutePlan.shuffled(range(6), proto, 7, 4).to_orders() != want
+
     @pytest.mark.parametrize("scheme", ["rounds", "tworound"])
     def test_orders_round_trip_the_plan(self, scheme):
         # What the coordinator ships to workers each iteration: plain
         # per-epoch orders, rebuilt against the protocol the worker holds.
         proto = WStepProtocol(5, 3, scheme=scheme)
-        plan = RoutePlan.shuffled(range(5), proto, rng=4)
+        plan = RoutePlan.shuffled(range(5), proto, 4, 0)
         orders = plan.to_orders()
         assert len(orders) == proto.n_rings
         assert all(isinstance(m, int) for order in orders for m in order)
@@ -175,7 +186,7 @@ class TestExpectedReceives:
 
     def test_shuffled_plan_counts_match_path(self):
         proto = WStepProtocol(4, 2)
-        plan = RoutePlan.shuffled(range(4), proto, rng=3)
+        plan = RoutePlan.shuffled(range(4), proto, 3, 0)
         homes = {0: 0, 1: 2}
         counts = expected_receives(plan, homes)
         manual = {p: 0 for p in range(4)}
@@ -189,7 +200,7 @@ class TestExpectedReceives:
     @settings(max_examples=40)
     def test_per_sender_split_sums_to_receives(self, P, e, M, seed, scheme):
         proto = WStepProtocol(P, e, scheme)
-        plan = RoutePlan.shuffled(range(P), proto, rng=seed)
+        plan = RoutePlan.shuffled(range(P), proto, seed, 0)
         homes = home_assignment(M, P)
         counts = expected_receives(plan, homes)
         for machine in range(P):

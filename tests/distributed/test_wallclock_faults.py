@@ -63,6 +63,8 @@ class ExplodingWUpdateAdapter(BAAdapter):
     def w_update(self, *args, **kwargs):
         raise RuntimeError("injected w_update failure")
 
+    w_update_batch = w_update  # shuffled fits batch too
+
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", WALLCLOCK_BACKENDS)
@@ -194,7 +196,7 @@ class TestNoShmResidue:
         backend = get_backend(name)(seed=0)
         shm_before = shm_entries()
 
-        def boom(adapter_, descs):
+        def boom(descs):
             raise OSError("injected setup failure after packing")
 
         monkeypatch.setattr(backend, "_ship_setup", boom)
@@ -266,6 +268,11 @@ class SuicidalAdapter(BAAdapter):
         if self._fatal(shard, mu, in_z=False):
             os.kill(os.getpid(), signal.SIGKILL)
         return super().w_update(spec, theta, state, shard, mu, **kwargs)
+
+    def w_update_batch(self, specs, thetas, states, shard, mu, **kwargs):
+        if self._fatal(shard, mu, in_z=False):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().w_update_batch(specs, thetas, states, shard, mu, **kwargs)
 
     def z_update(self, shard, mu):
         if self._fatal(shard, mu, in_z=True):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import check_random_state, seed_entropy, spawn_rngs
+from repro.utils.rng import check_random_state, keyed_rng
 
 
 class TestCheckRandomState:
@@ -31,58 +31,23 @@ class TestCheckRandomState:
             check_random_state("not a seed")
 
 
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_streams_independent(self):
-        rngs = spawn_rngs(0, 3)
-        draws = [r.integers(0, 10**9, size=4) for r in rngs]
-        assert not np.array_equal(draws[0], draws[1])
-        assert not np.array_equal(draws[1], draws[2])
-
-    def test_reproducible_from_seed(self):
-        a = [r.integers(0, 100, 3) for r in spawn_rngs(9, 2)]
-        b = [r.integers(0, 100, 3) for r in spawn_rngs(9, 2)]
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-    def test_from_generator_parent(self):
-        parent = np.random.default_rng(3)
-        rngs = spawn_rngs(parent, 4)
-        assert len(rngs) == 4
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, 0)
-
-
-class TestSeedEntropy:
-    def test_none_stays_none(self):
-        assert seed_entropy(None) is None
-
-    def test_int_and_seedsequence_pass_through(self):
-        assert seed_entropy(np.int64(17)) == 17
-        assert seed_entropy(np.random.SeedSequence(99)) == 99
-
-    def test_generator_digest_draws_nothing(self):
-        g = np.random.default_rng(5)
-        twin = np.random.default_rng(5)
-        assert seed_entropy(g) == seed_entropy(twin)
-        assert np.array_equal(g.integers(0, 10**9, 6), twin.integers(0, 10**9, 6))
-
-    def test_generator_digest_follows_its_state(self):
-        g = np.random.default_rng(5)
-        before = seed_entropy(g)
-        g.random()
-        assert seed_entropy(g) != before
-        assert seed_entropy(np.random.default_rng(6)) != seed_entropy(
-            np.random.default_rng(5)
+class TestKeyedRng:
+    def test_a_pure_function_of_the_key(self):
+        a = keyed_rng(0, 3, 1, 2, 0, 0).permutation(50)
+        assert np.array_equal(keyed_rng(0, 3, 1, 2, 0, 0).permutation(50), a)
+        assert np.array_equal(
+            keyed_rng(np.int64(0), 3, 1, 2, 0, 0).permutation(50), a
         )
 
-    def test_digest_seeds_a_sequence(self):
-        ent = seed_entropy(np.random.default_rng(1))
-        assert isinstance(np.random.SeedSequence(entropy=ent).generate_state(1), np.ndarray)
+    def test_every_key_position_matters(self):
+        base = (5, 3, 1, 2, 0, 0)
+        draws = {tuple(keyed_rng(*base).permutation(40))}
+        for i in range(len(base)):
+            key = list(base)
+            key[i] += 1
+            draws.add(tuple(keyed_rng(*key).permutation(40)))
+        assert len(draws) == len(base) + 1
 
-    def test_rejects_bad_type(self):
-        with pytest.raises(TypeError):
-            seed_entropy(1.5)
+    def test_a_fresh_key_root_is_accepted(self):
+        root = np.random.SeedSequence().entropy  # 128 bits
+        assert len(keyed_rng(root, 0, 1).permutation(7)) == 7
