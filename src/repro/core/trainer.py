@@ -88,7 +88,7 @@ class ParMACTrainer:
         stopper's state is not checkpointed).
     backend_options : dict, optional
         Extra keyword arguments for the backend class (e.g.
-        ``message_dtype`` / ``batch_units`` on any engine,
+        ``message_dtype`` / ``chaos`` on any engine,
         ``execute_updates`` for simulated engines, ``worker_timeout``
         for the wall-clock pools, ``ports`` / ``connect_timeout`` for
         the TCP ring).

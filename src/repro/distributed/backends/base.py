@@ -36,7 +36,6 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.distributed.batching import supports_unit_batching
 from repro.distributed.chaos import ChaosConfig
 from repro.distributed.dataplane import ClusterState, DataPlane
 from repro.distributed.health import HealthConfig
@@ -212,12 +211,6 @@ class BaseBackend:
     respawn_budget : int
         Worker-pool rebuilds allowed per fit under ``"respawn"`` before
         the policy escalates to ``drop_shard`` semantics (default 3).
-    batch_units : bool
-        Run co-resident compatible submodels' W updates as one stacked
-        pass (one GEMM per minibatch) instead of per-unit Python loops
-        (default True), with shuffling on or off, when the adapter
-        implements ``w_update_batch``; see
-        :mod:`repro.distributed.batching`.
     message_dtype : numpy float dtype or None
         Reduced-precision communication (paper section 9): every ring hop
         round-trips the parameters through this dtype, shrinking wire
@@ -272,7 +265,6 @@ class BaseBackend:
         cost=None,
         fault_policy: FaultPolicy | str = FaultPolicy.FAIL_FAST,
         respawn_budget: int = 3,
-        batch_units: bool = True,
         message_dtype=None,
         chaos=None,
         health=None,
@@ -287,7 +279,6 @@ class BaseBackend:
         self.batch_size = int(batch_size)
         self.shuffle_within = bool(shuffle_within)
         self.shuffle_ring = bool(shuffle_ring)
-        self.batch_units = bool(batch_units)
         self.message_dtype = (
             None
             if message_dtype is None
@@ -320,36 +311,20 @@ class BaseBackend:
     def run_iteration(self, mu: float) -> IterationStats:
         raise NotImplementedError
 
-    # --------------------------------------------------------- hot paths
-    def units_batched(self) -> bool:
-        """Whether this fit runs the batched co-resident-unit W step.
-
-        True when the knob is on, the bound adapter implements the
-        batched entry points, and the engine actually executes numerics
-        (simulated engines expose ``execute_updates``; a timing-only
-        sweep runs no W kernels at all, batched or otherwise).
-        """
-        return (
-            self.batch_units
-            and getattr(self, "execute_updates", True)
-            and self.adapter is not None
-            and supports_unit_batching(self.adapter)
-        )
-
+    # ----------------------------------------------------------- precision
     @property
     def compute_dtype(self) -> np.dtype:
         """The bound adapter's end-to-end float precision."""
-        return np.dtype(getattr(self.adapter, "compute_dtype", np.float64))
+        return np.dtype(self.adapter.compute_dtype)
 
     def _dtype_extras(self) -> dict:
-        """Per-iteration precision/batching info for ``IterationStats.extra``
-        — how the history records what each iteration actually ran with."""
+        """Per-iteration precision info for ``IterationStats.extra`` — how
+        the history records what each iteration actually ran with."""
         return {
             "compute_dtype": str(self.compute_dtype),
             "message_dtype": (
                 None if self.message_dtype is None else str(self.message_dtype)
             ),
-            "batched_w": self.units_batched(),
         }
 
     # ----------------------------------------------------------- streaming
@@ -497,7 +472,6 @@ class BaseBackend:
                 "shuffle_within": self.shuffle_within,
                 "shuffle_ring": self.shuffle_ring,
                 "fault_policy": self.fault_policy.value,
-                "batch_units": self.batch_units,
                 "message_dtype": (
                     None if self.message_dtype is None else str(self.message_dtype)
                 ),
@@ -535,7 +509,7 @@ class BaseBackend:
                 f"checkpoint is missing parameters for submodels {sorted(missing)}"
             )
         recorded_dtype = (state.meta or {}).get("compute_dtype")
-        actual_dtype = str(np.dtype(getattr(adapter, "compute_dtype", np.float64)))
+        actual_dtype = str(np.dtype(adapter.compute_dtype))
         if recorded_dtype is not None and recorded_dtype != actual_dtype:
             raise ValueError(
                 f"checkpoint was trained in {recorded_dtype} but the adapter "
@@ -562,7 +536,6 @@ class BaseBackend:
             "batch_size": self.batch_size,
             "shuffle_within": self.shuffle_within,
             "shuffle_ring": self.shuffle_ring,
-            "batch_units": self.batch_units,
             "message_dtype": (
                 None if self.message_dtype is None else str(self.message_dtype)
             ),

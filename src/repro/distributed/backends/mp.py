@@ -231,7 +231,6 @@ class MultiprocessBackend(BaseBackend):
             shuffle_within=self.shuffle_within,
             seed=self._key_root,
             message_dtype=self.message_dtype,
-            batch_units=self.batch_units,
             chaos=self.chaos,
             health=self.health,
             address=self._address_for(rank),

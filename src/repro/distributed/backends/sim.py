@@ -59,7 +59,7 @@ from repro.distributed.backends.base import (
     IterationStats,
     register_backend,
 )
-from repro.distributed.batching import GroupTable, train_message, train_message_batch
+from repro.distributed.batching import GroupTable, train_message_batch
 from repro.distributed.costmodel import ChaosTimeline, CostModel
 from repro.distributed.dataplane import ClusterState, DataPlane
 from repro.distributed.interfaces import ZStepResult, get_params_many, set_params_many
@@ -136,8 +136,7 @@ def _forget(msg: SubmodelMessage, p: int) -> None:
 class _SimBackend(BaseBackend):
     """The simulator both engines share; subclasses supply ``_clock``.
 
-    Extra parameter beyond :class:`BaseBackend` (``message_dtype`` and
-    ``batch_units`` are base knobs shared by every engine):
+    Extra parameter beyond :class:`BaseBackend`:
 
     execute_updates : bool
         When False, skip the numerics and only simulate time (timing-only
@@ -247,28 +246,17 @@ class _SimBackend(BaseBackend):
         home = self._homes[msg.spec.sid]
         return (self._key_root, self._iterations_done, p, msg.counter, home)
 
-    def _train_inline(self, msg: SubmodelMessage, p: int, mu: float) -> None:
-        """The per-unit SGD pass for one visit of one submodel."""
-        train_message(
-            self.adapter, msg, self.shards[p], mu, passes=self._passes_per_visit,
-            batch_size=self.batch_size, key=self._visit_key(msg, p),
-        )
-
-    def _process_visit(
-        self, msg: SubmodelMessage, p: int, mu: float, *, pretrained: bool = False
-    ) -> float:
-        """Apply one visit of ``msg`` at machine ``p``; returns its work
+    def _process_visit(self, msg: SubmodelMessage, p: int) -> float:
+        """Book one visit of ``msg`` at machine ``p``; returns its work
         (the cost model's charge, before chaos).
 
-        Mutates the message (training, visit bookkeeping) and the machine's
-        local store. Does not route. ``pretrained`` marks visits whose
-        numerics already ran through the batched co-resident-unit pass.
+        Mutates the message's visit bookkeeping and the machine's local
+        store; the numerics already ran in :meth:`_train_tick_groups`.
+        Does not route.
         """
         work = 0.0
         if not msg.training_done:
             if p in msg.to_visit:
-                if self.execute_updates and not pretrained:
-                    self._train_inline(msg, p, mu)
                 work = self.cost.w_work(p, self.shards[p].n, self._passes_per_visit)
                 msg.to_visit.discard(p)
             if not msg.to_visit:
@@ -342,24 +330,18 @@ class _SimBackend(BaseBackend):
         of one tick partition into complete convoy groups — keyed by the
         shared :class:`GroupTable`'s (home, batch_key) group id plus the
         visit counter, the same definition every other engine uses; each
-        group runs as one stacked pass, submodels whose adapter opts out
-        (``batch_key`` None) fall back to the per-unit kernel. No
-        completeness wait is needed (or wanted: mid-W-step fault recovery
-        can strand partial convoys in a queue, and a tick must train
-        whatever is co-resident). Visit bookkeeping, cost accounting and
-        routing stay per-message in :meth:`_process_visit` (called with
-        ``pretrained=True``).
+        group runs as one stacked pass. No completeness wait is needed (or
+        wanted: mid-W-step fault recovery can strand partial convoys in a
+        queue, and a tick must train whatever is co-resident). Visit
+        bookkeeping, cost accounting and routing stay per-message in
+        :meth:`_process_visit`.
         """
         groups: dict[tuple, list[SubmodelMessage]] = {}
-        singles: list[SubmodelMessage] = []
         for msg in batch:
             if msg.training_done or p not in msg.to_visit:
                 continue
-            gid = table.group_of.get(msg.spec.sid)
-            if gid is None:
-                singles.append(msg)
-            else:
-                groups.setdefault((gid, msg.counter), []).append(msg)
+            gid = table.group_of[msg.spec.sid]
+            groups.setdefault((gid, msg.counter), []).append(msg)
         for msgs in groups.values():
             msgs.sort(key=lambda m: m.spec.sid)
             train_message_batch(
@@ -367,8 +349,6 @@ class _SimBackend(BaseBackend):
                 passes=self._passes_per_visit, batch_size=self.batch_size,
                 key=self._visit_key(msgs[0], p),
             )
-        for msg in singles:
-            self._train_inline(msg, p, mu)
 
     def _execute(self, mu: float, fault: FaultEvent | None) -> list[dict]:
         """The tick executor: one W step's numerics and visit bookkeeping.
@@ -384,7 +364,7 @@ class _SimBackend(BaseBackend):
         specs = self.adapter.submodel_specs()
         homes = self._homes = home_assignment(len(specs), self.machines)
         queues = self._initial_messages(specs, homes)
-        table = GroupTable(self.adapter, homes) if self.units_batched() else None
+        table = GroupTable(self.adapter, homes) if self.execute_updates else None
         record: list[dict] = []
         while any(queues.values()):
             if fault is not None and len(record) == fault.tick:
@@ -398,7 +378,7 @@ class _SimBackend(BaseBackend):
                     self._train_tick_groups(batch, p, mu, table)
                 visits = tick[p] = []
                 for msg in batch:
-                    work = self._process_visit(msg, p, mu, pretrained=table is not None)
+                    work = self._process_visit(msg, p)
                     q = None
                     if not msg.done:
                         q = self._successor(rings, msg, p)

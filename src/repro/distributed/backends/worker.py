@@ -33,13 +33,7 @@ import traceback
 
 import numpy as np
 
-from repro.distributed.batching import (
-    BatchAccumulator,
-    GroupTable,
-    supports_unit_batching,
-    train_message,
-    train_message_batch,
-)
+from repro.distributed.batching import BatchAccumulator, GroupTable, train_message_batch
 from repro.distributed.chaos import ChaosShim
 from repro.distributed.framing import ProtocolError, encode_heartbeat
 from repro.distributed.health import HeartbeatSender, WorkerPulse
@@ -74,7 +68,6 @@ class WorkerSetup:
     shuffle_within: bool
     seed: int
     message_dtype: object
-    batch_units: bool
     chaos: object
     health: object
     address: object
@@ -92,9 +85,7 @@ class _WorkerState:
         self.seg, self.shard = attach_shard(setup.desc)
         self.specs = self.adapter.submodel_specs()
         self.spec_by_sid = {s.sid: s for s in self.specs}
-        self.compute_dtype = np.dtype(
-            getattr(self.adapter, "compute_dtype", np.float64)
-        )
+        self.compute_dtype = np.dtype(self.adapter.compute_dtype)
         self.replan(setup.protocol, setup.homes)
 
     def replan(self, protocol: WStepProtocol, homes: dict) -> None:
@@ -108,11 +99,6 @@ class _WorkerState:
         """Reduced-precision wire dtype, when anything travels at all:
         like the simulated engines, a P = 1 ring never serialises."""
         return self.setup.message_dtype if self.protocol.n_machines > 1 else None
-
-    @property
-    def units_batched(self) -> bool:
-        """Whether this worker runs the batched co-resident-unit W step."""
-        return self.setup.batch_units and supports_unit_batching(self.adapter)
 
     def chaos_shim(self) -> ChaosShim | None:
         """A fresh shim per iteration realigns the per-link RNG streams
@@ -171,15 +157,11 @@ def _run_worker_iteration(state: _WorkerState, mu, iteration, plan, n_expected,
     specs = state.specs
     batch_size = state.setup.batch_size
     final: dict[int, np.ndarray] = {}
-    # Batched co-resident-unit W step: arriving messages accumulate per
-    # (home block, batch_key, counter) convoy group and train as one
-    # stacked pass when the group completes — composition is
-    # protocol-determined, so it is identical on every engine.
-    acc = (
-        BatchAccumulator(GroupTable(adapter, state.homes))
-        if state.units_batched
-        else None
-    )
+    # Arriving messages accumulate per (home block, batch_key, counter)
+    # convoy group and train as one stacked pass when the group
+    # completes — composition is protocol-determined, so it is identical
+    # on every engine.
+    acc = BatchAccumulator(GroupTable(adapter, state.homes))
     # Reduced-precision wire: like the simulated engines, every visit
     # round-trips the updated parameters through the wire dtype when
     # anything travels at all (P > 1), so stored finals and travelling
@@ -220,16 +202,14 @@ def _run_worker_iteration(state: _WorkerState, mu, iteration, plan, n_expected,
         pulse.tick()  # one heartbeat-visible unit of progress per visit
         msg.counter += 1
         passes = protocol.train_passes(msg.counter)
-        batched = passes and acc is not None and acc.table.batchable(msg.spec.sid)
-        group = acc.add(msg) if batched else [msg]
+        group = acc.add(msg) if passes else [msg]
         if group is None:
             return  # convoy incomplete; numerics wait for the rest
         t0 = time.perf_counter() if straggle is not None else 0.0
-        how = dict(passes=passes, batch_size=batch_size, key=visit_key(msg))
-        if batched:
-            train_message_batch(adapter, group, shard, mu, **how)
-        else:
-            train_message(adapter, msg, shard, mu, **how)
+        train_message_batch(
+            adapter, group, shard, mu,
+            passes=passes, batch_size=batch_size, key=visit_key(msg),
+        )
         if straggle is not None:
             straggle(t0)
         for member in group:
@@ -249,7 +229,7 @@ def _run_worker_iteration(state: _WorkerState, mu, iteration, plan, n_expected,
     for _ in range(n_expected):
         handle(transport.recv())
     transport.flush()
-    if acc is not None and acc.n_pending:
+    if acc.n_pending:
         raise RuntimeError(
             f"{acc.n_pending} submodel visit(s) never completed their batch "
             "group — convoy tracking bug"

@@ -20,9 +20,8 @@ make that possible:
   ``shuffle_within`` a visit's order is ``keyed_rng(seed, iteration,
   machine, counter, home, pass).permutation(n)`` (:func:`_visit_rng`):
   a pure function of where the visit happens, shared by every member of
-  its convoy and drawn identically by the per-unit path. With shuffling
-  off the order is the sequential one. Either way no engine carries RNG
-  state, so batching engages with shuffling on or off.
+  its convoy. With shuffling off the order is the sequential one. Either
+  way no engine carries RNG state.
 
 * **Groups are protocol-deterministic, not timing-dependent.** A batch is
   a *convoy*: the submodels of one home machine's contiguous block (split
@@ -34,28 +33,20 @@ make that possible:
   messages per (group, counter) in a :class:`BatchAccumulator` and train
   a group exactly when its last member arrives; group composition (and
   therefore every GEMM's operand shapes, hence its bits) is identical
-  everywhere. Stacked GEMMs and the legacy per-unit GEMVs associate their
-  reductions differently, so batched-vs-unbatched parity is *numerical*
-  (machine precision), while batched runs are bit-identical across
-  engines — see docs/architecture.md.
+  everywhere, so every engine's fit is bit-identical — see
+  docs/architecture.md.
+
+The convoy pass is the only way any engine trains a visit. An adapter's
+per-unit ``w_update`` is the reference kernel the stacked one is tested
+against (to machine precision: a stacked GEMM and per-unit GEMVs
+associate their reductions differently); no engine calls it.
 """
 
 from __future__ import annotations
 
 from repro.utils.rng import keyed_rng
 
-__all__ = [
-    "supports_unit_batching",
-    "GroupTable",
-    "BatchAccumulator",
-    "train_message",
-    "train_message_batch",
-]
-
-
-def supports_unit_batching(adapter) -> bool:
-    """Whether the adapter implements the batched W-update entry points."""
-    return hasattr(adapter, "w_update_batch") and hasattr(adapter, "batch_key")
+__all__ = ["GroupTable", "BatchAccumulator", "train_message_batch"]
 
 
 class GroupTable:
@@ -69,17 +60,12 @@ class GroupTable:
     """
 
     def __init__(self, adapter, homes):
-        self.group_of: dict[int, tuple | None] = {}
+        self.group_of: dict[int, tuple] = {}
         self.group_size: dict[tuple, int] = {}
         for spec in adapter.submodel_specs():
-            key = adapter.batch_key(spec)
-            gid = None if key is None else (homes[spec.sid], key)
+            gid = (homes[spec.sid], adapter.batch_key(spec))
             self.group_of[spec.sid] = gid
-            if gid is not None:
-                self.group_size[gid] = self.group_size.get(gid, 0) + 1
-
-    def batchable(self, sid: int) -> bool:
-        return self.group_of.get(sid) is not None
+            self.group_size[gid] = self.group_size.get(gid, 0) + 1
 
 
 class BatchAccumulator:
@@ -98,9 +84,7 @@ class BatchAccumulator:
         self._pending: dict[tuple, list] = {}
 
     def add(self, msg):
-        gid = self.table.group_of.get(msg.spec.sid)
-        if gid is None:
-            return [msg]
+        gid = self.table.group_of[msg.spec.sid]
         bucket = self._pending.setdefault((gid, msg.counter), [])
         bucket.append(msg)
         if len(bucket) < self.table.group_size[gid]:
@@ -122,23 +106,14 @@ def _visit_rng(key, k: int):
     return None if key is None else keyed_rng(*key, k)
 
 
-def train_message(adapter, msg, shard, mu, *, passes, batch_size, key):
-    """Run ``passes`` per-unit SGD passes for one visit of ``msg`` in place."""
-    for k in range(passes):
-        msg.theta = adapter.w_update(
-            msg.spec, msg.theta, msg.sgd_state, shard, mu,
-            batch_size=batch_size, shuffle=key is not None, rng=_visit_rng(key, k),
-        )
-
-
 def train_message_batch(adapter, msgs, shard, mu, *, passes, batch_size, key):
     """Run ``passes`` stacked SGD passes for one completed group in place.
 
     Members are already sid-sorted (stacking order fixes GEMM operand
     layout, so it must be deterministic); each message's theta is replaced
-    by its updated parameters and its carried ``SGDState`` advances
-    exactly as the per-unit path would have advanced it, in the order
-    :func:`train_message` draws.
+    by its updated parameters and its carried ``SGDState`` advances once
+    per minibatch, as the per-unit kernel would advance it. Pass ``k``
+    draws its minibatch order from :func:`_visit_rng`.
     """
     specs = [msg.spec for msg in msgs]
     thetas = [msg.theta for msg in msgs]

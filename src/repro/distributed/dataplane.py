@@ -37,6 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.distributed.interfaces import ParMACAdapter
+
 __all__ = ["IngestBatch", "DataPlane", "ClusterState"]
 
 
@@ -68,7 +70,10 @@ class DataPlane:
     Parameters
     ----------
     adapter : ParMACAdapter
-        Supplies ``features`` / ``init_codes`` for coding streamed rows.
+        Must implement the :class:`ParMACAdapter` protocol, or a
+        ``TypeError`` is raised here — before any engine spawns a worker
+        or packs a shard. Supplies ``features`` / ``init_codes`` for
+        coding streamed rows.
         Adapters without those methods still get ownership/retirement
         bookkeeping; ingestion raises a clear error. An adapter whose
         ``max_machines`` is not None caps the machine set: setup, restore
@@ -84,6 +89,12 @@ class DataPlane:
     """
 
     def __init__(self, adapter, shards, *, own_data: bool = True):
+        if not isinstance(adapter, ParMACAdapter):
+            raise TypeError(
+                f"{type(adapter).__name__} does not implement the ParMACAdapter "
+                "protocol (every member, w_update_batch and batch_key "
+                "included, must be defined)"
+            )
         self.adapter = adapter
         if hasattr(shards, "items"):
             self.shards = {int(p): s for p, s in shards.items()}
@@ -113,9 +124,8 @@ class DataPlane:
     # ------------------------------------------------------------ ownership
     @property
     def compute_dtype(self) -> np.dtype:
-        """The adapter's end-to-end float precision (float64 for adapters
-        that do not declare one)."""
-        return np.dtype(getattr(self.adapter, "compute_dtype", np.float64))
+        """The adapter's end-to-end float precision."""
+        return np.dtype(self.adapter.compute_dtype)
 
     @property
     def machines(self) -> list[int]:

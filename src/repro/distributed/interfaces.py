@@ -6,8 +6,16 @@ into an adapter for the actual numerics. An adapter supplies:
 
 * the list of submodels (hash functions + decoder groups for a BA; hidden
   units for a deep net);
-* ``w_update`` — one SGD pass of one submodel over one shard (the
-  travelling-submodel work unit);
+* ``batch_key(spec)`` — a hashable, never-None compatibility key:
+  submodels of one home block sharing a key train together (same layer
+  for a net, same kind for a BA);
+* ``w_update_batch(specs, thetas, states, shard, mu, *, batch_size,
+  shuffle, rng)`` — one shared SGD pass of a compatible group over one
+  shard (the travelling-submodel work unit, one GEMM per minibatch);
+  returns the new theta per spec. Under ``shuffle`` every member takes
+  the minibatch order ``rng.permutation(n)``, from a fresh generator the
+  engines key on where the visit happens. Engines drive it through
+  :mod:`repro.distributed.batching`, the only W-step path;
 * ``z_update`` — the per-shard Z step given the assembled model,
   returning a :class:`ZStepResult`: the coordinates it changed and the
   shard's ``(E_Q, nested objective, violations)`` under the new ones.
@@ -15,29 +23,18 @@ into an adapter for the actual numerics. An adapter supplies:
   step; engines total the results with :meth:`ZStepResult.total`;
 * ``shard_stats`` — the same three statistics of a shard as it stands,
   without a Z step (diagnostics, timing-only simulations);
-  ``e_q_shard`` / ``e_ba_shard`` / ``violations_shard`` name its parts.
-
-This mirrors the paper's observation that ParMAC is a *meta*-algorithm: the
-ring protocol is identical for any nested model (section 9).
-
-Adapters may additionally implement the **batched W-step** entry points
-(both adapters in this repo do):
-
-* ``batch_key(spec)`` — a hashable compatibility key; submodels of one
-  home block sharing a key may train as one stacked pass (same layer for
-  a net, same kind for a BA). ``None`` opts a submodel out.
-* ``w_update_batch(specs, thetas, states, shard, mu, *, batch_size,
-  shuffle, rng)`` — one shared SGD pass for a compatible group, collapsing
-  the group's per-unit loops into one GEMM per minibatch; returns the new
-  theta per spec. Under ``shuffle`` every member takes the minibatch
-  order ``rng.permutation(n)`` — the order ``w_update`` draws from the
-  same fresh ``rng``, which the engines key on where the visit happens.
+  ``e_q_shard`` / ``e_ba_shard`` / ``violations_shard`` name its parts;
 * ``compute_dtype`` — the model's end-to-end float precision; engines,
   the data plane and checkpoints thread it through so reduced-precision
   training (paper section 9) is a model property, not a per-engine hack.
 
-Engines drive these through :mod:`repro.distributed.batching` behind the
-``batch_units`` backend knob.
+The data plane refuses an adapter that does not implement every member
+(``isinstance(adapter, ParMACAdapter)``) before any worker starts. Both
+adapters in this repo also keep a per-unit ``w_update``: the reference
+kernel ``w_update_batch`` is tested against, which no engine calls.
+
+This mirrors the paper's observation that ParMAC is a *meta*-algorithm: the
+ring protocol is identical for any nested model (section 9).
 
 An adapter whose update is only correct on a bounded machine set says
 so with ``max_machines`` (an int, or None for no cap; absent means
@@ -124,24 +121,36 @@ class ParMACAdapter(Protocol):
         """Write one submodel's parameters back into the model."""
         ...
 
-    def w_update(
+    @property
+    def compute_dtype(self) -> np.dtype:
+        """The model's end-to-end float precision."""
+        ...
+
+    def batch_key(self, spec: SubmodelSpec):
+        """Hashable key (never None): submodels of one home block sharing
+        it train as one stacked pass."""
+        ...
+
+    def w_update_batch(
         self,
-        spec: SubmodelSpec,
-        theta: np.ndarray,
-        state: SGDState,
+        specs: list[SubmodelSpec],
+        thetas: list[np.ndarray],
+        states: list[SGDState],
         shard,
         mu: float,
         *,
         batch_size: int,
         shuffle: bool,
         rng,
-    ) -> np.ndarray:
-        """One SGD pass of submodel ``spec`` over ``shard``; returns new theta.
+    ) -> list[np.ndarray]:
+        """One shared SGD pass of compatible submodels ``specs`` over
+        ``shard``; returns the new theta per spec.
 
-        Under ``shuffle`` the minibatch order is ``rng.permutation(n)``,
-        the first draw of the fresh keyed generator the engine passes.
-        Must not touch the adapter's model object — during the W step the
-        authoritative parameters are the ones travelling in the message.
+        Under ``shuffle`` the members' minibatch order is
+        ``rng.permutation(n)``, the first draw of the fresh keyed
+        generator the engine passes. Must not touch the adapter's model
+        object — during the W step the authoritative parameters are the
+        ones travelling in the messages.
         """
         ...
 

@@ -278,7 +278,6 @@ class TestShuffledConformance:
         run = self.run(runs, X, net_problem, model, within, ring)
         history, params = run(name)
         ref_history, ref = run(REFERENCE)
-        assert history.records[-1].extra["batched_w"] is True
         assert history.records[-1].e_q == ref_history.records[-1].e_q
         for sid in ref:
             assert np.array_equal(params[sid], ref[sid]), (name, sid)

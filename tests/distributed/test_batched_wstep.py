@@ -1,19 +1,20 @@
-"""Batched co-resident-unit W step (ROADMAP hot path).
+"""Batched co-resident-unit W step, the only W-step path.
 
 The contract, as tests:
 
-* batched runs are **bit-identical across every registered engine**
-  (group composition is protocol-deterministic — convoys, not timing);
-* batched vs the legacy per-unit path agrees to machine precision (the
-  stacked GEMM and the per-unit GEMV associate their reductions
-  differently, so exact bit equality between the two *kernels* is not a
-  BLAS guarantee — parity is asserted at float tolerance, plus exact
-  agreement of every SGD step count);
-* the knob semantics: ``batch_units`` engages with shuffling on or off
-  (every convoy member takes its visit's keyed minibatch order, the one
-  the per-unit path draws), and is surfaced per iteration through
-  ``IterationStats``/history extras.
+* fits are **bit-identical across every registered engine**, with
+  shuffling on or off (group composition is protocol-deterministic —
+  convoys, not timing — and every convoy member takes its visit's keyed
+  minibatch order);
+* the stacked kernels agree with the adapters' per-unit reference
+  kernels to machine precision (the stacked GEMM and the per-unit GEMV
+  associate their reductions differently, so exact bit equality between
+  the two *kernels* is not a BLAS guarantee — parity is asserted at
+  float tolerance, plus exact agreement of every SGD step count).
 """
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -24,11 +25,8 @@ from repro.autoencoder.init import init_codes_pca
 from repro.core.penalty import GeometricSchedule
 from repro.core.trainer import ParMACTrainer
 from repro.distributed.backends import available_backends, get_backend
-from repro.distributed.batching import (
-    BatchAccumulator,
-    GroupTable,
-    supports_unit_batching,
-)
+from repro.distributed.batching import BatchAccumulator, GroupTable
+from repro.distributed.interfaces import ParMACAdapter
 from repro.distributed.messages import SubmodelMessage
 from repro.distributed.partition import make_shards, partition_indices
 from repro.distributed.protocol import home_assignment
@@ -77,8 +75,7 @@ def final_params(adapter):
     return {s.sid: adapter.get_params(s).copy() for s in adapter.submodel_specs()}
 
 
-def run_fit(make_problem, backend, *, batch_units, shuffle_within=False,
-            epochs=2, n_iters=4):
+def run_fit(make_problem, backend, *, shuffle_within=False, epochs=2, n_iters=4):
     adapter, shards = make_problem()
     trainer = ParMACTrainer(
         adapter,
@@ -87,7 +84,6 @@ def run_fit(make_problem, backend, *, batch_units, shuffle_within=False,
         epochs=epochs,
         shuffle_within=shuffle_within,
         seed=0,
-        backend_options={"batch_units": batch_units},
     )
     history = trainer.fit(shards)
     trainer.close()
@@ -202,8 +198,54 @@ class TestAdapterKernels:
 
     def test_both_adapters_advertise_batching(self, X, net_problem):
         Xn, Y = net_problem
-        assert supports_unit_batching(ba_setup(X)[0])
-        assert supports_unit_batching(net_setup(Xn, Y)[0])
+        assert isinstance(ba_setup(X)[0], ParMACAdapter)
+        assert isinstance(net_setup(Xn, Y)[0], ParMACAdapter)
+
+
+class NoBatchAdapter(BAAdapter):
+    """A BA adapter without the stacked W step every engine trains with."""
+
+    w_update_batch = None
+
+
+def shm_entries() -> set:
+    """Names currently in /dev/shm (empty where there is none)."""
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+class TestAdapterConformance:
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_setup_refuses_a_non_conforming_adapter(self, X, name):
+        # Refused at the data plane, before a worker is forked or a
+        # shard packed, with the adapter class named.
+        adapter, shards = ba_setup(X)
+        backend = get_backend(name)(seed=0)
+        children, shm = set(multiprocessing.active_children()), shm_entries()
+        with pytest.raises(TypeError, match="NoBatchAdapter"):
+            backend.setup(NoBatchAdapter(adapter.model), shards)
+        assert set(multiprocessing.active_children()) == children
+        assert shm_entries() <= shm
+        assert getattr(backend, "worker_pids", []) == []
+        backend.close()
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_restore_refuses_a_non_conforming_adapter(self, X, name):
+        # A snapshot rebinds through the same data plane as setup, so an
+        # adapter handed to restore() is checked there too.
+        adapter, shards = ba_setup(X)
+        source = get_backend("sync")(seed=0)
+        source.setup(adapter, shards)
+        source.run_iteration(1e-3)
+        state = source.checkpoint()
+        source.close()
+        backend = get_backend(name)(seed=0)
+        children, shm = set(multiprocessing.active_children()), shm_entries()
+        with pytest.raises(TypeError, match="NoBatchAdapter"):
+            backend.restore(state, adapter=NoBatchAdapter(adapter.model))
+        assert set(multiprocessing.active_children()) == children
+        assert shm_entries() <= shm
+        assert getattr(backend, "worker_pids", []) == []
+        backend.close()
 
 
 class TestGroupAccumulator:
@@ -253,68 +295,33 @@ class TestEngineParity:
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_batched_bit_identical_across_engines_ba(self, X, name):
-        ref, _ = run_fit(lambda: ba_setup(X), REFERENCE, batch_units=True)
-        got, history = run_fit(lambda: ba_setup(X), name, batch_units=True)
-        assert history.records[-1].extra["batched_w"] is True
+        ref, _ = run_fit(lambda: ba_setup(X), REFERENCE)
+        got, _ = run_fit(lambda: ba_setup(X), name)
         for sid in ref:
             assert np.array_equal(ref[sid], got[sid]), (name, sid)
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_batched_bit_identical_across_engines_net(self, net_problem, name):
         Xn, Y = net_problem
-        ref, _ = run_fit(lambda: net_setup(Xn, Y), REFERENCE, batch_units=True)
-        got, history = run_fit(lambda: net_setup(Xn, Y), name, batch_units=True)
-        assert history.records[-1].extra["batched_w"] is True
+        ref, _ = run_fit(lambda: net_setup(Xn, Y), REFERENCE)
+        got, _ = run_fit(lambda: net_setup(Xn, Y), name)
         for sid in ref:
             assert np.array_equal(ref[sid], got[sid]), (name, sid)
 
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_batched_matches_legacy_to_machine_precision(self, net_problem, name):
-        Xn, Y = net_problem
-        batched, _ = run_fit(lambda: net_setup(Xn, Y), name, batch_units=True)
-        legacy, history = run_fit(lambda: net_setup(Xn, Y), name, batch_units=False)
-        assert history.records[-1].extra["batched_w"] is False
-        for sid in batched:
-            np.testing.assert_allclose(
-                batched[sid], legacy[sid], rtol=1e-7, atol=1e-9,
-                err_msg=f"{name} sid {sid}",
-            )
-
-    @pytest.mark.parametrize("name", BACKENDS)
     def test_shuffle_within_batches_under_keyed_orders(self, X, name):
-        # Shuffled fits batch too: each convoy takes the keyed order its
-        # members' per-unit passes would draw, so the batched fit is the
-        # reference's bits and the per-unit one its to machine precision.
-        ref, _ = run_fit(lambda: ba_setup(X), REFERENCE, batch_units=True,
-                         shuffle_within=True)
-        on, history = run_fit(lambda: ba_setup(X), name, batch_units=True,
-                              shuffle_within=True)
-        off, _ = run_fit(lambda: ba_setup(X), name, batch_units=False,
-                         shuffle_within=True)
-        assert history.records[-1].extra["batched_w"] is True
-        for sid in on:
-            assert np.array_equal(on[sid], ref[sid]), (name, sid)
-            np.testing.assert_allclose(on[sid], off[sid], rtol=1e-7, atol=1e-9)
+        # Shuffled fits batch too: each convoy takes its visit's keyed
+        # order, so every engine's fit is the reference's bits.
+        ref, _ = run_fit(lambda: ba_setup(X), REFERENCE, shuffle_within=True)
+        got, _ = run_fit(lambda: ba_setup(X), name, shuffle_within=True)
+        for sid in got:
+            assert np.array_equal(got[sid], ref[sid]), (name, sid)
 
     def test_w_time_surfaced_on_sim_engines(self, X):
-        _, history = run_fit(lambda: ba_setup(X), "sync", batch_units=True)
+        _, history = run_fit(lambda: ba_setup(X), "sync")
         rec = history.records[-1]
         assert rec.extra["w_time"] > 0
         assert rec.extra["z_time"] > 0
         assert rec.extra["compute_dtype"] == "float64"
         assert rec.extra["message_dtype"] is None
 
-    def test_checkpoint_refuses_batch_units_flip(self, X):
-        # Batched and per-unit kernels agree only to rounding, so resuming
-        # under the other knob cannot be bit-identical — it must raise.
-        adapter, shards = ba_setup(X)
-        backend = get_backend("sync")(epochs=1, shuffle_within=False,
-                                      batch_units=True, seed=0)
-        backend.setup(adapter, shards)
-        backend.run_iteration(1e-3)
-        state = backend.checkpoint()
-        backend.close()
-        other = get_backend("sync")(epochs=1, shuffle_within=False,
-                                    batch_units=False, seed=0)
-        with pytest.raises(ValueError, match="batch_units"):
-            other.restore(state)

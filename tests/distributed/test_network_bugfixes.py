@@ -202,12 +202,6 @@ class WedgingAdapter(BAAdapter):
     """Spins forever on a marked shard: the alive-but-unresponsive case
     the liveness poll cannot see (only deaths are detectable)."""
 
-    def w_update(self, spec, theta, state, shard, mu, **kwargs):
-        if getattr(shard, "stall_forever", False):
-            while True:  # never returns, never dies
-                time.sleep(1.0)
-        return super().w_update(spec, theta, state, shard, mu, **kwargs)
-
     def w_update_batch(self, specs, thetas, states, shard, mu, **kwargs):
         if getattr(shard, "stall_forever", False):
             while True:  # never returns, never dies

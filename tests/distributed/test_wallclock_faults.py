@@ -60,10 +60,8 @@ def shm_entries() -> set:
 class ExplodingWUpdateAdapter(BAAdapter):
     """Raises inside the workers' W step — a deterministic mid-fit failure."""
 
-    def w_update(self, *args, **kwargs):
+    def w_update_batch(self, *args, **kwargs):
         raise RuntimeError("injected w_update failure")
-
-    w_update_batch = w_update  # shuffled fits batch too
 
 
 @pytest.mark.slow
@@ -263,11 +261,6 @@ class SuicidalAdapter(BAAdapter):
             and mu >= shard.kill_at_mu
             and getattr(shard, "kill_in_z", False) == in_z
         )
-
-    def w_update(self, spec, theta, state, shard, mu, **kwargs):
-        if self._fatal(shard, mu, in_z=False):
-            os.kill(os.getpid(), signal.SIGKILL)
-        return super().w_update(spec, theta, state, shard, mu, **kwargs)
 
     def w_update_batch(self, specs, thetas, states, shard, mu, **kwargs):
         if self._fatal(shard, mu, in_z=False):

@@ -37,7 +37,6 @@ ALLOWED = {
     "SyncSimBackend": "resolved by get_backend('sync') through the registry",
     "AsyncSimBackend": "resolved by get_backend('async') through the registry",
     "TCPBackend": "resolved by get_backend('tcp') through the registry",
-    "ParMACAdapter": "the protocol an adapter satisfies; checked structurally",
     "speedup_divisible": "the paper's closed form, kept for ROADMAP item 8's figures",
     "speedup_large_dataset": "the paper's closed form, kept for ROADMAP item 8's figures",
     "interval_bounds": "the paper's closed form, kept for ROADMAP item 8's figures",
@@ -110,7 +109,7 @@ def test_allow_list_entries_are_still_needed():
 
 
 _BASE_KNOBS = (
-    "batch_size", "batch_units", "chaos", "cost", "epochs", "fault_policy",
+    "batch_size", "chaos", "cost", "epochs", "fault_policy",
     "health", "message_dtype", "respawn_budget", "scheme", "seed",
     "shuffle_ring", "shuffle_within",
 )
